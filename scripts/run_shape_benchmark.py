@@ -4,7 +4,8 @@
 For each shape (banana, star, three clusters) this sweeps the Gaussian
 bandwidth, applies the objective-curve plateau selector plus the CV, MD,
 and DFN baselines, and evaluates each recommendation's boundary quality
-as F1 against the shape's ground truth on a 200 x 200 grid. Prints a
+as F1 against the shape's ground truth on a 200 x 200 grid. One labeled
+sweep solves each bandwidth once for both V*(s) and F1. Prints a
 comparison table and optionally writes the per-shape curves as CSV.
 
 Usage:
@@ -21,9 +22,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from svddpeak.baselines import select_cv, select_dfn, select_md
 from svddpeak.datagen import SHAPE_KINDS, generate_shape, shape_truth_grid
-from svddpeak.errors import NoPeakFoundError
+from svddpeak.errors import NoPeakFoundError, SweepError
 from svddpeak.evaluation import f1_sweep
-from svddpeak.tuning import BandwidthGrid, find_peak, sweep_objective
+from svddpeak.tuning import BandwidthGrid, find_peak
 
 
 def main() -> int:
@@ -41,13 +42,12 @@ def main() -> int:
           f"{'rec':>6} {'F1(rec)':>8} {'F1 best':>8} {'ratio':>6}")
     for kind in SHAPE_KINDS:
         X = generate_shape(kind, seed=args.seed)
-        curve = sweep_objective(X, args.f, grid)
         cv = select_cv(X, grid).s
         md = select_md(X, args.f).s
         dfn = select_dfn(X, grid).s
         sweep = f1_sweep(X, shape_truth_grid(kind, X), grid, args.f)
         try:
-            peak = find_peak(curve)
+            peak = find_peak(sweep.objective_curve(args.f, X.shape[0]))
             snapped = float(
                 sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))]
             )
@@ -55,7 +55,7 @@ def main() -> int:
             peak_range = f"[{peak.s_low:.2f}, {peak.s_high:.2f}]"
             rec_txt = f"{snapped:.2f}"
             ratio = f"{f_rec / sweep.f_best:.3f}"
-        except NoPeakFoundError:
+        except (NoPeakFoundError, SweepError):
             peak_range, rec_txt, f_rec, ratio = "none", "-", float("nan"), "-"
         print(f"{kind:<14} {cv:>6.2f} {md:>7.2f} {dfn:>6.2f} {peak_range:>14} "
               f"{rec_txt:>6} {f_rec:>8.4f} {sweep.f_best:>8.4f} {ratio:>6}")

@@ -20,16 +20,18 @@ from .datagen import (
     make_labeled_grid,
     sample_interior,
 )
-from .errors import DimensionError, InputError, NoPeakFoundError, SvddError, SweepError
-from .kernel import as_data_matrix
+from .errors import DimensionError, InputError, SvddError, SweepError
+from .kernel import GAUSSIAN, KernelSpec, as_data_matrix
 from .smoothing import SplineConfig
 from .solver import SolverConfig, SvddModel
 from .tuning import (
     DEFAULT_MIN_RUN,
     BandwidthGrid,
+    ObjectiveCurve,
+    _check_sweep_invariants,
+    _resolve_config,
+    curve_from_samples,
     find_peak,
-    models_along_grid,
-    sweep_objective,
 )
 
 
@@ -66,18 +68,22 @@ def compute_metrics(counts: ConfusionCounts) -> Metrics:
     return Metrics(precision=precision, recall=recall, f1=f1)
 
 
+def _confusion(predicted_inlier, truth) -> ConfusionCounts:
+    return ConfusionCounts(
+        tp=int(np.sum(predicted_inlier & truth)),
+        fp=int(np.sum(predicted_inlier & ~truth)),
+        fn=int(np.sum(~predicted_inlier & truth)),
+        tn=int(np.sum(~predicted_inlier & ~truth)),
+    )
+
+
 def score_grid(model: SvddModel, grid: LabeledGrid):
     """Classify every lattice cell; count against the ground-truth labels."""
     if model.dim != 2:
         raise DimensionError("grid scoring requires a 2-D model")
     dist_sq = _solver.score_distances(model, grid.points)
     predicted_inlier = dist_sq <= model.r_squared
-    truth = np.asarray(grid.labels, dtype=bool)
-    tp = int(np.sum(predicted_inlier & truth))
-    fp = int(np.sum(predicted_inlier & ~truth))
-    fn = int(np.sum(~predicted_inlier & truth))
-    tn = int(np.sum(~predicted_inlier & ~truth))
-    return predicted_inlier, ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    return predicted_inlier, _confusion(predicted_inlier, np.asarray(grid.labels, dtype=bool))
 
 
 def _as_scoring_set(labeled):
@@ -93,6 +99,7 @@ class F1SweepResult:
     metrics: list
     s_best: float
     f_best: float
+    v_star: np.ndarray  # optimal dual objective of each solve, aligned with s_values
     failures: list = field(default_factory=list)  # (s, message) pairs
 
     def f1_curve(self) -> np.ndarray:
@@ -103,6 +110,22 @@ class F1SweepResult:
         if abs(float(self.s_values[idx]) - s) > 1e-9:
             raise InputError(f"s={s!r} is not on the sweep grid")
         return self.metrics[idx].f1
+
+    def objective_curve(self, f: float, n: int) -> ObjectiveCurve:
+        """V*(s) of the sweep's own solves, checked like a tuning sweep.
+
+        A failed solve leaves a hole in the uniform grid, so any failure
+        raises SweepError instead.
+        """
+        if self.failures:
+            s, message = self.failures[0]
+            raise SweepError(
+                f"{len(self.failures)} labeled-sweep solve(s) failed, first at s={s:g}: {message}",
+                s=s,
+            )
+        curve = curve_from_samples(self.s_values, self.v_star, f)
+        _check_sweep_invariants(curve.s_values, curve.v_star, n)
+        return curve
 
 
 def f1_sweep(
@@ -115,30 +138,35 @@ def f1_sweep(
 ) -> F1SweepResult:
     """Train per grid bandwidth, score the labeled set, return the F1 curve.
 
-    ``labeled`` is a LabeledGrid or a (points, labels) pair. Bandwidths
-    whose solve fails are excluded from the curve and recorded in
-    ``failures``. The argmax ties toward the smallest bandwidth.
+    ``labeled`` is a LabeledGrid or a (points, labels) pair. Each solve
+    also records its V*(s), so one sweep serves both the F1 curve and
+    the objective curve. Consecutive solves warm-start from the previous
+    successful solution. Bandwidths whose solve or scoring fails are
+    excluded from the curve and recorded in ``failures``; if all fail,
+    SweepError is raised. The argmax ties toward the smallest bandwidth.
     """
-    points, labels = _as_scoring_set(labeled)
-    truth = labels
+    X = as_data_matrix(train_X)
+    config = _resolve_config(f, config)
+    points, truth = _as_scoring_set(labeled)
     kept_s = []
+    v_star = []
     metrics = []
     failures = []
-    for s, model in models_along_grid(train_X, f, s_grid, config=config, warm_start=warm_start):
+    alpha0 = None
+    for s in s_grid.values():
+        s = float(s)
         try:
+            spec = KernelSpec(kind=GAUSSIAN, s=s)
+            model = _solver.train(X, spec, config, initial_alphas=alpha0)
+            if warm_start:
+                alpha0 = model.alphas
             dist_sq = _solver.score_distances(model, points)
         except SvddError as exc:
             failures.append((s, str(exc)))
             continue
-        predicted = dist_sq <= model.r_squared
-        counts = ConfusionCounts(
-            tp=int(np.sum(predicted & truth)),
-            fp=int(np.sum(predicted & ~truth)),
-            fn=int(np.sum(~predicted & truth)),
-            tn=int(np.sum(~predicted & ~truth)),
-        )
         kept_s.append(s)
-        metrics.append(compute_metrics(counts))
+        v_star.append(model.dual_objective)
+        metrics.append(compute_metrics(_confusion(dist_sq <= model.r_squared, truth)))
     if not kept_s:
         raise SweepError("every bandwidth in the labeled sweep failed")
     s_arr = np.array(kept_s)
@@ -149,6 +177,7 @@ def f1_sweep(
         metrics=metrics,
         s_best=float(s_arr[best]),
         f_best=float(f1s[best]),
+        v_star=np.array(v_star),
         failures=failures,
     )
 
@@ -212,13 +241,14 @@ def _polygon_task(task):
     X = sample_interior(polygon, sample_size, seed + 50_000)
     labeled = make_labeled_grid(polygon, resolution)
     try:
-        curve = sweep_objective(X, f, grid, config=solver_config)
-        peak = find_peak(curve, spline_config=spline_config, min_run=min_run)
+        # one solve per bandwidth gives both V*(s) and the lattice F1
         sweep = f1_sweep(X, labeled, grid, f, config=solver_config)
+        curve = sweep.objective_curve(f, X.shape[0])
+        peak = find_peak(curve, spline_config=spline_config, min_run=min_run)
         snapped = float(sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))])
         f_peak = sweep.f1_at(snapped)
         ratio = f_peak / sweep.f_best if sweep.f_best > 0 else 0.0
-    except (NoPeakFoundError, SweepError) as exc:
+    except SvddError as exc:
         return StudyFailure(vertex_count=vc, polygon_index=idx, seed=seed, error=str(exc))
     return StudyRow(
         vertex_count=vc,
@@ -256,8 +286,10 @@ def polygon_study(
     objective-curve plateau, evaluate its F1 on the labeled bounding-box
     lattice, and divide by the best F1 over the full labeled sweep. The
     plateau midpoint is snapped to the sweep grid, so every ratio is at
-    most 1 by construction. Polygons where no plateau exists are recorded
-    as failure rows, never dropped silently.
+    most 1 by construction. Each bandwidth is solved once: the same
+    warm-started sweep gives V*(s) for the plateau and F1 for the ratio.
+    Polygons where a solve fails or no plateau exists are recorded as
+    failure rows, never dropped silently.
 
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.

@@ -49,6 +49,10 @@ OUTSIDE = "outside"
 # curvature below this is treated as flat (identical points) in SMO steps
 _CURVATURE_FLOOR = 1e-12
 
+# rows scored per cross-kernel block; bounds scoring memory to a block times
+# the support-vector count instead of every scoring row at once
+SCORE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -83,6 +87,9 @@ class SvddModel:
     support_vectors: np.ndarray
     dual_objective: float
     X: np.ndarray
+    # box bound 1/(n f) of the training set; a loaded model keeps only its
+    # support vectors, so this cannot be recomputed from X
+    C: float
     kkt_residual: float = 0.0
     iterations: int = 0
     # cached sum_ij alpha_i alpha_j K(x_i, x_j), the constant term of dist^2
@@ -95,10 +102,6 @@ class SvddModel:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def C(self) -> float:
-        return self.config.box_bound(self.n)
 
     def sv_alphas(self) -> np.ndarray:
         return self.alphas[self.sv_indices]
@@ -128,39 +131,52 @@ def model_from_dict(payload: dict) -> SvddModel:
 
     Only support vectors are serialized, so the rebuilt model's training
     view is the support-vector set itself (alphas are zero elsewhere and
-    contribute nothing to scoring).
+    contribute nothing to scoring). The box bound is read back as saved.
+    A missing or mistyped field raises InputError.
     """
+    if not isinstance(payload, dict):
+        raise InputError("a model must be a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format_version {version!r}")
-    kind = payload["kernel_kind"]
-    spec = KernelSpec(kind=kind, s=payload["s"] if kind == GAUSSIAN else None)
-    sv = np.asarray(payload["support_vectors"], dtype=float)
-    alphas = np.asarray(payload["alphas"], dtype=float)
+    try:
+        kind = payload["kernel_kind"]
+        spec = KernelSpec(kind=kind, s=payload["s"] if kind == GAUSSIAN else None)
+        sv = np.asarray(payload["support_vectors"], dtype=float)
+        alphas = np.asarray(payload["alphas"], dtype=float)
+        config = SolverConfig(f=payload["f"])
+        C = float(payload["C"])
+        r_squared = float(payload["r_squared"])
+        dual_objective = float(payload["dual_objective"])
+    except KeyError as exc:
+        raise InputError(f"model is missing the {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed model field: {exc}") from None
     if sv.ndim != 2 or alphas.shape != (sv.shape[0],):
         raise InputError("support_vectors and alphas are inconsistent")
-    config = SolverConfig(f=payload["f"])
     K = _kernel.kernel_matrix(sv, spec)
-    n = sv.shape[0]
-    C = config.box_bound(n) if n else 0.0
-    boundary = _boundary_indices(alphas, payload["C"], config.kkt_tol)
     return SvddModel(
         alphas=alphas,
-        sv_indices=np.arange(n),
-        boundary_sv_indices=boundary,
-        r_squared=float(payload["r_squared"]),
+        sv_indices=np.arange(sv.shape[0]),
+        boundary_sv_indices=_boundary_indices(alphas, C, config.kkt_tol),
+        r_squared=r_squared,
         spec=spec,
         config=config,
         support_vectors=sv,
-        dual_objective=float(payload["dual_objective"]),
+        dual_objective=dual_objective,
         X=sv,
+        C=C,
         alpha_quad=float(alphas @ K @ alphas),
     )
 
 
 def load_model(path) -> SvddModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise InputError(f"{path}: not a JSON model file: {exc}") from None
+    return model_from_dict(payload)
 
 
 def _boundary_indices(alphas, C, tol) -> np.ndarray:
@@ -281,6 +297,7 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
             support_vectors=X.copy(),
             dual_objective=0.0,
             X=X,
+            C=C,
             alpha_quad=k11,
         )
 
@@ -318,6 +335,7 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
         support_vectors=X[sv_indices].copy(),
         dual_objective=dual_objective,
         X=X,
+        C=C,
         kkt_residual=residual,
         iterations=iterations,
         alpha_quad=alpha_quad,
@@ -335,18 +353,26 @@ def compute_threshold(model: SvddModel) -> float:
 
 
 def score_distances(model: SvddModel, Z) -> np.ndarray:
-    """dist^2 for each row of Z against the fitted description."""
+    """dist^2 for each row of Z against the fitted description.
+
+    The cross kernel is built ``SCORE_BLOCK_ROWS`` rows at a time.
+    """
     Z = as_data_matrix(Z, name="Z")
     if Z.shape[1] != model.dim:
         raise DimensionError(
             f"scoring rows have {Z.shape[1]} feature(s), model expects {model.dim}"
         )
-    cross = _kernel.cross_kernel(Z, model.support_vectors, model.spec)
+    sv_alphas = model.sv_alphas()
+    weighted = np.empty(Z.shape[0])
+    for start in range(0, Z.shape[0], SCORE_BLOCK_ROWS):
+        block = Z[start:start + SCORE_BLOCK_ROWS]
+        cross = _kernel.cross_kernel(block, model.support_vectors, model.spec)
+        weighted[start:start + block.shape[0]] = cross @ sv_alphas
     if model.spec.kind == GAUSSIAN:
         self_term = np.ones(Z.shape[0])
     else:
         self_term = np.einsum("ij,ij->i", Z, Z)
-    return self_term - 2.0 * (cross @ model.sv_alphas()) + model.alpha_quad
+    return self_term - 2.0 * weighted + model.alpha_quad
 
 
 def score_distance(model: SvddModel, z) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernel as _kernel
 from . import solver as _solver
 from .errors import ConvergenceError, InputError, NoPeakFoundError, SweepError
-from .kernel import GAUSSIAN, KernelSpec, as_data_matrix
+from .kernel import as_data_matrix
 from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import SolverConfig
 
@@ -335,20 +335,3 @@ def select_bandwidth_peak(
         f=f,
     )
     return find_peak(curve, spline_config=spline_config, min_run=min_run)
-
-
-def models_along_grid(X, f, grid, config=None, warm_start=True):
-    """Yield (s, model) across the grid, warm-starting consecutive solves.
-
-    Shared machinery for labeled evaluation sweeps; the returned models
-    are full SvddModel instances (threshold included).
-    """
-    X = as_data_matrix(X)
-    config = _resolve_config(f, config)
-    alpha0 = None
-    for s in grid.values():
-        spec = KernelSpec(kind=GAUSSIAN, s=float(s))
-        model = _solver.train(X, spec, config, initial_alphas=alpha0)
-        if warm_start:
-            alpha0 = model.alphas
-        yield float(s), model

@@ -322,6 +322,16 @@ class TestCsvIngestion:
             read_csv_dataset(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("text", ['{"format_version": 1, "kernel_kind": "gaussian"}\n',
+                                      "this is not JSON\n"])
+    def test_malformed_model_file_is_usage_error(self, tmp_path, two_point_csv, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert main(["score", "--model", str(model), "--data", str(two_point_csv),
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["score", "--model", str(tmp_path / "nope.json"),
                      "--data", str(tmp_path / "nope.csv"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svddpeak import solver
 from svddpeak.datagen import (
     LabeledGrid,
     Polygon,
@@ -10,7 +11,7 @@ from svddpeak.datagen import (
     make_labeled_grid,
     sample_interior,
 )
-from svddpeak.errors import DimensionError, InputError
+from svddpeak.errors import DimensionError, InputError, SweepError
 from svddpeak.evaluation import (
     ConfusionCounts,
     compute_metrics,
@@ -20,7 +21,7 @@ from svddpeak.evaluation import (
 )
 from svddpeak.kernel import GAUSSIAN, KernelSpec
 from svddpeak.solver import SolverConfig, train
-from svddpeak.tuning import BandwidthGrid
+from svddpeak.tuning import BandwidthGrid, sweep_objective
 
 UNIT_SQUARE = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 counts_st = st.integers(0, 500)
@@ -143,17 +144,53 @@ class TestF1Sweep:
         with pytest.raises(InputError):
             result.f1_at(0.61)
 
+    def test_v_star_matches_warm_tuning_sweep(self):
+        X = generate_shape("banana", seed=11)
+        grid = BandwidthGrid.low_dimensional()
+        result = f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), grid, f=0.001)
+        curve = sweep_objective(X, 0.001, grid, warm_start=True)
+        np.testing.assert_array_equal(result.s_values, curve.s_values)
+        np.testing.assert_allclose(result.v_star, curve.v_star, rtol=0, atol=1e-9)
+        own = result.objective_curve(0.001, X.shape[0])
+        np.testing.assert_allclose(own.d2, curve.d2, rtol=0, atol=2e-6)
+
+    def test_failed_solves_are_recorded_not_raised(self):
+        X = generate_shape("banana", seed=11)
+        labeled = (X, np.ones(X.shape[0], dtype=bool))
+        grid = BandwidthGrid.low_dimensional()
+        config = SolverConfig(f=0.001, max_iterations=500)
+        result = f1_sweep(X, labeled, grid, f=0.001, config=config)
+        assert result.failures
+        assert result.s_values.size + len(result.failures) == grid.values().size
+        assert result.v_star.shape == result.s_values.shape
+        failed = {s for s, _ in result.failures}
+        assert failed.isdisjoint(result.s_values.tolist())
+        assert all("SMO did not reach" in message for _, message in result.failures)
+        # a holed grid has no objective curve
+        with pytest.raises(SweepError):
+            result.objective_curve(0.001, X.shape[0])
+
+    def test_every_solve_failing_is_a_sweep_error(self):
+        X = generate_shape("banana", seed=11)
+        config = SolverConfig(f=0.001, max_iterations=50)
+        with pytest.raises(SweepError):
+            f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), BandwidthGrid.low_dimensional(),
+                     f=0.001, config=config)
+
+
+SMALL_STUDY = dict(
+    vertex_counts=[5, 8],
+    polygons_per_count=2,
+    sample_size=120,
+    grid=BandwidthGrid(0.3, 3.0, 0.1),
+    master_seed=99,
+    resolution=(60, 60),
+)
+
 
 @pytest.fixture(scope="module")
 def small_report():
-    return polygon_study(
-        vertex_counts=[5, 8],
-        polygons_per_count=2,
-        sample_size=120,
-        grid=BandwidthGrid(0.3, 3.0, 0.1),
-        master_seed=99,
-        resolution=(60, 60),
-    )
+    return polygon_study(**SMALL_STUDY)
 
 
 class TestPolygonStudy:
@@ -176,12 +213,35 @@ class TestPolygonStudy:
             assert summary.minimum <= summary.q1 <= summary.median <= summary.q3 <= summary.maximum
 
     def test_reproducible_from_seeds(self, small_report):
-        repeat = polygon_study(
-            vertex_counts=[5, 8],
-            polygons_per_count=2,
-            sample_size=120,
-            grid=BandwidthGrid(0.3, 3.0, 0.1),
-            master_seed=99,
-            resolution=(60, 60),
-        )
+        repeat = polygon_study(**SMALL_STUDY)
         assert [r.__dict__ for r in repeat.rows] == [r.__dict__ for r in small_report.rows]
+
+    def test_one_solve_per_bandwidth(self, monkeypatch):
+        trained, solved = [], []
+        real_train, real_smo = solver.train, solver._solve_smo
+
+        def counting_train(*args, **kwargs):
+            trained.append(args[1].s)
+            return real_train(*args, **kwargs)
+
+        def counting_smo(*args, **kwargs):
+            solved.append(1)
+            return real_smo(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "train", counting_train)
+        monkeypatch.setattr(solver, "_solve_smo", counting_smo)
+        study = dict(SMALL_STUDY, vertex_counts=[5], polygons_per_count=1)
+        report = polygon_study(**study)
+        assert len(report.rows) == 1
+        # every SMO solve goes through the public train, once per bandwidth
+        assert trained == study["grid"].values().tolist()
+        assert len(solved) == len(trained)
+
+    @pytest.mark.parametrize("max_iterations", [50, 200])
+    def test_failed_solves_become_failure_rows(self, max_iterations):
+        # 50 iterations fail every solve; 200 fail some, which leaves no uniform curve
+        config = SolverConfig(f=0.001, max_iterations=max_iterations)
+        report = polygon_study(**dict(SMALL_STUDY, polygons_per_count=1), solver_config=config)
+        assert report.rows == []
+        assert [(x.vertex_count, x.polygon_index) for x in report.failures] == [(5, 0), (8, 0)]
+        assert all("failed" in x.error for x in report.failures)

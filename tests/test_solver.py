@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from svddpeak import solver
+from svddpeak.datagen import generate_shape
 from svddpeak.errors import (
     ConvergenceError,
     DegenerateModelError,
@@ -11,7 +13,7 @@ from svddpeak.errors import (
     InputError,
     UnsupportedOperationError,
 )
-from svddpeak.kernel import GAUSSIAN, LINEAR, KernelSpec, kernel_matrix
+from svddpeak.kernel import GAUSSIAN, LINEAR, KernelSpec, cross_kernel, kernel_matrix
 from svddpeak.solver import (
     BOUNDARY,
     INLIER,
@@ -216,6 +218,15 @@ class TestScoring:
         singles = [score_distance(two_point_model, z) for z in Z]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 7, 20, 21])
+    def test_block_scoring_matches_one_piece(self, rng, monkeypatch, rows):
+        model = train(rng.normal(size=(15, 2)), KernelSpec(GAUSSIAN, 0.8), SolverConfig(f=0.1))
+        Z = rng.normal(size=(rows, 2))
+        cross = cross_kernel(Z, model.support_vectors, model.spec)
+        whole = 1.0 - 2.0 * (cross @ model.sv_alphas()) + model.alpha_quad
+        monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 7)
+        np.testing.assert_array_equal(score_distances(model, Z), whole)
+
 
 class TestClassify:
     def test_boundary_point_is_inlier(self, two_point_model, two_point_data):
@@ -327,6 +338,42 @@ class TestSerialization:
         assert payload["s"] == 2.0
         assert payload["C"] == 5.0
         assert len(payload["alphas"]) == len(payload["support_vectors"]) == 2
+
+    def test_loaded_model_keeps_box_bound(self, tmp_path):
+        # a loaded model holds only its support vectors, so 1/(n f) from its
+        # own rows would be far too large a box
+        model = train(generate_shape("banana", seed=11), KernelSpec(GAUSSIAN, 0.9),
+                      SolverConfig(f=0.05))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        loaded = load_model(first)
+        loaded.save(second)
+        assert loaded.C == model.C
+        assert json.loads(second.read_text()) == json.loads(first.read_text())
+        trained_counts = position_report(model).counts()
+        loaded_counts = position_report(loaded).counts()
+        assert loaded_counts["outside"] == trained_counts["outside"] > 0
+        assert loaded_counts["boundary"] == trained_counts["boundary"]
+
+    @pytest.mark.parametrize("field, value", [("C", None), ("f", "much")])
+    def test_mistyped_field_rejected(self, two_point_model, field, value):
+        payload = two_point_model.to_dict()
+        payload[field] = value
+        with pytest.raises(InputError):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("field", ["kernel_kind", "C", "r_squared", "support_vectors"])
+    def test_missing_field_rejected(self, two_point_model, field):
+        payload = two_point_model.to_dict()
+        del payload[field]
+        with pytest.raises(InputError, match=field):
+            model_from_dict(payload)
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("not a model\n")
+        with pytest.raises(InputError):
+            load_model(path)
 
     def test_unknown_version_rejected(self, two_point_model):
         payload = two_point_model.to_dict()
