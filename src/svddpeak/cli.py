@@ -300,6 +300,26 @@ def cmd_tune(args) -> int:
     return exit_code
 
 
+def _write_scored(path, header, Z, dist_sq, r_squared, labels):
+    """Write scored rows ``SCORE_BLOCK_ROWS`` at a time, so only one block
+    of formatted cells is held in memory."""
+    r_sq = _fmt(r_squared)
+    block = _solver.SCORE_BLOCK_ROWS
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, Z.shape[0], block):
+            stop = start + block
+            writer.writerows(
+                [_fmt(v) for v in row] + [_fmt(d), r_sq, label]
+                for row, d, label in zip(
+                    Z[start:stop].tolist(),
+                    dist_sq[start:stop].tolist(),
+                    labels[start:stop].tolist(),
+                )
+            )
+
+
 def cmd_score(args) -> int:
     model = _solver.load_model(args.model)
     header, Z, _ = read_csv_dataset(args.data)
@@ -311,11 +331,8 @@ def cmd_score(args) -> int:
         return EXIT_OK
     dist_sq = _solver.score_distances(model, Z)
     labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
-    rows = [
-        [_fmt(v) for v in Z[i]] + [_fmt(dist_sq[i]), _fmt(model.r_squared), labels[i]]
-        for i in range(Z.shape[0])
-    ]
-    _write_rows(args.out, header + ["dist_sq", "r_sq", "label"], rows)
+    _write_scored(args.out, header + ["dist_sq", "r_sq", "label"], Z, dist_sq,
+                  model.r_squared, labels)
     _write_manifest(args.out, "score", {"model": str(args.model), "data": str(args.data),
                                         "out": str(args.out)}, [args.model, args.data])
     n_out = int(np.sum(labels == _solver.OUTLIER))
@@ -444,14 +461,14 @@ def cmd_shuttle(args) -> int:
         print(f"  {SHUTTLE_URL}")
         print("then re-run with --path pointing at the extracted shuttle file.")
         return EXIT_OK
+    if args.sample_class1 and not args.out:
+        print("--out is required with --sample-class1", file=sys.stderr)
+        return EXIT_USAGE
     X, labels = ingest_shuttle(args.path)
     counts = {int(c): int(np.sum(labels == c)) for c in np.unique(labels)}
     print(f"{X.shape[0]} rows, 9 features, class counts: {counts}")
     if args.sample_class1:
         sample = sample_shuttle_class1(X, labels, args.sample_class1, args.seed)
-        if not args.out:
-            print("--out is required with --sample-class1", file=sys.stderr)
-            return EXIT_USAGE
         _datagen.save_dataset(args.out, sample)
         _write_manifest(
             args.out,

@@ -189,46 +189,74 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
     Returns (alpha, kkt_residual, iterations). Gradient is maintained
     incrementally and re-derived from scratch before convergence is
     accepted, so drift cannot produce a falsely converged result.
+
+    The loop keeps numpy overhead per iteration small without changing a
+    single rounding of the plain formulation (columns ``K[:, i]``, masks
+    rebuilt by ``np.where`` every step):
+
+    * ``K`` is exactly symmetric (``kernel_matrix`` and
+      ``kernel_matrix_from_sq`` guarantee it), so a step reads the
+      contiguous rows ``K[i]``, ``K[j]``;
+    * the bound masks are offset vectors, ``up_pen`` (+inf where alpha = C)
+      and ``low_pen`` (-inf where alpha = 0), updated only at the two
+      coordinates a step moves: i = argmin(grad + up_pen) and
+      j = argmax(grad + low_pen);
+    * the gradient update ``grad += (2 clipped) (K[i] - K[j])`` runs in
+      preallocated buffers, in the same order of operations;
+    * scalars are read as Python floats, which round exactly as numpy's.
     """
     n = K.shape[0]
     diag = np.ascontiguousarray(np.diag(K))
+    k_diag = diag.tolist()
     alpha = np.asarray(alpha0, dtype=float).copy()
     grad = 2.0 * (K @ alpha) - diag
+    up_pen = np.where(alpha < C, 0.0, np.inf)
+    low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
+    masked = np.empty(n)
+    diff = np.empty(n)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    inf = np.inf
+
+    def violating_pair(grad):
+        add(grad, up_pen, masked)
+        i = int(masked.argmin())
+        add(grad, low_pen, masked)
+        j = int(masked.argmax())
+        return i, j, grad.item(j) - grad.item(i)
+
     iterations = 0
     while iterations < max_iterations:
-        i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-        j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-        violation = grad[j] - grad[i]
+        i, j, violation = violating_pair(grad)
         if violation <= kkt_tol:
             grad = 2.0 * (K @ alpha) - diag
-            i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-            j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-            violation = grad[j] - grad[i]
+            i, j, violation = violating_pair(grad)
             if violation <= kkt_tol:
-                return alpha, float(max(violation, 0.0)), iterations
+                return alpha, max(violation, 0.0), iterations
             continue
-        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        K_i = K[i]
+        curvature = k_diag[i] + k_diag[j] - 2.0 * K_i.item(j)
         if curvature > _CURVATURE_FLOOR:
             step = violation / (2.0 * curvature)
         else:
-            step = np.inf
-        room_i = C - alpha[i]
-        room_j = alpha[j]
-        clipped = min(step, room_i, room_j)
-        new_i = alpha[i] + clipped
-        new_j = alpha[j] - clipped
-        if clipped >= room_i:
-            new_i = C
-        if clipped >= room_j:
-            new_j = 0.0
+            step = inf
+        a_i = alpha.item(i)
+        a_j = alpha.item(j)
+        room_i = C - a_i
+        clipped = min(step, room_i, a_j)
+        new_i = C if clipped >= room_i else a_i + clipped
+        new_j = 0.0 if clipped >= a_j else a_j - clipped
         alpha[i] = new_i
         alpha[j] = new_j
-        grad += (2.0 * clipped) * (K[:, i] - K[:, j])
+        up_pen[i] = 0.0 if new_i < C else inf
+        up_pen[j] = 0.0 if new_j < C else inf
+        low_pen[i] = 0.0 if new_i > 0.0 else -inf
+        low_pen[j] = 0.0 if new_j > 0.0 else -inf
+        subtract(K_i, K[j], diff)
+        multiply(diff, 2.0 * clipped, diff)
+        add(grad, diff, grad)
         iterations += 1
     grad = 2.0 * (K @ alpha) - diag
-    i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-    j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-    residual = float(grad[j] - grad[i])
+    residual = violating_pair(grad)[2]
     raise ConvergenceError(
         f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} iterations "
         f"(residual {residual:.3e})",

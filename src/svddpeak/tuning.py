@@ -277,61 +277,9 @@ def select_bandwidth_peak(
     config: SolverConfig | None = None,
     spline_config: SplineConfig | None = None,
     min_run: int = DEFAULT_MIN_RUN,
-    early_stop: bool = False,
-    refit_every: int = 10,
     jobs: int = 1,
 ) -> PeakResult:
-    """Sweep the grid, then find the first zero plateau.
-
-    With ``early_stop`` the sweep runs in ascending s and is abandoned as
-    soon as a qualifying zero run has been entered and exited, trading
-    full-curve diagnostics for fewer solves. The default is a full sweep.
-    """
+    """Sweep the grid (warm-started), then find the first zero plateau."""
     grid = grid or BandwidthGrid.low_dimensional()
-    if not early_stop:
-        curve = sweep_objective(X, f, grid, config=config, warm_start=True, jobs=jobs)
-        return find_peak(curve, spline_config=spline_config, min_run=min_run)
-
-    X = as_data_matrix(X)
-    cfg = _resolve_config(f, config)
-    sq = _kernel.squared_distance_matrix(X)
-    s_values = grid.values()
-    h = grid.step
-    v_list = []
-    alpha0 = None
-    for k, s in enumerate(s_values):
-        try:
-            v, alphas = _vstar_at(sq, s, cfg, alpha0)
-        except ConvergenceError as exc:
-            raise SweepError(f"sweep solve failed at s={s:g}: {exc}", s=float(s)) from exc
-        v_list.append(v)
-        alpha0 = alphas
-        enough = len(v_list) >= max(12, min_run + 4)
-        if enough and (len(v_list) % refit_every == 0 or k == s_values.size - 1):
-            v_arr = np.array(v_list)
-            partial = ObjectiveCurve(
-                s_values=s_values[: len(v_list)],
-                v_star=v_arr,
-                d1=(v_arr[2:] - v_arr[:-2]) / (2.0 * h),
-                d2=(v_arr[2:] - 2.0 * v_arr[1:-1] + v_arr[:-2]) / (h * h),
-                f=f,
-            )
-            try:
-                result = find_peak(partial, spline_config=spline_config, min_run=min_run)
-            except (NoPeakFoundError, InputError):
-                continue
-            # only stop once the run has closed strictly inside the data seen
-            end_idx = int(np.searchsorted(partial.interior_s, result.s_high))
-            if end_idx < partial.interior_s.size - 1:
-                _check_sweep_invariants(partial.s_values, partial.v_star, X.shape[0])
-                return result
-    v_arr = np.array(v_list)
-    _check_sweep_invariants(s_values, v_arr, X.shape[0])
-    curve = ObjectiveCurve(
-        s_values=s_values,
-        v_star=v_arr,
-        d1=(v_arr[2:] - v_arr[:-2]) / (2.0 * h),
-        d2=(v_arr[2:] - 2.0 * v_arr[1:-1] + v_arr[:-2]) / (h * h),
-        f=f,
-    )
+    curve = sweep_objective(X, f, grid, config=config, warm_start=True, jobs=jobs)
     return find_peak(curve, spline_config=spline_config, min_run=min_run)

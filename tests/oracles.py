@@ -11,9 +11,15 @@ e_3 - e_4 (its curvature is -(K_33 + K_44 - 2 K_34) <= 0 for any PSD K),
 so the lattice maximum over that coordinate sits at the clamped
 floor/ceil of the continuous vertex or at a window endpoint. The result
 is identical to scanning the coordinate and keeps the search tractable.
+
+``reference_smo`` is a frozen copy of the straightforward SMO loop
+(column reads, masks rebuilt with ``np.where`` on every iteration). The
+production solver must reproduce it bit for bit.
 """
 
 import numpy as np
+
+from svddpeak.errors import ConvergenceError
 
 
 def _lattice_counts(step, C):
@@ -136,3 +142,60 @@ def gaussian_kernel_matrix(X, s):
         for j in range(n):
             K[i, j] = np.exp(-np.sum((X[i] - X[j]) ** 2) / (2.0 * s * s))
     return K
+
+
+def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, stats=None):
+    """Maximal-violating-pair SMO, written plainly; same contract as
+    ``solver._solve_smo``: (alpha, kkt_residual, iterations) or
+    ConvergenceError carrying the last iterate. A ``stats`` dict, when
+    given, receives the number of steps taken at the curvature floor."""
+    n = K.shape[0]
+    diag = np.ascontiguousarray(np.diag(K))
+    alpha = np.asarray(alpha0, dtype=float).copy()
+    grad = 2.0 * (K @ alpha) - diag
+    iterations = 0
+    floor_steps = 0
+    while iterations < max_iterations:
+        i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
+        j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
+        violation = grad[j] - grad[i]
+        if violation <= kkt_tol:
+            grad = 2.0 * (K @ alpha) - diag
+            i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
+            j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
+            violation = grad[j] - grad[i]
+            if violation <= kkt_tol:
+                if stats is not None:
+                    stats["floor_steps"] = floor_steps
+                return alpha, float(max(violation, 0.0)), iterations
+            continue
+        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if curvature > curvature_floor:
+            step = violation / (2.0 * curvature)
+        else:
+            step = np.inf
+            floor_steps += 1
+        room_i = C - alpha[i]
+        room_j = alpha[j]
+        clipped = min(step, room_i, room_j)
+        new_i = alpha[i] + clipped
+        new_j = alpha[j] - clipped
+        if clipped >= room_i:
+            new_i = C
+        if clipped >= room_j:
+            new_j = 0.0
+        alpha[i] = new_i
+        alpha[j] = new_j
+        grad += (2.0 * clipped) * (K[:, i] - K[:, j])
+        iterations += 1
+    grad = 2.0 * (K @ alpha) - diag
+    i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
+    j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
+    residual = float(grad[j] - grad[i])
+    raise ConvergenceError(
+        f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} iterations "
+        f"(residual {residual:.3e})",
+        alphas=alpha,
+        kkt_residual=residual,
+        iterations=iterations,
+    )

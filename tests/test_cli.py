@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svddpeak import cli, solver
 from svddpeak.cli import (
     EXIT_NO_PEAK,
     EXIT_OK,
@@ -173,6 +174,19 @@ class TestScoreAndGrid:
                      "--out", str(out)]) == EXIT_OK
         assert read_rows(out) == [["x1", "x2", "dist_sq", "r_sq", "label"]]
 
+    @pytest.mark.parametrize("rows", [7, 9])
+    def test_score_blocks_write_same_bytes(self, model_path, tmp_path, monkeypatch, rows):
+        score_in = tmp_path / "score_in.csv"
+        save_dataset(score_in, np.random.default_rng(5).normal(size=(rows, 2)) * 3.0)
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(score_in),
+                     "--out", str(whole)]) == EXIT_OK
+        monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 3)
+        assert main(["score", "--model", str(model_path), "--data", str(score_in),
+                     "--out", str(blocked)]) == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert len(read_rows(blocked)) == 1 + rows
+
     def test_score_dimension_mismatch_usage_error(self, model_path, tmp_path):
         bad = tmp_path / "bad.csv"
         save_dataset(bad, np.zeros((2, 3)))
@@ -274,6 +288,18 @@ class TestShuttle:
         assert main(["shuttle"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "archive.ics.uci.edu" in out
+
+    def test_sample_without_out_fails_before_ingesting(self, tmp_path, capsys, monkeypatch):
+        path = self.make_shuttle_file(tmp_path, [[1] * 9 + [1]] * 5)
+
+        def no_ingest(path):
+            raise AssertionError("the file was read before --out was checked")
+
+        monkeypatch.setattr(cli, "ingest_shuttle", no_ingest)
+        assert main(["shuttle", "--path", str(path), "--sample-class1", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--out is required" in captured.err
+        assert captured.out == ""
 
     def test_sample_flag_writes_csv(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -13,7 +13,15 @@ from svddpeak.errors import (
     InputError,
     UnsupportedOperationError,
 )
-from svddpeak.kernel import GAUSSIAN, LINEAR, KernelSpec, cross_kernel, kernel_matrix
+from svddpeak.kernel import (
+    GAUSSIAN,
+    LINEAR,
+    KernelSpec,
+    cross_kernel,
+    kernel_matrix,
+    kernel_matrix_from_sq,
+    squared_distance_matrix,
+)
 from svddpeak.solver import (
     BOUNDARY,
     INLIER,
@@ -31,7 +39,7 @@ from svddpeak.solver import (
     train,
 )
 
-from oracles import simplex_grid_max
+from oracles import reference_smo, simplex_grid_max
 
 K12 = math.exp(-0.5)
 TWO_POINT_R2 = 0.5 - 0.5 * K12  # analytic optimum of the symmetric pair at s=2
@@ -147,6 +155,70 @@ class TestTrain:
         cold = train(X, spec, config)
         warm = train(X, spec, config, initial_alphas=rng.dirichlet(np.ones(10)))
         assert warm.dual_objective == pytest.approx(cold.dual_objective, abs=1e-6)
+
+
+def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
+    """The production SMO reproduces the plain reference loop bit for bit."""
+    expected = reference_smo(K, C, kkt_tol, max_iterations, alpha0)
+    alphas, residual, iterations = solver._solve_smo(K, C, kkt_tol, max_iterations, alpha0)
+    assert np.array_equal(alphas, expected[0])
+    assert residual == expected[1]
+    assert iterations == expected[2]
+    return alphas
+
+
+class TestSmoMatchesReference:
+
+    @pytest.fixture(scope="class")
+    def banana_sq(self):
+        return squared_distance_matrix(generate_shape("banana", seed=11))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_gaussian_grid(self, banana_sq, warm):
+        n = banana_sq.shape[0]
+        C = SolverConfig(f=0.001).box_bound(n)
+        alpha0 = np.full(n, 1.0 / n)
+        for s in (0.3, 0.4, 0.5, 0.6):
+            alphas = _assert_same_solve(kernel_matrix_from_sq(banana_sq, s), C, alpha0)
+            if warm:
+                alpha0 = np.clip(alphas / alphas.sum(), 0.0, C)
+
+    def test_box_binding(self, banana_sq):
+        n = banana_sq.shape[0]
+        C = SolverConfig(f=0.2).box_bound(n)
+        alphas = _assert_same_solve(kernel_matrix_from_sq(banana_sq, 0.5), C, np.full(n, 1.0 / n))
+        assert np.any(alphas == C)
+
+    def test_near_duplicate_rows_at_curvature_floor(self):
+        # exact binary coordinates keep the linear Gram matrix exact: each
+        # row pair (k, k + 8) has curvature 2**-40, below the floor
+        base = np.random.default_rng(0).integers(-7, 8, size=(8, 2)).astype(float)
+        X = np.vstack([base, base + [2.0**-20, 0.0]])
+        K = kernel_matrix(X, KernelSpec(LINEAR, None))
+        C = SolverConfig(f=0.3).box_bound(16)
+        alpha0 = np.full(16, 1.0 / 16)
+        stats = {}
+        reference_smo(K, C, 1e-6, 100_000, alpha0, stats=stats)
+        assert stats["floor_steps"] > 0
+        _assert_same_solve(K, C, alpha0)
+
+    def test_linear_kernel(self, rng):
+        X = rng.normal(size=(60, 3))
+        K = kernel_matrix(X, KernelSpec(LINEAR, None))
+        _assert_same_solve(K, SolverConfig(f=0.05).box_bound(60), rng.dirichlet(np.ones(60)))
+
+    def test_convergence_error_payload(self, banana_sq):
+        n = banana_sq.shape[0]
+        K = kernel_matrix_from_sq(banana_sq, 0.3)
+        C = SolverConfig(f=0.001).box_bound(n)
+        alpha0 = np.full(n, 1.0 / n)
+        with pytest.raises(ConvergenceError) as expected:
+            reference_smo(K, C, 1e-6, 50, alpha0)
+        with pytest.raises(ConvergenceError) as err:
+            solver._solve_smo(K, C, 1e-6, 50, alpha0)
+        assert np.array_equal(err.value.alphas, expected.value.alphas)
+        assert err.value.kkt_residual == expected.value.kkt_residual
+        assert err.value.iterations == expected.value.iterations == 50
 
 
 class TestThreshold:

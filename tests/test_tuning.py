@@ -231,24 +231,6 @@ class TestSelectBandwidthPeak:
         assert result.s_low <= 1.1 and result.s_high >= 0.4
         assert result.recommended < 2.0
 
-    def test_early_stop_matches_full_and_saves_solves(self, banana, monkeypatch):
-        calls = {"n": 0}
-        original = tuning._vstar_at
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(tuning, "_vstar_at", counting)
-        full = select_bandwidth_peak(banana, 0.001)
-        full_calls = calls["n"]
-        calls["n"] = 0
-        early = select_bandwidth_peak(banana, 0.001, early_stop=True)
-        early_calls = calls["n"]
-        assert early_calls < full_calls
-        # the early interval must sit inside the region the full sweep found
-        assert early.s_low <= full.s_high + 0.5
-
     def test_propagates_no_peak(self, rng, monkeypatch):
         X = rng.normal(size=(20, 2))
 
