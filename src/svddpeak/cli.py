@@ -352,19 +352,14 @@ def cmd_grid(args) -> int:
     else:
         P = model.support_vectors
         inputs = [args.model]
-    x_min, x_max = float(P[:, 0].min()), float(P[:, 0].max())
-    y_min, y_max = float(P[:, 1].min()), float(P[:, 1].max())
-    pad_x = args.padding * (x_max - x_min)
-    pad_y = args.padding * (y_max - y_min)
     res = args.resolution
-    xs = np.linspace(x_min - pad_x, x_max + pad_x, res)
-    ys = np.linspace(y_min - pad_y, y_max + pad_y, res)
-    gx, gy = np.meshgrid(xs, ys)
-    lattice = np.column_stack([gx.ravel(), gy.ravel()])
+    grid = _datagen.labeled_grid_over(P, resolution=(res, res), padding=args.padding)
+    lattice = grid.points
     dist_sq = _solver.score_distances(model, lattice)
     labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
     # plot-ready marker: a support vector sits within one lattice spacing
-    spacing = max((xs[-1] - xs[0]) / max(res - 1, 1), (ys[-1] - ys[0]) / max(res - 1, 1))
+    x_lo, x_hi, y_lo, y_hi = grid.bounds
+    spacing = max((x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1))
     from scipy.spatial.distance import cdist
 
     near_sv = cdist(lattice, model.support_vectors).min(axis=1) <= spacing

@@ -171,24 +171,19 @@ def sample_interior(poly: Polygon, count: int, seed: int) -> np.ndarray:
 
 def make_labeled_grid(poly: Polygon, resolution=(200, 200)) -> LabeledGrid:
     """Inclusive lattice over the polygon's bounding rectangle, labeled."""
-    rx, ry = int(resolution[0]), int(resolution[1])
-    if rx < 2 or ry < 2:
-        raise InputError("grid resolution must be at least 2 per axis")
-    bounds = poly.bounding_box()
-    xs = np.linspace(bounds[0], bounds[1], rx)
-    ys = np.linspace(bounds[2], bounds[3], ry)
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    labels = points_in_polygon(points, poly)
-    return LabeledGrid(bounds=bounds, resolution=(rx, ry), points=points, labels=labels)
+    return labeled_grid_over(poly.vertices, resolution=resolution, poly=poly)
 
 
 def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon | None = None):
-    """Lattice over the bounding box of arbitrary points, optionally labeled."""
+    """Inclusive lattice over the bounding box of 2-D points, each side
+    widened by ``padding`` times its extent; labeled by ``poly`` when given,
+    else all False. Resolution is (rx, ry), at least 2 per axis."""
+    rx, ry = int(resolution[0]), int(resolution[1])
+    if rx < 2 or ry < 2:
+        raise InputError(f"grid resolution must be at least 2 per axis, got {rx}x{ry}")
     P = as_data_matrix(points)
     if P.shape[1] != 2:
         raise InputError("labeled grids are defined for 2-D data only")
-    rx, ry = int(resolution[0]), int(resolution[1])
     x_min, x_max = float(P[:, 0].min()), float(P[:, 0].max())
     y_min, y_max = float(P[:, 1].min()), float(P[:, 1].max())
     pad_x = padding * (x_max - x_min)
@@ -199,7 +194,7 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
     labels = points_in_polygon(lattice, poly) if poly is not None else np.zeros(lattice.shape[0], bool)
     return LabeledGrid(
-        bounds=(xs[0], xs[-1], ys[0], ys[-1]),
+        bounds=(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])),
         resolution=(rx, ry),
         points=lattice,
         labels=labels,

@@ -21,16 +21,15 @@ from .datagen import (
     sample_interior,
 )
 from .errors import DimensionError, InputError, SvddError, SweepError
-from .kernel import GAUSSIAN, KernelSpec, as_data_matrix
+from .kernel import as_data_matrix
 from .smoothing import SplineConfig
 from .solver import SolverConfig, SvddModel
 from .tuning import (
     DEFAULT_MIN_RUN,
     BandwidthGrid,
     ObjectiveCurve,
-    _check_sweep_invariants,
     _resolve_config,
-    curve_from_samples,
+    _sweep_curve,
     find_peak,
 )
 
@@ -123,9 +122,7 @@ class F1SweepResult:
                 f"{len(self.failures)} labeled-sweep solve(s) failed, first at s={s:g}: {message}",
                 s=s,
             )
-        curve = curve_from_samples(self.s_values, self.v_star, f)
-        _check_sweep_invariants(curve.s_values, curve.v_star, n)
-        return curve
+        return _sweep_curve(self.s_values, self.v_star, f, n)
 
 
 def f1_sweep(
@@ -134,14 +131,13 @@ def f1_sweep(
     s_grid: BandwidthGrid,
     f: float,
     config: SolverConfig | None = None,
-    warm_start: bool = True,
 ) -> F1SweepResult:
     """Train per grid bandwidth, score the labeled set, return the F1 curve.
 
-    ``labeled`` is a LabeledGrid or a (points, labels) pair. Each solve
-    also records its V*(s), so one sweep serves both the F1 curve and
-    the objective curve. Consecutive solves warm-start from the previous
-    successful solution. Bandwidths whose solve or scoring fails are
+    ``labeled`` is a LabeledGrid or a (points, labels) pair. The models
+    come from one warm-started ``solver.train_path``, and each also
+    records its V*(s), so one sweep serves both the F1 curve and the
+    objective curve. Bandwidths whose solve or scoring fails are
     excluded from the curve and recorded in ``failures``; if all fail,
     SweepError is raised. The argmax ties toward the smallest bandwidth.
     """
@@ -152,14 +148,10 @@ def f1_sweep(
     v_star = []
     metrics = []
     failures = []
-    alpha0 = None
-    for s in s_grid.values():
-        s = float(s)
+    for s, model in _solver.train_path(X, s_grid.values(), config):
         try:
-            spec = KernelSpec(kind=GAUSSIAN, s=s)
-            model = _solver.train(X, spec, config, initial_alphas=alpha0)
-            if warm_start:
-                alpha0 = model.alphas
+            if isinstance(model, SvddError):
+                raise model
             dist_sq = _solver.score_distances(model, points)
         except SvddError as exc:
             failures.append((s, str(exc)))

@@ -83,9 +83,11 @@ def kernel_matrix_from_sq(sq_dists: np.ndarray, s: float) -> np.ndarray:
     """Gaussian kernel matrix from a precomputed squared-distance matrix.
 
     Reuses one distance computation across a bandwidth sweep. The diagonal
-    is exactly 1 because the diagonal of ``sq_dists`` is exactly 0.
+    is exactly 1 because the diagonal of ``sq_dists`` is exactly 0. The
+    result is the one array allocated; ``sq_dists`` is left unchanged.
     """
-    return np.exp(sq_dists / (-2.0 * s * s))
+    K = np.divide(sq_dists, -2.0 * s * s)
+    return np.exp(K, out=K)
 
 
 def kernel_matrix(X, spec: KernelSpec) -> np.ndarray:
@@ -107,4 +109,6 @@ def cross_kernel(Z, X, spec: KernelSpec) -> np.ndarray:
         )
     if spec.kind == LINEAR:
         return Z @ X.T
-    return np.exp(cdist(Z, X, "sqeuclidean") / (-2.0 * spec.s * spec.s))
+    K = cdist(Z, X, "sqeuclidean")
+    np.divide(K, -2.0 * spec.s * spec.s, out=K)
+    return np.exp(K, out=K)

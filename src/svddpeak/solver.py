@@ -34,6 +34,7 @@ from .errors import (
     DimensionError,
     InputError,
     NumericalError,
+    SvddError,
     UnsupportedOperationError,
 )
 from .kernel import GAUSSIAN, LINEAR, KernelSpec, as_data_matrix
@@ -307,41 +308,59 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
     feasible set first); the default is the uniform feasible point.
     """
     X = as_data_matrix(X)
+    return _fit(X, _kernel.kernel_matrix(X, spec), spec, config, initial_alphas)
+
+
+def train_path(X, s_values, config: SolverConfig, warm_start: bool = True):
+    """Fit one Gaussian model per bandwidth, in the order of ``s_values``.
+
+    A generator: yields ``(s, model)``, or ``(s, err)`` when that solve
+    raised the SvddError ``err``. The squared distances are computed once
+    for the whole path. With ``warm_start`` each solve starts from the
+    last successful model's alphas. Each model equals
+    ``train(X, KernelSpec(GAUSSIAN, s), config, initial_alphas=<same start>)``
+    bit for bit.
+    """
+    X = as_data_matrix(X)
+    sq_dists = _kernel.squared_distance_matrix(X)
+    alpha0 = None
+    for s in s_values:
+        s = float(s)
+        try:
+            spec = KernelSpec(kind=GAUSSIAN, s=s)
+            model = _fit(X, _kernel.kernel_matrix_from_sq(sq_dists, s), spec, config, alpha0)
+        except SvddError as exc:
+            yield s, exc
+            continue
+        if warm_start:
+            alpha0 = model.alphas
+        yield s, model
+
+
+def _fit(X, K, spec, config, initial_alphas) -> SvddModel:
+    """Solve the dual on ``K``, the kernel matrix of the rows of ``X``.
+
+    The body shared by ``train`` and ``train_path``.
+    """
     n = X.shape[0]
     C = config.box_bound(n)
-    K = _kernel.kernel_matrix(X, spec)
 
-    if n == 1:
-        alphas = np.array([1.0])
-        k11 = float(K[0, 0])
-        boundary = _boundary_indices(alphas, C, config.kkt_tol)
-        return SvddModel(
-            alphas=alphas,
-            sv_indices=np.array([0]),
-            boundary_sv_indices=boundary,
-            r_squared=0.0,
-            spec=spec,
-            config=config,
-            support_vectors=X.copy(),
-            dual_objective=0.0,
-            X=X,
-            C=C,
-            alpha_quad=k11,
-        )
-
-    if initial_alphas is None:
-        alpha0 = np.full(n, 1.0 / n)
+    if config.f == 1.0:
+        # C = 1/n: the uniform point is the only feasible one, whatever the start
+        alphas, residual, iterations = np.full(n, 1.0 / n), 0.0, 0
     else:
-        alpha0 = np.clip(np.asarray(initial_alphas, dtype=float), 0.0, C)
-        total = alpha0.sum()
-        if not np.isfinite(total) or total <= 0:
+        if initial_alphas is None:
             alpha0 = np.full(n, 1.0 / n)
         else:
-            alpha0 = np.clip(alpha0 / total, 0.0, C)
-
-    alphas, residual, iterations = _solve_smo(
-        K, C, config.kkt_tol, config.max_iterations, alpha0
-    )
+            alpha0 = np.clip(np.asarray(initial_alphas, dtype=float), 0.0, C)
+            total = alpha0.sum()
+            if not np.isfinite(total) or total <= 0:
+                alpha0 = np.full(n, 1.0 / n)
+            else:
+                alpha0 = np.clip(alpha0 / total, 0.0, C)
+        alphas, residual, iterations = _solve_smo(
+            K, C, config.kkt_tol, config.max_iterations, alpha0
+        )
     alphas = alphas / alphas.sum()
     np.clip(alphas, 0.0, C, out=alphas)
 

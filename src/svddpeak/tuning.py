@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import kernel as _kernel
 from . import solver as _solver
-from .errors import ConvergenceError, InputError, NoPeakFoundError, SweepError
+from .errors import InputError, NoPeakFoundError, SvddError, SweepError
 from .kernel import as_data_matrix
 from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import SolverConfig
@@ -108,7 +108,68 @@ def _resolve_config(f, config) -> SolverConfig:
     return config
 
 
-def _check_sweep_invariants(s_values, v_star, n):
+def _v_star(s, result) -> float:
+    """V* of one ``train_path`` result; a failed solve is a SweepError at s."""
+    if isinstance(result, SvddError):
+        raise SweepError(f"sweep solve failed at s={s:g}: {result}", s=s) from result
+    return result.dual_objective
+
+
+def _cold_v_star(X, config, s) -> float:
+    """One cold solve at s; a process-pool task."""
+    return _v_star(*next(_solver.train_path(X, [s], config, warm_start=False)))
+
+
+def sweep_objective(
+    X,
+    f: float,
+    grid: BandwidthGrid,
+    config: SolverConfig | None = None,
+    warm_start: bool = True,
+    jobs: int = 1,
+) -> ObjectiveCurve:
+    """Train across the bandwidth grid and record V*(s) with derivatives.
+
+    The solves run along ``solver.train_path``; with ``warm_start`` each
+    starts from the previous solution. With jobs > 1 every solve is
+    independent (cold start), so the curve does not depend on the worker
+    count.
+    """
+    X = as_data_matrix(X)
+    config = _resolve_config(f, config)
+    s_values = grid.values()
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            v_star = list(pool.map(partial(_cold_v_star, X, config), s_values, chunksize=4))
+    else:
+        path = _solver.train_path(X, s_values, config, warm_start=warm_start)
+        v_star = [_v_star(s, result) for s, result in path]
+    return _sweep_curve(s_values, v_star, f, X.shape[0])
+
+
+def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
+    """Build an ObjectiveCurve from presampled (s, V*) pairs.
+
+    The grid must be uniform; d1 and d2 are central differences.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    v_star = np.asarray(v_star, dtype=float)
+    if s_values.ndim != 1 or s_values.shape != v_star.shape or s_values.size < 3:
+        raise InputError("need matching 1-D s and V* arrays with at least 3 points")
+    steps = np.diff(s_values)
+    h = float(steps[0])
+    if h <= 0 or not np.allclose(steps, h, rtol=0, atol=1e-9 * max(1.0, h)):
+        raise InputError("s grid must be uniform and ascending")
+    d1 = (v_star[2:] - v_star[:-2]) / (2.0 * h)
+    d2 = (v_star[2:] - 2.0 * v_star[1:-1] + v_star[:-2]) / (h * h)
+    return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2, f=f)
+
+
+def _sweep_curve(s_values, v_star, f: float, n: int) -> ObjectiveCurve:
+    """The curve of a sweep over n training rows, checked: SweepError unless
+    V* is non-increasing and stays within [0, 1 - 1/n]."""
+    curve = curve_from_samples(s_values, v_star, f)
+    s_values, v_star = curve.s_values, curve.v_star
     increases = np.diff(v_star)
     worst = float(increases.max()) if increases.size else 0.0
     if worst > MONOTONICITY_SLACK:
@@ -124,96 +185,7 @@ def _check_sweep_invariants(s_values, v_star, n):
             f"V*(s) left its theoretical range [0, {upper:g}]",
             s=float(s_values[int(np.argmax(v_star))]),
         )
-
-
-def _vstar_at(sq_dists, s, config, alpha0):
-    """One converged solve; returns (v_star, alphas)."""
-    K = _kernel.kernel_matrix_from_sq(sq_dists, s)
-    n = K.shape[0]
-    C = config.box_bound(n)
-    if alpha0 is None:
-        alpha0 = np.full(n, 1.0 / n)
-    alphas, _, _ = _solver._solve_smo(K, C, config.kkt_tol, config.max_iterations, alpha0)
-    alphas = np.clip(alphas / alphas.sum(), 0.0, C)
-    v = float(1.0 - alphas @ (K @ alphas))
-    return v, alphas
-
-
-_POOL_STATE = {}
-
-
-def _pool_init(X, f, kkt_tol, max_iterations):
-    _POOL_STATE["sq"] = _kernel.squared_distance_matrix(X)
-    _POOL_STATE["config"] = SolverConfig(f=f, kkt_tol=kkt_tol, max_iterations=max_iterations)
-
-
-def _pool_solve(s):
-    cfg = _POOL_STATE["config"]
-    try:
-        return _vstar_at(_POOL_STATE["sq"], s, cfg, None)[0]
-    except ConvergenceError as exc:
-        raise SweepError(f"sweep solve failed at s={s:g}: {exc}", s=float(s)) from None
-
-
-def sweep_objective(
-    X,
-    f: float,
-    grid: BandwidthGrid,
-    config: SolverConfig | None = None,
-    warm_start: bool = True,
-    jobs: int = 1,
-) -> ObjectiveCurve:
-    """Train across the bandwidth grid and record V*(s) with derivatives.
-
-    Sequential sweeps reuse the previous solution as the next starting
-    point. With jobs > 1 every solve is independent (cold start), so the
-    curve does not depend on the worker count.
-    """
-    X = as_data_matrix(X)
-    config = _resolve_config(f, config)
-    s_values = grid.values()
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_pool_init,
-            initargs=(X, f, config.kkt_tol, config.max_iterations),
-        ) as pool:
-            v_star = np.array(list(pool.map(_pool_solve, s_values, chunksize=4)))
-    else:
-        sq = _kernel.squared_distance_matrix(X)
-        v_star = np.empty(s_values.size)
-        alpha0 = None
-        for k, s in enumerate(s_values):
-            try:
-                v_star[k], alphas = _vstar_at(sq, s, config, alpha0)
-            except ConvergenceError as exc:
-                raise SweepError(f"sweep solve failed at s={s:g}: {exc}", s=float(s)) from exc
-            if warm_start:
-                alpha0 = alphas
-    _check_sweep_invariants(s_values, v_star, X.shape[0])
-    h = grid.step
-    d1 = (v_star[2:] - v_star[:-2]) / (2.0 * h)
-    d2 = (v_star[2:] - 2.0 * v_star[1:-1] + v_star[:-2]) / (h * h)
-    return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2, f=f)
-
-
-def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
-    """Build an ObjectiveCurve from presampled (s, V*) pairs.
-
-    The grid must be uniform; derivatives are the same central differences
-    a sweep would produce.
-    """
-    s_values = np.asarray(s_values, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    if s_values.ndim != 1 or s_values.shape != v_star.shape or s_values.size < 3:
-        raise InputError("need matching 1-D s and V* arrays with at least 3 points")
-    steps = np.diff(s_values)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=0, atol=1e-9 * max(1.0, h)):
-        raise InputError("s grid must be uniform and ascending")
-    d1 = (v_star[2:] - v_star[:-2]) / (2.0 * h)
-    d2 = (v_star[2:] - 2.0 * v_star[1:-1] + v_star[:-2]) / (h * h)
-    return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2, f=f)
+    return curve
 
 
 def _first_qualifying_run(mask, min_run):

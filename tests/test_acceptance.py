@@ -115,11 +115,11 @@ def test_criterion_04_duality_positions_agree_with_distances():
 def test_criterion_05_benchmark_shapes(kind, seed):
     start = time.time()
     X = generate_shape(kind, seed=seed)
-    curve = sweep_objective(X, 0.001, LOW_GRID)
-    peak = find_peak(curve)
+    # one solve per bandwidth: the labeled sweep's V* equals the tuning
+    # sweep's (tests/test_evaluation.py::test_v_star_matches_warm_tuning_sweep)
+    sweep = f1_sweep(X, shape_truth_grid(kind, X), LOW_GRID, 0.001)
+    peak = find_peak(sweep.objective_curve(0.001, X.shape[0]))
     assert LOW_GRID.s_min < peak.s_low <= peak.s_high < LOW_GRID.s_max
-    truth = shape_truth_grid(kind, X)
-    sweep = f1_sweep(X, truth, LOW_GRID, 0.001)
     snapped = float(sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))])
     f_peak = sweep.f1_at(snapped)
     ratio = f_peak / sweep.f_best
@@ -174,10 +174,8 @@ def test_criterion_07_shuttle_protocol():
     X, labels = ingest_shuttle(path)
     sample = sample_shuttle_class1(X, labels, 2000, seed=20240501)
     grid = BandwidthGrid.high_dimensional()
-    curve = sweep_objective(sample, 0.001, grid)
-    peak = find_peak(curve)
-    scoring = (X, labels == 1)
-    sweep = f1_sweep(sample, scoring, grid, 0.001)
+    sweep = f1_sweep(sample, (X, labels == 1), grid, 0.001)
+    peak = find_peak(sweep.objective_curve(0.001, sample.shape[0]))
     snapped = float(sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))])
     ratio = sweep.f1_at(snapped) / sweep.f_best
     elapsed = time.time() - start

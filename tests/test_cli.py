@@ -80,6 +80,13 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_USAGE
 
+    def test_f_one_trains(self, banana_csv, tmp_path):
+        # f = 1 leaves the uniform point as the only feasible solution
+        out = tmp_path / "model.json"
+        assert main(["train", "--data", str(banana_csv), "--s", "0.9", "--f", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(json.loads(out.read_text())["alphas"]) == 267
+
     def test_reproducible_byte_identical(self, two_point_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -127,6 +134,18 @@ class TestTune:
         assert rows[2][2] != ""
         in_zero = [r[7] for r in rows[1:] if r[7] != ""]
         assert set(in_zero) <= {"0", "1"} and "1" in in_zero
+
+    def test_peak_outputs_do_not_depend_on_jobs(self, tmp_path):
+        data = tmp_path / "banana.csv"
+        save_dataset(data, generate_shape("banana", n=80, seed=11))
+        out, curve = tmp_path / "peak.json", tmp_path / "peak_curve.csv"
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(["tune", "--data", str(data), "--method", "peak", "--f", "0.001",
+                         "--s-max", "4.0", "--jobs", jobs, "--out", str(out)])
+            assert code == EXIT_OK
+            outputs.append((out.read_bytes(), curve.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_peak_failure_exit_code_with_diagnostics(self, tmp_path):
         # a tight cluster plus one far outlier keeps the curve steep: with a
@@ -204,6 +223,14 @@ class TestScoreAndGrid:
         labels = {r[3] for r in rows[1:]}
         assert labels == {"inlier", "outlier"}
         assert any(r[4] == "1" for r in rows[1:])
+
+    @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
+    def test_grid_resolution_below_two_is_usage_error(self, model_path, tmp_path, capsys,
+                                                      resolution):
+        code = main(["grid", "--model", str(model_path), "--resolution", resolution,
+                     "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_USAGE
+        assert "resolution must be at least 2" in capsys.readouterr().err
 
     def test_grid_rejects_non_2d_model(self, tmp_path):
         data = tmp_path / "three_col.csv"

@@ -145,14 +145,15 @@ class TestF1Sweep:
             result.f1_at(0.61)
 
     def test_v_star_matches_warm_tuning_sweep(self):
-        X = generate_shape("banana", seed=11)
         grid = BandwidthGrid.low_dimensional()
-        result = f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), grid, f=0.001)
-        curve = sweep_objective(X, 0.001, grid, warm_start=True)
-        np.testing.assert_array_equal(result.s_values, curve.s_values)
-        np.testing.assert_allclose(result.v_star, curve.v_star, rtol=0, atol=1e-9)
-        own = result.objective_curve(0.001, X.shape[0])
-        np.testing.assert_allclose(own.d2, curve.d2, rtol=0, atol=2e-6)
+        for kind, seed in [("banana", 11), ("star", 22), ("three_cluster", 33)]:
+            X = generate_shape(kind, seed=seed)
+            result = f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), grid, f=0.001)
+            curve = sweep_objective(X, 0.001, grid, warm_start=True)
+            np.testing.assert_array_equal(result.s_values, curve.s_values)
+            np.testing.assert_array_equal(result.v_star, curve.v_star)
+            own = result.objective_curve(0.001, X.shape[0])
+            np.testing.assert_array_equal(own.d2, curve.d2)
 
     def test_failed_solves_are_recorded_not_raised(self):
         X = generate_shape("banana", seed=11)
@@ -217,25 +218,26 @@ class TestPolygonStudy:
         assert [r.__dict__ for r in repeat.rows] == [r.__dict__ for r in small_report.rows]
 
     def test_one_solve_per_bandwidth(self, monkeypatch):
-        trained, solved = [], []
-        real_train, real_smo = solver.train, solver._solve_smo
+        paths, solved = [], []
+        real_path, real_smo = solver.train_path, solver._solve_smo
 
-        def counting_train(*args, **kwargs):
-            trained.append(args[1].s)
-            return real_train(*args, **kwargs)
+        def recording_path(X, s_values, *args, **kwargs):
+            for s, model in real_path(X, s_values, *args, **kwargs):
+                paths.append(s)
+                yield s, model
 
         def counting_smo(*args, **kwargs):
             solved.append(1)
             return real_smo(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "train", counting_train)
+        monkeypatch.setattr(solver, "train_path", recording_path)
         monkeypatch.setattr(solver, "_solve_smo", counting_smo)
         study = dict(SMALL_STUDY, vertex_counts=[5], polygons_per_count=1)
         report = polygon_study(**study)
         assert len(report.rows) == 1
-        # every SMO solve goes through the public train, once per bandwidth
-        assert trained == study["grid"].values().tolist()
-        assert len(solved) == len(trained)
+        # every SMO solve goes through train_path, once per bandwidth, in grid order
+        assert paths == study["grid"].values().tolist()
+        assert len(solved) == len(paths)
 
     @pytest.mark.parametrize("max_iterations", [50, 200])
     def test_failed_solves_become_failure_rows(self, max_iterations):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from svddpeak.errors import DimensionError, InputError
 from svddpeak.kernel import (
@@ -120,6 +121,13 @@ class TestKernelMatrix:
             atol=1e-15,
         )
 
+    def test_from_sq_is_plain_formula_bitwise(self, rng):
+        sq = squared_distance_matrix(rng.normal(size=(40, 3)))
+        before = sq.copy()
+        for s in (0.05, 0.7, 3.0):
+            assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
+        assert np.array_equal(sq, before)
+
     def test_linear_matrix(self):
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
         K = kernel_matrix(X, KernelSpec(LINEAR, None))
@@ -135,6 +143,16 @@ class TestCrossKernel:
         for i in range(3):
             for j in range(5):
                 assert C[i, j] == pytest.approx(kernel_value(Z[i], X[j], spec), abs=1e-12)
+
+    def test_is_plain_formula_bitwise(self, rng):
+        X = rng.normal(size=(30, 2))
+        Z = rng.normal(size=(50, 2))
+        X_before, Z_before = X.copy(), Z.copy()
+        sq = cdist(Z, X, "sqeuclidean")
+        for s in (0.05, 0.7, 3.0):
+            got = cross_kernel(Z, X, KernelSpec(GAUSSIAN, s))
+            assert np.array_equal(got, np.exp(sq / (-2.0 * s * s)))
+        assert np.array_equal(X, X_before) and np.array_equal(Z, Z_before)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -37,6 +37,7 @@ from svddpeak.solver import (
     score_distance,
     score_distances,
     train,
+    train_path,
 )
 
 from oracles import reference_smo, simplex_grid_max
@@ -155,6 +156,55 @@ class TestTrain:
         cold = train(X, spec, config)
         warm = train(X, spec, config, initial_alphas=rng.dirichlet(np.ones(10)))
         assert warm.dual_objective == pytest.approx(cold.dual_objective, abs=1e-6)
+
+    def test_f_one_returns_the_only_feasible_point(self, rng):
+        # C = 1/n admits only the uniform point: no SMO step is taken, cold or warm
+        X = rng.normal(size=(20, 2))
+        spec = KernelSpec(GAUSSIAN, 1.0)
+        config = SolverConfig(f=1.0)
+        for start in (None, rng.dirichlet(np.ones(20))):
+            model = train(X, spec, config, initial_alphas=start)
+            assert model.iterations == 0
+            np.testing.assert_allclose(model.alphas, 1.0 / 20, rtol=0, atol=1e-15)
+            assert model.r_squared >= 0.0
+
+
+def _assert_same_model(a, b):
+    assert np.array_equal(a.alphas, b.alphas)
+    assert a.r_squared == b.r_squared
+    assert a.dual_objective == b.dual_objective
+    assert a.iterations == b.iterations
+
+
+class TestTrainPath:
+    S_VALUES = (0.3, 0.45, 0.6, 0.9)
+
+    @pytest.fixture(scope="class")
+    def banana(self):
+        return generate_shape("banana", n=120, seed=11)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_models_equal_train_bitwise(self, banana, warm):
+        config = SolverConfig(f=0.001)
+        start = None
+        path = list(train_path(banana, self.S_VALUES, config, warm_start=warm))
+        assert [s for s, _ in path] == list(self.S_VALUES)
+        for s, model in path:
+            expected = train(banana, KernelSpec(GAUSSIAN, s), config, initial_alphas=start)
+            _assert_same_model(model, expected)
+            if warm:
+                start = expected.alphas
+
+    def test_failed_solve_is_yielded_and_path_goes_on(self, banana):
+        # 300 iterations are enough for wide bandwidths, not for narrow ones
+        config = SolverConfig(f=0.001, max_iterations=300)
+        path = list(train_path(banana, (3.0, 0.1, 3.1), config))
+        assert [s for s, _ in path] == [3.0, 0.1, 3.1]
+        assert isinstance(path[1][1], ConvergenceError)
+        # the warm start skips the failed solve: it comes from the last model
+        expected = train(banana, KernelSpec(GAUSSIAN, 3.1), config,
+                         initial_alphas=path[0][1].alphas)
+        _assert_same_model(path[2][1], expected)
 
 
 def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
