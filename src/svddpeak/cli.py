@@ -355,7 +355,7 @@ def cmd_grid(args) -> int:
     res = args.resolution
     grid = _datagen.labeled_grid_over(P, resolution=(res, res), padding=args.padding)
     lattice = grid.points
-    dist_sq = _solver.score_distances(model, lattice)
+    dist_sq = _solver.score_lattice(model, grid.xs, grid.ys)
     labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
     # plot-ready marker: a support vector sits within one lattice spacing
     x_lo, x_hi, y_lo, y_hi = grid.bounds

@@ -14,10 +14,13 @@ datasets on every platform.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
+from . import kernel as _kernel
 from .errors import DegenerateInputError, InputError
 from .kernel import as_data_matrix
 
@@ -31,6 +34,10 @@ SHAPE_SIZES = {BANANA: 267, STAR: 500, THREE_CLUSTER: 450}
 SHAPE_NOISE = {BANANA: 0.25, STAR: 0.0, THREE_CLUSTER: 0.7}
 
 _MAX_POLYGON_ATTEMPTS = 16
+
+# points per block in _min_distance: 2048 points against the 2001-point
+# banana arc is a 33 MB distance block
+_MIN_DISTANCE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,42 @@ class Polygon:
 
 @dataclass
 class LabeledGrid:
-    """Lattice over a bounding rectangle with ground-truth inside labels.
+    """Lattice xs x ys with one ground-truth inside label per point.
 
-    Points are ordered x-fastest: points[i] = (xs[i % rx], ys[i // rx]).
+    ``points``, ``bounds`` and ``resolution`` derive from the axes. Points
+    are ordered x-fastest, points[i] = (xs[i % rx], ys[i // rx]), and
+    ``labels`` follows that order.
     """
 
-    bounds: tuple  # (x_min, x_max, y_min, y_max)
-    resolution: tuple  # (rx, ry)
-    points: np.ndarray = field(repr=False)
+    xs: np.ndarray = field(repr=False)
+    ys: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.xs = _kernel._as_vector(self.xs, "xs")
+        self.ys = _kernel._as_vector(self.ys, "ys")
+        self.labels = np.asarray(self.labels, dtype=bool)
+        if self.labels.shape != (self.xs.size * self.ys.size,):
+            raise InputError(
+                f"a {self.xs.size}x{self.ys.size} lattice needs {self.xs.size * self.ys.size} "
+                f"labels, got shape {self.labels.shape}"
+            )
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        gx, gy = np.meshgrid(self.xs, self.ys)
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @property
+    def bounds(self) -> tuple:
+        """(x_min, x_max, y_min, y_max)"""
+        return (float(self.xs.min()), float(self.xs.max()),
+                float(self.ys.min()), float(self.ys.max()))
+
+    @property
+    def resolution(self) -> tuple:
+        """(rx, ry)"""
+        return (self.xs.size, self.ys.size)
 
 
 def shoelace_area(vertices) -> float:
@@ -190,15 +224,10 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     pad_y = padding * (y_max - y_min)
     xs = np.linspace(x_min - pad_x, x_max + pad_x, rx)
     ys = np.linspace(y_min - pad_y, y_max + pad_y, ry)
-    gx, gy = np.meshgrid(xs, ys)
-    lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    labels = points_in_polygon(lattice, poly) if poly is not None else np.zeros(lattice.shape[0], bool)
-    return LabeledGrid(
-        bounds=(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])),
-        resolution=(rx, ry),
-        points=lattice,
-        labels=labels,
-    )
+    grid = LabeledGrid(xs, ys, np.zeros(rx * ry, dtype=bool))
+    if poly is not None:
+        grid.labels = points_in_polygon(grid.points, poly)
+    return grid
 
 
 def make_star_polygon(n_points=5, outer_radius=4.0, inner_radius=1.6, seed=None) -> Polygon:
@@ -256,21 +285,24 @@ def shape_truth_grid(kind: str, X, resolution=(200, 200), noise: float | None = 
     if kind == BANANA:
         t = np.linspace(-3.0, 3.0, 2001)
         arc = np.column_stack([t, t * t / 3.0 - 1.5])
-        from scipy.spatial.distance import cdist
-
-        labels = cdist(grid.points, arc).min(axis=1) <= 2.0 * noise
+        grid.labels = _min_distance(grid.points, arc) <= 2.0 * noise
     elif kind == STAR:
-        labels = points_in_polygon(grid.points, make_star_polygon())
+        grid.labels = points_in_polygon(grid.points, make_star_polygon())
     else:
         centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
         sq = ((grid.points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        labels = np.sqrt(sq.min(axis=1)) <= 2.45 * noise
-    return LabeledGrid(
-        bounds=grid.bounds,
-        resolution=grid.resolution,
-        points=grid.points,
-        labels=labels,
-    )
+        grid.labels = np.sqrt(sq.min(axis=1)) <= 2.45 * noise
+    return grid
+
+
+def _min_distance(points, targets) -> np.ndarray:
+    """Distance from each point to its nearest target, ``_MIN_DISTANCE_ROWS``
+    points at a time, so memory is one block times the target count."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _MIN_DISTANCE_ROWS):
+        block = points[start:start + _MIN_DISTANCE_ROWS]
+        out[start:start + block.shape[0]] = cdist(block, targets).min(axis=1)
+    return out
 
 
 def save_dataset(path, X, labels=None) -> None:

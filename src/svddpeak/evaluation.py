@@ -78,18 +78,41 @@ def _confusion(predicted_inlier, truth) -> ConfusionCounts:
 
 def score_grid(model: SvddModel, grid: LabeledGrid):
     """Classify every lattice cell; count against the ground-truth labels."""
-    if model.dim != 2:
-        raise DimensionError("grid scoring requires a 2-D model")
-    dist_sq = _solver.score_distances(model, grid.points)
-    predicted_inlier = dist_sq <= model.r_squared
-    return predicted_inlier, _confusion(predicted_inlier, np.asarray(grid.labels, dtype=bool))
+    distances, truth = _scoring_set(grid, model.dim)
+    predicted_inlier = distances(model) <= model.r_squared
+    return predicted_inlier, _confusion(predicted_inlier, truth)
 
 
-def _as_scoring_set(labeled):
+def _scoring_set(labeled, dim: int):
+    """(dist^2 function of a model, truth labels) of a labeled set.
+
+    A LabeledGrid is scored through its axes (``solver.score_lattice``), a
+    (points, labels) pair row by row (``solver.score_distances``). Raises
+    DimensionError unless the set's points have ``dim`` features.
+    """
     if isinstance(labeled, LabeledGrid):
-        return labeled.points, np.asarray(labeled.labels, dtype=bool)
-    points, labels = labeled
-    return as_data_matrix(points, name="scoring set"), np.asarray(labels, dtype=bool)
+        points_dim = 2
+        truth = labeled.labels
+
+        def distances(model):
+            return _solver.score_lattice(model, labeled.xs, labeled.ys)
+    else:
+        points, labels = labeled
+        points = as_data_matrix(points, name="scoring set")
+        points_dim = points.shape[1]
+        truth = np.asarray(labels, dtype=bool)
+        if truth.shape != (points.shape[0],):
+            raise InputError(
+                f"the scoring set has {points.shape[0]} rows but labels of shape {truth.shape}"
+            )
+
+        def distances(model):
+            return _solver.score_distances(model, points)
+    if points_dim != dim:
+        raise DimensionError(
+            f"scoring points have {points_dim} feature(s), training rows have {dim}"
+        )
+    return distances, truth
 
 
 @dataclass
@@ -134,16 +157,18 @@ def f1_sweep(
 ) -> F1SweepResult:
     """Train per grid bandwidth, score the labeled set, return the F1 curve.
 
-    ``labeled`` is a LabeledGrid or a (points, labels) pair. The models
-    come from one warm-started ``solver.train_path``, and each also
-    records its V*(s), so one sweep serves both the F1 curve and the
-    objective curve. Bandwidths whose solve or scoring fails are
-    excluded from the curve and recorded in ``failures``; if all fail,
-    SweepError is raised. The argmax ties toward the smallest bandwidth.
+    ``labeled`` is a LabeledGrid or a (points, labels) pair; a scoring
+    set of another dimension than ``train_X`` raises DimensionError
+    before any solve. The models come from one warm-started
+    ``solver.train_path``, and each also records its V*(s), so one sweep
+    serves both the F1 curve and the objective curve. Bandwidths whose
+    solve or scoring fails are excluded from the curve and recorded in
+    ``failures``; if all fail, SweepError is raised. The argmax ties
+    toward the smallest bandwidth.
     """
     X = as_data_matrix(train_X)
     config = _resolve_config(f, config)
-    points, truth = _as_scoring_set(labeled)
+    distances, truth = _scoring_set(labeled, X.shape[1])
     kept_s = []
     v_star = []
     metrics = []
@@ -152,7 +177,7 @@ def f1_sweep(
         try:
             if isinstance(model, SvddError):
                 raise model
-            dist_sq = _solver.score_distances(model, points)
+            dist_sq = distances(model)
         except SvddError as exc:
             failures.append((s, str(exc)))
             continue

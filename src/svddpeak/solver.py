@@ -422,6 +422,48 @@ def score_distances(model: SvddModel, Z) -> np.ndarray:
     return self_term - 2.0 * weighted + model.alpha_quad
 
 
+def score_lattice(model: SvddModel, xs, ys) -> np.ndarray:
+    """dist^2 at every lattice point (xs[a], ys[b]) of a 2-D model.
+
+    Ordered x-fastest like ``LabeledGrid.points``: entry b * len(xs) + a
+    is the point (xs[a], ys[b]). Both kernels separate over the axes, so
+    no (points x support vectors) array is built. The Gaussian kernel
+    factors as exp(-dx^2 / 2s^2) exp(-dy^2 / 2s^2): one table per axis,
+    ``Ex`` (len(xs) x n_sv) and ``Ey`` (len(ys) x n_sv), and one product
+    ``(Ey * alpha) @ Ex.T``. The linear kernel is an outer sum of per-axis
+    terms around the center c = sum_j alpha_j x_j.
+    """
+    if model.dim != 2:
+        raise DimensionError(
+            f"lattice scoring needs a 2-D model, this one has {model.dim} features"
+        )
+    xs = _kernel._as_vector(xs, "xs")
+    ys = _kernel._as_vector(ys, "ys")
+    sv = model.support_vectors
+    sv_alphas = model.sv_alphas()
+    if model.spec.kind == GAUSSIAN:
+        scale = -2.0 * model.spec.s * model.spec.s
+        ey = _axis_kernel(ys, sv[:, 1], scale)
+        ey *= sv_alphas
+        dist_sq = ey @ _axis_kernel(xs, sv[:, 0], scale).T
+        # 1 - 2 w + quad, rounded in the order score_distances uses
+        dist_sq *= -2.0
+        dist_sq += 1.0
+    else:
+        cx, cy = sv_alphas @ sv
+        dist_sq = np.add.outer(ys * ys, xs * xs) - 2.0 * np.add.outer(ys * cy, xs * cx)
+    dist_sq += model.alpha_quad
+    return dist_sq.ravel()
+
+
+def _axis_kernel(values, centers, scale) -> np.ndarray:
+    """exp((values[a] - centers[j])^2 / scale), one Gaussian factor per axis."""
+    table = np.subtract.outer(values, centers)
+    np.square(table, out=table)
+    np.divide(table, scale, out=table)
+    return np.exp(table, out=table)
+
+
 def score_distance(model: SvddModel, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:

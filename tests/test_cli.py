@@ -15,7 +15,7 @@ from svddpeak.cli import (
     read_csv_dataset,
     sample_shuttle_class1,
 )
-from svddpeak.datagen import generate_shape, save_dataset
+from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset
 from svddpeak.errors import ParseError
 
 
@@ -223,6 +223,30 @@ class TestScoreAndGrid:
         labels = {r[3] for r in rows[1:]}
         assert labels == {"inlier", "outlier"}
         assert any(r[4] == "1" for r in rows[1:])
+
+    @pytest.mark.parametrize("kernel_args", [["--s", "0.7"], ["--kernel", "linear"]])
+    def test_grid_matches_row_scoring(self, banana_csv, tmp_path, kernel_args):
+        model_path, out = tmp_path / "model.json", tmp_path / "grid.csv"
+        assert main(["train", "--data", str(banana_csv), *kernel_args, "--f", "0.01",
+                     "--out", str(model_path)]) == EXIT_OK
+        assert main(["grid", "--model", str(model_path), "--data", str(banana_csv),
+                     "--resolution", "60", "--out", str(out)]) == EXIT_OK
+        model = solver.load_model(model_path)
+        _, P, _ = read_csv_dataset(banana_csv)
+        points = labeled_grid_over(P, resolution=(60, 60), padding=0.1).points
+        expected = solver.score_distances(model, points)
+        rows = read_rows(out)[1:]
+        np.testing.assert_allclose([[float(r[0]), float(r[1])] for r in rows], points,
+                                   rtol=1e-11, atol=1e-12)
+        # dist_sq is written to 12 significant digits, a relative rounding of 5e-12
+        dist_sq = np.array([float(r[2]) for r in rows])
+        np.testing.assert_allclose(dist_sq, expected, rtol=5e-12, atol=1e-12)
+        clear = np.abs(expected - model.r_squared) > 1e-12
+        labels = np.array([r[3] for r in rows])
+        assert set(labels) == {"inlier", "outlier"}
+        np.testing.assert_array_equal(
+            labels[clear], np.where(expected > model.r_squared, "outlier", "inlier")[clear]
+        )
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
     def test_grid_resolution_below_two_is_usage_error(self, model_path, tmp_path, capsys,

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from svddpeak import datagen
 from svddpeak.datagen import (
     BANANA,
     SHAPE_KINDS,
     STAR,
     THREE_CLUSTER,
+    LabeledGrid,
     Polygon,
     PolygonConfig,
     generate_polygon,
@@ -18,6 +23,7 @@ from svddpeak.datagen import (
     points_in_polygon,
     sample_interior,
     save_dataset,
+    shape_truth_grid,
 )
 from svddpeak.errors import InputError
 
@@ -150,6 +156,42 @@ class TestLabeledGrid:
         poly = generate_polygon(PolygonConfig(k=8, seed=3))
         grid = make_labeled_grid(poly, resolution=(20, 20))
         assert grid.bounds == poly.bounding_box()
+
+    def test_points_derive_from_axes_x_fastest(self):
+        grid = LabeledGrid([0.0, 1.0, 2.0], [5.0, 6.0], np.zeros(6, dtype=bool))
+        np.testing.assert_array_equal(
+            grid.points, [[0, 5], [1, 5], [2, 5], [0, 6], [1, 6], [2, 6]]
+        )
+        assert grid.points is grid.points
+        assert grid.resolution == (3, 2)
+        assert grid.bounds == (0.0, 2.0, 5.0, 6.0)
+
+    def test_label_count_must_match_lattice(self):
+        with pytest.raises(InputError):
+            LabeledGrid([0.0, 1.0, 2.0], [5.0, 6.0], np.zeros(5, dtype=bool))
+
+
+class TestShapeTruthGrid:
+    @pytest.mark.parametrize("block_rows", [7, 2048])
+    def test_banana_labels_match_one_piece(self, monkeypatch, block_rows):
+        X = generate_shape(BANANA, seed=0)
+        monkeypatch.setattr(datagen, "_MIN_DISTANCE_ROWS", block_rows)
+        grid = shape_truth_grid(BANANA, X, resolution=(31, 23))
+        t = np.linspace(-3.0, 3.0, 2001)
+        arc = np.column_stack([t, t * t / 3.0 - 1.5])
+        whole = cdist(grid.points, arc).min(axis=1) <= 2.0 * 0.25
+        assert 0 < whole.sum() < whole.size
+        np.testing.assert_array_equal(grid.labels, whole)
+
+    def test_banana_200x200_peak_memory(self):
+        X = generate_shape(BANANA, seed=0)
+        tracemalloc.start()
+        try:
+            shape_truth_grid(BANANA, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestGenerateShape:

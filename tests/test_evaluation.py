@@ -94,12 +94,9 @@ class TestScoreGrid:
     def test_traversal_order_irrelevant(self, square_case):
         X, grid = square_case
         model = train(X, KernelSpec(GAUSSIAN, 0.3), SolverConfig(f=0.01))
-        flipped = LabeledGrid(
-            bounds=grid.bounds,
-            resolution=grid.resolution,
-            points=grid.points[::-1].copy(),
-            labels=grid.labels[::-1].copy(),
-        )
+        # reversing both axes reverses the x-fastest point order
+        flipped = LabeledGrid(xs=grid.xs[::-1], ys=grid.ys[::-1], labels=grid.labels[::-1])
+        np.testing.assert_array_equal(flipped.points, grid.points[::-1])
         _, a = score_grid(model, grid)
         _, b = score_grid(model, flipped)
         assert (a.tp, a.fp, a.fn, a.tn) == (b.tp, b.fp, b.fn, b.tn)
@@ -127,12 +124,7 @@ class TestF1Sweep:
     def test_all_outside_labels_zero_f1(self):
         X = sample_interior(UNIT_SQUARE, 60, seed=9)
         grid = make_labeled_grid(UNIT_SQUARE, resolution=(10, 10))
-        hostile = LabeledGrid(
-            bounds=grid.bounds,
-            resolution=grid.resolution,
-            points=grid.points,
-            labels=np.zeros(grid.points.shape[0], dtype=bool),
-        )
+        hostile = LabeledGrid(xs=grid.xs, ys=grid.ys, labels=np.zeros(grid.labels.size, dtype=bool))
         result = f1_sweep(X, hostile, BandwidthGrid(0.5, 2.0, 0.15), f=0.05)
         assert result.f_best == 0.0
         assert all(m.f1 == 0.0 for m in result.metrics)
@@ -170,6 +162,26 @@ class TestF1Sweep:
         # a holed grid has no objective curve
         with pytest.raises(SweepError):
             result.objective_curve(0.001, X.shape[0])
+
+    @pytest.mark.parametrize("train_dim, scoring, error", [
+        (2, (np.zeros((5, 3)), np.ones(5, dtype=bool)), DimensionError),
+        (3, make_labeled_grid(UNIT_SQUARE, resolution=(5, 5)), DimensionError),
+        (2, (np.zeros((5, 2)), np.ones(4, dtype=bool)), InputError),
+    ])
+    def test_bad_scoring_set_raises_before_any_solve(self, monkeypatch, train_dim, scoring,
+                                                     error):
+        solved = []
+        real_smo = solver._solve_smo
+
+        def counting_smo(*args, **kwargs):
+            solved.append(1)
+            return real_smo(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_smo", counting_smo)
+        X = np.random.default_rng(3).normal(size=(200, train_dim))
+        with pytest.raises(error):
+            f1_sweep(X, scoring, BandwidthGrid.low_dimensional(), f=0.001)
+        assert solved == []
 
     def test_every_solve_failing_is_a_sweep_error(self):
         X = generate_shape("banana", seed=11)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svddpeak import solver
-from svddpeak.datagen import generate_shape
+from svddpeak.datagen import LabeledGrid, generate_shape
 from svddpeak.errors import (
     ConvergenceError,
     DegenerateModelError,
@@ -36,6 +38,7 @@ from svddpeak.solver import (
     position_report,
     score_distance,
     score_distances,
+    score_lattice,
     train,
     train_path,
 )
@@ -348,6 +351,41 @@ class TestScoring:
         whole = 1.0 - 2.0 * (cross @ model.sv_alphas()) + model.alpha_quad
         monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 7)
         np.testing.assert_array_equal(score_distances(model, Z), whole)
+
+
+class TestScoreLattice:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        rx=st.integers(2, 9),
+        ry=st.integers(2, 9),
+        kind=st.sampled_from([GAUSSIAN, LINEAR]),
+        s=st.floats(0.2, 3.0),
+        reload=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_scoring_of_the_points(self, seed, n, rx, ry, kind, s, reload):
+        assume(rx != ry)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, (n, 2))
+        spec = KernelSpec(kind, s if kind == GAUSSIAN else None)
+        model = train(X, spec, SolverConfig(f=0.1))
+        if reload:
+            # a reloaded model keeps only its support vectors
+            model = model_from_dict(json.loads(json.dumps(model.to_dict())))
+        grid = LabeledGrid(rng.uniform(-5.0, 5.0, rx), rng.uniform(-5.0, 5.0, ry),
+                           np.zeros(rx * ry, dtype=bool))
+        lattice = score_lattice(model, grid.xs, grid.ys)
+        rows = score_distances(model, grid.points)
+        np.testing.assert_allclose(lattice, rows, rtol=0.0, atol=1e-12)
+        clear = np.abs(rows - model.r_squared) > 1e-12
+        np.testing.assert_array_equal((lattice > model.r_squared)[clear],
+                                      (rows > model.r_squared)[clear])
+
+    def test_needs_a_2d_model(self):
+        model = train(np.eye(3), KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.2))
+        with pytest.raises(DimensionError):
+            score_lattice(model, [0.0, 1.0], [0.0, 1.0])
 
 
 class TestClassify:
