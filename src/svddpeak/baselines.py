@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import DegenerateInputError, InputError
-from .kernel import as_data_matrix
+from .kernel import as_data_matrix, squared_distance_matrix
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -52,7 +51,7 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
     X = as_data_matrix(X)
     if X.shape[0] < 3:
         raise InputError("CV selection needs at least 3 observations")
-    sq = pdist(X, "sqeuclidean")
+    sq = squared_distance_matrix(X)[np.triu_indices(X.shape[0], 1)]
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
@@ -70,7 +69,7 @@ def select_md(X, f: float = 0.001) -> BaselineResult:
         raise InputError("MD selection needs at least 2 observations")
     if not (0.0 < f < 1.0):
         raise InputError(f"outlier fraction f must lie in (0, 1), got {f!r}")
-    d_max = float(np.sqrt(pdist(X, "sqeuclidean").max()))
+    d_max = float(np.sqrt(squared_distance_matrix(X).max()))
     if d_max == 0.0:
         raise DegenerateInputError("all observations coincide; d_max = 0")
     delta = 1.0 / (n * (1.0 - f) + 1.0)
@@ -87,7 +86,7 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
     n = X.shape[0]
     if n < 3:
         raise InputError("DFN selection needs at least 3 observations")
-    sq = squareform(pdist(X, "sqeuclidean"))
+    sq = squared_distance_matrix(X)
     off_diag = ~np.eye(n, dtype=bool)
     s_values = grid.values()
     scores = np.empty(s_values.size)

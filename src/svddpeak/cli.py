@@ -30,12 +30,11 @@ from . import evaluation as _evaluation
 from . import solver as _solver
 from . import tuning as _tuning
 from .errors import InputError, NoPeakFoundError, ParseError, SvddError
-from .kernel import GAUSSIAN, LINEAR, KernelSpec
+from .kernel import GAUSSIAN, LINEAR, KernelSpec, nearest_distances
 from .solver import SolverConfig
 from .tuning import BandwidthGrid
 
 SHUTTLE_URL = "https://archive.ics.uci.edu/dataset/148/statlog+shuttle"
-JOBS_ENV = "SVDD_PEAK_JOBS"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -323,12 +322,6 @@ def _write_scored(path, header, Z, dist_sq, r_squared, labels):
 def cmd_score(args) -> int:
     model = _solver.load_model(args.model)
     header, Z, _ = read_csv_dataset(args.data)
-    if Z.shape[0] == 0:
-        _write_rows(args.out, header + ["dist_sq", "r_sq", "label"], [])
-        _write_manifest(args.out, "score", {"model": str(args.model), "data": str(args.data)},
-                        [args.model, args.data])
-        print(f"scored 0 rows -> {args.out}")
-        return EXIT_OK
     dist_sq = _solver.score_distances(model, Z)
     labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
     _write_scored(args.out, header + ["dist_sq", "r_sq", "label"], Z, dist_sq,
@@ -360,9 +353,7 @@ def cmd_grid(args) -> int:
     # plot-ready marker: a support vector sits within one lattice spacing
     x_lo, x_hi, y_lo, y_hi = grid.bounds
     spacing = max((x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1))
-    from scipy.spatial.distance import cdist
-
-    near_sv = cdist(lattice, model.support_vectors).min(axis=1) <= spacing
+    near_sv = nearest_distances(lattice, model.support_vectors) <= spacing
     rows = [
         [_fmt(lattice[i, 0]), _fmt(lattice[i, 1]), _fmt(dist_sq[i]), labels[i], int(near_sv[i])]
         for i in range(lattice.shape[0])
@@ -482,6 +473,13 @@ def _add_grid_flags(p, s_min=0.05, s_max=8.0, s_step=0.05):
     p.add_argument("--s-step", dest="s_step", type=float, default=s_step)
 
 
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_flags(p):
     p.add_argument("--f", type=float, default=0.001, help="expected outlier fraction")
     p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-6)
@@ -494,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and tune support vector data description models",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    default_jobs = int(os.environ.get(JOBS_ENV, "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a model and write it as JSON")
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_grid_flags(p)
     p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -516,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_grid_flags(p)
     p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--curve", default=None, help="curve CSV path (default <out>_curve.csv)")
     p.set_defaults(func=cmd_tune)
@@ -546,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_grid_flags(p)
     p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

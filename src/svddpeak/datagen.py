@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import kernel as _kernel
 from .errors import DegenerateInputError, InputError
@@ -34,10 +33,6 @@ SHAPE_SIZES = {BANANA: 267, STAR: 500, THREE_CLUSTER: 450}
 SHAPE_NOISE = {BANANA: 0.25, STAR: 0.0, THREE_CLUSTER: 0.7}
 
 _MAX_POLYGON_ATTEMPTS = 16
-
-# points per block in _min_distance: 2048 points against the 2001-point
-# banana arc is a 33 MB distance block
-_MIN_DISTANCE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -285,24 +280,13 @@ def shape_truth_grid(kind: str, X, resolution=(200, 200), noise: float | None = 
     if kind == BANANA:
         t = np.linspace(-3.0, 3.0, 2001)
         arc = np.column_stack([t, t * t / 3.0 - 1.5])
-        grid.labels = _min_distance(grid.points, arc) <= 2.0 * noise
+        grid.labels = _kernel.nearest_distances(grid.points, arc) <= 2.0 * noise
     elif kind == STAR:
         grid.labels = points_in_polygon(grid.points, make_star_polygon())
     else:
         centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
-        sq = ((grid.points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        grid.labels = np.sqrt(sq.min(axis=1)) <= 2.45 * noise
+        grid.labels = _kernel.nearest_distances(grid.points, centers) <= 2.45 * noise
     return grid
-
-
-def _min_distance(points, targets) -> np.ndarray:
-    """Distance from each point to its nearest target, ``_MIN_DISTANCE_ROWS``
-    points at a time, so memory is one block times the target count."""
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _MIN_DISTANCE_ROWS):
-        block = points[start:start + _MIN_DISTANCE_ROWS]
-        out[start:start + block.shape[0]] = cdist(block, targets).min(axis=1)
-    return out
 
 
 def save_dataset(path, X, labels=None) -> None:

@@ -294,7 +294,6 @@ def polygon_study(
     spline_config: SplineConfig | None = None,
     min_run: int = DEFAULT_MIN_RUN,
     solver_config: SolverConfig | None = None,
-    progress=None,
     jobs: int = 1,
 ) -> SimulationReport:
     """F1-ratio study on random polygons.
@@ -335,16 +334,8 @@ def polygon_study(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_polygon_task, tasks))
-        if progress is not None:
-            for outcome in outcomes:
-                progress(outcome.vertex_count, outcome.polygon_index, outcome)
     else:
-        outcomes = []
-        for task in tasks:
-            outcome = _polygon_task(task)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome.vertex_count, outcome.polygon_index, outcome)
+        outcomes = list(map(_polygon_task, tasks))
     rows = [o for o in outcomes if isinstance(o, StudyRow)]
     failures = [o for o in outcomes if isinstance(o, StudyFailure)]
     summaries = []

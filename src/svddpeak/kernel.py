@@ -2,9 +2,9 @@
 
 Two kernel families are supported: the Gaussian kernel
 ``exp(-||a - b||^2 / (2 s^2))`` with bandwidth ``s``, and the plain inner
-product (linear kernel). Squared distances are always accumulated as sums
-of squared coordinate differences, never through the dot-product
-expansion, to avoid cancellation on nearby points.
+product (linear kernel). Every squared distance of the package comes from
+``squared_distances``, as a sum of squared coordinate differences, never
+the dot-product expansion, which cancels on nearby points.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DimensionError, InputError
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
+
+# rows per block in nearest_distances: 1024 points against the 2001-point
+# banana arc is two 16 MB blocks
+_NEAREST_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,39 @@ def kernel_value(a, b, spec: KernelSpec) -> float:
         raise DimensionError(f"vectors have different dimensions {a.shape[0]} and {b.shape[0]}")
     if spec.kind == LINEAR:
         return float(a @ b)
-    sq = float(np.sum((a - b) ** 2))
+    sq = float(squared_distances(a[None, :], b[None, :])[0, 0])
     return float(np.exp(-sq / (2.0 * spec.s * spec.s)))
+
+
+def squared_distances(A, B) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B, summed
+    one coordinate at a time in coordinate order, as a per-pair loop would.
+    For B = A the result is exactly symmetric with a zero diagonal."""
+    out = np.subtract(A[:, 0, None], B[None, :, 0])
+    out *= out
+    diff = np.empty_like(out)
+    for k in range(1, A.shape[1]):
+        np.subtract(A[:, k, None], B[None, :, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def nearest_distances(points, targets) -> np.ndarray:
+    """Euclidean distance from each row of ``points`` to its nearest row of
+    ``targets``, ``_NEAREST_BLOCK_ROWS`` points at a time, so memory is one
+    block times the target count."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _NEAREST_BLOCK_ROWS):
+        block = points[start:start + _NEAREST_BLOCK_ROWS]
+        out[start:start + block.shape[0]] = squared_distances(block, targets).min(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def squared_distance_matrix(X) -> np.ndarray:
     """All pairwise squared Euclidean distances, zero diagonal."""
     X = as_data_matrix(X)
-    if X.shape[0] == 1:
-        return np.zeros((1, 1))
-    return squareform(pdist(X, "sqeuclidean"))
+    return squared_distances(X, X)
 
 
 def kernel_matrix_from_sq(sq_dists: np.ndarray, s: float) -> np.ndarray:
@@ -109,6 +135,6 @@ def cross_kernel(Z, X, spec: KernelSpec) -> np.ndarray:
         )
     if spec.kind == LINEAR:
         return Z @ X.T
-    K = cdist(Z, X, "sqeuclidean")
+    K = squared_distances(Z, X)
     np.divide(K, -2.0 * spec.s * spec.s, out=K)
     return np.exp(K, out=K)

@@ -12,10 +12,9 @@ come from the Bayesian posterior covariance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import ndtri
 
 from .errors import InputError, NumericalError
 
@@ -116,27 +115,28 @@ class _PreparedFit:
             x, x[0], x[-1], config.num_interior_knots, config.degree
         )
         self.BtB = self.B.T @ self.B
-        self.Bty = self.B.T @ y
         self.P = _difference_penalty(self.B.shape[1], config.penalty_order)
 
     def solve(self, lam) -> SplineFit:
         n = self.x.size
         M = self.BtB + lam * self.P
         try:
-            factor = cho_factor(M)
-        except LinAlgError as exc:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular normal equations at lambda={lam:g}") from exc
-        beta = cho_solve(factor, self.Bty)
+        # with M = L L' and W = L^-1 B': beta = L'^-1 W y, and the pointwise
+        # leverage b_i' M^-1 b_i is the squared norm of column i of W
+        W = np.linalg.solve(L, self.B.T)
+        beta = np.linalg.solve(L.T, W @ self.y)
         fitted = self.B @ beta
         resid = self.y - fitted
         rss = float(resid @ resid)
-        edf = float(np.trace(cho_solve(factor, self.BtB)))
+        leverage = np.einsum("ij,ij->j", W, W)
+        edf = float(leverage.sum())
         sigma2 = rss / max(n - edf, 1.0)
         # pointwise variance of fitted values under the posterior covariance
-        V = cho_solve(factor, self.B.T)
-        var_fit = sigma2 * np.einsum("ij,ji->i", self.B, V)
-        se = np.sqrt(np.maximum(var_fit, 0.0))
-        z = float(ndtri(0.5 * (1.0 + self.config.ci_level)))
+        se = np.sqrt(sigma2 * leverage)
+        z = NormalDist().inv_cdf(0.5 * (1.0 + self.config.ci_level))
         return SplineFit(
             coefficients=beta,
             fitted=fitted,

@@ -402,9 +402,10 @@ def compute_threshold(model: SvddModel) -> float:
 def score_distances(model: SvddModel, Z) -> np.ndarray:
     """dist^2 for each row of Z against the fitted description.
 
-    The cross kernel is built ``SCORE_BLOCK_ROWS`` rows at a time.
+    The cross kernel is built ``SCORE_BLOCK_ROWS`` rows at a time. Z may
+    have zero rows.
     """
-    Z = as_data_matrix(Z, name="Z")
+    Z = as_data_matrix(Z, min_rows=0, name="Z")
     if Z.shape[1] != model.dim:
         raise DimensionError(
             f"scoring rows have {Z.shape[1]} feature(s), model expects {model.dim}"

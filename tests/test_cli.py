@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +198,25 @@ class TestScoreAndGrid:
                      "--out", str(out)]) == EXIT_OK
         assert read_rows(out) == [["x1", "x2", "dist_sq", "r_sq", "label"]]
 
+    def test_score_empty_file_manifest_matches_non_empty(self, model_path, two_point_csv,
+                                                          tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x1,x2\n")
+        for data, out in ((empty, tmp_path / "empty_scored.csv"),
+                          (two_point_csv, tmp_path / "scored.csv")):
+            assert main(["score", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)]) == EXIT_OK
+        manifests = [json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                     for name in ("empty_scored.csv", "scored.csv")]
+        assert manifests[0]["parameters"].keys() == manifests[1]["parameters"].keys()
+        assert manifests[0]["parameters"]["out"] == str(tmp_path / "empty_scored.csv")
+
+    def test_score_empty_file_dimension_mismatch_usage_error(self, model_path, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x1,x2,x3\n")
+        assert main(["score", "--model", str(model_path), "--data", str(empty),
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+
     @pytest.mark.parametrize("rows", [7, 9])
     def test_score_blocks_write_same_bytes(self, model_path, tmp_path, monkeypatch, rows):
         score_in = tmp_path / "score_in.csv"
@@ -247,6 +271,23 @@ class TestScoreAndGrid:
         np.testing.assert_array_equal(
             labels[clear], np.where(expected > model.r_squared, "outlier", "inlier")[clear]
         )
+
+    def test_grid_peak_memory(self, tmp_path):
+        # 600 rows at s=0.5, f=0.5 keep about 300 support vectors; a one-piece
+        # (40,000 cells x support vectors) distance array alone is about 100 MB
+        data, model_path = tmp_path / "normal.csv", tmp_path / "model.json"
+        save_dataset(data, np.random.default_rng(0).normal(size=(600, 2)))
+        assert main(["train", "--data", str(data), "--s", "0.5", "--f", "0.5",
+                     "--out", str(model_path)]) == EXIT_OK
+        assert solver.load_model(model_path).support_vectors.shape[0] > 250
+        tracemalloc.start()
+        try:
+            assert main(["grid", "--model", str(model_path),
+                         "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
     def test_grid_resolution_below_two_is_usage_error(self, model_path, tmp_path, capsys,
@@ -364,14 +405,23 @@ class TestShuttle:
         assert X.shape == (5, 9)
 
 
-def test_jobs_env_var_sets_default(monkeypatch):
-    from svddpeak.cli import build_parser
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_usage_error(banana_csv, tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tune", "--data", str(banana_csv), "--method", "peak", "--jobs", jobs,
+              "--out", str(tmp_path / "r.json")])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
-    monkeypatch.setenv("SVDD_PEAK_JOBS", "3")
-    args = build_parser().parse_args(
-        ["tune", "--data", "x.csv", "--method", "peak", "--out", "r.json"]
-    )
-    assert args.jobs == 3
+
+def test_runtime_imports_no_scipy():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, svddpeak, svddpeak.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 class TestCsvIngestion:

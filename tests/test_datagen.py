@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from svddpeak import datagen
+from svddpeak import kernel
 from svddpeak.datagen import (
     BANANA,
     SHAPE_KINDS,
@@ -175,7 +175,7 @@ class TestShapeTruthGrid:
     @pytest.mark.parametrize("block_rows", [7, 2048])
     def test_banana_labels_match_one_piece(self, monkeypatch, block_rows):
         X = generate_shape(BANANA, seed=0)
-        monkeypatch.setattr(datagen, "_MIN_DISTANCE_ROWS", block_rows)
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
         grid = shape_truth_grid(BANANA, X, resolution=(31, 23))
         t = np.linspace(-3.0, 3.0, 2001)
         arc = np.column_stack([t, t * t / 3.0 - 1.5])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from svddpeak import kernel
 from svddpeak.errors import DimensionError, InputError
 from svddpeak.kernel import (
     GAUSSIAN,
@@ -16,8 +17,13 @@ from svddpeak.kernel import (
     kernel_matrix,
     kernel_matrix_from_sq,
     kernel_value,
+    nearest_distances,
     squared_distance_matrix,
 )
+
+# dimensions where summation order shows: numpy's pairwise sum departs from
+# a sequential sum from d = 9, and einsum from d = 3
+DIMENSIONS = [1, 2, 3, 9, 33]
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -121,8 +127,11 @@ class TestKernelMatrix:
             atol=1e-15,
         )
 
-    def test_from_sq_is_plain_formula_bitwise(self, rng):
-        sq = squared_distance_matrix(rng.normal(size=(40, 3)))
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_from_sq_is_plain_formula_bitwise(self, rng, d):
+        X = rng.normal(size=(40, d))
+        sq = squared_distance_matrix(X)
+        assert np.array_equal(sq, squareform(pdist(X, "sqeuclidean")))
         before = sq.copy()
         for s in (0.05, 0.7, 3.0):
             assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
@@ -144,9 +153,10 @@ class TestCrossKernel:
             for j in range(5):
                 assert C[i, j] == pytest.approx(kernel_value(Z[i], X[j], spec), abs=1e-12)
 
-    def test_is_plain_formula_bitwise(self, rng):
-        X = rng.normal(size=(30, 2))
-        Z = rng.normal(size=(50, 2))
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_is_plain_formula_bitwise(self, rng, d):
+        X = rng.normal(size=(30, d))
+        Z = rng.normal(size=(50, d))
         X_before, Z_before = X.copy(), Z.copy()
         sq = cdist(Z, X, "sqeuclidean")
         for s in (0.05, 0.7, 3.0):
@@ -157,6 +167,16 @@ class TestCrossKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             cross_kernel(np.ones((2, 3)), np.ones((2, 2)), KernelSpec(GAUSSIAN, 1.0))
+
+
+class TestNearestDistances:
+    @pytest.mark.parametrize("block_rows", [7, 1024])
+    def test_matches_one_piece_cdist_bitwise(self, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
+        points = rng.normal(size=(60, 2))
+        targets = rng.normal(size=(13, 2))
+        got = nearest_distances(points, targets)
+        assert np.array_equal(got, cdist(points, targets).min(axis=1))
 
 
 class TestDataValidation:

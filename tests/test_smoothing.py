@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_lsq_spline
 
-from svddpeak.errors import InputError
+from svddpeak import smoothing
+from svddpeak.errors import InputError, NumericalError
 from svddpeak.smoothing import (
     GCV_LAMBDA_GRID,
     SplineConfig,
@@ -75,6 +76,28 @@ class TestFitPspline:
         lams = [10.0**k for k in range(-6, 7)]
         edfs = [fit_pspline(x30, y, SplineConfig(lam=lam)).effective_df for lam in lams]
         assert np.all(np.diff(edfs) <= 1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.3, 1e4])
+    def test_se_and_edf_match_dense_inverse(self, rng, x30, lam):
+        y = np.sin(2.0 * x30) + rng.normal(0.0, 0.2, 30)
+        config = SplineConfig(lam=lam, ci_level=0.9)
+        fit = fit_pspline(x30, y, config)
+        B, _ = bspline_design(x30, x30[0], x30[-1], config.num_interior_knots, config.degree)
+        D = np.diff(np.eye(B.shape[1]), n=config.penalty_order, axis=0)
+        M_inv = np.linalg.inv(B.T @ B + lam * D.T @ D)
+        edf = np.trace(M_inv @ B.T @ B)
+        resid = y - B @ (M_inv @ B.T @ y)
+        sigma2 = resid @ resid / (30 - edf)
+        se = np.sqrt(sigma2 * np.einsum("ij,jk,ik->i", B, M_inv, B))
+        assert abs(fit.effective_df - edf) <= 1e-12
+        np.testing.assert_allclose(fit.se, se, rtol=0, atol=1e-12)
+        z = 1.6448536269514722  # 95% normal quantile
+        np.testing.assert_allclose(fit.ci_upper - fit.fitted, z * se, rtol=0, atol=1e-12)
+
+    def test_indefinite_normal_equations_raise_numerical_error(self, rng, x30):
+        prep = smoothing._PreparedFit(x30, rng.normal(size=30), SplineConfig())
+        with pytest.raises(NumericalError):
+            prep.solve(-1e6)
 
     def test_band_ordering_and_width(self, rng, x30):
         y = x30**2 + rng.normal(0.0, 0.3, 30)
