@@ -1,0 +1,137 @@
+"""The compiled SMO inner loop: built on first use, loaded with ctypes.
+
+``_smo.c`` is compiled once per source, flags and platform into the cache
+directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the
+variable is unset), under a name that hashes all three. The compiler
+writes to a temporary name and ``os.replace`` moves the library into
+place, so concurrent first uses (``--jobs`` workers on a cold cache) are
+safe. The compiler's version is stored next to the library, so later runs
+report it without spawning the compiler.
+
+Nothing here runs at import. ``smo_loop()`` tries the build once per
+process; when no compiler is found, the compile fails or the cache cannot
+be written, it returns None and the solver runs its Python loop, which
+gives the same bits.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_smo.c")
+# -ffp-contract=off: no fused multiply-add, so every rounding is numpy's
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILERS = ("cc", "gcc", "clang")
+_COMPILE_TIMEOUT_S = 120
+
+# (run, backend info) once the first solve has asked; None until then
+_loaded = None
+
+
+def cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "svddpeak"
+
+
+def _find_compiler():
+    for name in _COMPILERS:
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+def _library_stem() -> str:
+    import sysconfig  # not needed by commands that never solve
+
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update("\0".join(FLAGS + (sysconfig.get_platform(),)).encode())
+    return "smo-" + digest.hexdigest()[:16]
+
+
+def _replace_from_temp(directory: Path, target: Path, write) -> None:
+    """Call ``write(temp_path)`` on a fresh name in ``directory``, then move it
+    to ``target`` in one step; the temporary file never outlives a failure."""
+    fd, temp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        write(temp)
+        os.replace(temp, target)
+    finally:
+        if os.path.exists(temp):
+            os.unlink(temp)
+
+
+def _build(directory: Path, library: Path, info_path: Path) -> None:
+    compiler = _find_compiler()
+    if compiler is None:
+        raise OSError("no C compiler found")
+    directory.mkdir(parents=True, exist_ok=True)
+    version = subprocess.run([compiler, "--version"], capture_output=True, text=True,
+                             timeout=_COMPILE_TIMEOUT_S, check=True).stdout
+    info = {"kind": "c", "compiler": (version.splitlines() or [compiler])[0],
+            "flags": list(FLAGS)}
+
+    def write_info(temp):
+        with open(temp, "w", encoding="utf-8") as fh:
+            json.dump(info, fh, sort_keys=True)
+
+    def compile_to(temp):
+        subprocess.run([compiler, *FLAGS, "-o", temp, str(SOURCE)], capture_output=True,
+                       timeout=_COMPILE_TIMEOUT_S, check=True)
+
+    # the info file lands first: a library in place always has its info
+    _replace_from_temp(directory, info_path, write_info)
+    _replace_from_temp(directory, library, compile_to)
+
+
+def _load():
+    directory = cache_dir()
+    stem = _library_stem()
+    library = directory / (stem + ".so")
+    info_path = directory / (stem + ".json")
+    if not library.exists():
+        _build(directory, library, info_path)
+    with open(info_path, encoding="utf-8") as fh:
+        info = json.load(fh)
+    fn = ctypes.CDLL(str(library)).svdd_smo_run
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
+        ctypes.c_int64, ctypes.c_int64]
+
+    def run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
+            max_iterations, iterations):
+        return fn(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
+                  up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
+                  curvature_floor, max_iterations, iterations)
+
+    return run, info
+
+
+def _ensure_loaded():
+    global _loaded
+    if _loaded is None:
+        try:
+            _loaded = _load()
+        except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+            _loaded = (None, {"kind": "python"})
+    return _loaded
+
+
+def smo_loop():
+    """The compiled inner loop, with ``solver._run_python``'s signature, or
+    None when it cannot be built or loaded."""
+    return _ensure_loaded()[0]
+
+
+def backend() -> dict:
+    """The SMO backend for run manifests: ``{"kind": "c", "compiler": ...,
+    "flags": [...]}`` or ``{"kind": "python"}``."""
+    return dict(_ensure_loaded()[1])

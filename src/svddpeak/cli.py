@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from . import baselines as _baselines
 from . import datagen as _datagen
 from . import evaluation as _evaluation
@@ -54,7 +54,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_output, command, parameters, inputs, seeds=None):
+def _write_manifest(primary_output, command, parameters, inputs, seeds=None,
+                    solves=False):
+    """Write ``<primary_output>.manifest.json``. Commands that solve the dual
+    (``solves``) also record the SMO backend that ran."""
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -63,6 +66,8 @@ def _write_manifest(primary_output, command, parameters, inputs, seeds=None):
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if solves:
+        manifest["smo_backend"] = _native.backend()
     path = str(primary_output) + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -235,7 +240,7 @@ def cmd_train(args) -> int:
         "tuned": tuned,
         "out": str(args.out),
     }
-    _write_manifest(args.out, "train", params, [args.data])
+    _write_manifest(args.out, "train", params, [args.data], solves=True)
     print(f"trained on {X.shape[0]} rows: s={_fmt(s) if s is not None else 'n/a'} "
           f"r_squared={_fmt(model.r_squared)} -> {args.out}")
     return EXIT_OK
@@ -290,7 +295,7 @@ def cmd_tune(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, "tune", report, [args.data])
+    _write_manifest(args.out, "tune", report, [args.data], solves=True)
     if exit_code == EXIT_OK:
         print(f"method={args.method} selected s={_fmt(report['s'])} -> {args.out}")
     else:
@@ -299,24 +304,31 @@ def cmd_tune(args) -> int:
     return exit_code
 
 
-def _write_scored(path, header, Z, dist_sq, r_squared, labels):
-    """Write scored rows ``SCORE_BLOCK_ROWS`` at a time, so only one block
-    of formatted cells is held in memory."""
-    r_sq = _fmt(r_squared)
+def _write_in_blocks(path, header, n_rows, block_rows):
+    """Write ``block_rows(start, stop)`` for ``SCORE_BLOCK_ROWS`` rows at a
+    time, so only one block of formatted cells is held in memory."""
     block = _solver.SCORE_BLOCK_ROWS
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for start in range(0, Z.shape[0], block):
-            stop = start + block
-            writer.writerows(
-                [_fmt(v) for v in row] + [_fmt(d), r_sq, label]
-                for row, d, label in zip(
-                    Z[start:stop].tolist(),
-                    dist_sq[start:stop].tolist(),
-                    labels[start:stop].tolist(),
-                )
+        for start in range(0, n_rows, block):
+            writer.writerows(block_rows(start, start + block))
+
+
+def _write_scored(path, header, Z, dist_sq, r_squared, labels):
+    r_sq = _fmt(r_squared)
+
+    def block_rows(start, stop):
+        return (
+            [_fmt(v) for v in row] + [_fmt(d), r_sq, label]
+            for row, d, label in zip(
+                Z[start:stop].tolist(),
+                dist_sq[start:stop].tolist(),
+                labels[start:stop].tolist(),
             )
+        )
+
+    _write_in_blocks(path, header, Z.shape[0], block_rows)
 
 
 def cmd_score(args) -> int:
@@ -354,11 +366,20 @@ def cmd_grid(args) -> int:
     x_lo, x_hi, y_lo, y_hi = grid.bounds
     spacing = max((x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1))
     near_sv = nearest_distances(lattice, model.support_vectors) <= spacing
-    rows = [
-        [_fmt(lattice[i, 0]), _fmt(lattice[i, 1]), _fmt(dist_sq[i]), labels[i], int(near_sv[i])]
-        for i in range(lattice.shape[0])
-    ]
-    _write_rows(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"], rows)
+
+    def block_rows(start, stop):
+        return (
+            [_fmt(x), _fmt(y), _fmt(d), label, int(near)]
+            for (x, y), d, label, near in zip(
+                lattice[start:stop].tolist(),
+                dist_sq[start:stop].tolist(),
+                labels[start:stop].tolist(),
+                near_sv[start:stop].tolist(),
+            )
+        )
+
+    _write_in_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
+                     lattice.shape[0], block_rows)
     params = {"model": str(args.model), "resolution": res, "padding": args.padding,
               "data": str(args.data) if args.data else None, "out": str(args.out)}
     _write_manifest(args.out, "grid", params, inputs)
@@ -424,7 +445,8 @@ def cmd_simulate(args) -> int:
         "grid": {"s_min": grid.s_min, "s_max": grid.s_max, "step": grid.step},
         "out_dir": str(args.out_dir),
     }
-    _write_manifest(report_path, "simulate", params, [], seeds={"master_seed": args.seed})
+    _write_manifest(report_path, "simulate", params, [], seeds={"master_seed": args.seed},
+                    solves=True)
     ratios = report.ratios()
     if ratios.size:
         print(f"{len(report.rows)} polygons: mean ratio {_fmt(float(ratios.mean()))}, "

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from . import kernel as _kernel
 from .errors import (
     ConvergenceError,
@@ -191,9 +192,55 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
     incrementally and re-derived from scratch before convergence is
     accepted, so drift cannot produce a falsely converged result.
 
-    The loop keeps numpy overhead per iteration small without changing a
-    single rounding of the plain formulation (columns ``K[:, i]``, masks
-    rebuilt by ``np.where`` every step):
+    The pairwise steps run in an inner loop with two implementations of
+    one contract: the compiled ``_smo.c`` (built on first use, see
+    ``_native``) and ``_run_python``. Both give the same bits; the Python
+    loop runs when the library cannot be built or ``K`` is not a square
+    C-contiguous float64 matrix.
+    """
+    diag = np.ascontiguousarray(np.diag(K))
+    alpha = np.asarray(alpha0, dtype=float).copy()
+    grad = 2.0 * (K @ alpha) - diag
+    up_pen = np.where(alpha < C, 0.0, np.inf)
+    low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
+    # the C loop reads raw pointers: a square, C-contiguous float64 K only
+    compiled = (K.dtype == np.float64 and K.flags.c_contiguous
+                and K.shape == (alpha.size, alpha.size) and _native.smo_loop())
+    run = compiled or _run_python
+    iterations = 0
+    while True:
+        iterations = run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol,
+                         _CURVATURE_FLOOR, max_iterations, iterations)
+        grad = 2.0 * (K @ alpha) - diag
+        violation = _violation(grad, up_pen, low_pen)
+        if iterations >= max_iterations:
+            raise ConvergenceError(
+                f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} "
+                f"iterations (residual {violation:.3e})",
+                alphas=alpha,
+                kkt_residual=violation,
+                iterations=iterations,
+            )
+        if violation <= kkt_tol:
+            return alpha, max(violation, 0.0), iterations
+
+
+def _violation(grad, up_pen, low_pen) -> float:
+    """grad[j] - grad[i] for i = argmin(grad + up_pen), j = argmax(grad + low_pen)."""
+    i = int((grad + up_pen).argmin())
+    j = int((grad + low_pen).argmax())
+    return grad.item(j) - grad.item(i)
+
+
+def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
+                max_iterations, iterations):
+    """Take SMO steps in place until the maximal violation is at most
+    ``kkt_tol`` or ``iterations`` reaches ``max_iterations``; returns
+    ``iterations``. The numpy twin of ``svdd_smo_run`` in ``_smo.c``.
+
+    Per iteration numpy overhead is kept small without changing a single
+    rounding of the plain formulation (columns ``K[:, i]``, masks rebuilt
+    by ``np.where`` every step):
 
     * ``K`` is exactly symmetric (``kernel_matrix`` and
       ``kernel_matrix_from_sq`` guarantee it), so a step reads the
@@ -207,36 +254,22 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
     * scalars are read as Python floats, which round exactly as numpy's.
     """
     n = K.shape[0]
-    diag = np.ascontiguousarray(np.diag(K))
     k_diag = diag.tolist()
-    alpha = np.asarray(alpha0, dtype=float).copy()
-    grad = 2.0 * (K @ alpha) - diag
-    up_pen = np.where(alpha < C, 0.0, np.inf)
-    low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
     masked = np.empty(n)
     diff = np.empty(n)
     add, subtract, multiply = np.add, np.subtract, np.multiply
     inf = np.inf
-
-    def violating_pair(grad):
+    while iterations < max_iterations:
         add(grad, up_pen, masked)
         i = int(masked.argmin())
         add(grad, low_pen, masked)
         j = int(masked.argmax())
-        return i, j, grad.item(j) - grad.item(i)
-
-    iterations = 0
-    while iterations < max_iterations:
-        i, j, violation = violating_pair(grad)
+        violation = grad.item(j) - grad.item(i)
         if violation <= kkt_tol:
-            grad = 2.0 * (K @ alpha) - diag
-            i, j, violation = violating_pair(grad)
-            if violation <= kkt_tol:
-                return alpha, max(violation, 0.0), iterations
-            continue
+            break
         K_i = K[i]
         curvature = k_diag[i] + k_diag[j] - 2.0 * K_i.item(j)
-        if curvature > _CURVATURE_FLOOR:
+        if curvature > curvature_floor:
             step = violation / (2.0 * curvature)
         else:
             step = inf
@@ -256,15 +289,7 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
         multiply(diff, 2.0 * clipped, diff)
         add(grad, diff, grad)
         iterations += 1
-    grad = 2.0 * (K @ alpha) - diag
-    residual = violating_pair(grad)[2]
-    raise ConvergenceError(
-        f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} iterations "
-        f"(residual {residual:.3e})",
-        alphas=alpha,
-        kkt_residual=residual,
-        iterations=iterations,
-    )
+    return iterations
 
 
 def _threshold_from_parts(K, alphas, boundary, alpha_quad, kkt_tol):

@@ -9,6 +9,16 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_build_cache(tmp_path_factory):
+    """Build the compiled SMO loop into a cache of this test session, not the
+    user's ``~/.cache``; subprocesses inherit it."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

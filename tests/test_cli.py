@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svddpeak import cli, solver
+from svddpeak import _native, cli, solver
 from svddpeak.cli import (
     EXIT_NO_PEAK,
     EXIT_OK,
@@ -230,6 +230,32 @@ class TestScoreAndGrid:
         assert blocked.read_bytes() == whole.read_bytes()
         assert len(read_rows(blocked)) == 1 + rows
 
+    @pytest.mark.parametrize("resolution", [4, 5])
+    def test_grid_blocks_write_same_bytes(self, model_path, tmp_path, monkeypatch, resolution):
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        for block_rows, out in ((resolution * resolution, whole), (3, blocked)):
+            monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", block_rows)
+            assert main(["grid", "--model", str(model_path), "--resolution", str(resolution),
+                         "--out", str(out)]) == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert len(read_rows(blocked)) == 1 + resolution * resolution
+
+    def test_score_never_builds_or_loads_the_smo_library(self, model_path, two_point_csv,
+                                                         tmp_path):
+        cache = tmp_path / "xdg"
+        probe = ("import sys, svddpeak.cli as cli, svddpeak._native as native; "
+                 "code = cli.main(['score', '--model', sys.argv[1], '--data', sys.argv[2], "
+                 "'--out', sys.argv[3]]); "
+                 "print(code, native._loaded is None)")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(model_path), str(two_point_csv),
+             str(tmp_path / "scored.csv")],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=_src_dir(), XDG_CACHE_HOME=str(cache)),
+        ).stdout
+        assert out.splitlines()[-1] == f"{EXIT_OK} True"
+        assert not cache.exists()
+
     def test_score_dimension_mismatch_usage_error(self, model_path, tmp_path):
         bad = tmp_path / "bad.csv"
         save_dataset(bad, np.zeros((2, 3)))
@@ -274,7 +300,9 @@ class TestScoreAndGrid:
 
     def test_grid_peak_memory(self, tmp_path):
         # 600 rows at s=0.5, f=0.5 keep about 300 support vectors; a one-piece
-        # (40,000 cells x support vectors) distance array alone is about 100 MB
+        # (40,000 cells x support vectors) distance array alone is about 100 MB,
+        # and the 40,000 formatted rows held at once about 13 MB, while the
+        # lattice's numeric arrays take about 6 MB
         data, model_path = tmp_path / "normal.csv", tmp_path / "model.json"
         save_dataset(data, np.random.default_rng(0).normal(size=(600, 2)))
         assert main(["train", "--data", str(data), "--s", "0.5", "--f", "0.5",
@@ -287,7 +315,7 @@ class TestScoreAndGrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
     def test_grid_resolution_below_two_is_usage_error(self, model_path, tmp_path, capsys,
@@ -415,13 +443,75 @@ def test_jobs_below_one_is_usage_error(banana_csv, tmp_path, capsys, jobs):
     assert not (tmp_path / "r.json").exists()
 
 
+def _src_dir() -> str:
+    return str(pathlib.Path(cli.__file__).resolve().parents[1])
+
+
 def test_runtime_imports_no_scipy():
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     probe = ("import sys, svddpeak, svddpeak.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+                         check=True, env=dict(os.environ, PYTHONPATH=_src_dir())).stdout
     assert out.strip() == "[]"
+
+
+def test_tune_jobs_two_on_a_cold_cache_writes_jobs_one_bytes(banana_csv, tmp_path):
+    # the --jobs 2 workers race to build the SMO library into an empty cache
+    cache = tmp_path / "xdg"
+    env = dict(os.environ, PYTHONPATH=_src_dir(), XDG_CACHE_HOME=str(cache))
+    outputs = {}
+    for jobs in ("2", "1"):
+        run_dir = tmp_path / f"jobs{jobs}"
+        run_dir.mkdir()
+        subprocess.run([sys.executable, "-m", "svddpeak.cli", "tune", "--data", str(banana_csv),
+                        "--method", "peak", "--jobs", jobs, "--out", "report.json"],
+                       cwd=run_dir, env=env, capture_output=True, check=True)
+        manifest = json.loads((run_dir / "report.json.manifest.json").read_text())
+        outputs[jobs] = ((run_dir / "report.json").read_bytes(),
+                         (run_dir / "report_curve.csv").read_bytes(),
+                         manifest["smo_backend"])
+    assert outputs["2"] == outputs["1"]
+    if _native._find_compiler() is not None:
+        assert outputs["2"][2]["kind"] == "c"
+        assert sorted(p.suffix for p in (cache / "svddpeak").iterdir()) == [".json", ".so"]
+
+
+class TestManifestSmoBackend:
+    def test_solving_commands_record_the_backend(self, banana_csv, tmp_path):
+        model = tmp_path / "model.json"
+        report = tmp_path / "report.json"
+        study = tmp_path / "study"
+        assert main(["train", "--data", str(banana_csv), "--s", "0.7",
+                     "--out", str(model)]) == EXIT_OK
+        assert main(["tune", "--data", str(banana_csv), "--method", "md",
+                     "--out", str(report)]) == EXIT_OK
+        assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                     "--seed", "7", "--out-dir", str(study)]) == EXIT_OK
+        manifests = [tmp_path / "model.json.manifest.json", tmp_path / "report.json.manifest.json",
+                     study / "polygon_study.csv.manifest.json"]
+        for path in manifests:
+            assert json.loads(path.read_text())["smo_backend"] == _native.backend()
+        backend = _native.backend()
+        if backend["kind"] == "c":
+            assert backend["flags"] == list(_native.FLAGS)
+            assert backend["compiler"]
+        # score and grid solve nothing and say nothing about it
+        for command in ("score", "grid"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--model", str(model), "--data", str(banana_csv),
+                         "--out", str(out)]) == EXIT_OK
+            assert "smo_backend" not in json.loads(
+                (tmp_path / f"{command}.csv.manifest.json").read_text())
+
+    def test_python_fallback_is_recorded(self, banana_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setattr(_native, "_loaded", None)
+        monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(banana_csv), "--s", "0.7",
+                     "--out", str(model)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["smo_backend"] == {"kind": "python"}
 
 
 class TestCsvIngestion:

@@ -1,0 +1,133 @@
+"""Build, load and fallback of the compiled SMO inner loop (``_native``)."""
+
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from svddpeak import _native, solver
+from svddpeak.datagen import generate_shape
+from svddpeak.errors import ConvergenceError
+from svddpeak.kernel import GAUSSIAN, KernelSpec, kernel_matrix
+from svddpeak.solver import SolverConfig, train
+
+
+@pytest.fixture
+def cold_cache(monkeypatch, tmp_path):
+    """An empty build cache, and no library loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(_native, "_loaded", None)
+    return tmp_path / "xdg" / "svddpeak"
+
+
+def _fit_banana():
+    X = generate_shape("banana", n=120, seed=11)
+    return train(X, KernelSpec(GAUSSIAN, 0.5), SolverConfig(f=0.01))
+
+
+def _assert_same_model(a, b):
+    assert np.array_equal(a.alphas, b.alphas)
+    assert a.r_squared == b.r_squared
+    assert a.dual_objective == b.dual_objective
+    assert a.iterations == b.iterations
+
+
+def test_cache_dir_follows_xdg(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native.cache_dir() == tmp_path / "svddpeak"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert _native.cache_dir() == tmp_path / "home" / ".cache" / "svddpeak"
+
+
+def test_builds_once_then_loads_without_the_compiler(cold_cache, monkeypatch):
+    if _native._find_compiler() is None:
+        pytest.skip("no C compiler on this machine")
+    assert _native.smo_loop() is not None
+    backend = _native.backend()
+    assert backend["kind"] == "c"
+    assert backend["flags"] == list(_native.FLAGS)
+    assert backend["compiler"]
+    # one library and its info file, no temporaries left behind
+    stem = _native._library_stem()
+    assert sorted(p.name for p in cold_cache.iterdir()) == [stem + ".json", stem + ".so"]
+    # a later process loads the cached library and never looks for a compiler
+    monkeypatch.setattr(_native, "_loaded", None)
+    monkeypatch.setattr(_native, "_find_compiler", lambda: pytest.fail("compiler looked up"))
+    assert _native.smo_loop() is not None
+    assert _native.backend() == backend
+
+
+def test_concurrent_first_builds_leave_one_library(tmp_path):
+    # more builders than cores race on one empty cache
+    if _native._find_compiler() is None:
+        pytest.skip("no C compiler on this machine")
+    src = str(pathlib.Path(_native.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path))
+    probe = "import svddpeak._native as n; print(n.smo_loop() is not None, n.backend()['kind'])"
+    builders = [subprocess.Popen([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE,
+                                 text=True) for _ in range(4)]
+    outputs = [builder.communicate(timeout=120)[0] for builder in builders]
+    assert [builder.returncode for builder in builders] == [0] * 4
+    assert outputs == ["True c\n"] * 4
+    assert sorted(p.suffix for p in (tmp_path / "svddpeak").iterdir()) == [".json", ".so"]
+
+
+def _no_compiler(monkeypatch, cache):
+    monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+
+
+def _failing_compiler(monkeypatch, cache):
+    monkeypatch.setattr(_native, "_find_compiler", lambda: "false")
+
+
+def _unwritable_cache(monkeypatch, cache):
+    # the cache's parent is a regular file, so the directory cannot be
+    # made (a permission bit would not stop a root user)
+    blocker = cache.parent
+    blocker.parent.mkdir(parents=True, exist_ok=True)
+    blocker.write_text("not a directory\n")
+
+
+@pytest.mark.parametrize("breakage", [_no_compiler, _failing_compiler, _unwritable_cache],
+                         ids=["no-compiler", "compile-fails", "unwritable-cache"])
+def test_falls_back_to_the_python_loop_with_the_same_bits(monkeypatch, tmp_path, breakage):
+    expected = _fit_banana()  # with the loop this session already runs
+    cache = tmp_path / "xdg" / "svddpeak"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
+    monkeypatch.setattr(_native, "_loaded", None)
+    breakage(monkeypatch, cache)
+    model = _fit_banana()
+    assert _native.smo_loop() is None
+    assert _native.backend() == {"kind": "python"}
+    _assert_same_model(model, expected)
+    assert not cache.is_dir() or not any(p.suffix == ".so" for p in cache.iterdir())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(3, 5), (0, 0), (9, 9), (9, 2)])
+def test_loops_agree_on_non_finite_gram_entries(bad, where):
+    # numpy picks the first NaN in argmin and argmax; the C loop must too
+    c_loop = _native.smo_loop()
+    if c_loop is None:
+        pytest.skip("no C compiler on this machine")
+    X = np.random.default_rng(1).normal(size=(10, 2))
+    K = kernel_matrix(X, KernelSpec(GAUSSIAN, 0.7))
+    K[where] = K[where[::-1]] = bad
+    results = []
+    for loop in (None, c_loop):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+            patch.setattr(_native, "smo_loop", lambda: loop)
+            try:
+                alphas, residual, iterations = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(10, 0.1))
+            except ConvergenceError as err:
+                alphas, residual, iterations = err.alphas, err.kkt_residual, err.iterations
+        results.append((alphas, residual, iterations))
+    (a_py, r_py, it_py), (a_c, r_c, it_c) = results
+    assert np.array_equal(a_py, a_c, equal_nan=True)
+    assert r_py == r_c or (math.isnan(r_py) and math.isnan(r_c))
+    assert it_py == it_c

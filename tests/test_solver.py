@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svddpeak import solver
+from svddpeak import _native, solver
 from svddpeak.datagen import LabeledGrid, generate_shape
 from svddpeak.errors import (
     ConvergenceError,
@@ -210,14 +210,42 @@ class TestTrainPath:
         _assert_same_model(path[2][1], expected)
 
 
+def _inner_loops():
+    """The SMO inner loops to pin: Python always, C wherever it builds."""
+    loops = {"python": None}
+    c_loop = _native.smo_loop()
+    if c_loop is not None:
+        loops["c"] = c_loop
+    return loops
+
+
+def _solve_on(loop, *args):
+    """``solver._solve_smo(*args)`` with the inner loop switched to ``loop``
+    (None: the Python loop)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "smo_loop", lambda: loop)
+        return solver._solve_smo(*args)
+
+
 def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
-    """The production SMO reproduces the plain reference loop bit for bit."""
+    """Every inner loop reproduces the plain reference loop bit for bit."""
     expected = reference_smo(K, C, kkt_tol, max_iterations, alpha0)
-    alphas, residual, iterations = solver._solve_smo(K, C, kkt_tol, max_iterations, alpha0)
-    assert np.array_equal(alphas, expected[0])
-    assert residual == expected[1]
-    assert iterations == expected[2]
+    for name, loop in _inner_loops().items():
+        alphas, residual, iterations = _solve_on(loop, K, C, kkt_tol, max_iterations, alpha0)
+        assert np.array_equal(alphas, expected[0]), name
+        assert residual == expected[1], name
+        assert iterations == expected[2], name
     return alphas
+
+
+def _assert_same_failure(K, C, alpha0, kkt_tol, max_iterations, loop):
+    with pytest.raises(ConvergenceError) as expected:
+        reference_smo(K, C, kkt_tol, max_iterations, alpha0)
+    with pytest.raises(ConvergenceError) as err:
+        _solve_on(loop, K, C, kkt_tol, max_iterations, alpha0)
+    assert np.array_equal(err.value.alphas, expected.value.alphas)
+    assert err.value.kkt_residual == expected.value.kkt_residual
+    assert err.value.iterations == expected.value.iterations == max_iterations
 
 
 class TestSmoMatchesReference:
@@ -264,14 +292,53 @@ class TestSmoMatchesReference:
         n = banana_sq.shape[0]
         K = kernel_matrix_from_sq(banana_sq, 0.3)
         C = SolverConfig(f=0.001).box_bound(n)
-        alpha0 = np.full(n, 1.0 / n)
-        with pytest.raises(ConvergenceError) as expected:
-            reference_smo(K, C, 1e-6, 50, alpha0)
-        with pytest.raises(ConvergenceError) as err:
-            solver._solve_smo(K, C, 1e-6, 50, alpha0)
-        assert np.array_equal(err.value.alphas, expected.value.alphas)
-        assert err.value.kkt_residual == expected.value.kkt_residual
-        assert err.value.iterations == expected.value.iterations == 50
+        for loop in _inner_loops().values():
+            _assert_same_failure(K, C, np.full(n, 1.0 / n), 1e-6, 50, loop)
+
+    @pytest.mark.parametrize("loop_name", ["c", "python"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        integer_rows=st.booleans(),
+        near_copies=st.integers(0, 3),
+        kind=st.sampled_from([GAUSSIAN, LINEAR]),
+        s=st.floats(0.05, 4.0),
+        f=st.floats(0.01, 0.95),
+        warm=st.booleans(),
+        max_iterations=st.one_of(st.integers(1, 40), st.just(20_000)),
+    )
+    def test_random_problems(self, loop_name, seed, n, integer_rows, near_copies, kind, s, f,
+                             warm, max_iterations):
+        loop = _inner_loops().get(loop_name, "missing")
+        if loop == "missing":
+            pytest.skip("the C inner loop cannot be built without a C compiler")
+        rng = np.random.default_rng(seed)
+        shape = (n, int(rng.integers(1, 4)))
+        # integer rows tie many gradient entries exactly; copies shifted by
+        # 2**-20 take steps at the curvature floor
+        if integer_rows:
+            X = rng.integers(-7, 8, size=shape).astype(float)
+        else:
+            X = rng.normal(size=shape)
+        X = np.vstack([X, X[:near_copies] + 2.0**-20])
+        K = kernel_matrix(X, KernelSpec(kind, s if kind == GAUSSIAN else None))
+        C = SolverConfig(f=f).box_bound(X.shape[0])
+        if warm:
+            # the start _fit makes of a warm start: clipped, rescaled, clipped
+            alpha0 = np.clip(rng.dirichlet(np.ones(X.shape[0])), 0.0, C)
+            alpha0 = np.clip(alpha0 / alpha0.sum(), 0.0, C)
+        else:
+            alpha0 = np.full(X.shape[0], 1.0 / X.shape[0])
+        try:
+            expected = reference_smo(K, C, 1e-6, max_iterations, alpha0)
+        except ConvergenceError:
+            _assert_same_failure(K, C, alpha0, 1e-6, max_iterations, loop)
+            return
+        alphas, residual, iterations = _solve_on(loop, K, C, 1e-6, max_iterations, alpha0)
+        assert np.array_equal(alphas, expected[0])
+        assert residual == expected[1]
+        assert iterations == expected[2]
 
 
 class TestThreshold:
