@@ -12,6 +12,10 @@ Nothing here runs at import. ``smo_loop()`` tries the build once per
 process; when no compiler is found, the compile fails or the cache cannot
 be written, it returns None and the solver runs its Python loop, which
 gives the same bits.
+
+The library picks its pass over n when it is loaded: AVX-512F, AVX2 or
+scalar, the best the CPU supports (``svdd_smo_level``). The flags stay
+portable, so one cached library serves any x86-64 CPU.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ SOURCE = Path(__file__).with_name("_smo.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 _COMPILE_TIMEOUT_S = 120
+# names of the library's svdd_smo_level values
+ISAS = ("scalar", "avx2", "avx512f")
 
-# (run, backend info) once the first solve has asked; None until then
+# (run, backend info, library) once the first solve has asked; None until then
 _loaded = None
 
 
@@ -101,7 +107,8 @@ def _load():
         _build(directory, library, info_path)
     with open(info_path, encoding="utf-8") as fh:
         info = json.load(fh)
-    fn = ctypes.CDLL(str(library)).svdd_smo_run
+    lib = ctypes.CDLL(str(library))
+    fn = lib.svdd_smo_run
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
         ctypes.c_int64, ctypes.c_int64]
@@ -112,7 +119,7 @@ def _load():
                   up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
                   curvature_floor, max_iterations, iterations)
 
-    return run, info
+    return run, info, lib
 
 
 def _ensure_loaded():
@@ -121,7 +128,7 @@ def _ensure_loaded():
         try:
             _loaded = _load()
         except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
-            _loaded = (None, {"kind": "python"})
+            _loaded = (None, {"kind": "python"}, None)
     return _loaded
 
 
@@ -131,7 +138,16 @@ def smo_loop():
     return _ensure_loaded()[0]
 
 
+def library():
+    """The loaded ``ctypes`` library, or None when the Python loop runs."""
+    return _ensure_loaded()[2]
+
+
 def backend() -> dict:
     """The SMO backend for run manifests: ``{"kind": "c", "compiler": ...,
-    "flags": [...]}`` or ``{"kind": "python"}``."""
-    return dict(_ensure_loaded()[1])
+    "flags": [...], "isa": "avx512f" | "avx2" | "scalar"}`` or
+    ``{"kind": "python"}``."""
+    _, info, lib = _ensure_loaded()
+    if lib is None:
+        return dict(info)
+    return dict(info, isa=ISAS[ctypes.c_int.in_dll(lib, "svdd_smo_level").value])

@@ -59,10 +59,17 @@ class NoPeakFoundError(SvddError):
     """No zero plateau of the required length exists on the sweep grid.
 
     Carries the pointwise zero-mask and the underlying smooth fit so the
-    caller can inspect or export the diagnostics.
+    caller can inspect or export the diagnostics, and the closest
+    near-plateau: ``longest_run`` is the (s_low, s_high) of the longest
+    zero run (None when no point is zero), ``longest_run_length`` its
+    point count, to set against ``min_run``.
     """
 
-    def __init__(self, message, zero_mask=None, fit=None):
+    def __init__(self, message, zero_mask=None, fit=None, longest_run=None,
+                 longest_run_length=0, min_run=None):
         super().__init__(message)
         self.zero_mask = zero_mask
         self.fit = fit
+        self.longest_run = longest_run
+        self.longest_run_length = longest_run_length
+        self.min_run = min_run

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, NumericalError
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
@@ -36,6 +36,11 @@ class KernelSpec:
         if self.kind == GAUSSIAN:
             if self.s is None or not np.isfinite(self.s) or self.s <= 0:
                 raise InputError(f"gaussian bandwidth must be a positive real, got {self.s!r}")
+            # kernel entries divide by -2 s^2: it must neither underflow to
+            # 0 (0/0 on the diagonal) nor overflow
+            if not 0.0 < 2.0 * self.s * self.s < np.inf:
+                raise InputError(f"gaussian bandwidth {self.s!r} is out of range: 2 s^2 "
+                                 "must be a positive finite number")
 
 
 def as_data_matrix(values, min_rows=1, name="X") -> np.ndarray:
@@ -117,11 +122,21 @@ def kernel_matrix_from_sq(sq_dists: np.ndarray, s: float) -> np.ndarray:
 
 
 def kernel_matrix(X, spec: KernelSpec) -> np.ndarray:
-    """Full n-by-n kernel matrix of the rows of X (dense, symmetric)."""
+    """Full n-by-n kernel matrix of the rows of X (dense, symmetric).
+
+    Finite rows can overflow inner products, so a linear matrix with a
+    non-finite entry raises NumericalError. Gaussian entries are exp of a
+    non-positive number or -inf (``KernelSpec`` keeps 2 s^2 positive and
+    finite), so they lie in [0, 1] and go unchecked.
+    """
     X = as_data_matrix(X)
     if spec.kind == LINEAR:
-        K = X @ X.T
-        return (K + K.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = X @ X.T
+            K = (K + K.T) / 2.0
+        if not np.isfinite(K).all():
+            raise NumericalError("the linear kernel matrix overflows: rescale the data")
+        return K
     return kernel_matrix_from_sq(squared_distance_matrix(X), spec.s)
 
 

@@ -188,21 +188,11 @@ def _sweep_curve(s_values, v_star, f: float, n: int) -> ObjectiveCurve:
     return curve
 
 
-def _first_qualifying_run(mask, min_run):
-    """(start, end) indices of the first maximal True run of length >= min_run."""
-    idx = 0
-    n = mask.size
-    while idx < n:
-        if not mask[idx]:
-            idx += 1
-            continue
-        end = idx
-        while end + 1 < n and mask[end + 1]:
-            end += 1
-        if end - idx + 1 >= min_run:
-            return idx, end
-        idx = end + 1
-    return None
+def _zero_runs(mask):
+    """(start, stop) of each maximal True run of ``mask`` in order, stop
+    exclusive."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, np.int8), [0]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def find_peak(
@@ -223,16 +213,28 @@ def find_peak(
         raise InputError("min_run must be at least 1")
     fit = fit_pspline(interior, curve.d2, spline_config or D2_SPLINE_DEFAULT)
     mask = ci_contains_zero(fit)
-    run = _first_qualifying_run(mask, min_run)
+    runs = _zero_runs(mask)
+    run = next(((start, stop) for start, stop in runs if stop - start >= min_run), None)
     if run is None:
+        # the closest near-plateau: the longest run, the first of equal ones
+        longest = max(runs, key=lambda r: r[1] - r[0], default=None)
+        if longest is None:
+            length, s_range, found = 0, None, "no grid point has one"
+        else:
+            length = longest[1] - longest[0]
+            s_range = (float(interior[longest[0]]), float(interior[longest[1] - 1]))
+            found = f"the longest has {length}, at s in [{s_range[0]:g}, {s_range[1]:g}]"
         raise NoPeakFoundError(
-            f"no run of {min_run}+ grid points with a zero-straddling band",
+            f"no run of {min_run}+ grid points with a zero-straddling band; {found}",
             zero_mask=mask,
             fit=fit,
+            longest_run=s_range,
+            longest_run_length=length,
+            min_run=min_run,
         )
-    start, end = run
+    start, stop = run
     s_low = float(interior[start])
-    s_high = float(interior[end])
+    s_high = float(interior[stop - 1])
     return PeakResult(
         s_low=s_low,
         s_high=s_high,

@@ -71,6 +71,20 @@ class TestTrain:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["r_squared"] == 0.0
 
+    def test_overflowing_linear_gram_fails_without_traceback(self, tmp_path):
+        data = tmp_path / "huge.csv"
+        save_dataset(data, np.random.default_rng(0).normal(size=(20, 2)) * 1e160)
+        done = subprocess.run(
+            [sys.executable, "-m", "svddpeak.cli", "train", "--data", str(data),
+             "--kernel", "linear", "--f", "0.1", "--out", str(tmp_path / "model.json")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=_src_dir()),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "overflows" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (tmp_path / "model.json").exists()
+
     def test_banana_fixed_bandwidth(self, banana_csv, tmp_path):
         out = tmp_path / "banana_model.json"
         code = main(["train", "--data", str(banana_csv), "--s", "0.7", "--f", "0.001",
@@ -495,6 +509,10 @@ class TestManifestSmoBackend:
         if backend["kind"] == "c":
             assert backend["flags"] == list(_native.FLAGS)
             assert backend["compiler"]
+            # the pass the library chose for this CPU
+            assert backend["isa"] == _native.ISAS[_native.library().svdd_smo_cpu_level()]
+        else:
+            assert "isa" not in backend
         # score and grid solve nothing and say nothing about it
         for command in ("score", "grid"):
             out = tmp_path / f"{command}.csv"

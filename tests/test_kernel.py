@@ -58,6 +58,10 @@ class TestKernelValue:
             KernelSpec(GAUSSIAN, 0.0)
         with pytest.raises(InputError):
             KernelSpec(GAUSSIAN, -1.0)
+        # 2 s^2 underflows to 0 (a NaN diagonal) or overflows
+        for s in (1e-170, 1e155):
+            with pytest.raises(InputError, match="out of range"):
+                KernelSpec(GAUSSIAN, s)
 
     @given(a=vectors(3), b=vectors(3), s=st.floats(min_value=0.1, max_value=10.0))
     def test_symmetry_and_range(self, a, b, s):

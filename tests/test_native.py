@@ -15,6 +15,8 @@ from svddpeak.errors import ConvergenceError
 from svddpeak.kernel import GAUSSIAN, KernelSpec, kernel_matrix
 from svddpeak.solver import SolverConfig, train
 
+from smo_passes import pinned, supported_passes
+
 
 @pytest.fixture
 def cold_cache(monkeypatch, tmp_path):
@@ -52,12 +54,15 @@ def test_builds_once_then_loads_without_the_compiler(cold_cache, monkeypatch):
     assert backend["kind"] == "c"
     assert backend["flags"] == list(_native.FLAGS)
     assert backend["compiler"]
+    assert backend["isa"] in _native.ISAS
     # one library and its info file, no temporaries left behind
     stem = _native._library_stem()
     assert sorted(p.name for p in cold_cache.iterdir()) == [stem + ".json", stem + ".so"]
-    # a later process loads the cached library and never looks for a compiler
+    # a later process loads the cached library and reports its pass without
+    # looking for a compiler or spawning a process
     monkeypatch.setattr(_native, "_loaded", None)
     monkeypatch.setattr(_native, "_find_compiler", lambda: pytest.fail("compiler looked up"))
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kw: pytest.fail("process spawned"))
     assert _native.smo_loop() is not None
     assert _native.backend() == backend
 
@@ -109,25 +114,25 @@ def test_falls_back_to_the_python_loop_with_the_same_bits(monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [(3, 5), (0, 0), (9, 9), (9, 2)])
+# n = 19: rows 0-15 fill the vector blocks of either width, 16-18 are the tail
+@pytest.mark.parametrize("where", [(3, 5), (0, 0), (9, 9), (9, 2), (17, 17), (18, 6)])
 def test_loops_agree_on_non_finite_gram_entries(bad, where):
-    # numpy picks the first NaN in argmin and argmax; the C loop must too
-    c_loop = _native.smo_loop()
-    if c_loop is None:
+    # numpy picks the first NaN in argmin and argmax; every compiled pass must too
+    compiled = supported_passes()[:-1]
+    if not compiled:
         pytest.skip("no C compiler on this machine")
-    X = np.random.default_rng(1).normal(size=(10, 2))
+    X = np.random.default_rng(1).normal(size=(19, 2))
     K = kernel_matrix(X, KernelSpec(GAUSSIAN, 0.7))
     K[where] = K[where[::-1]] = bad
-    results = []
-    for loop in (None, c_loop):
-        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
-            patch.setattr(_native, "smo_loop", lambda: loop)
+    results = {}
+    for name in ["python"] + compiled:
+        with pinned(name), np.errstate(invalid="ignore"):
             try:
-                alphas, residual, iterations = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(10, 0.1))
+                results[name] = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(19, 1 / 19))
             except ConvergenceError as err:
-                alphas, residual, iterations = err.alphas, err.kkt_residual, err.iterations
-        results.append((alphas, residual, iterations))
-    (a_py, r_py, it_py), (a_c, r_c, it_c) = results
-    assert np.array_equal(a_py, a_c, equal_nan=True)
-    assert r_py == r_c or (math.isnan(r_py) and math.isnan(r_c))
-    assert it_py == it_c
+                results[name] = err.alphas, err.kkt_residual, err.iterations
+    a_py, r_py, it_py = results.pop("python")
+    for name, (alphas, residual, iterations) in results.items():
+        assert np.array_equal(alphas, a_py, equal_nan=True), name
+        assert residual == r_py or (math.isnan(residual) and math.isnan(r_py)), name
+        assert iterations == it_py, name

@@ -1,18 +1,20 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svddpeak import _native, solver
+from svddpeak import solver
 from svddpeak.datagen import LabeledGrid, generate_shape
 from svddpeak.errors import (
     ConvergenceError,
     DegenerateModelError,
     DimensionError,
     InputError,
+    NumericalError,
     UnsupportedOperationError,
 )
 from svddpeak.kernel import (
@@ -44,6 +46,7 @@ from svddpeak.solver import (
 )
 
 from oracles import reference_smo, simplex_grid_max
+from smo_passes import PASSES, pinned, supported_passes
 
 K12 = math.exp(-0.5)
 TWO_POINT_R2 = 0.5 - 0.5 * K12  # analytic optimum of the symmetric pair at s=2
@@ -171,6 +174,16 @@ class TestTrain:
             np.testing.assert_allclose(model.alphas, 1.0 / 20, rtol=0, atol=1e-15)
             assert model.r_squared >= 0.0
 
+    def test_overflowing_linear_gram_is_rejected_before_the_solve(self, rng, monkeypatch):
+        # finite rows whose inner products overflow: the SMO loop once ran
+        # all 100,000 iterations on a NaN gradient
+        X = rng.normal(size=(20, 2)) * 1e160
+        monkeypatch.setattr(solver, "_solve_smo", lambda *args: pytest.fail("SMO ran"))
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="overflows"):
+            train(X, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
+        assert time.perf_counter() - start < 1.0
+
 
 def _assert_same_model(a, b):
     assert np.array_equal(a.alphas, b.alphas)
@@ -210,42 +223,31 @@ class TestTrainPath:
         _assert_same_model(path[2][1], expected)
 
 
-def _inner_loops():
-    """The SMO inner loops to pin: Python always, C wherever it builds."""
-    loops = {"python": None}
-    c_loop = _native.smo_loop()
-    if c_loop is not None:
-        loops["c"] = c_loop
-    return loops
-
-
-def _solve_on(loop, *args):
-    """``solver._solve_smo(*args)`` with the inner loop switched to ``loop``
-    (None: the Python loop)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_native, "smo_loop", lambda: loop)
+def _solve_on(name, *args):
+    """``solver._solve_smo(*args)`` on the inner-loop pass ``name``."""
+    with pinned(name):
         return solver._solve_smo(*args)
 
 
 def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
-    """Every inner loop reproduces the plain reference loop bit for bit."""
+    """Every pass the host runs reproduces the plain reference loop bit for bit."""
     expected = reference_smo(K, C, kkt_tol, max_iterations, alpha0)
-    for name, loop in _inner_loops().items():
-        alphas, residual, iterations = _solve_on(loop, K, C, kkt_tol, max_iterations, alpha0)
+    for name in supported_passes():
+        alphas, residual, iterations = _solve_on(name, K, C, kkt_tol, max_iterations, alpha0)
         assert np.array_equal(alphas, expected[0]), name
         assert residual == expected[1], name
         assert iterations == expected[2], name
     return alphas
 
 
-def _assert_same_failure(K, C, alpha0, kkt_tol, max_iterations, loop):
+def _assert_same_failure(K, C, alpha0, kkt_tol, max_iterations, name):
     with pytest.raises(ConvergenceError) as expected:
         reference_smo(K, C, kkt_tol, max_iterations, alpha0)
     with pytest.raises(ConvergenceError) as err:
-        _solve_on(loop, K, C, kkt_tol, max_iterations, alpha0)
-    assert np.array_equal(err.value.alphas, expected.value.alphas)
-    assert err.value.kkt_residual == expected.value.kkt_residual
-    assert err.value.iterations == expected.value.iterations == max_iterations
+        _solve_on(name, K, C, kkt_tol, max_iterations, alpha0)
+    assert np.array_equal(err.value.alphas, expected.value.alphas), name
+    assert err.value.kkt_residual == expected.value.kkt_residual, name
+    assert err.value.iterations == expected.value.iterations == max_iterations, name
 
 
 class TestSmoMatchesReference:
@@ -292,14 +294,15 @@ class TestSmoMatchesReference:
         n = banana_sq.shape[0]
         K = kernel_matrix_from_sq(banana_sq, 0.3)
         C = SolverConfig(f=0.001).box_bound(n)
-        for loop in _inner_loops().values():
-            _assert_same_failure(K, C, np.full(n, 1.0 / n), 1e-6, 50, loop)
+        for name in supported_passes():
+            _assert_same_failure(K, C, np.full(n, 1.0 / n), 1e-6, 50, name)
 
-    @pytest.mark.parametrize("loop_name", ["c", "python"])
+    @pytest.mark.parametrize("name", PASSES)
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 40),
+        # every tail length of the 4- and 8-lane passes, and several blocks
+        n=st.integers(2, 70),
         integer_rows=st.booleans(),
         near_copies=st.integers(0, 3),
         kind=st.sampled_from([GAUSSIAN, LINEAR]),
@@ -308,11 +311,10 @@ class TestSmoMatchesReference:
         warm=st.booleans(),
         max_iterations=st.one_of(st.integers(1, 40), st.just(20_000)),
     )
-    def test_random_problems(self, loop_name, seed, n, integer_rows, near_copies, kind, s, f,
+    def test_random_problems(self, name, seed, n, integer_rows, near_copies, kind, s, f,
                              warm, max_iterations):
-        loop = _inner_loops().get(loop_name, "missing")
-        if loop == "missing":
-            pytest.skip("the C inner loop cannot be built without a C compiler")
+        if name not in supported_passes():
+            pytest.skip(f"the {name} pass cannot run on this host")
         rng = np.random.default_rng(seed)
         shape = (n, int(rng.integers(1, 4)))
         # integer rows tie many gradient entries exactly; copies shifted by
@@ -333,9 +335,9 @@ class TestSmoMatchesReference:
         try:
             expected = reference_smo(K, C, 1e-6, max_iterations, alpha0)
         except ConvergenceError:
-            _assert_same_failure(K, C, alpha0, 1e-6, max_iterations, loop)
+            _assert_same_failure(K, C, alpha0, 1e-6, max_iterations, name)
             return
-        alphas, residual, iterations = _solve_on(loop, K, C, 1e-6, max_iterations, alpha0)
+        alphas, residual, iterations = _solve_on(name, K, C, 1e-6, max_iterations, alpha0)
         assert np.array_equal(alphas, expected[0])
         assert residual == expected[1]
         assert iterations == expected[2]

@@ -4,8 +4,9 @@ import pytest
 import svddpeak.tuning as tuning
 from svddpeak.datagen import generate_shape
 from svddpeak.errors import InputError, NoPeakFoundError, SweepError
+from svddpeak.kernel import kernel_matrix_from_sq, squared_distance_matrix
 from svddpeak.smoothing import SplineConfig
-from svddpeak.solver import SolverConfig
+from svddpeak.solver import SolverConfig, train_path
 from svddpeak.tuning import (
     BandwidthGrid,
     ObjectiveCurve,
@@ -161,6 +162,28 @@ class TestFindPeak:
             find_peak(curve, NARRATIVE_SPLINE)
         assert err.value.zero_mask is not None
         assert not err.value.zero_mask.any()
+        assert err.value.longest_run is None
+        assert err.value.longest_run_length == 0
+        assert "no grid point has one" in str(err.value)
+
+    def test_no_peak_names_the_longest_near_plateau(self, monkeypatch):
+        interior = LOW_GRID.values()[1:-1]
+        mask = np.zeros(interior.size, dtype=bool)
+        mask[[3, 4]] = True
+        mask[10:14] = True  # the first of two longest runs, min_run - 1 points
+        mask[40:44] = True
+        mask[-1] = True
+        monkeypatch.setattr(tuning, "ci_contains_zero", lambda fit: mask)
+        curve = constructed_curve(alternating(interior.size, 0.05))
+        with pytest.raises(NoPeakFoundError) as err:
+            find_peak(curve, NARRATIVE_SPLINE, min_run=5)
+        assert err.value.min_run == 5
+        assert err.value.longest_run_length == 4
+        assert err.value.longest_run == (interior[10], interior[13])
+        assert f"the longest has 4, at s in [{interior[10]:g}, {interior[13]:g}]" in str(err.value)
+        # one point fewer asked for, the same run is the peak
+        result = find_peak(curve, NARRATIVE_SPLINE, min_run=4)
+        assert result.interval == (interior[10], interior[13])
 
     def test_short_crossing_skipped_by_min_run(self):
         # a steep transversal crossing touches zero on fewer than min_run
@@ -240,3 +263,20 @@ class TestSelectBandwidthPeak:
         monkeypatch.setattr(tuning, "find_peak", never_zero)
         with pytest.raises(NoPeakFoundError):
             select_bandwidth_peak(X, 0.05, BandwidthGrid(0.5, 2.0, 0.1))
+
+
+def test_envelope_theorem_on_warm_sweep(banana):
+    # the box and the simplex do not depend on s, so at each optimum
+    # dV*/ds = -alpha'(dK/ds)alpha = -alpha'(K o D^2)alpha / s^3; the
+    # central difference d1 agrees up to O(h^2), except at active-set
+    # changes, where V* has a kink
+    f = 0.001
+    s_values = LOW_GRID.values()
+    sq = squared_distance_matrix(banana)
+    v_star, exact = [], []
+    for s, model in train_path(banana, s_values, SolverConfig(f=f)):
+        a = model.alphas
+        v_star.append(model.dual_objective)
+        exact.append(-(a @ ((kernel_matrix_from_sq(sq, s) * sq) @ a)) / s**3)
+    gap = np.abs(curve_from_samples(s_values, v_star, f).d1 - np.array(exact[1:-1]))
+    assert np.median(gap) < 1e-5
