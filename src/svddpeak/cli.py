@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,18 +81,55 @@ def read_csv_dataset(path):
 
     A final integer column named 'label' is split off when present. Rows
     are validated; a malformed cell reports its 1-based line number.
+
+    The body of an unlabeled file is parsed in one pass by numpy's C
+    parser. A file it refuses, or whose body is not ``len(header)``
+    columns wide, and every labeled file, is read again by
+    ``_read_csv_rows``, which defines what is accepted and raises every
+    ``ParseError``.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
+        header, width, has_label = _read_header(path, fh)
+        body = None if has_label else _parse_body(fh)
+    if body is None or body.shape[1] != len(header):
+        return _read_csv_rows(path)
+    return header, body, None
+
+
+def _parse_body(fh):
+    """The rest of ``fh`` as a 2-D float array, or None where numpy's
+    parser refuses it."""
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: the row loop gives it its (0, width) shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_header(path, fh):
+    """(header, feature count, has a label column) from the first record."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
+    has_label = bool(header) and header[-1] == "label"
+    width = len(header) - (1 if has_label else 0)
+    if width < 1:
+        raise ParseError(f"{path}: no feature columns in header")
+    return header, width, has_label
+
+
+def _read_csv_rows(path):
+    """``read_csv_dataset`` one cell at a time with Python's ``float`` and
+    ``int``: accepts what they accept (``1_0``, quoted cells) and names
+    the line of the first bad row."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        header, width, has_label = _read_header(path, fh)
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        has_label = bool(header) and header[-1] == "label"
-        width = len(header) - (1 if has_label else 0)
-        if width < 1:
-            raise ParseError(f"{path}: no feature columns in header")
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -304,40 +342,14 @@ def cmd_tune(args) -> int:
     return exit_code
 
 
-def _write_in_blocks(path, header, n_rows, block_rows):
-    """Write ``block_rows(start, stop)`` for ``SCORE_BLOCK_ROWS`` rows at a
-    time, so only one block of formatted cells is held in memory."""
-    block = _solver.SCORE_BLOCK_ROWS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, n_rows, block):
-            writer.writerows(block_rows(start, start + block))
-
-
-def _write_scored(path, header, Z, dist_sq, r_squared, labels):
-    r_sq = _fmt(r_squared)
-
-    def block_rows(start, stop):
-        return (
-            [_fmt(v) for v in row] + [_fmt(d), r_sq, label]
-            for row, d, label in zip(
-                Z[start:stop].tolist(),
-                dist_sq[start:stop].tolist(),
-                labels[start:stop].tolist(),
-            )
-        )
-
-    _write_in_blocks(path, header, Z.shape[0], block_rows)
-
-
 def cmd_score(args) -> int:
     model = _solver.load_model(args.model)
     header, Z, _ = read_csv_dataset(args.data)
     dist_sq = _solver.score_distances(model, Z)
     labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
-    _write_scored(args.out, header + ["dist_sq", "r_sq", "label"], Z, dist_sq,
-                  model.r_squared, labels)
+    _datagen.write_csv_blocks(args.out, header + ["dist_sq", "r_sq", "label"],
+                              [*Z.T, dist_sq, labels],
+                              ["%.12g"] * (Z.shape[1] + 1) + [_fmt(model.r_squared), "%s"])
     _write_manifest(args.out, "score", {"model": str(args.model), "data": str(args.data),
                                         "out": str(args.out)}, [args.model, args.data])
     n_out = int(np.sum(labels == _solver.OUTLIER))
@@ -367,19 +379,9 @@ def cmd_grid(args) -> int:
     spacing = max((x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1))
     near_sv = nearest_distances(lattice, model.support_vectors) <= spacing
 
-    def block_rows(start, stop):
-        return (
-            [_fmt(x), _fmt(y), _fmt(d), label, int(near)]
-            for (x, y), d, label, near in zip(
-                lattice[start:stop].tolist(),
-                dist_sq[start:stop].tolist(),
-                labels[start:stop].tolist(),
-                near_sv[start:stop].tolist(),
-            )
-        )
-
-    _write_in_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
-                     lattice.shape[0], block_rows)
+    _datagen.write_csv_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
+                              [*lattice.T, dist_sq, labels, near_sv],
+                              ["%.12g", "%.12g", "%.12g", "%s", "%d"])
     params = {"model": str(args.model), "resolution": res, "padding": args.padding,
               "data": str(args.data) if args.data else None, "out": str(args.out)}
     _write_manifest(args.out, "grid", params, inputs)

@@ -9,6 +9,9 @@ inclusive inlier rule dist^2 <= R^2).
 All randomness flows through numpy's seedable PCG64 generator
 (``numpy.random.default_rng``), so fixed seeds reproduce byte-identical
 datasets on every platform.
+
+``write_csv_blocks`` is the one writer of large CSV files: datasets
+(``save_dataset``) and the CLI's scored rows and grids.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as _kernel
+from . import solver as _solver
 from .errors import DegenerateInputError, InputError
 from .kernel import as_data_matrix
 
@@ -293,16 +297,33 @@ def save_dataset(path, X, labels=None) -> None:
     """CSV export: header x1..xm plus an optional integer label column."""
     X = as_data_matrix(X)
     header = [f"x{i + 1}" for i in range(X.shape[1])]
+    columns, cell_formats = list(X.T), ["%.12g"] * X.shape[1]
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape[0] != X.shape[0]:
             raise InputError("labels length must match the number of rows")
         header.append("label")
+        columns.append(labels)
+        cell_formats.append("%d")
+    write_csv_blocks(path, header, columns, cell_formats)
+
+
+def write_csv_blocks(path, header, columns, cell_formats) -> None:
+    """Write ``header``, then one line per row of ``columns`` (1-D arrays of
+    one length), cell by cell through ``cell_formats``.
+
+    The bytes are those of ``csv.writer``, which still writes the header
+    (its names may need quoting): cells joined by ``,``, lines ended by
+    ``\\r\\n``. The cells must need no quoting, as numbers and bare words
+    do not. ``"%.12g" % v`` prints a float as ``f"{v:.12g}"`` does and
+    ``"%d" % v`` as ``str(int(v))``; a format with no conversion is a
+    constant cell and takes no column. Rows go out
+    ``solver.SCORE_BLOCK_ROWS`` at a time, each block as one string.
+    """
+    row_format = ",".join(cell_formats) + "\r\n"
+    block = _solver.SCORE_BLOCK_ROWS
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(X.shape[0]):
-            row = [f"{v:.12g}" for v in X[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), block):
+            cells = [c[start:start + block].tolist() for c in columns]
+            fh.write("".join([row_format % row for row in zip(*cells)]))

@@ -14,7 +14,6 @@ grows with s while the weights stay on the simplex), and is bounded by
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -139,6 +138,8 @@ def sweep_objective(
     config = _resolve_config(f, config)
     s_values = grid.values()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             v_star = list(pool.map(partial(_cold_v_star, X, config), s_values, chunksize=4))
     else:

@@ -6,9 +6,12 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svddpeak import _native, cli, solver
 from svddpeak.cli import (
@@ -20,7 +23,7 @@ from svddpeak.cli import (
     read_csv_dataset,
     sample_shuttle_class1,
 )
-from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset
+from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset, write_csv_blocks
 from svddpeak.errors import ParseError
 
 
@@ -254,6 +257,17 @@ class TestScoreAndGrid:
         assert blocked.read_bytes() == whole.read_bytes()
         assert len(read_rows(blocked)) == 1 + resolution * resolution
 
+    def test_score_keeps_a_quoted_header_and_crlf_lines(self, model_path, tmp_path):
+        score_in, out = tmp_path / "quoted.csv", tmp_path / "scored.csv"
+        score_in.write_text('"a,b",c\n0,0\n100,0\n')
+        assert main(["score", "--model", str(model_path), "--data", str(score_in),
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[0] == b'"a,b",c,dist_sq,r_sq,label'
+        assert lines[-1] == b"" and len(lines) == 4
+        assert [line.rsplit(b",", 1)[1] for line in lines[1:3]] == [b"inlier", b"outlier"]
+        assert read_rows(out)[0] == ["a,b", "c", "dist_sq", "r_sq", "label"]
+
     def test_score_never_builds_or_loads_the_smo_library(self, model_path, two_point_csv,
                                                          tmp_path):
         cache = tmp_path / "xdg"
@@ -469,6 +483,16 @@ def test_runtime_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_starts_no_process_pool():
+    # the pool is imported only where --jobs asks for more than one process
+    probe = ("import sys, svddpeak.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=_src_dir())).stdout
+    assert out.strip() == "[]"
+
+
 def test_tune_jobs_two_on_a_cold_cache_writes_jobs_one_bytes(banana_csv, tmp_path):
     # the --jobs 2 workers race to build the SMO library into an empty cache
     cache = tmp_path / "xdg"
@@ -571,3 +595,161 @@ class TestCsvIngestion:
         assert main(["score", "--model", str(tmp_path / "nope.json"),
                      "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+
+    def test_reader_peak_memory(self, tmp_path):
+        # 200,000 x 2 floats are 3.2 MB; the row loop's lists of Python
+        # floats peaked at about 37 MB
+        path = tmp_path / "queries.csv"
+        np.savetxt(path, np.random.default_rng(3).normal(size=(200_000, 2)), fmt="%.12g",
+                   delimiter=",", header="x1,x2", comments="")
+        tracemalloc.start()
+        try:
+            _, X, _ = read_csv_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (200_000, 2)
+        assert peak < 8 * 2**20
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its result, or its error."""
+    try:
+        header, X, labels = read(path)
+    except Exception as exc:  # the row loop also lets csv and numpy errors through
+        return ("error", type(exc), str(exc), getattr(exc, "line_number", None))
+    return ("ok", header, X.dtype, X.shape, X.tobytes(),
+            None if labels is None else (labels.dtype, labels.tobytes()))
+
+
+def _assert_reads_like_the_row_loop(path):
+    """``read_csv_dataset`` accepts what the row loop accepts, with the
+    same bits, and fails where it fails, with the same message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_outcome(read_csv_dataset, path)
+    want = _read_outcome(cli._read_csv_rows, path)
+    assert got == want
+    return got
+
+
+# cells both readers read, and odd cells: ones only Python's float reads,
+# ones nothing reads, and ones a laxer parser would take
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.12g}"),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_CELLS = st.sampled_from([
+    "nan", "-nan", "inf", "-Infinity", "+1", "-0", " 1.5", "2 ", "\t3", "1e5", "1E-5", ".5",
+    "5.", "1_0", '"1"', '"1,2"', "", " ", "#1", "1#2", "abc", "0x10", "1.0", "1 2", "\u0663",
+    "1\x0b", "\x00", "1\x1c", "1\u2028",
+])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header and a body: rows of numbers, rows with one odd cell, short
+    and long rows, blank and whitespace-only lines, mixed line endings."""
+    width = draw(st.integers(1, 3))
+    header = [f"x{i + 1}" for i in range(width)]
+    if draw(st.booleans()):
+        header.append("label")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["odd"] * 2 + ["short", "long", "blank",
+                                                                 "space"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            n = len(header) + {"short": -1, "long": 1}.get(kind, 0)
+            cells = draw(st.lists(_NUMBER_CELLS, min_size=n, max_size=n))
+            if "label" in header and n == len(header) and draw(st.booleans()):
+                cells[-1] = str(draw(st.integers(-5, 5)))
+            if kind == "odd":
+                cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+            lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestBulkReadMatchesRowLoop:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts())
+    def test_property(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_reads_like_the_row_loop(path)
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("x1,x2\n1,2\n \n3,4\n", False),  # whitespace-only line
+        ("x1,x2\n1_0,2\n", True),  # only Python's float reads 1_0
+        ('x1,x2\n"1.5",2\n', True),  # a quoted cell
+        ("x1,x2\n#1,2\n", False),  # no comment lines
+        ("x1,x2\n1,2\n#3,4\n", False),
+        ("x1,x2\n1,2#3\n", False),
+        ("x1,x2\n1,2,\n", False),  # trailing comma
+        ("x1,x2\r\n1,2\r\n3,4\r\n", True),
+        ("x1,x2\nnan,inf\n-Infinity,-nan\n", True),
+        ("\nx1,x2\n1,2\n", False),  # first line blank: no header
+        ("x1,x2\n1,2,3\n", False),  # 3 fields under a 2-field header
+        ("x1,x2,x3\n", True),  # header only: (0, 3), and no loadtxt warning
+        ("x1,x2\n\n\n", True),  # header and blank lines
+        ("x1\n", True),
+        ("x1,x2,label\n1,2,1.0\n", False),  # labels are int(), not float()
+        ("x1,x2,label\n1,2, 1\n3,4,-0\n", True),
+        ("x1,x2\n1,2\r3,4\r", True),
+        ("x1,x2\n1,2\n\n3,4", True),
+        ("x1,x2\n1\n", False),
+    ])
+    def test_fixed_cases(self, tmp_path, text, accepted):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _assert_reads_like_the_row_loop(path)
+        assert (outcome[0] == "ok") == accepted
+
+    def test_refused_file_reports_the_row_loops_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2\n1,2\n\n3,4\n5\n")
+        with pytest.raises(ParseError) as err:
+            read_csv_dataset(path)
+        assert err.value.line_number == 5
+        assert str(err.value) == f"{path}: line 5: expected 2 fields, got 1"
+
+
+# the values where a float's shortest text, its exponent switch or its
+# sign are easiest to get wrong
+_PINNED_FLOATS = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, 0.1 + 0.2, 1.7976931348623157e308,
+                  math.inf]
+
+
+class TestBlockWriter:
+    def test_cell_formats_match_fmt(self):
+        for v in _PINNED_FLOATS + [-v for v in _PINNED_FLOATS] + [math.nan]:
+            assert "%.12g" % v == cli._fmt(v)
+
+    def test_blocks_match_a_per_cell_csv_writer(self, tmp_path, monkeypatch):
+        values = np.array(_PINNED_FLOATS)
+        labels = np.where(np.arange(values.size) % 2 == 0, "inlier", "outlier")
+        flags = np.arange(values.size) % 3 == 0
+        counts = np.arange(values.size) - 4
+        monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 4)
+        blocked = tmp_path / "blocked.csv"
+        write_csv_blocks(blocked, ["a,b", "y", "r", "label", "flag", "count"],
+                         [values, values[::-1], labels, flags, counts],
+                         ["%.12g", "%.12g", cli._fmt(0.1 + 0.2), "%s", "%d", "%d"])
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a,b", "y", "r", "label", "flag", "count"])
+            writer.writerows(
+                [cli._fmt(a), cli._fmt(b), cli._fmt(0.1 + 0.2), label, int(flag), str(int(k))]
+                for a, b, label, flag, k in zip(values, values[::-1], labels, flags, counts)
+            )
+        assert blocked.read_bytes() == reference.read_bytes()
+        assert blocked.read_bytes().startswith(b'"a,b",y,r,label,flag,count\r\n')
