@@ -16,15 +16,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from svddpeak.baselines import select_cv, select_dfn, select_md
-from svddpeak.datagen import SHAPE_KINDS, generate_shape, shape_truth_grid
+from svddpeak.datagen import SHAPE_KINDS, generate_shape, shape_truth_grid, write_csv_blocks
 from svddpeak.errors import NoPeakFoundError, SweepError
 from svddpeak.evaluation import f1_sweep
-from svddpeak.tuning import BandwidthGrid, find_peak
+from svddpeak.tuning import BandwidthGrid
 
 
 def main() -> int:
@@ -47,24 +45,16 @@ def main() -> int:
         dfn = select_dfn(X, grid).s
         sweep = f1_sweep(X, shape_truth_grid(kind, X), grid, args.f)
         try:
-            peak = find_peak(sweep.objective_curve(args.f, X.shape[0]))
-            snapped = float(
-                sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))]
-            )
-            f_rec = sweep.f1_at(snapped)
+            peak, rec, f_rec, ratio = sweep.peak_ratio(args.f, X.shape[0])
             peak_range = f"[{peak.s_low:.2f}, {peak.s_high:.2f}]"
-            rec_txt = f"{snapped:.2f}"
-            ratio = f"{f_rec / sweep.f_best:.3f}"
+            rec_txt, ratio_txt = f"{rec:.2f}", f"{ratio:.3f}"
         except (NoPeakFoundError, SweepError):
-            peak_range, rec_txt, f_rec, ratio = "none", "-", float("nan"), "-"
+            peak_range, rec_txt, f_rec, ratio_txt = "none", "-", float("nan"), "-"
         print(f"{kind:<14} {cv:>6.2f} {md:>7.2f} {dfn:>6.2f} {peak_range:>14} "
-              f"{rec_txt:>6} {f_rec:>8.4f} {sweep.f_best:>8.4f} {ratio:>6}")
+              f"{rec_txt:>6} {f_rec:>8.4f} {sweep.f_best:>8.4f} {ratio_txt:>6}")
         if args.out_dir:
-            path = os.path.join(args.out_dir, f"{kind}_f1_curve.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("s,f1\n")
-                for s, m in zip(sweep.s_values, sweep.metrics):
-                    fh.write(f"{s:.12g},{m.f1:.12g}\n")
+            write_csv_blocks(os.path.join(args.out_dir, f"{kind}_f1_curve.csv"), ["s", "f1"],
+                             [sweep.s_values, sweep.f1_curve()], ["%.12g", "%.12g"])
     return 0
 
 

@@ -5,8 +5,8 @@ directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the
 variable is unset), under a name that hashes all three. The compiler
 writes to a temporary name and ``os.replace`` moves the library into
 place, so concurrent first uses (``--jobs`` workers on a cold cache) are
-safe. The compiler's version is stored next to the library, so later runs
-report it without spawning the compiler.
+safe. The cache holds that one file: the library itself reports the
+compiler that built it (``svdd_smo_compiler``).
 
 Nothing here runs at import. ``smo_loop()`` tries the build once per
 process; when no compiler is found, the compile fails or the cache cannot
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import json
 import os
 import shutil
 import subprocess
@@ -37,7 +36,7 @@ _COMPILE_TIMEOUT_S = 120
 # names of the library's svdd_smo_level values
 ISAS = ("scalar", "avx2", "avx512f")
 
-# (run, backend info, library) once the first solve has asked; None until then
+# (run, library) once the first solve has asked; None until then
 _loaded = None
 
 
@@ -62,52 +61,31 @@ def _library_stem() -> str:
     return "smo-" + digest.hexdigest()[:16]
 
 
-def _replace_from_temp(directory: Path, target: Path, write) -> None:
-    """Call ``write(temp_path)`` on a fresh name in ``directory``, then move it
-    to ``target`` in one step; the temporary file never outlives a failure."""
-    fd, temp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+def _build(directory: Path, library: Path) -> None:
+    """Compile ``SOURCE`` to a fresh name in ``directory``, then move it to
+    ``library`` in one step; the temporary file never outlives a failure."""
+    compiler = _find_compiler()
+    if compiler is None:
+        raise OSError("no C compiler found")
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(dir=directory, prefix=library.name + ".", suffix=".tmp")
     os.close(fd)
     try:
-        write(temp)
-        os.replace(temp, target)
+        subprocess.run([compiler, *FLAGS, "-o", temp, str(SOURCE)], capture_output=True,
+                       timeout=_COMPILE_TIMEOUT_S, check=True)
+        os.replace(temp, library)
     finally:
         if os.path.exists(temp):
             os.unlink(temp)
 
 
-def _build(directory: Path, library: Path, info_path: Path) -> None:
-    compiler = _find_compiler()
-    if compiler is None:
-        raise OSError("no C compiler found")
-    directory.mkdir(parents=True, exist_ok=True)
-    version = subprocess.run([compiler, "--version"], capture_output=True, text=True,
-                             timeout=_COMPILE_TIMEOUT_S, check=True).stdout
-    info = {"kind": "c", "compiler": (version.splitlines() or [compiler])[0],
-            "flags": list(FLAGS)}
-
-    def write_info(temp):
-        with open(temp, "w", encoding="utf-8") as fh:
-            json.dump(info, fh, sort_keys=True)
-
-    def compile_to(temp):
-        subprocess.run([compiler, *FLAGS, "-o", temp, str(SOURCE)], capture_output=True,
-                       timeout=_COMPILE_TIMEOUT_S, check=True)
-
-    # the info file lands first: a library in place always has its info
-    _replace_from_temp(directory, info_path, write_info)
-    _replace_from_temp(directory, library, compile_to)
-
-
 def _load():
     directory = cache_dir()
-    stem = _library_stem()
-    library = directory / (stem + ".so")
-    info_path = directory / (stem + ".json")
+    library = directory / (_library_stem() + ".so")
     if not library.exists():
-        _build(directory, library, info_path)
-    with open(info_path, encoding="utf-8") as fh:
-        info = json.load(fh)
+        _build(directory, library)
     lib = ctypes.CDLL(str(library))
+    lib.svdd_smo_compiler.argtypes, lib.svdd_smo_compiler.restype = [], ctypes.c_char_p
     fn = lib.svdd_smo_run
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
@@ -119,7 +97,7 @@ def _load():
                   up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
                   curvature_floor, max_iterations, iterations)
 
-    return run, info, lib
+    return run, lib
 
 
 def _ensure_loaded():
@@ -128,7 +106,7 @@ def _ensure_loaded():
         try:
             _loaded = _load()
         except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
-            _loaded = (None, {"kind": "python"}, None)
+            _loaded = (None, None)
     return _loaded
 
 
@@ -140,14 +118,15 @@ def smo_loop():
 
 def library():
     """The loaded ``ctypes`` library, or None when the Python loop runs."""
-    return _ensure_loaded()[2]
+    return _ensure_loaded()[1]
 
 
 def backend() -> dict:
     """The SMO backend for run manifests: ``{"kind": "c", "compiler": ...,
     "flags": [...], "isa": "avx512f" | "avx2" | "scalar"}`` or
     ``{"kind": "python"}``."""
-    _, info, lib = _ensure_loaded()
+    lib = library()
     if lib is None:
-        return dict(info)
-    return dict(info, isa=ISAS[ctypes.c_int.in_dll(lib, "svdd_smo_level").value])
+        return {"kind": "python"}
+    return {"kind": "c", "compiler": lib.svdd_smo_compiler().decode(), "flags": list(FLAGS),
+            "isa": ISAS[ctypes.c_int.in_dll(lib, "svdd_smo_level").value]}

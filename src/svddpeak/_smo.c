@@ -55,6 +55,16 @@ int svdd_smo_cpu_level(void)
     return LEVEL_SCALAR;
 }
 
+/* the compiler that built this library, for run manifests */
+const char *svdd_smo_compiler(void)
+{
+#ifdef __clang__
+    return "clang " __clang_version__;
+#else
+    return "gcc " __VERSION__; /* the constructor below needs GNU C anyway */
+#endif
+}
+
 __attribute__((constructor)) static void choose_level(void)
 {
     svdd_smo_level = svdd_smo_cpu_level();

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .kernel import as_data_matrix, squared_distance_matrix
+from .kernel import as_data_matrix, kernel_matrix_from_sq, squared_distance_matrix
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -55,7 +55,7 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
-        k = np.exp(sq / (-2.0 * s * s))
+        k = kernel_matrix_from_sq(sq, s)
         scores[i] = np.var(k) / (np.mean(k) + epsilon)
     best = _argmax_smallest(scores)
     return BaselineResult(method=CV, s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
@@ -91,7 +91,7 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
-        k = np.exp(sq / (-2.0 * s * s))
+        k = kernel_matrix_from_sq(sq, s)
         row_max = np.max(np.where(off_diag, k, -np.inf), axis=1)
         row_min = np.min(np.where(off_diag, k, np.inf), axis=1)
         scores[i] = (2.0 / n) * float(row_max.sum() - row_min.sum())

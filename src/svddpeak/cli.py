@@ -14,10 +14,13 @@ decimal, UTF-8.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -41,6 +44,12 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NO_PEAK = 3
+
+# U+001C-U+001F: numpy's parser strips them as whitespace, Python's float
+# does not; in UTF-8 each byte stands only for its own character
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# a larger read buffer showed up in the peak RSS of small runs (1 MiB: +0.8 MiB)
+_SCAN_CHUNK_BYTES = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -84,16 +93,50 @@ def read_csv_dataset(path):
 
     The body of an unlabeled file is parsed in one pass by numpy's C
     parser. A file it refuses, or whose body is not ``len(header)``
-    columns wide, and every labeled file, is read again by
+    columns wide, every labeled file, and every file holding a byte
+    0x1C-0x1F (which numpy strips and ``float`` refuses), is read again by
     ``_read_csv_rows``, which defines what is accepted and raises every
     ``ParseError``.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         header, width, has_label = _read_header(path, fh)
-        body = None if has_label else _parse_body(fh)
+        body = None if has_label or _holds_separator_bytes(path) else _parse_body(fh)
     if body is None or body.shape[1] != len(header):
         return _read_csv_rows(path)
     return header, body, None
+
+
+@contextlib.contextmanager
+def _open_text(path, newline=None):
+    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
+    ParseError naming its line, wherever the reader meets it."""
+    with open(path, "r", newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw_fh:
+                raw = raw_fh.read()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line_no = len(re.findall(rb"\r\n?|\n", raw[:exc.start])) + 1
+                raise ParseError(f"{path}: line {line_no}: byte 0x{raw[exc.start]:02x} is not "
+                                 f"UTF-8 ({exc.reason})", line_number=line_no) from None
+            raise
+
+
+def _holds_separator_bytes(path) -> bool:
+    with open(path, "rb") as fh:
+        return any(any(sep in chunk for sep in _SEPARATOR_BYTES)
+                   for chunk in iter(lambda: fh.read(_SCAN_CHUNK_BYTES), b""))
+
+
+def _int64(text) -> int:
+    """``int(text)``; ValueError unless it fits a 64-bit integer."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text.strip()!r} does not fit a 64-bit integer")
+    return value
 
 
 def _parse_body(fh):
@@ -127,7 +170,7 @@ def _read_csv_rows(path):
     """``read_csv_dataset`` one cell at a time with Python's ``float`` and
     ``int``: accepts what they accept (``1_0``, quoted cells) and names
     the line of the first bad row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         header, width, has_label = _read_header(path, fh)
         reader = csv.reader(fh)
         rows, labels = [], []
@@ -142,7 +185,7 @@ def _read_csv_rows(path):
             try:
                 rows.append([float(v) for v in row[:width]])
                 if has_label:
-                    labels.append(int(row[-1]))
+                    labels.append(_int64(row[-1]))
             except ValueError as exc:
                 raise ParseError(
                     f"{path}: line {line_no}: {exc}", line_number=line_no
@@ -159,7 +202,7 @@ def ingest_shuttle(path):
     with no header.
     """
     features, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -171,7 +214,7 @@ def ingest_shuttle(path):
                     line_number=line_no,
                 )
             try:
-                values = [int(v) for v in parts]
+                values = [_int64(v) for v in parts]
             except ValueError as exc:
                 raise ParseError(
                     f"{path}: line {line_no}: {exc}", line_number=line_no
@@ -210,6 +253,16 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_records(path, records, kind, header=None):
+    """One row per record of the dataclass ``kind``, its fields in order
+    (and by default their names as the header), floats through ``_fmt``."""
+    names = [f.name for f in dataclasses.fields(kind)]
+    _write_rows(path, header or names, [
+        [_fmt(v) if isinstance(v, float) else v for v in (getattr(r, n) for n in names)]
+        for r in records
+    ])
+
+
 def _curve_rows(curve, fit, mask):
     """Rows for the objective-curve export; derivative columns are blank
     at the two endpoints where central differences are undefined."""
@@ -238,6 +291,33 @@ def _curve_rows(curve, fit, mask):
 CURVE_HEADER = ["s", "v_star", "d1", "d2", "d2_fitted", "ci_lower", "ci_upper", "in_zero_region"]
 
 
+def _select_bandwidth(args, X, method):
+    """(s, report fields, (curve header, curve rows) or None) of one selector
+    on the rows X, as ``tune`` reports it and ``train --tune`` uses it.
+
+    When ``peak`` finds no plateau, s is None, the fields hold the error,
+    and the curve still carries the diagnostics.
+    """
+    grid = _grid_from_args(args)
+    if method == "md":
+        s = _baselines.select_md(X, args.f).s
+        return s, {"s": s, "f": args.f}, None
+    if method != "peak":
+        select = _baselines.select_cv if method == "cv" else _baselines.select_dfn
+        result = select(X, grid)
+        return result.s, {"s": result.s}, (["s", "value"],
+                                           [[_fmt(s), _fmt(v)] for s, v in result.curve])
+    curve = _tuning.sweep_objective(X, args.f, grid, config=_solver_config(args),
+                                    warm_start=False, jobs=args.jobs)
+    try:
+        peak = _tuning.find_peak(curve, min_run=args.min_run)
+    except NoPeakFoundError as exc:
+        return None, {"f": args.f, "s": None, "error": str(exc)}, (
+            CURVE_HEADER, _curve_rows(curve, exc.fit, exc.zero_mask))
+    fields = {"f": args.f, "s": peak.recommended, "s_low": peak.s_low, "s_high": peak.s_high}
+    return peak.recommended, fields, (CURVE_HEADER, _curve_rows(curve, peak.fit, peak.zero_mask))
+
+
 def cmd_train(args) -> int:
     if args.s is None and args.tune is None and args.kernel != LINEAR:
         print("error: provide --s or --tune (a gaussian model needs a bandwidth)",
@@ -248,23 +328,10 @@ def cmd_train(args) -> int:
     tuned = None
     s = args.s
     if s is None and args.tune is not None:
-        grid = _grid_from_args(args)
-        if args.tune == "peak":
-            curve = _tuning.sweep_objective(
-                X, args.f, grid, config=config, warm_start=False, jobs=args.jobs
-            )
-            result = _tuning.find_peak(curve, min_run=args.min_run)
-            s = result.recommended
-            tuned = {"method": "peak", "s_low": result.s_low, "s_high": result.s_high}
-        elif args.tune == "cv":
-            s = _baselines.select_cv(X, grid).s
-            tuned = {"method": "cv"}
-        elif args.tune == "md":
-            s = _baselines.select_md(X, args.f).s
-            tuned = {"method": "md"}
-        else:
-            s = _baselines.select_dfn(X, grid).s
-            tuned = {"method": "dfn"}
+        s, fields, _ = _select_bandwidth(args, X, args.tune)
+        if s is None:
+            raise NoPeakFoundError(fields["error"])
+        tuned = {"method": args.tune, **{k: fields[k] for k in ("s_low", "s_high") if k in fields}}
     spec = KernelSpec(kind=args.kernel, s=s if args.kernel == GAUSSIAN else None)
     model = _solver.train(X, spec, config)
     model.save(args.out)
@@ -287,59 +354,27 @@ def cmd_train(args) -> int:
 def cmd_tune(args) -> int:
     _, X, _ = read_csv_dataset(args.data)
     grid = _grid_from_args(args)
-    curve_path = args.curve or (os.path.splitext(str(args.out))[0] + "_curve.csv")
+    s, fields, curve = _select_bandwidth(args, X, args.method)
     report = {
         "method": args.method,
         "data": str(args.data),
         "grid": {"s_min": grid.s_min, "s_max": grid.s_max, "step": grid.step},
+        **fields,
     }
-    exit_code = EXIT_OK
-    if args.method == "peak":
-        config = _solver_config(args)
-        curve = _tuning.sweep_objective(
-            X, args.f, grid, config=config, warm_start=False, jobs=args.jobs
-        )
-        report["f"] = args.f
-        try:
-            result = _tuning.find_peak(curve, min_run=args.min_run)
-            fit, mask = result.fit, result.zero_mask
-            report.update(
-                {
-                    "s": result.recommended,
-                    "s_low": result.s_low,
-                    "s_high": result.s_high,
-                }
-            )
-        except NoPeakFoundError as exc:
-            fit, mask = exc.fit, exc.zero_mask
-            report.update({"error": str(exc), "s": None})
-            exit_code = EXIT_NO_PEAK
-        _write_rows(curve_path, CURVE_HEADER, _curve_rows(curve, fit, mask))
-    elif args.method == "md":
-        result = _baselines.select_md(X, args.f)
-        report.update({"s": result.s, "f": args.f})
-        curve_path = None
-    else:
-        select = _baselines.select_cv if args.method == "cv" else _baselines.select_dfn
-        result = select(X, grid)
-        report["s"] = result.s
-        _write_rows(
-            curve_path,
-            ["s", "value"],
-            [[_fmt(s), _fmt(v)] for s, v in result.curve],
-        )
-    if curve_path:
+    if curve:
+        curve_path = args.curve or (os.path.splitext(str(args.out))[0] + "_curve.csv")
+        _write_rows(curve_path, *curve)
         report["curve_csv"] = str(curve_path)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(args.out, "tune", report, [args.data], solves=True)
-    if exit_code == EXIT_OK:
-        print(f"method={args.method} selected s={_fmt(report['s'])} -> {args.out}")
-    else:
+    if s is None:
         print(f"method={args.method}: no zero plateau found; diagnostics in {curve_path}",
               file=sys.stderr)
-    return exit_code
+        return EXIT_NO_PEAK
+    print(f"method={args.method} selected s={_fmt(s)} -> {args.out}")
+    return EXIT_OK
 
 
 def cmd_score(args) -> int:
@@ -407,43 +442,25 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         f=args.f,
         min_run=args.min_run,
+        solver_config=_solver_config(args),
         jobs=args.jobs,
     )
     report_path = os.path.join(args.out_dir, "polygon_study.csv")
-    _write_rows(
-        report_path,
-        ["vertex_count", "polygon_index", "seed", "s_peak_low", "s_peak_high",
-         "s_recommended", "f_peak", "s_best", "f_best", "ratio"],
-        [
-            [r.vertex_count, r.polygon_index, r.seed, _fmt(r.s_peak_low),
-             _fmt(r.s_peak_high), _fmt(r.s_recommended), _fmt(r.f_peak),
-             _fmt(r.s_best), _fmt(r.f_best), _fmt(r.ratio)]
-            for r in report.rows
-        ],
-    )
-    summary_path = os.path.join(args.out_dir, "polygon_study_summary.csv")
-    _write_rows(
-        summary_path,
-        ["vertex_count", "min", "q1", "median", "q3", "max", "mean"],
-        [
-            [s.vertex_count, _fmt(s.minimum), _fmt(s.q1), _fmt(s.median),
-             _fmt(s.q3), _fmt(s.maximum), _fmt(s.mean)]
-            for s in report.summaries
-        ],
-    )
+    _write_records(report_path, report.rows, _evaluation.StudyRow)
+    _write_records(os.path.join(args.out_dir, "polygon_study_summary.csv"), report.summaries,
+                   _evaluation.StudySummary,
+                   header=["vertex_count", "min", "q1", "median", "q3", "max", "mean"])
     if report.failures:
         failures_path = os.path.join(args.out_dir, "polygon_study_failures.csv")
-        _write_rows(
-            failures_path,
-            ["vertex_count", "polygon_index", "seed", "error"],
-            [[fl.vertex_count, fl.polygon_index, fl.seed, fl.error] for fl in report.failures],
-        )
+        _write_records(failures_path, report.failures, _evaluation.StudyFailure)
         print(f"{len(report.failures)} polygon(s) failed; see {failures_path}", file=sys.stderr)
     params = {
         "vertex_counts": vertex_counts,
         "polygons_per_count": per_count,
         "samples": args.samples,
         "f": args.f,
+        "kkt_tol": args.kkt_tol,
+        "max_iterations": args.max_iterations,
         "grid": {"s_min": grid.s_min, "s_max": grid.s_max, "step": grid.step},
         "out_dir": str(args.out_dir),
     }

@@ -9,6 +9,7 @@ sweeps stay aggregable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -147,6 +148,17 @@ class F1SweepResult:
             )
         return _sweep_curve(self.s_values, self.v_star, f, n)
 
+    def peak_ratio(self, f: float, n: int, spline_config: SplineConfig | None = None,
+                   min_run: int = DEFAULT_MIN_RUN):
+        """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
+        V*(s) (else SweepError or NoPeakFoundError), its midpoint snapped to the
+        grid, its F1, and that over the best F1 (at most 1; 0 when the best is 0)."""
+        peak = find_peak(self.objective_curve(f, n), spline_config=spline_config,
+                         min_run=min_run)
+        snapped = float(self.s_values[int(np.argmin(np.abs(self.s_values - peak.recommended)))])
+        f_peak = self.f1_at(snapped)
+        return peak, snapped, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
+
 
 def f1_sweep(
     train_X,
@@ -250,21 +262,19 @@ def _polygon_seed(master_seed, vertex_count, index) -> int:
     return master_seed * 100_000 + vertex_count * 100 + index
 
 
-def _polygon_task(task):
-    """One polygon's full pipeline; module-level so worker pools can pickle it."""
-    (vc, idx, seed, sample_size, grid, f, r_min, r_max, resolution,
-     spline_config, min_run, solver_config) = task
+def _polygon_task(key, *, sample_size, grid, f, r_min, r_max, resolution, spline_config,
+                  min_run, solver_config):
+    """One polygon's full pipeline; ``key`` is (vertex_count, index, seed).
+    Module-level so worker pools can pickle it."""
+    vc, idx, seed = key
     polygon = generate_polygon(PolygonConfig(k=vc, r_min=r_min, r_max=r_max, seed=seed))
     X = sample_interior(polygon, sample_size, seed + 50_000)
     labeled = make_labeled_grid(polygon, resolution)
     try:
         # one solve per bandwidth gives both V*(s) and the lattice F1
         sweep = f1_sweep(X, labeled, grid, f, config=solver_config)
-        curve = sweep.objective_curve(f, X.shape[0])
-        peak = find_peak(curve, spline_config=spline_config, min_run=min_run)
-        snapped = float(sweep.s_values[int(np.argmin(np.abs(sweep.s_values - peak.recommended)))])
-        f_peak = sweep.f1_at(snapped)
-        ratio = f_peak / sweep.f_best if sweep.f_best > 0 else 0.0
+        peak, snapped, f_peak, ratio = sweep.peak_ratio(
+            f, X.shape[0], spline_config=spline_config, min_run=min_run)
     except SvddError as exc:
         return StudyFailure(vertex_count=vc, polygon_index=idx, seed=seed, error=str(exc))
     return StudyRow(
@@ -311,31 +321,18 @@ def polygon_study(
     process pool, and the report does not depend on the worker count.
     """
     grid = grid or BandwidthGrid.low_dimensional()
-    tasks = [
-        (
-            vc,
-            idx,
-            _polygon_seed(master_seed, vc, idx),
-            sample_size,
-            grid,
-            f,
-            r_min,
-            r_max,
-            resolution,
-            spline_config,
-            min_run,
-            solver_config,
-        )
-        for vc in vertex_counts
-        for idx in range(polygons_per_count)
-    ]
+    task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
+                   r_max=r_max, resolution=resolution, spline_config=spline_config,
+                   min_run=min_run, solver_config=solver_config)
+    keys = [(vc, idx, _polygon_seed(master_seed, vc, idx))
+            for vc in vertex_counts for idx in range(polygons_per_count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_polygon_task, tasks))
+            outcomes = list(pool.map(task, keys))
     else:
-        outcomes = list(map(_polygon_task, tasks))
+        outcomes = list(map(task, keys))
     rows = [o for o in outcomes if isinstance(o, StudyRow)]
     failures = [o for o in outcomes if isinstance(o, StudyFailure)]
     summaries = []

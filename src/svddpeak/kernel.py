@@ -75,8 +75,7 @@ def kernel_value(a, b, spec: KernelSpec) -> float:
         raise DimensionError(f"vectors have different dimensions {a.shape[0]} and {b.shape[0]}")
     if spec.kind == LINEAR:
         return float(a @ b)
-    sq = float(squared_distances(a[None, :], b[None, :])[0, 0])
-    return float(np.exp(-sq / (2.0 * spec.s * spec.s)))
+    return float(_gaussian(squared_distances(a[None, :], b[None, :]), spec.s)[0, 0])
 
 
 def squared_distances(A, B) -> np.ndarray:
@@ -104,6 +103,13 @@ def nearest_distances(points, targets) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _gaussian(sq, s, out=None) -> np.ndarray:
+    """exp(sq / (-2 s^2)) elementwise, the one place the Gaussian kernel is
+    computed: into ``out`` (``sq`` itself may be given), else a new array."""
+    K = np.divide(sq, -2.0 * s * s, out=out)
+    return np.exp(K, out=K)
+
+
 def squared_distance_matrix(X) -> np.ndarray:
     """All pairwise squared Euclidean distances, zero diagonal."""
     X = as_data_matrix(X)
@@ -117,8 +123,7 @@ def kernel_matrix_from_sq(sq_dists: np.ndarray, s: float) -> np.ndarray:
     is exactly 1 because the diagonal of ``sq_dists`` is exactly 0. The
     result is the one array allocated; ``sq_dists`` is left unchanged.
     """
-    K = np.divide(sq_dists, -2.0 * s * s)
-    return np.exp(K, out=K)
+    return _gaussian(sq_dists, s)
 
 
 def kernel_matrix(X, spec: KernelSpec) -> np.ndarray:
@@ -151,5 +156,4 @@ def cross_kernel(Z, X, spec: KernelSpec) -> np.ndarray:
     if spec.kind == LINEAR:
         return Z @ X.T
     K = squared_distances(Z, X)
-    np.divide(K, -2.0 * spec.s * spec.s, out=K)
-    return np.exp(K, out=K)
+    return _gaussian(K, spec.s, out=K)

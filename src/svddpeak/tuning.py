@@ -114,9 +114,10 @@ def _v_star(s, result) -> float:
     return result.dual_objective
 
 
-def _cold_v_star(X, config, s) -> float:
-    """One cold solve at s; a process-pool task."""
-    return _v_star(*next(_solver.train_path(X, [s], config, warm_start=False)))
+def _path_v_star(X, config, warm_start, s_values) -> list:
+    """V* along one ``train_path`` over ``s_values``; a process-pool task."""
+    path = _solver.train_path(X, s_values, config, warm_start=warm_start)
+    return [_v_star(s, result) for s, result in path]
 
 
 def sweep_objective(
@@ -130,9 +131,10 @@ def sweep_objective(
     """Train across the bandwidth grid and record V*(s) with derivatives.
 
     The solves run along ``solver.train_path``; with ``warm_start`` each
-    starts from the previous solution. With jobs > 1 every solve is
-    independent (cold start), so the curve does not depend on the worker
-    count.
+    starts from the previous solution. With jobs > 1 the grid is cut into
+    ``jobs`` chunks, each one cold-started path in a process pool: a cold
+    solve starts from the uniform point in any chunk, so the curve does
+    not depend on the worker count.
     """
     X = as_data_matrix(X)
     config = _resolve_config(f, config)
@@ -141,10 +143,11 @@ def sweep_objective(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            v_star = list(pool.map(partial(_cold_v_star, X, config), s_values, chunksize=4))
+            chunks = pool.map(partial(_path_v_star, X, config, False),
+                              np.array_split(s_values, jobs))
+            v_star = [v for chunk in chunks for v in chunk]
     else:
-        path = _solver.train_path(X, s_values, config, warm_start=warm_start)
-        v_star = [_v_star(s, result) for s, result in path]
+        v_star = _path_v_star(X, config, warm_start, s_values)
     return _sweep_curve(s_values, v_star, f, X.shape[0])
 
 

@@ -185,6 +185,38 @@ class TestTune:
         assert len(read_rows(report["curve_csv"])) == 1 + 26
 
 
+class TestTrainTune:
+    @pytest.mark.parametrize("method", ["peak", "cv", "md", "dfn"])
+    def test_records_the_bandwidth_tune_reports(self, banana_csv, tmp_path, method):
+        report_path, model_path = tmp_path / "report.json", tmp_path / "model.json"
+        assert main(["tune", "--data", str(banana_csv), "--method", method,
+                     "--out", str(report_path)]) == EXIT_OK
+        assert main(["train", "--data", str(banana_csv), "--tune", method,
+                     "--out", str(model_path)]) == EXIT_OK
+        report = json.loads(report_path.read_text())
+        parameters = json.loads((tmp_path / "model.json.manifest.json").read_text())["parameters"]
+        assert json.loads(model_path.read_text())["s"] == parameters["s"] == report["s"]
+        tuned = {"method": method}
+        if method == "peak":
+            tuned.update(s_low=report["s_low"], s_high=report["s_high"])
+        assert parameters["tuned"] == tuned
+
+    def test_no_plateau_exits_three_from_tune_and_train(self, banana_csv, tmp_path, capsys):
+        flags = ["--data", str(banana_csv), "--s-max", "0.6"]
+        report_path, model_path = tmp_path / "report.json", tmp_path / "model.json"
+        assert main(["tune", "--method", "peak", *flags,
+                     "--out", str(report_path)]) == EXIT_NO_PEAK
+        tune_err = capsys.readouterr().err
+        assert main(["train", "--tune", "peak", *flags,
+                     "--out", str(model_path)]) == EXIT_NO_PEAK
+        report = json.loads(report_path.read_text())
+        assert report["s"] is None
+        assert tune_err == ("method=peak: no zero plateau found; diagnostics in "
+                            f"{tmp_path / 'report_curve.csv'}\n")
+        assert capsys.readouterr().err == f"error: {report['error']}\n"
+        assert not model_path.exists()
+
+
 class TestScoreAndGrid:
     @pytest.fixture
     def model_path(self, two_point_csv, tmp_path):
@@ -390,6 +422,21 @@ class TestSimulate:
         assert len(read_rows(out_dir / "polygon_study.csv")) == 1
 
 
+    def test_solver_flags_reach_the_study(self, tmp_path):
+        # 50 SMO iterations fail every solve, so the polygon is a failure row
+        out_dir = tmp_path / "study"
+        code = main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                     "--seed", "7", "--kkt-tol", "1e-5", "--max-iterations", "50",
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        assert read_rows(out_dir / "polygon_study_failures.csv")[1] == [
+            "5", "0", "700500", "every bandwidth in the labeled sweep failed"]
+        assert len(read_rows(out_dir / "polygon_study.csv")) == 1
+        manifest = json.loads((out_dir / "polygon_study.csv.manifest.json").read_text())
+        assert manifest["parameters"]["kkt_tol"] == 1e-5
+        assert manifest["parameters"]["max_iterations"] == 50
+
+
 class TestShapes:
     def test_banana_roundtrip(self, tmp_path):
         out = tmp_path / "banana.csv"
@@ -511,7 +558,7 @@ def test_tune_jobs_two_on_a_cold_cache_writes_jobs_one_bytes(banana_csv, tmp_pat
     assert outputs["2"] == outputs["1"]
     if _native._find_compiler() is not None:
         assert outputs["2"][2]["kind"] == "c"
-        assert sorted(p.suffix for p in (cache / "svddpeak").iterdir()) == [".json", ".so"]
+        assert sorted(p.suffix for p in (cache / "svddpeak").iterdir()) == [".so"]
 
 
 class TestManifestSmoBackend:
@@ -612,6 +659,47 @@ class TestCsvIngestion:
         assert peak < 8 * 2**20
 
 
+class TestUnreadableInputs:
+    """Bytes that are not UTF-8 and integers beyond 64 bits end in an
+    ``error:`` line that names the line, and exit 2."""
+
+    @pytest.fixture
+    def model_path(self, two_point_csv, tmp_path):
+        out = tmp_path / "model.json"
+        main(["train", "--data", str(two_point_csv), "--s", "2", "--f", "0.1", "--out", str(out)])
+        return out
+
+    @pytest.mark.parametrize("body, line, message", [
+        (b"x1,x2\n1,2\n3,4\xe9\n", 3, "byte 0xe9 is not UTF-8"),
+        (b"x\xe91,x2\n1,2\n", 1, "byte 0xe9 is not UTF-8"),
+        # past the first block a text reader decodes
+        (b"x1,x2\r\n" + b"1,2\r\n" * 3000 + b"3,\xff4\r\n", 3002, "byte 0xff is not UTF-8"),
+        (b"x1,x2,label\n1,2,1\n3,4,99999999999999999999\n", 3,
+         "'99999999999999999999' does not fit a 64-bit integer"),
+    ], ids=["not-utf8", "not-utf8-header", "not-utf8-late", "label-overflow"])
+    def test_score(self, model_path, tmp_path, capsys, body, line, message):
+        data = tmp_path / "data.csv"
+        data.write_bytes(body)
+        out = tmp_path / "out.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(data),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: line {line}: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second_row, message", [
+        (b"1 2 3 4 5 6 7 \xe9 9 1\n", "byte 0xe9 is not UTF-8"),
+        (b"1 2 3 4 5 6 7 8 9 99999999999999999999\n",
+         "'99999999999999999999' does not fit a 64-bit integer"),
+    ], ids=["not-utf8", "class-overflow"])
+    def test_shuttle(self, tmp_path, capsys, second_row, message):
+        path = tmp_path / "shuttle.trn"
+        path.write_bytes(b"1 2 3 4 5 6 7 8 9 1\n" + second_row)
+        assert main(["shuttle", "--path", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: ") and message in err
+
+
 def _read_outcome(read, path):
     """What a reader makes of a file: its result, or its error."""
     try:
@@ -706,6 +794,9 @@ class TestBulkReadMatchesRowLoop:
         ("x1,x2\n1,2\r3,4\r", True),
         ("x1,x2\n1,2\n\n3,4", True),
         ("x1,x2\n1\n", False),
+        # numpy's parser strips U+001C-U+001F, Python's float does not
+        ("x1\n1\x1c\n", False),
+        ("x1\n\x1f1\n", False),
     ])
     def test_fixed_cases(self, tmp_path, text, accepted):
         path = tmp_path / "data.csv"

@@ -129,6 +129,17 @@ class TestF1Sweep:
         assert result.f_best == 0.0
         assert all(m.f1 == 0.0 for m in result.metrics)
 
+    def test_peak_ratio_is_zero_when_every_f1_is(self):
+        # no scoring point is inside, so every F1 is 0: the ratio is 0, not 0/0
+        X = generate_shape("banana", n=80, seed=11)
+        result = f1_sweep(X, (X, np.zeros(80, dtype=bool)), BandwidthGrid(0.05, 4.0, 0.05),
+                          f=0.001)
+        peak, s_recommended, f_peak, ratio = result.peak_ratio(0.001, 80)
+        assert result.f_best == 0.0
+        assert (f_peak, ratio) == (0.0, 0.0)
+        assert s_recommended in result.s_values.tolist()
+        assert peak.s_low <= s_recommended <= peak.s_high
+
     def test_off_grid_lookup_rejected(self):
         X = sample_interior(UNIT_SQUARE, 40, seed=2)
         labels = np.ones(40, dtype=bool)

@@ -55,9 +55,9 @@ def test_builds_once_then_loads_without_the_compiler(cold_cache, monkeypatch):
     assert backend["flags"] == list(_native.FLAGS)
     assert backend["compiler"]
     assert backend["isa"] in _native.ISAS
-    # one library and its info file, no temporaries left behind
+    # one library, no temporaries left behind
     stem = _native._library_stem()
-    assert sorted(p.name for p in cold_cache.iterdir()) == [stem + ".json", stem + ".so"]
+    assert sorted(p.name for p in cold_cache.iterdir()) == [stem + ".so"]
     # a later process loads the cached library and reports its pass without
     # looking for a compiler or spawning a process
     monkeypatch.setattr(_native, "_loaded", None)
@@ -65,6 +65,25 @@ def test_builds_once_then_loads_without_the_compiler(cold_cache, monkeypatch):
     monkeypatch.setattr(subprocess, "run", lambda *args, **kw: pytest.fail("process spawned"))
     assert _native.smo_loop() is not None
     assert _native.backend() == backend
+
+
+def test_a_cache_holding_only_the_library_runs_the_compiled_loop(cold_cache, monkeypatch,
+                                                                 tmp_path):
+    if _native._find_compiler() is None:
+        pytest.skip("no C compiler on this machine")
+    assert _native.smo_loop() is not None
+    backend = _native.backend()
+    assert backend["compiler"].split()[0] in ("gcc", "clang")
+    name = _native._library_stem() + ".so"
+    other = tmp_path / "other" / "svddpeak"
+    other.mkdir(parents=True)
+    (other / name).write_bytes((cold_cache / name).read_bytes())
+    monkeypatch.setenv("XDG_CACHE_HOME", str(other.parent))
+    monkeypatch.setattr(_native, "_loaded", None)
+    monkeypatch.setattr(_native, "_find_compiler", lambda: pytest.fail("compiler looked up"))
+    assert _native.smo_loop() is not None
+    assert _native.backend() == backend
+    assert [p.name for p in other.iterdir()] == [name]
 
 
 def test_concurrent_first_builds_leave_one_library(tmp_path):
@@ -79,7 +98,7 @@ def test_concurrent_first_builds_leave_one_library(tmp_path):
     outputs = [builder.communicate(timeout=120)[0] for builder in builders]
     assert [builder.returncode for builder in builders] == [0] * 4
     assert outputs == ["True c\n"] * 4
-    assert sorted(p.suffix for p in (tmp_path / "svddpeak").iterdir()) == [".json", ".so"]
+    assert sorted(p.suffix for p in (tmp_path / "svddpeak").iterdir()) == [".so"]
 
 
 def _no_compiler(monkeypatch, cache):
