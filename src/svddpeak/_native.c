@@ -1,4 +1,8 @@
-/* Inner loop of maximal-violating-pair SMO for the SVDD dual.
+/* The compiled library of svddpeak, built on first use by ``_native.py``.
+ * It exports two functions: ``svdd_smo_run``, the SMO inner loop, and
+ * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``.
+ *
+ * Inner loop of maximal-violating-pair SMO for the SVDD dual.
  *
  * The compiled twin of ``solver._run_python``: from the current state it
  * takes pairwise steps until the maximal violation is at most kkt_tol or
@@ -26,6 +30,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 /* numpy's argmin and argmax rule: replace when not (v >= best), resp. not
@@ -256,4 +261,225 @@ int64_t svdd_smo_run(const double *K, const double *diag, double *alpha, double 
         iterations++;
     }
     return iterations;
+}
+
+/* ------------------------------------------------------------------------
+ * CSV rows for ``datagen.write_csv_blocks``, byte for byte as its Python
+ * twin, ``datagen._python_blocks``, writes them.
+ *
+ * A row is n_cols cells joined by ',' and ended by "\r\n". A float cell is
+ * Python's "%.12g" % x; a code cell is an entry of a table of text that
+ * Python formatted.
+ *
+ * A float cell's 12 significant digits come from one of two places. The
+ * fast path scales |x| by an exact power of ten, 10^k with |k| <= 22, so
+ * that y = |x| 10^k lies in [1e11, 1e12): one rounding, so y is within
+ * half an ulp (2^-14 there) of the exact product. When the fraction of y
+ * lies more than 2e-3 from .5, the exact product rounds to the same
+ * integer as y, and that integer is the correctly rounded significand.
+ * Every other value (|k| > 22, subnormals, a fraction near .5 where the
+ * exact product may be a tie or round the other way) is printed exactly by
+ * the C library's "%.11e", which rounds ties to even as Python does. Both
+ * feed one layout, %g's: fixed notation for decimal exponents -4 to 11,
+ * else d.ddde+XX, trailing zeros dropped. -0.0 is "-0", infinities are
+ * "inf" and "-inf", and NaN is "nan" whatever its sign (glibc would print
+ * "-nan"), as Python writes them. The decimal point is '.' whatever the
+ * C locale.
+ */
+
+/* a table cell comes from Python; a float cell is at most 19 bytes
+ * ("-1.23456789012e-308"), and callers size ``out`` for this many */
+#define FLOAT_CELL_BYTES 24
+
+enum { CELL_FLOAT, CELL_CODE };
+
+static const double POW10[23] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+static const char DIGIT_PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+static void put_pair(char *p, unsigned v)
+{
+    memcpy(p, DIGIT_PAIRS + 2 * v, 2);
+}
+
+static void put_six(char *p, unsigned v)
+{
+    put_pair(p, v / 10000);
+    put_pair(p + 2, v / 100 % 100);
+    put_pair(p + 4, v % 100);
+}
+
+static double scaled(double v, int k)
+{
+    return k >= 0 ? v * POW10[k] : v / POW10[-k];
+}
+
+/* The 12 digits and decimal exponent of v (finite, > 0) by the fast path;
+ * 0 when it cannot vouch for them */
+static int fast_digits(double v, char *digits, int *exponent)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const int biased = (int)(bits >> 52);
+    if (biased == 0)
+        return 0; /* subnormal */
+    /* 10^(11 - k) <= 2^(biased - 1023) <= v, so y >= 1e11, and y < 2e12 */
+    int k = 11 - (int)floor((biased - 1023) * 0.30102999566398120);
+    if (k < -22 || k > 22)
+        return 0;
+    double y = scaled(v, k);
+    if (y >= 1e12) {
+        if (--k < -22)
+            return 0;
+        y = scaled(v, k);
+    }
+    const double whole = floor(y);
+    const double frac = y - whole;
+    if (fabs(frac - 0.5) <= 2e-3)
+        return 0;
+    uint64_t n = (uint64_t)whole + (frac > 0.5);
+    int e = 11 - k;
+    if (n == 1000000000000u) {
+        n = 100000000000u;
+        e++;
+    }
+    if (n < 100000000000u || n >= 1000000000000u)
+        return 0;
+    put_six(digits, (unsigned)(n / 1000000));
+    put_six(digits + 6, (unsigned)(n % 1000000));
+    *exponent = e;
+    return 1;
+}
+
+/* The 12 digits and decimal exponent of v (finite, > 0), exactly rounded
+ * by the C library */
+static int exact_digits(double v, char *digits)
+{
+    char text[32];
+    const char *s = text;
+    int e = 0, negative;
+
+    snprintf(text, sizeof text, "%.11e", v);
+    digits[0] = *s++;
+    while (*s < '0' || *s > '9')
+        s++; /* the locale's decimal point */
+    memcpy(digits + 1, s, 11);
+    s += 12; /* past the digits and the 'e' */
+    negative = *s++ == '-';
+    while (*s)
+        e = 10 * e + (*s++ - '0');
+    return negative ? -e : e;
+}
+
+/* "%g" of 0.d1..d12 x 10^(exponent + 1), d1 nonzero, at 12 digits */
+static char *lay_out(char *p, const char *digits, int exponent)
+{
+    int len = 12;
+    while (digits[len - 1] == '0')
+        len--;
+    if (exponent >= -4 && exponent < 12) {
+        const int whole = exponent + 1;
+        if (whole > 0) {
+            memcpy(p, digits, whole);
+            p += whole;
+            if (len > whole) {
+                *p++ = '.';
+                memcpy(p, digits + whole, len - whole);
+                p += len - whole;
+            }
+        } else {
+            memcpy(p, "0.000", 2 - whole); /* "0." and -whole zeros */
+            p += 2 - whole;
+            memcpy(p, digits, len);
+            p += len;
+        }
+        return p;
+    }
+    *p++ = digits[0];
+    if (len > 1) {
+        *p++ = '.';
+        memcpy(p, digits + 1, len - 1);
+        p += len - 1;
+    }
+    *p++ = 'e';
+    *p++ = exponent < 0 ? '-' : '+';
+    unsigned magnitude = exponent < 0 ? -exponent : exponent;
+    if (magnitude >= 100) {
+        *p++ = (char)('0' + magnitude / 100);
+        magnitude %= 100;
+    }
+    put_pair(p, magnitude);
+    return p + 2;
+}
+
+static char *put_float(char *p, double x)
+{
+    char digits[12];
+    int exponent;
+
+    if (x != x) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (signbit(x)) {
+        *p++ = '-';
+        x = -x;
+    }
+    if (x == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+    if (x == INFINITY) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (!fast_digits(x, digits, &exponent))
+        exponent = exact_digits(x, digits);
+    return lay_out(p, digits, exponent);
+}
+
+/* Rows start..stop-1 into out; returns the bytes written, or -1 when out
+ * (capacity bytes) cannot hold them. Column c's cell of row i is at
+ * columns[c] + i * strides[c]: a double when kinds[c] is CELL_FLOAT, else
+ * an int32 code e, which stands for table[table_at[e] .. table_at[e + 1]).
+ * The caller checks the codes. */
+int64_t svdd_csv_rows(int64_t start, int64_t stop, int64_t n_cols, const char *const *columns,
+                      const int64_t *strides, const int32_t *kinds, const char *table,
+                      const int64_t *table_at, char *out, int64_t capacity)
+{
+    char *p = out;
+    const char *const end = out + capacity;
+    int64_t i, c;
+
+    if (n_cols < 1)
+        return -1;
+    for (i = start; i < stop; i++) {
+        for (c = 0; c < n_cols; c++) {
+            const char *cell = columns[c] + i * strides[c];
+            if (kinds[c] == CELL_FLOAT) {
+                double x;
+                if (end - p < FLOAT_CELL_BYTES + 2)
+                    return -1;
+                memcpy(&x, cell, sizeof x);
+                p = put_float(p, x);
+            } else {
+                int32_t code;
+                memcpy(&code, cell, sizeof code);
+                const int64_t len = table_at[code + 1] - table_at[code];
+                if (end - p < len + 2)
+                    return -1;
+                memcpy(p, table + table_at[code], len);
+                p += len;
+            }
+            *p++ = ',';
+        }
+        p[-1] = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
 }

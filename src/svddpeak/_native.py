@@ -1,6 +1,14 @@
-"""The compiled SMO inner loop: built on first use, loaded with ctypes.
+"""The compiled library: built on first use, loaded with ctypes.
 
-``_smo.c`` is compiled once per source, flags and platform into the cache
+``_native.c`` exports two functions, each with a Python twin that gives
+the same result where the library cannot be had:
+
+- ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
+  reached through ``smo_loop()``;
+- ``svdd_csv_rows``, the CSV cell writer (twin:
+  ``datagen._python_blocks``), reached through ``csv_blocks()``.
+
+The source is compiled once per source, flags and platform into the cache
 directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the
 variable is unset), under a name that hashes all three. The compiler
 writes to a temporary name and ``os.replace`` moves the library into
@@ -8,13 +16,13 @@ place, so concurrent first uses (``--jobs`` workers on a cold cache) are
 safe. The cache holds that one file: the library itself reports the
 compiler that built it (``svdd_smo_compiler``).
 
-Nothing here runs at import. ``smo_loop()`` tries the build once per
-process; when no compiler is found, the compile fails or the cache cannot
-be written, it returns None and the solver runs its Python loop, which
-gives the same bits.
+Nothing here runs at import. The first command that needs the library
+tries the build, once per process; when no compiler is found, the compile
+fails or the cache cannot be written, both accessors return None and the
+twins run.
 
-The library picks its pass over n when it is loaded: AVX-512F, AVX2 or
-scalar, the best the CPU supports (``svdd_smo_level``). The flags stay
+The library picks its SMO pass over n when it is loaded: AVX-512F, AVX2
+or scalar, the best the CPU supports (``svdd_smo_level``). The flags stay
 portable, so one cached library serves any x86-64 CPU.
 """
 
@@ -22,21 +30,24 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_smo.c")
+SOURCE = Path(__file__).with_name("_native.c")
 # -ffp-contract=off: no fused multiply-add, so every rounding is numpy's
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 _COMPILE_TIMEOUT_S = 120
 # names of the library's svdd_smo_level values
 ISAS = ("scalar", "avx2", "avx512f")
+# svdd_csv_rows's bound on the bytes of one float cell (FLOAT_CELL_BYTES)
+FLOAT_CELL_BYTES = 24
 
-# (run, library) once the first solve has asked; None until then
+# (smo loop, csv blocks, library) once the first user has asked; None until then
 _loaded = None
 
 
@@ -58,7 +69,7 @@ def _library_stem() -> str:
 
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update("\0".join(FLAGS + (sysconfig.get_platform(),)).encode())
-    return "smo-" + digest.hexdigest()[:16]
+    return "svddpeak-" + digest.hexdigest()[:16]
 
 
 def _build(directory: Path, library: Path) -> None:
@@ -86,18 +97,43 @@ def _load():
         _build(directory, library)
     lib = ctypes.CDLL(str(library))
     lib.svdd_smo_compiler.argtypes, lib.svdd_smo_compiler.restype = [], ctypes.c_char_p
-    fn = lib.svdd_smo_run
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
+    smo = lib.svdd_smo_run
+    smo.restype = ctypes.c_int64
+    smo.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
         ctypes.c_int64, ctypes.c_int64]
+    rows = lib.svdd_csv_rows
+    rows.restype = ctypes.c_int64
+    rows.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6 + [ctypes.c_int64]
 
     def run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
-        return fn(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
-                  up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
-                  curvature_floor, max_iterations, iterations)
+        return smo(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
+                   up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
+                   curvature_floor, max_iterations, iterations)
 
-    return run, lib
+    def blocks(cells, table, n_rows, block_rows):
+        n = len(cells)
+        columns = (ctypes.c_void_p * n)(*[c.ctypes.data for c in cells])
+        strides = (ctypes.c_int64 * n)(*[c.strides[0] for c in cells])
+        floats = [c.dtype.kind == "f" for c in cells]
+        kinds = (ctypes.c_int32 * n)(*[0 if f else 1 for f in floats])
+        entries = [t.encode("utf-8") for t in table]
+        table_at = (ctypes.c_int64 * (len(entries) + 1))(
+            0, *itertools.accumulate(len(e) for e in entries))
+        widest = max(map(len, entries), default=0)
+        row_bytes = sum(FLOAT_CELL_BYTES if f else widest for f in floats) + n + 1
+        capacity = min(block_rows, n_rows) * row_bytes
+        out = ctypes.create_string_buffer(capacity)
+        text = memoryview(out).cast("B")
+        table_bytes = b"".join(entries)
+        for start in range(0, n_rows, block_rows):
+            written = rows(start, min(start + block_rows, n_rows), n, columns, strides, kinds,
+                           table_bytes, table_at, out, capacity)
+            if written < 0:
+                raise RuntimeError("svdd_csv_rows: a block outgrew its buffer")
+            yield text[:written]
+
+    return run, blocks, lib
 
 
 def _ensure_loaded():
@@ -106,7 +142,7 @@ def _ensure_loaded():
         try:
             _loaded = _load()
         except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
-            _loaded = (None, None)
+            _loaded = (None, None, None)
     return _loaded
 
 
@@ -116,9 +152,16 @@ def smo_loop():
     return _ensure_loaded()[0]
 
 
-def library():
-    """The loaded ``ctypes`` library, or None when the Python loop runs."""
+def csv_blocks():
+    """The compiled row writer, with ``datagen._python_blocks``'s signature,
+    or None when it cannot be built or loaded. Each block it yields is a
+    view of one buffer, valid until the next block is asked for."""
     return _ensure_loaded()[1]
+
+
+def library():
+    """The loaded ``ctypes`` library, or None when the twins run."""
+    return _ensure_loaded()[2]
 
 
 def backend() -> dict:

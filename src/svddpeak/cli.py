@@ -99,7 +99,7 @@ def read_csv_dataset(path):
     ``ParseError``.
     """
     with _open_text(path, newline="") as fh:
-        header, width, has_label = _read_header(path, fh)
+        header, width, has_label = _read_header(path, csv.reader(fh))
         body = None if has_label or _holds_separator_bytes(path) else _parse_body(fh)
     if body is None or body.shape[1] != len(header):
         return _read_csv_rows(path)
@@ -151,9 +151,9 @@ def _parse_body(fh):
         return None
 
 
-def _read_header(path, fh):
-    """(header, feature count, has a label column) from the first record."""
-    reader = csv.reader(fh)
+def _read_header(path, reader):
+    """(header, feature count, has a label column) from the first record
+    of the ``csv.reader``."""
     try:
         header = next(reader)
     except StopIteration:
@@ -169,12 +169,13 @@ def _read_header(path, fh):
 def _read_csv_rows(path):
     """``read_csv_dataset`` one cell at a time with Python's ``float`` and
     ``int``: accepts what they accept (``1_0``, quoted cells) and names
-    the line of the first bad row."""
+    the physical line on which the first bad row ends."""
     with _open_text(path, newline="") as fh:
-        header, width, has_label = _read_header(path, fh)
         reader = csv.reader(fh)
+        header, width, has_label = _read_header(path, reader)
         rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -377,17 +378,22 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
+def _labels(outlier):
+    """The label column of ``score`` and ``grid`` from the outlier mask."""
+    return _datagen.Coded(outlier, (_solver.INLIER, _solver.OUTLIER))
+
+
 def cmd_score(args) -> int:
     model = _solver.load_model(args.model)
     header, Z, _ = read_csv_dataset(args.data)
     dist_sq = _solver.score_distances(model, Z)
-    labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
+    outlier = dist_sq > model.r_squared
     _datagen.write_csv_blocks(args.out, header + ["dist_sq", "r_sq", "label"],
-                              [*Z.T, dist_sq, labels],
+                              [*Z.T, dist_sq, _labels(outlier)],
                               ["%.12g"] * (Z.shape[1] + 1) + [_fmt(model.r_squared), "%s"])
     _write_manifest(args.out, "score", {"model": str(args.model), "data": str(args.data),
                                         "out": str(args.out)}, [args.model, args.data])
-    n_out = int(np.sum(labels == _solver.OUTLIER))
+    n_out = int(np.count_nonzero(outlier))
     print(f"scored {Z.shape[0]} rows ({n_out} outliers) -> {args.out}")
     return EXIT_OK
 
@@ -408,19 +414,19 @@ def cmd_grid(args) -> int:
     grid = _datagen.labeled_grid_over(P, resolution=(res, res), padding=args.padding)
     lattice = grid.points
     dist_sq = _solver.score_lattice(model, grid.xs, grid.ys)
-    labels = np.where(dist_sq > model.r_squared, _solver.OUTLIER, _solver.INLIER)
+    outlier = dist_sq > model.r_squared
     # plot-ready marker: a support vector sits within one lattice spacing
     x_lo, x_hi, y_lo, y_hi = grid.bounds
     spacing = max((x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1))
     near_sv = nearest_distances(lattice, model.support_vectors) <= spacing
 
     _datagen.write_csv_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
-                              [*lattice.T, dist_sq, labels, near_sv],
+                              [*lattice.T, dist_sq, _labels(outlier), near_sv],
                               ["%.12g", "%.12g", "%.12g", "%s", "%d"])
     params = {"model": str(args.model), "resolution": res, "padding": args.padding,
               "data": str(args.data) if args.data else None, "out": str(args.out)}
     _write_manifest(args.out, "grid", params, inputs)
-    n_in = int(np.sum(labels == _solver.INLIER))
+    n_in = lattice.shape[0] - int(np.count_nonzero(outlier))
     print(f"grid {res}x{res}: {n_in} inlier cells of {lattice.shape[0]} -> {args.out}")
     return EXIT_OK
 

@@ -11,17 +11,24 @@ All randomness flows through numpy's seedable PCG64 generator
 datasets on every platform.
 
 ``write_csv_blocks`` is the one writer of large CSV files: datasets
-(``save_dataset``) and the CLI's scored rows and grids.
+(``save_dataset``) and the CLI's scored rows and grids. Its ``%.12g``
+cells are written by the compiled library (``_native``), byte for byte as
+Python's ``%`` writes them, and every other cell is text that Python
+formats once per distinct value; where the library cannot be built, the
+per-row ``%`` loop (``_python_blocks``) writes the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from . import kernel as _kernel
 from . import solver as _solver
 from .errors import DegenerateInputError, InputError
@@ -308,9 +315,18 @@ def save_dataset(path, X, labels=None) -> None:
     write_csv_blocks(path, header, columns, cell_formats)
 
 
+class Coded(NamedTuple):
+    """A ``write_csv_blocks`` column given as integer ``codes`` into
+    ``values``: row i holds ``values[codes[i]]``."""
+
+    codes: np.ndarray
+    values: tuple
+
+
 def write_csv_blocks(path, header, columns, cell_formats) -> None:
     """Write ``header``, then one line per row of ``columns`` (1-D arrays of
-    one length), cell by cell through ``cell_formats``.
+    one length, or ``Coded`` columns), cell by cell through
+    ``cell_formats``.
 
     The bytes are those of ``csv.writer``, which still writes the header
     (its names may need quoting): cells joined by ``,``, lines ended by
@@ -319,11 +335,66 @@ def write_csv_blocks(path, header, columns, cell_formats) -> None:
     ``"%d" % v`` as ``str(int(v))``; a format with no conversion is a
     constant cell and takes no column. Rows go out
     ``solver.SCORE_BLOCK_ROWS`` at a time, each block as one string.
+
+    The ``%.12g`` cells are written by the compiled library when it loads
+    (``_native.csv_blocks``), else by ``_python_blocks``; every other cell
+    is formatted once per distinct value, by its own ``%``.
     """
-    row_format = ",".join(cell_formats) + "\r\n"
-    block = _solver.SCORE_BLOCK_ROWS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), block):
-            cells = [c[start:start + block].tolist() for c in columns]
-            fh.write("".join([row_format % row for row in zip(*cells)]))
+    first = columns[0]
+    n_rows = len(first.codes if isinstance(first, Coded) else first)
+    cells, table = _cells(columns, cell_formats, n_rows)
+    blocks = _native.csv_blocks() or _python_blocks
+    line = io.StringIO(newline="")
+    csv.writer(line).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(line.getvalue().encode("utf-8"))
+        for text in blocks(cells, table, n_rows, _solver.SCORE_BLOCK_ROWS):
+            fh.write(text)
+
+
+def _cells(columns, cell_formats, n_rows):
+    """(cells, table) for the row writers: one array of ``n_rows`` per cell,
+    float64 for a ``%.12g`` cell, else int32 codes into ``table``, whose
+    entries are each distinct value's text, formatted once by the cell's
+    ``%``."""
+    cells, table, columns = [], [], iter(columns)
+    for fmt in cell_formats:
+        if fmt == "%.12g":
+            cells.append(np.asarray(next(columns), dtype=np.float64))
+        elif "%" in fmt.replace("%%", ""):
+            values, codes = _distinct(next(columns))
+            cells.append(np.asarray(codes, dtype=np.int32) + len(table))
+            table.extend(fmt % v for v in values)
+        else:  # a constant cell
+            cells.append(np.broadcast_to(np.int32(len(table)), (n_rows,)))
+            table.append(fmt % ())
+        if cells[-1].shape != (n_rows,):
+            raise InputError(f"columns must be 1-D with {n_rows} rows, got {cells[-1].shape}")
+    return cells, table
+
+
+def _distinct(column):
+    """(values, codes) with ``values[codes[i]]`` the value of row i; floats
+    are told apart by their bits, so -0.0 keeps its sign."""
+    if isinstance(column, Coded):
+        codes = np.asarray(column.codes)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(column.values)):
+            raise InputError(f"codes must index {len(column.values)} values")
+        return list(column.values), codes
+    column = np.asarray(column)
+    bits = column.dtype.kind == "f" and column.itemsize in (2, 4, 8)
+    keys = column.view(f"u{column.itemsize}") if bits else column
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    return column[first].tolist(), codes
+
+
+def _python_blocks(cells, table, n_rows, block_rows):
+    """The per-row ``%`` loop that writes the compiled writer's bytes where
+    the library cannot be built: each block as one UTF-8 string."""
+    row_format = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in cells) + "\r\n"
+    texts = np.array(table, dtype=object)
+    for start in range(0, n_rows, block_rows):
+        stop = start + block_rows
+        columns = [(c[start:stop] if c.dtype.kind == "f" else texts[c[start:stop]]).tolist()
+                   for c in cells]
+        yield "".join([row_format % row for row in zip(*columns)]).encode("utf-8")

@@ -193,7 +193,7 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
     accepted, so drift cannot produce a falsely converged result.
 
     The pairwise steps run in an inner loop with two implementations of
-    one contract: the compiled ``_smo.c`` (built on first use, see
+    one contract: the compiled ``_native.c`` (built on first use, see
     ``_native``) and ``_run_python``. Both give the same bits; the Python
     loop runs when the library cannot be built or ``K`` is not a square
     C-contiguous float64 matrix.
@@ -236,7 +236,7 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_flo
                 max_iterations, iterations):
     """Take SMO steps in place until the maximal violation is at most
     ``kkt_tol`` or ``iterations`` reaches ``max_iterations``; returns
-    ``iterations``. The numpy twin of ``svdd_smo_run`` in ``_smo.c``.
+    ``iterations``. The numpy twin of ``svdd_smo_run`` in ``_native.c``.
 
     Per iteration numpy overhead is kept small without changing a single
     rounding of the plain formulation (columns ``K[:, i]``, masks rebuilt

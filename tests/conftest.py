@@ -11,7 +11,7 @@ if str(SRC) not in sys.path:
 
 @pytest.fixture(scope="session", autouse=True)
 def _session_build_cache(tmp_path_factory):
-    """Build the compiled SMO loop into a cache of this test session, not the
+    """Build the compiled library into a cache of this test session, not the
     user's ``~/.cache``; subprocesses inherit it."""
     patch = pytest.MonkeyPatch()
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))

@@ -1,6 +1,7 @@
-"""Pin the SMO inner loop to one pass, so tests can hold every pass to the
-reference: a compiled pass through the library's exported
-``svdd_smo_level``, or the Python loop."""
+"""Pin the compiled library's functions to one path, so tests can hold
+every path to the reference: the SMO inner loop to a compiled pass
+(through the library's exported ``svdd_smo_level``) or the Python loop,
+and the CSV row writer to the compiled writer or its Python twin."""
 
 import contextlib
 import ctypes
@@ -38,3 +39,25 @@ def pinned(name):
         yield
     finally:
         level.value = saved
+
+
+# the CSV row writers: svdd_csv_rows and datagen._python_blocks
+WRITERS = ("compiled", "python")
+
+
+def supported_writers() -> list:
+    """The row writers this host can run: the compiled one when the library
+    builds, then the Python twin."""
+    return (["compiled"] if _native.csv_blocks() is not None else []) + ["python"]
+
+
+@contextlib.contextmanager
+def pinned_writer(name):
+    """Write CSV rows with writer ``name``; skip the test when the host
+    lacks it."""
+    if name not in supported_writers():
+        pytest.skip(f"the {name} writer cannot run on this host")
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "python":
+            patch.setattr(_native, "csv_blocks", lambda: None)
+        yield

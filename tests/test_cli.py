@@ -26,6 +26,8 @@ from svddpeak.cli import (
 from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset, write_csv_blocks
 from svddpeak.errors import ParseError
 
+from native_paths import WRITERS, pinned_writer, supported_writers
+
 
 @pytest.fixture
 def two_point_csv(tmp_path):
@@ -300,21 +302,36 @@ class TestScoreAndGrid:
         assert [line.rsplit(b",", 1)[1] for line in lines[1:3]] == [b"inlier", b"outlier"]
         assert read_rows(out)[0] == ["a,b", "c", "dist_sq", "r_sq", "label"]
 
-    def test_score_never_builds_or_loads_the_smo_library(self, model_path, two_point_csv,
-                                                         tmp_path):
+    def test_score_builds_the_library_and_writes_the_twins_bytes(self, model_path, banana_csv,
+                                                                 tmp_path, monkeypatch):
+        # a fresh interpreter on an empty cache builds the library on first use
         cache = tmp_path / "xdg"
-        probe = ("import sys, svddpeak.cli as cli, svddpeak._native as native; "
-                 "code = cli.main(['score', '--model', sys.argv[1], '--data', sys.argv[2], "
-                 "'--out', sys.argv[3]]); "
-                 "print(code, native._loaded is None)")
-        out = subprocess.run(
-            [sys.executable, "-c", probe, str(model_path), str(two_point_csv),
-             str(tmp_path / "scored.csv")],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=_src_dir(), XDG_CACHE_HOME=str(cache)),
-        ).stdout
-        assert out.splitlines()[-1] == f"{EXIT_OK} True"
-        assert not cache.exists()
+        compiled = tmp_path / "compiled.csv"
+        subprocess.run([sys.executable, "-m", "svddpeak.cli", "score", "--model", str(model_path),
+                        "--data", str(banana_csv), "--out", str(compiled)],
+                       capture_output=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=_src_dir(), XDG_CACHE_HOME=str(cache)))
+        if _native._find_compiler() is not None:
+            assert [p.suffix for p in (cache / "svddpeak").iterdir()] == [".so"]
+        # with no compiler to be found, the Python twin writes the same bytes
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        monkeypatch.setattr(_native, "_loaded", None)
+        monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+        twin = tmp_path / "twin.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(banana_csv),
+                     "--out", str(twin)]) == EXIT_OK
+        assert _native.csv_blocks() is None
+        assert twin.read_bytes() == compiled.read_bytes()
+        assert {row[-1] for row in read_rows(twin)[1:]} == {"inlier", "outlier"}
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_header_only_input_writes_only_the_header(self, model_path, tmp_path, writer):
+        empty, out = tmp_path / "empty.csv", tmp_path / "scored.csv"
+        empty.write_text("x1,x2\n")
+        with pinned_writer(writer):
+            assert main(["score", "--model", str(model_path), "--data", str(empty),
+                         "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == b"x1,x2,dist_sq,r_sq,label\r\n"
 
     def test_score_dimension_mismatch_usage_error(self, model_path, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -628,6 +645,17 @@ class TestCsvIngestion:
             read_csv_dataset(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("tail", ["3,x\n", "3,4\xe9\n"])
+    def test_errors_after_a_multi_line_cell_name_the_physical_line(self, tmp_path, tail):
+        # the quoted cell spans lines 2 and 3; the bad row is line 4, for the
+        # row loop as for the not-UTF-8 check
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b'x1,x2\n"1\n",2\n' + tail.encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            read_csv_dataset(path)
+        assert err.value.line_number == 4
+        assert str(err.value).startswith(f"{path}: line 4: ")
+
     @pytest.mark.parametrize("text", ['{"format_version": 1, "kernel_kind": "gaussian"}\n',
                                       "this is not JSON\n"])
     def test_malformed_model_file_is_usage_error(self, tmp_path, two_point_csv, capsys, text):
@@ -830,10 +858,13 @@ class TestBlockWriter:
         flags = np.arange(values.size) % 3 == 0
         counts = np.arange(values.size) - 4
         monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 4)
-        blocked = tmp_path / "blocked.csv"
-        write_csv_blocks(blocked, ["a,b", "y", "r", "label", "flag", "count"],
-                         [values, values[::-1], labels, flags, counts],
-                         ["%.12g", "%.12g", cli._fmt(0.1 + 0.2), "%s", "%d", "%d"])
+        written = {}
+        for writer in supported_writers():
+            written[writer] = tmp_path / f"{writer}.csv"
+            with pinned_writer(writer):
+                write_csv_blocks(written[writer], ["a,b", "y", "r", "label", "flag", "count"],
+                                 [values, values[::-1], labels, flags, counts],
+                                 ["%.12g", "%.12g", cli._fmt(0.1 + 0.2), "%s", "%d", "%d"])
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -842,5 +873,15 @@ class TestBlockWriter:
                 [cli._fmt(a), cli._fmt(b), cli._fmt(0.1 + 0.2), label, int(flag), str(int(k))]
                 for a, b, label, flag, k in zip(values, values[::-1], labels, flags, counts)
             )
-        assert blocked.read_bytes() == reference.read_bytes()
-        assert blocked.read_bytes().startswith(b'"a,b",y,r,label,flag,count\r\n')
+        for blocked in written.values():
+            assert blocked.read_bytes() == reference.read_bytes()
+            assert blocked.read_bytes().startswith(b'"a,b",y,r,label,flag,count\r\n')
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_float_cells_under_other_formats_keep_their_sign(self, tmp_path, writer):
+        # such cells are formatted once per distinct value: -0.0 is not 0.0
+        values = np.array([0.0, -0.0, 0.0, -0.0])
+        out = tmp_path / "signed.csv"
+        with pinned_writer(writer):
+            write_csv_blocks(out, ["s", "f"], [values, values], ["%s", "%.1f"])
+        assert out.read_bytes() == b"s,f\r\n0.0,0.0\r\n-0.0,-0.0\r\n0.0,0.0\r\n-0.0,-0.0\r\n"

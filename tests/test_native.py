@@ -1,4 +1,4 @@
-"""Build, load and fallback of the compiled SMO inner loop (``_native``)."""
+"""Build, load and fallback of the compiled library (``_native``)."""
 
 import math
 import os
@@ -15,7 +15,7 @@ from svddpeak.errors import ConvergenceError
 from svddpeak.kernel import GAUSSIAN, KernelSpec, kernel_matrix
 from svddpeak.solver import SolverConfig, train
 
-from smo_passes import pinned, supported_passes
+from native_paths import pinned, supported_passes
 
 
 @pytest.fixture
@@ -99,6 +99,31 @@ def test_concurrent_first_builds_leave_one_library(tmp_path):
     assert [builder.returncode for builder in builders] == [0] * 4
     assert outputs == ["True c\n"] * 4
     assert sorted(p.suffix for p in (tmp_path / "svddpeak").iterdir()) == [".so"]
+
+
+def test_every_compiled_source_is_packaged_and_hashed(monkeypatch, tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    commands = []
+    monkeypatch.setattr(_native, "_find_compiler", lambda: "cc")
+    monkeypatch.setattr(subprocess, "run", lambda command, **kw: commands.append(command))
+    _native._build(tmp_path, tmp_path / "library.so")
+    sources = [pathlib.Path(arg) for arg in commands[0] if arg.endswith(".c")]
+    assert sources
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        packaged = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["svddpeak"]
+    stem = _native._library_stem()
+    read_bytes = pathlib.Path.read_bytes
+    for source in sources:
+        # installed next to _native.py, as the wheel's package data
+        assert source.parent == pathlib.Path(_native.__file__).parent
+        assert source.name in packaged
+        assert source.is_file()
+        # an edit to the source names a new library
+        monkeypatch.setattr(pathlib.Path, "read_bytes",
+                            lambda path: read_bytes(path) + (b"\n" if path == source else b""))
+        assert _native._library_stem() != stem
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
 
 
 def _no_compiler(monkeypatch, cache):

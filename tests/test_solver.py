@@ -46,7 +46,7 @@ from svddpeak.solver import (
 )
 
 from oracles import reference_smo, simplex_grid_max
-from smo_passes import PASSES, pinned, supported_passes
+from native_paths import PASSES, pinned, supported_passes
 
 K12 = math.exp(-0.5)
 TWO_POINT_R2 = 0.5 - 0.5 * K12  # analytic optimum of the symmetric pair at s=2
