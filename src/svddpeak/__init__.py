@@ -9,7 +9,6 @@ from .datagen import (
     generate_polygon,
     generate_shape,
     make_labeled_grid,
-    point_in_polygon,
     sample_interior,
 )
 from .evaluation import (
@@ -22,18 +21,15 @@ from .evaluation import (
     polygon_study,
     score_grid,
 )
-from .kernel import GAUSSIAN, LINEAR, KernelSpec, kernel_matrix, kernel_value
-from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline, select_lambda
+from .kernel import GAUSSIAN, LINEAR, KernelSpec, kernel_matrix
+from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import (
     PositionReport,
     SolverConfig,
     SvddModel,
     classify,
-    compute_center,
-    compute_threshold,
     load_model,
     position_report,
-    score_distance,
     score_distances,
     score_lattice,
     train,
@@ -73,30 +69,24 @@ __all__ = [
     "__version__",
     "ci_contains_zero",
     "classify",
-    "compute_center",
     "compute_metrics",
-    "compute_threshold",
     "f1_sweep",
     "find_peak",
     "fit_pspline",
     "generate_polygon",
     "generate_shape",
     "kernel_matrix",
-    "kernel_value",
     "load_model",
     "make_labeled_grid",
-    "point_in_polygon",
     "polygon_study",
     "position_report",
     "sample_interior",
-    "score_distance",
     "score_distances",
     "score_grid",
     "score_lattice",
     "select_bandwidth_peak",
     "select_cv",
     "select_dfn",
-    "select_lambda",
     "select_md",
     "sweep_objective",
     "train",

@@ -328,7 +328,7 @@ def cmd_train(args) -> int:
     config = _solver_config(args)
     tuned = None
     s = args.s
-    if s is None and args.tune is not None:
+    if args.tune is not None:
         s, fields, _ = _select_bandwidth(args, X, args.tune)
         if s is None:
             raise NoPeakFoundError(fields["error"])
@@ -437,7 +437,7 @@ def cmd_simulate(args) -> int:
         vertex_counts = list(range(5, 31))
         per_count = 20
     else:
-        vertex_counts = [int(v) for v in args.vertices.split(",")]
+        vertex_counts = args.vertices
         per_count = args.per_count
     grid = _grid_from_args(args)
     report = _evaluation.polygon_study(
@@ -527,6 +527,15 @@ def positive_int(text) -> int:
     return value
 
 
+def int_list(text) -> list:
+    """Comma-separated integers, as ``--vertices`` takes them."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_solver_flags(p):
     p.add_argument("--f", type=float, default=0.001, help="expected outlier fraction")
     p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-6)
@@ -543,9 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it as JSON")
     p.add_argument("--data", required=True)
-    p.add_argument("--s", type=float, default=None, help="Gaussian bandwidth")
-    p.add_argument("--tune", choices=["peak", "cv", "md", "dfn"], default=None,
-                   help="select the bandwidth first (alternative to --s)")
+    bandwidth = p.add_mutually_exclusive_group()
+    bandwidth.add_argument("--s", type=float, default=None, help="Gaussian bandwidth")
+    bandwidth.add_argument("--tune", choices=["peak", "cv", "md", "dfn"], default=None,
+                           help="select the bandwidth first (alternative to --s)")
     p.add_argument("--kernel", choices=[GAUSSIAN, LINEAR], default=GAUSSIAN)
     _add_solver_flags(p)
     _add_grid_flags(p)
@@ -581,8 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("simulate", help="random-polygon F1-ratio study")
-    p.add_argument("--vertices", default="5,10,15", help="comma-separated vertex counts")
-    p.add_argument("--per-count", dest="per_count", type=int, default=5)
+    p.add_argument("--vertices", type=int_list, default="5,10,15",
+                   help="comma-separated vertex counts")
+    p.add_argument("--per-count", dest="per_count", type=positive_int, default=5)
     p.add_argument("--samples", type=int, default=600)
     p.add_argument("--full", action="store_true",
                    help="paper-scale run: vertices 5..30, 20 polygons each")

@@ -184,10 +184,6 @@ def points_in_polygon(points, poly: Polygon) -> np.ndarray:
     return inside | on_edge
 
 
-def point_in_polygon(p, poly: Polygon) -> bool:
-    return bool(points_in_polygon(np.asarray(p, dtype=float).reshape(1, 2), poly)[0])
-
-
 def sample_interior(poly: Polygon, count: int, seed: int) -> np.ndarray:
     """Uniform interior points by bounding-box rejection, fixed seed."""
     if count < 1:
@@ -258,6 +254,8 @@ def generate_shape(kind: str, n: int | None = None, noise: float | None = None, 
     if n < 1:
         raise InputError("n must be at least 1")
     noise = SHAPE_NOISE[kind] if noise is None else float(noise)
+    if not 0.0 <= noise < np.inf:
+        raise InputError(f"noise must be a finite non-negative number, got {noise!r}")
     rng = np.random.default_rng(seed)
     if kind == BANANA:
         t = rng.uniform(-3.0, 3.0, n)

@@ -35,16 +35,8 @@ class ConvergenceError(SvddError):
         self.iterations = iterations
 
 
-class DegenerateModelError(SvddError):
-    """A fitted model lacks the structure an operation requires."""
-
-
 class NumericalError(SvddError):
     """A numerical routine failed or produced an inconsistent result."""
-
-
-class UnsupportedOperationError(SvddError):
-    """Operation is undefined for this model configuration."""
 
 
 class SweepError(SvddError):

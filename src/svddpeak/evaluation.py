@@ -23,7 +23,6 @@ from .datagen import (
 )
 from .errors import DimensionError, InputError, SvddError, SweepError
 from .kernel import as_data_matrix
-from .smoothing import SplineConfig
 from .solver import SolverConfig, SvddModel
 from .tuning import (
     DEFAULT_MIN_RUN,
@@ -148,13 +147,11 @@ class F1SweepResult:
             )
         return _sweep_curve(self.s_values, self.v_star, f, n)
 
-    def peak_ratio(self, f: float, n: int, spline_config: SplineConfig | None = None,
-                   min_run: int = DEFAULT_MIN_RUN):
+    def peak_ratio(self, f: float, n: int, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
         V*(s) (else SweepError or NoPeakFoundError), its midpoint snapped to the
         grid, its F1, and that over the best F1 (at most 1; 0 when the best is 0)."""
-        peak = find_peak(self.objective_curve(f, n), spline_config=spline_config,
-                         min_run=min_run)
+        peak = find_peak(self.objective_curve(f, n), min_run=min_run)
         snapped = float(self.s_values[int(np.argmin(np.abs(self.s_values - peak.recommended)))])
         f_peak = self.f1_at(snapped)
         return peak, snapped, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
@@ -262,8 +259,8 @@ def _polygon_seed(master_seed, vertex_count, index) -> int:
     return master_seed * 100_000 + vertex_count * 100 + index
 
 
-def _polygon_task(key, *, sample_size, grid, f, r_min, r_max, resolution, spline_config,
-                  min_run, solver_config):
+def _polygon_task(key, *, sample_size, grid, f, r_min, r_max, resolution, min_run,
+                  solver_config):
     """One polygon's full pipeline; ``key`` is (vertex_count, index, seed).
     Module-level so worker pools can pickle it."""
     vc, idx, seed = key
@@ -273,8 +270,7 @@ def _polygon_task(key, *, sample_size, grid, f, r_min, r_max, resolution, spline
     try:
         # one solve per bandwidth gives both V*(s) and the lattice F1
         sweep = f1_sweep(X, labeled, grid, f, config=solver_config)
-        peak, snapped, f_peak, ratio = sweep.peak_ratio(
-            f, X.shape[0], spline_config=spline_config, min_run=min_run)
+        peak, snapped, f_peak, ratio = sweep.peak_ratio(f, X.shape[0], min_run=min_run)
     except SvddError as exc:
         return StudyFailure(vertex_count=vc, polygon_index=idx, seed=seed, error=str(exc))
     return StudyRow(
@@ -301,7 +297,6 @@ def polygon_study(
     r_min: float = 3.0,
     r_max: float = 5.0,
     resolution=(200, 200),
-    spline_config: SplineConfig | None = None,
     min_run: int = DEFAULT_MIN_RUN,
     solver_config: SolverConfig | None = None,
     jobs: int = 1,
@@ -322,8 +317,8 @@ def polygon_study(
     """
     grid = grid or BandwidthGrid.low_dimensional()
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
-                   r_max=r_max, resolution=resolution, spline_config=spline_config,
-                   min_run=min_run, solver_config=solver_config)
+                   r_max=r_max, resolution=resolution, min_run=min_run,
+                   solver_config=solver_config)
     keys = [(vc, idx, _polygon_seed(master_seed, vc, idx))
             for vc in vertex_counts for idx in range(polygons_per_count)]
     if jobs > 1:

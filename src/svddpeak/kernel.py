@@ -67,17 +67,6 @@ def _as_vector(v, name):
     return a
 
 
-def kernel_value(a, b, spec: KernelSpec) -> float:
-    """Evaluate the kernel for a single pair of feature vectors."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"vectors have different dimensions {a.shape[0]} and {b.shape[0]}")
-    if spec.kind == LINEAR:
-        return float(a @ b)
-    return float(_gaussian(squared_distances(a[None, :], b[None, :]), spec.s)[0, 0])
-
-
 def squared_distances(A, B) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B, summed
     one coordinate at a time in coordinate order, as a per-pair loop would.

@@ -2,8 +2,7 @@
 
 This is the Eilers & Marx (1996) P-spline: a B-spline basis on equally
 spaced knots, penalized by squared finite differences of the
-coefficients. The smoothing parameter is either fixed or picked by
-generalized cross-validation on a log grid. Pointwise standard errors
+coefficients, at a fixed smoothing penalty. Pointwise standard errors
 come from the Bayesian posterior covariance
 ``sigma^2 (B'B + lambda D'D)^-1``, giving the usual
 ``fitted +/- z * se`` band.
@@ -12,24 +11,27 @@ come from the Bayesian posterior covariance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 
-AUTO = "auto"
-
-# 10^k for k = -6 .. 6 in half-decade steps
-GCV_LAMBDA_GRID = tuple(10.0 ** (0.5 * k) for k in range(-12, 13))
-
 
 @dataclass(frozen=True)
 class SplineConfig:
+    """Basis, penalty and band level of a P-spline fit.
+
+    ``lam`` is the fixed smoothing penalty. Its default, 100, is the
+    penalty ``tuning.find_peak`` smooths the second difference of V*(s)
+    with.
+    """
+
     degree: int = 3
     num_interior_knots: int = 20
     penalty_order: int = 2
-    lam: float | str = AUTO
+    lam: float = 100.0
     ci_level: float = 0.95
 
     def __post_init__(self):
@@ -39,9 +41,8 @@ class SplineConfig:
             raise InputError("need num_interior_knots >= penalty_order")
         if self.penalty_order < 1:
             raise InputError("penalty_order must be at least 1")
-        if self.lam != AUTO:
-            if not np.isfinite(self.lam) or self.lam <= 0:
-                raise InputError(f"lambda must be positive or 'auto', got {self.lam!r}")
+        if not isinstance(self.lam, Real) or not np.isfinite(self.lam) or self.lam <= 0:
+            raise InputError(f"lambda must be a positive real, got {self.lam!r}")
         if not (0.0 < self.ci_level < 1.0):
             raise InputError("ci_level must lie in (0, 1)")
 
@@ -93,99 +94,57 @@ def _difference_penalty(n_basis, order) -> np.ndarray:
     return D.T @ D
 
 
-class _PreparedFit:
-    """Shared factor pieces reused across lambda values."""
-
-    def __init__(self, x, y, config):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-            raise InputError("x and y must be 1-D vectors of equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InputError("x and y must be finite")
-        min_points = config.degree + config.penalty_order + 2
-        if x.size < min_points:
-            raise InputError(f"need at least {min_points} points, got {x.size}")
-        if np.any(np.diff(x) <= 0):
-            raise InputError("x must be strictly ascending")
-        self.x = x
-        self.y = y
-        self.config = config
-        self.B, self.knots = bspline_design(
-            x, x[0], x[-1], config.num_interior_knots, config.degree
-        )
-        self.BtB = self.B.T @ self.B
-        self.P = _difference_penalty(self.B.shape[1], config.penalty_order)
-
-    def solve(self, lam) -> SplineFit:
-        n = self.x.size
-        M = self.BtB + lam * self.P
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular normal equations at lambda={lam:g}") from exc
-        # with M = L L' and W = L^-1 B': beta = L'^-1 W y, and the pointwise
-        # leverage b_i' M^-1 b_i is the squared norm of column i of W
-        W = np.linalg.solve(L, self.B.T)
-        beta = np.linalg.solve(L.T, W @ self.y)
-        fitted = self.B @ beta
-        resid = self.y - fitted
-        rss = float(resid @ resid)
-        leverage = np.einsum("ij,ij->j", W, W)
-        edf = float(leverage.sum())
-        sigma2 = rss / max(n - edf, 1.0)
-        # pointwise variance of fitted values under the posterior covariance
-        se = np.sqrt(sigma2 * leverage)
-        z = NormalDist().inv_cdf(0.5 * (1.0 + self.config.ci_level))
-        return SplineFit(
-            coefficients=beta,
-            fitted=fitted,
-            se=se,
-            ci_lower=fitted - z * se,
-            ci_upper=fitted + z * se,
-            lambda_used=float(lam),
-            sigma2_hat=sigma2,
-            effective_df=edf,
-            x=self.x,
-            knots=self.knots,
-            degree=self.config.degree,
-        )
-
-    def gcv(self, lam) -> float:
-        n = self.x.size
-        fit = self.solve(lam)
-        rss = float(np.sum((self.y - fit.fitted) ** 2))
-        denom = max(n - fit.effective_df, 1e-9)
-        return n * rss / denom**2
-
-
-def select_lambda(x, y, config: SplineConfig | None = None) -> float:
-    """GCV-minimizing lambda over the log grid, ties to the smallest value.
-
-    Ties are resolved with a small numerical slack so that an exactly
-    interpolable signal (zero residual at every lambda) deterministically
-    returns the smallest grid value.
-    """
-    config = config or SplineConfig()
-    prep = _PreparedFit(x, y, config)
-    scores = np.array([prep.gcv(lam) for lam in GCV_LAMBDA_GRID])
-    best = float(scores.min())
-    slack = 1e-9 * best + 1e-15 * max(1.0, float(np.mean(np.square(y))))
-    for lam, score in zip(GCV_LAMBDA_GRID, scores):
-        if score <= best + slack:
-            return float(lam)
-    return float(GCV_LAMBDA_GRID[int(np.argmin(scores))])
+def _fit_at(x, y, config: SplineConfig, lam) -> SplineFit:
+    """The P-spline of ``config`` through (x, y) at penalty ``lam``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        raise InputError("x and y must be 1-D vectors of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputError("x and y must be finite")
+    min_points = config.degree + config.penalty_order + 2
+    if x.size < min_points:
+        raise InputError(f"need at least {min_points} points, got {x.size}")
+    if np.any(np.diff(x) <= 0):
+        raise InputError("x must be strictly ascending")
+    B, knots = bspline_design(x, x[0], x[-1], config.num_interior_knots, config.degree)
+    M = B.T @ B + lam * _difference_penalty(B.shape[1], config.penalty_order)
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular normal equations at lambda={lam:g}") from exc
+    # with M = L L' and W = L^-1 B': beta = L'^-1 W y, and the pointwise
+    # leverage b_i' M^-1 b_i is the squared norm of column i of W
+    W = np.linalg.solve(L, B.T)
+    beta = np.linalg.solve(L.T, W @ y)
+    fitted = B @ beta
+    resid = y - fitted
+    rss = float(resid @ resid)
+    leverage = np.einsum("ij,ij->j", W, W)
+    edf = float(leverage.sum())
+    sigma2 = rss / max(x.size - edf, 1.0)
+    # pointwise variance of fitted values under the posterior covariance
+    se = np.sqrt(sigma2 * leverage)
+    z = NormalDist().inv_cdf(0.5 * (1.0 + config.ci_level))
+    return SplineFit(
+        coefficients=beta,
+        fitted=fitted,
+        se=se,
+        ci_lower=fitted - z * se,
+        ci_upper=fitted + z * se,
+        lambda_used=float(lam),
+        sigma2_hat=sigma2,
+        effective_df=edf,
+        x=x,
+        knots=knots,
+        degree=config.degree,
+    )
 
 
 def fit_pspline(x, y, config: SplineConfig | None = None) -> SplineFit:
-    """Fit the penalized B-spline, selecting lambda by GCV when 'auto'."""
+    """Fit the penalized B-spline at the fixed penalty ``config.lam``."""
     config = config or SplineConfig()
-    prep = _PreparedFit(x, y, config)
-    if config.lam == AUTO:
-        lam = select_lambda(x, y, config)
-    else:
-        lam = float(config.lam)
-    return prep.solve(lam)
+    return _fit_at(x, y, config, config.lam)
 
 
 def ci_contains_zero(fit: SplineFit) -> np.ndarray:

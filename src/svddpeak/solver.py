@@ -31,14 +31,12 @@ from . import _native
 from . import kernel as _kernel
 from .errors import (
     ConvergenceError,
-    DegenerateModelError,
     DimensionError,
     InputError,
     NumericalError,
     SvddError,
-    UnsupportedOperationError,
 )
-from .kernel import GAUSSIAN, LINEAR, KernelSpec, as_data_matrix
+from .kernel import GAUSSIAN, KernelSpec, as_data_matrix
 
 MODEL_FORMAT_VERSION = 1
 
@@ -293,11 +291,8 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_flo
 
 
 def _threshold_from_parts(K, alphas, boundary, alpha_quad, kkt_tol):
-    """Average squared center distance over boundary support vectors."""
-    if boundary.size == 0:
-        raise DegenerateModelError(
-            "no support vector lies strictly inside the box; the threshold is undefined"
-        )
+    """Average squared center distance over the boundary support vectors,
+    of which there is at least one."""
     diag = np.diag(K)
     per_sv = diag[boundary] - 2.0 * (K[boundary, :] @ alphas) + alpha_quad
     spread = float(per_sv.max() - per_sv.min())
@@ -414,16 +409,6 @@ def _fit(X, K, spec, config, initial_alphas) -> SvddModel:
     )
 
 
-def compute_threshold(model: SvddModel) -> float:
-    """Recompute R^2 from the stored dual solution (see module docstring)."""
-    if model.n == 1:
-        return 0.0
-    K = _kernel.kernel_matrix(model.X, model.spec)
-    return _threshold_from_parts(
-        K, model.alphas, model.boundary_sv_indices, model.alpha_quad, model.config.kkt_tol
-    )
-
-
 def score_distances(model: SvddModel, Z) -> np.ndarray:
     """dist^2 for each row of Z against the fitted description.
 
@@ -483,13 +468,6 @@ def score_lattice(model: SvddModel, xs, ys) -> np.ndarray:
     return dist_sq.ravel()
 
 
-def score_distance(model: SvddModel, z) -> float:
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DimensionError("z must be a single feature vector")
-    return float(score_distances(model, z.reshape(1, -1))[0])
-
-
 def classify(model: SvddModel, Z) -> np.ndarray:
     """Label each row of Z 'outlier' iff dist^2 > R^2 (strict), else 'inlier'."""
     dist_sq = score_distances(model, Z)
@@ -545,12 +523,3 @@ def position_report(model: SvddModel, tolerance: float | None = None) -> Positio
         r_squared=r2,
         tolerance=tol,
     )
-
-
-def compute_center(model: SvddModel) -> np.ndarray:
-    """Center of the hypersphere, defined in input space for linear kernels."""
-    if model.spec.kind != LINEAR:
-        raise UnsupportedOperationError(
-            "the center lives in input space only for the linear kernel"
-        )
-    return model.sv_alphas() @ model.support_vectors

@@ -30,13 +30,14 @@ from .solver import SolverConfig
 MONOTONICITY_SLACK = 1e-7
 DEFAULT_MIN_RUN = 3
 
-# Default smooth for the second-derivative curve. GCV badly undersmooths
-# here: the d2 samples carry serially dependent active-set jitter, so the
-# selector collapses to a near-interpolant whose band is too narrow to
-# flag a plateau. A fixed moderate penalty (scale-free, since fit and
-# penalty are both quadratic in the response) with a denser basis was
-# calibrated on the reconstructed benchmark shapes and random polygons.
-D2_SPLINE_DEFAULT = SplineConfig(num_interior_knots=40, lam=100.0)
+# Default smooth for the second-derivative curve: a fixed penalty, the
+# SplineConfig default of 100, because generalized cross-validation badly
+# undersmooths here. The d2 samples carry serially dependent active-set
+# jitter, so the selector collapses to a near-interpolant whose band is
+# too narrow to flag a plateau. This moderate penalty (scale-free, since
+# fit and penalty are both quadratic in the response) with a denser basis
+# was calibrated on the reconstructed benchmark shapes and random polygons.
+D2_SPLINE_DEFAULT = SplineConfig(num_interior_knots=40)
 
 
 @dataclass(frozen=True)
@@ -253,11 +254,10 @@ def select_bandwidth_peak(
     f: float,
     grid: BandwidthGrid | None = None,
     config: SolverConfig | None = None,
-    spline_config: SplineConfig | None = None,
     min_run: int = DEFAULT_MIN_RUN,
     jobs: int = 1,
 ) -> PeakResult:
     """Sweep the grid (warm-started), then find the first zero plateau."""
     grid = grid or BandwidthGrid.low_dimensional()
     curve = sweep_objective(X, f, grid, config=config, warm_start=True, jobs=jobs)
-    return find_peak(curve, spline_config=spline_config, min_run=min_run)
+    return find_peak(curve, min_run=min_run)

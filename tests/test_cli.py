@@ -104,6 +104,16 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_USAGE
 
+    def test_bandwidth_and_tune_together_is_usage_error(self, two_point_csv, tmp_path,
+                                                       capsys):
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--data", str(two_point_csv), "--s", "1", "--tune", "peak",
+                  "--out", str(out)])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "not allowed with argument --s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_f_one_trains(self, banana_csv, tmp_path):
         # f = 1 leaves the uniform point as the only feasible solution
         out = tmp_path / "model.json"
@@ -453,6 +463,16 @@ class TestSimulate:
         assert manifest["parameters"]["kkt_tol"] == 1e-5
         assert manifest["parameters"]["max_iterations"] == 50
 
+    @pytest.mark.parametrize("flag, value", [("--vertices", "x"), ("--vertices", "5,x"),
+                                             ("--per-count", "0"), ("--per-count", "-1")])
+    def test_bad_vertex_or_polygon_count_is_usage_error(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "study"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", flag, value, "--samples", "100", "--out-dir", str(out_dir)])
+        assert exit_info.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestShapes:
     def test_banana_roundtrip(self, tmp_path):
@@ -464,6 +484,15 @@ class TestShapes:
         assert X.shape == (267, 2)
         assert labels is None
         np.testing.assert_allclose(X, generate_shape("banana", seed=3), atol=1e-9)
+
+    @pytest.mark.parametrize("kind, noise", [("three_cluster", "-0.5"), ("banana", "nan"),
+                                             ("banana", "inf")])
+    def test_bad_noise_is_usage_error(self, tmp_path, capsys, kind, noise):
+        out = tmp_path / "shape.csv"
+        code = main(["shapes", "--kind", kind, "--noise", noise, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "noise" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestShuttle:

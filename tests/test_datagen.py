@@ -19,7 +19,6 @@ from svddpeak.datagen import (
     generate_shape,
     make_labeled_grid,
     make_star_polygon,
-    point_in_polygon,
     points_in_polygon,
     sample_interior,
     save_dataset,
@@ -66,29 +65,29 @@ class TestGeneratePolygon:
 
 class TestPointInPolygon:
     def test_unit_square_interior(self):
-        assert point_in_polygon((0.5, 0.5), UNIT_SQUARE)
+        assert points_in_polygon([(0.5, 0.5)], UNIT_SQUARE)[0]
 
     def test_unit_square_exterior(self):
-        assert not point_in_polygon((1.5, 0.5), UNIT_SQUARE)
+        assert not points_in_polygon([(1.5, 0.5)], UNIT_SQUARE)[0]
 
     def test_edge_point_is_inside(self):
         # closed-boundary convention
-        assert point_in_polygon((1.0, 0.5), UNIT_SQUARE)
-        assert point_in_polygon((0.0, 0.0), UNIT_SQUARE)
+        assert points_in_polygon([(1.0, 0.5)], UNIT_SQUARE)[0]
+        assert points_in_polygon([(0.0, 0.0)], UNIT_SQUARE)[0]
 
     def test_nonconvex_star(self):
         star = make_star_polygon()
-        assert point_in_polygon((0.0, 0.0), star)
+        assert points_in_polygon([(0.0, 0.0)], star)[0]
         # between two arms: inside the bounding circle but outside the star
         r = 0.85 * 4.0
         theta = np.pi / 2.0 + np.pi / 5.0
-        assert not point_in_polygon((r * np.cos(theta), r * np.sin(theta)), star)
+        assert not points_in_polygon([(r * np.cos(theta), r * np.sin(theta))], star)[0]
 
     def test_vectorized_matches_scalar(self, rng):
         poly = generate_polygon(PolygonConfig(k=9, seed=4))
         P = rng.uniform(-6, 6, size=(200, 2))
         batch = points_in_polygon(P, poly)
-        singles = np.array([point_in_polygon(p, poly) for p in P])
+        singles = np.array([points_in_polygon([p], poly)[0] for p in P])
         np.testing.assert_array_equal(batch, singles)
 
 
@@ -112,7 +111,7 @@ class TestSampleInterior:
         poly = generate_polygon(PolygonConfig(k=5, seed=10))
         X = sample_interior(poly, 1, seed=11)
         assert X.shape == (1, 2)
-        assert point_in_polygon(X[0], poly)
+        assert points_in_polygon([X[0]], poly)[0]
 
     def test_deterministic(self):
         poly = generate_polygon(PolygonConfig(k=6, seed=1))
@@ -219,6 +218,13 @@ class TestGenerateShape:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             generate_shape("spiral", n=10, seed=0)
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_negative_or_non_finite_noise_rejected(self, kind):
+        for noise in (-0.5, -1e-300, np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="noise"):
+                generate_shape(kind, n=10, noise=noise, seed=0)
+        assert generate_shape(kind, n=10, noise=0.0, seed=0).shape == (10, 2)
 
 
 class TestDatasetExport:

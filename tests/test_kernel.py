@@ -16,7 +16,6 @@ from svddpeak.kernel import (
     cross_kernel,
     kernel_matrix,
     kernel_matrix_from_sq,
-    kernel_value,
     nearest_distances,
     squared_distance_matrix,
 )
@@ -32,26 +31,42 @@ def vectors(dim):
     return st.lists(finite_floats, min_size=dim, max_size=dim).map(np.array)
 
 
+def pair_kernel(a, b, spec):
+    """k(a, b) from the definition, one pair at a time in plain Python."""
+    if spec.kind == LINEAR:
+        return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
+    sq = sum((float(u) - float(v)) ** 2 for u, v in zip(a, b))
+    return math.exp(-sq / (2.0 * spec.s * spec.s))
+
+
+def one_pair(a, b, spec):
+    """k(a, b) as the package computes it: a one-row ``cross_kernel``."""
+    return float(cross_kernel([a], [b], spec)[0, 0])
+
+
 class TestKernelValue:
+    """Single kernel values, each from a one-row ``cross_kernel`` call."""
+
     def test_zero_distance_identity(self):
         a = np.array([1.5, -2.0, 3.0])
-        assert kernel_value(a, a, KernelSpec(GAUSSIAN, 1.0)) == 1.0
+        assert one_pair(a, a, KernelSpec(GAUSSIAN, 1.0)) == 1.0
 
     def test_known_gaussian_value(self):
-        got = kernel_value([0.0, 0.0], [2.0, 0.0], KernelSpec(GAUSSIAN, 2.0))
+        got = one_pair([0.0, 0.0], [2.0, 0.0], KernelSpec(GAUSSIAN, 2.0))
         assert got == pytest.approx(math.exp(-4.0 / 8.0), abs=1e-12)
         assert got == pytest.approx(0.6065306597, abs=1e-9)
 
     def test_linear_dot_product(self):
-        assert kernel_value([1.0, 2.0], [3.0, 4.0], KernelSpec(LINEAR, None)) == 11.0
+        assert one_pair([1.0, 2.0], [3.0, 4.0], KernelSpec(LINEAR, None)) == 11.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            kernel_value([1.0], [1.0, 2.0], KernelSpec(GAUSSIAN, 1.0))
+            cross_kernel([[1.0]], [[1.0, 2.0]], KernelSpec(GAUSSIAN, 1.0))
 
     def test_non_finite_input(self):
-        with pytest.raises(InputError):
-            kernel_value([np.nan], [1.0], KernelSpec(GAUSSIAN, 1.0))
+        for Z, X in (([[np.nan]], [[1.0]]), ([[1.0]], [[np.inf]])):
+            with pytest.raises(InputError):
+                cross_kernel(Z, X, KernelSpec(GAUSSIAN, 1.0))
 
     def test_invalid_bandwidth(self):
         with pytest.raises(InputError):
@@ -66,8 +81,8 @@ class TestKernelValue:
     @given(a=vectors(3), b=vectors(3), s=st.floats(min_value=0.1, max_value=10.0))
     def test_symmetry_and_range(self, a, b, s):
         spec = KernelSpec(GAUSSIAN, s)
-        kab = kernel_value(a, b, spec)
-        kba = kernel_value(b, a, spec)
+        kab = one_pair(a, b, spec)
+        kba = one_pair(b, a, spec)
         assert kab == kba
         assert 0.0 <= kab <= 1.0
         exponent = np.sum((a - b) ** 2) / (2.0 * s * s)
@@ -80,7 +95,7 @@ class TestKernelValue:
 
     def test_strictly_increasing_in_s(self):
         a, b = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-        values = [kernel_value(a, b, KernelSpec(GAUSSIAN, s)) for s in np.linspace(0.2, 5.0, 25)]
+        values = [one_pair(a, b, KernelSpec(GAUSSIAN, s)) for s in np.linspace(0.2, 5.0, 25)]
         assert np.all(np.diff(values) > 0)
 
 
@@ -102,11 +117,11 @@ class TestKernelMatrix:
 
     def test_matches_per_entry_kernel_value(self, rng):
         X = rng.normal(size=(6, 3))
-        spec = KernelSpec(GAUSSIAN, 1.3)
-        K = kernel_matrix(X, spec)
-        for i in range(6):
-            for j in range(6):
-                assert K[i, j] == pytest.approx(kernel_value(X[i], X[j], spec), abs=1e-12)
+        for spec in (KernelSpec(GAUSSIAN, 1.3), KernelSpec(LINEAR, None)):
+            K = kernel_matrix(X, spec)
+            for i in range(6):
+                for j in range(6):
+                    assert K[i, j] == pytest.approx(pair_kernel(X[i], X[j], spec), abs=1e-12)
 
     def test_symmetric_and_unit_diagonal(self, rng):
         X = rng.normal(size=(8, 2))
@@ -151,11 +166,11 @@ class TestCrossKernel:
     def test_matches_kernel_value(self, rng):
         X = rng.normal(size=(5, 2))
         Z = rng.normal(size=(3, 2))
-        spec = KernelSpec(GAUSSIAN, 0.8)
-        C = cross_kernel(Z, X, spec)
-        for i in range(3):
-            for j in range(5):
-                assert C[i, j] == pytest.approx(kernel_value(Z[i], X[j], spec), abs=1e-12)
+        for spec in (KernelSpec(GAUSSIAN, 0.8), KernelSpec(LINEAR, None)):
+            C = cross_kernel(Z, X, spec)
+            for i in range(3):
+                for j in range(5):
+                    assert C[i, j] == pytest.approx(pair_kernel(Z[i], X[j], spec), abs=1e-12)
 
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_is_plain_formula_bitwise(self, rng, d):

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_lsq_spline
 
-from svddpeak import smoothing
+from svddpeak import smoothing, tuning
 from svddpeak.errors import InputError, NumericalError
 from svddpeak.smoothing import (
-    GCV_LAMBDA_GRID,
     SplineConfig,
     SplineFit,
     bspline_design,
     ci_contains_zero,
     fit_pspline,
-    select_lambda,
 )
 
 
@@ -49,7 +47,7 @@ class TestFitPspline:
     def test_sin_fit_matches_dense_lsq_oracle(self):
         x = np.linspace(0.0, np.pi, 50)
         y = np.sin(x)
-        fit = fit_pspline(x, y)  # lambda chosen by GCV
+        fit = fit_pspline(x, y, SplineConfig(lam=1e-6))  # nearly unpenalized, like the oracle
         # reference: scipy's own unpenalized least-squares spline on dense knots
         interior = np.linspace(x[0], x[-1], 22)[1:-1]
         t = np.concatenate([[x[0]] * 4, interior, [x[-1]] * 4])
@@ -95,9 +93,18 @@ class TestFitPspline:
         np.testing.assert_allclose(fit.ci_upper - fit.fitted, z * se, rtol=0, atol=1e-12)
 
     def test_indefinite_normal_equations_raise_numerical_error(self, rng, x30):
-        prep = smoothing._PreparedFit(x30, rng.normal(size=30), SplineConfig())
         with pytest.raises(NumericalError):
-            prep.solve(-1e6)
+            smoothing._fit_at(x30, rng.normal(size=30), SplineConfig(), -1e6)
+
+    def test_default_penalty_is_the_peak_criterions(self, rng, x30):
+        # find_peak smooths d2 at the default penalty, on a 40-knot basis
+        assert SplineConfig().lam == 100.0
+        assert tuning.D2_SPLINE_DEFAULT == SplineConfig(num_interior_knots=40, lam=100.0)
+        y = rng.normal(size=30)
+        default = fit_pspline(x30, y)
+        assert default.lambda_used == 100.0
+        np.testing.assert_array_equal(default.fitted,
+                                      fit_pspline(x30, y, SplineConfig(lam=100.0)).fitted)
 
     def test_band_ordering_and_width(self, rng, x30):
         y = x30**2 + rng.normal(0.0, 0.3, 30)
@@ -117,40 +124,15 @@ class TestFitPspline:
             fit_pspline(x, np.zeros(x.size), SplineConfig())
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(InputError):
-            SplineConfig(lam=-1.0)
+        for lam in (-1.0, 0.0, np.inf, np.nan, "auto", "x", None):
+            with pytest.raises(InputError, match="lambda"):
+                SplineConfig(lam=lam)
         with pytest.raises(InputError):
             SplineConfig(degree=0)
         with pytest.raises(InputError):
             SplineConfig(num_interior_knots=1, penalty_order=2)
         with pytest.raises(InputError):
             SplineConfig(ci_level=1.0)
-
-
-class TestSelectLambda:
-    def test_noiseless_linear_ties_to_smallest(self, x30):
-        # residual is numerically zero for every lambda; the tie rule
-        # must deterministically return the smallest grid value
-        lam = select_lambda(x30, 4.0 - 2.0 * x30, SplineConfig())
-        assert lam == pytest.approx(min(GCV_LAMBDA_GRID))
-
-    def test_deterministic_across_runs(self):
-        rng = np.random.default_rng(42)
-        x = np.linspace(0.0, 5.0, 100)
-        y = 0.5 * x**2 + rng.normal(0.0, 0.1, 100)
-        first = select_lambda(x, y, SplineConfig())
-        second = select_lambda(x, y, SplineConfig())
-        assert first == second
-        assert first in GCV_LAMBDA_GRID
-
-    def test_step_function_beats_heavy_smoothing(self):
-        x = np.linspace(0.0, 1.0, 100)
-        y = (x > 0.5).astype(float)
-        auto = fit_pspline(x, y)
-        heavy = fit_pspline(x, y, SplineConfig(lam=1e6))
-        rss_auto = np.sum((y - auto.fitted) ** 2)
-        rss_heavy = np.sum((y - heavy.fitted) ** 2)
-        assert rss_auto < rss_heavy
 
 
 class TestCiContainsZero:

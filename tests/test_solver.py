@@ -11,11 +11,9 @@ from svddpeak import solver
 from svddpeak.datagen import LabeledGrid, generate_shape
 from svddpeak.errors import (
     ConvergenceError,
-    DegenerateModelError,
     DimensionError,
     InputError,
     NumericalError,
-    UnsupportedOperationError,
 )
 from svddpeak.kernel import (
     GAUSSIAN,
@@ -33,12 +31,9 @@ from svddpeak.solver import (
     OUTLIER,
     SolverConfig,
     classify,
-    compute_center,
-    compute_threshold,
     load_model,
     model_from_dict,
     position_report,
-    score_distance,
     score_distances,
     score_lattice,
     train,
@@ -346,26 +341,25 @@ class TestSmoMatchesReference:
 class TestThreshold:
     def test_single_point_zero(self):
         model = train([[0.0]], KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.5))
-        assert compute_threshold(model) == 0.0
+        assert model.r_squared == 0.0
 
     def test_two_point_value(self, two_point_model):
-        assert compute_threshold(two_point_model) == pytest.approx(TWO_POINT_R2, abs=1e-8)
+        assert two_point_model.r_squared == pytest.approx(TWO_POINT_R2, abs=1e-8)
 
     def test_identical_points_zero(self):
         X = np.full((5, 2), 3.0)
         model = train(X, KernelSpec(GAUSSIAN, 2.0), SolverConfig(f=0.2))
-        assert compute_threshold(model) == pytest.approx(0.0, abs=1e-12)
+        assert model.r_squared == pytest.approx(0.0, abs=1e-12)
 
     def test_strict_threshold_degenerate_when_no_boundary_svs(self):
-        # f = 1 forces every alpha to the box bound C = 1/n; training still
-        # succeeds (bracket-midpoint threshold) but the strict
-        # boundary-average recomputation has nothing to average over
+        # f = 1 forces every alpha to the box bound C = 1/n, so the strict
+        # boundary average has nothing to average over; training still
+        # succeeds, and with no alpha = 0 point the threshold is the upper
+        # end of the KKT bracket: both points' distance 1/2 - exp(-1/2)/2
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         model = train(X, KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=1.0))
         assert model.boundary_sv_indices.size == 0
-        assert model.r_squared >= 0.0
-        with pytest.raises(DegenerateModelError):
-            compute_threshold(model)
+        assert model.r_squared == pytest.approx(0.5 - 0.5 * math.exp(-0.5), abs=1e-12)
 
     def test_vertex_optimum_two_far_pairs(self):
         # n=4, f=0.5 (C = 1/2): two tight, well-separated pairs push the
@@ -381,13 +375,13 @@ class TestThreshold:
 
 class TestScoring:
     def test_training_point_on_boundary(self, two_point_model, two_point_data):
-        d = score_distance(two_point_model, two_point_data[0])
+        d = score_distances(two_point_model, two_point_data[:1])[0]
         assert d == pytest.approx(two_point_model.r_squared, abs=1e-9)
 
     def test_midpoint_distance_value(self, two_point_model):
         # 1 - 2 exp(-1/8) + (0.5 + 0.5 exp(-1/2)), from the scoring formula
         expected = 1.0 - 2.0 * math.exp(-1.0 / 8.0) + 0.5 + 0.5 * K12
-        d = score_distance(two_point_model, np.array([1.0, 0.0]))
+        d = score_distances(two_point_model, [[1.0, 0.0]])[0]
         assert d == pytest.approx(expected, abs=1e-10)
         assert d == pytest.approx(0.0382715247, abs=1e-9)
         assert d < two_point_model.r_squared
@@ -395,21 +389,21 @@ class TestScoring:
     def test_far_point_distance_limit(self, two_point_model):
         # both kernel terms vanish, leaving K(z, z) + alpha' K alpha
         expected = 1.0 + 0.5 + 0.5 * K12
-        d = score_distance(two_point_model, np.array([100.0, 0.0]))
+        d = score_distances(two_point_model, [[100.0, 0.0]])[0]
         assert d == pytest.approx(expected, abs=1e-9)
 
     def test_single_point_self_distance(self):
         model = train([[2.0, 3.0]], KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.5))
-        assert score_distance(model, np.array([2.0, 3.0])) == pytest.approx(0.0, abs=1e-12)
+        assert score_distances(model, [[2.0, 3.0]])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self, two_point_model):
         with pytest.raises(DimensionError):
-            score_distance(two_point_model, np.array([1.0, 2.0, 3.0]))
+            score_distances(two_point_model, [[1.0, 2.0, 3.0]])
 
     def test_batch_matches_single(self, two_point_model, rng):
         Z = rng.normal(size=(6, 2))
         batch = score_distances(two_point_model, Z)
-        singles = [score_distance(two_point_model, z) for z in Z]
+        singles = [score_distances(two_point_model, z[None])[0] for z in Z]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 7, 20, 21])
@@ -510,26 +504,24 @@ class TestPositionReport:
 
 
 class TestCenter:
+    """The linear kernel's center in input space, sum_i alpha_i x_i."""
+
     def test_single_point(self):
         model = train([[4.0, -1.0]], KernelSpec(LINEAR, None), SolverConfig(f=0.5))
-        np.testing.assert_allclose(compute_center(model), [4.0, -1.0])
+        np.testing.assert_allclose(model.alphas @ model.X, [4.0, -1.0])
 
     def test_two_point_midpoint(self, two_point_data):
         model = train(two_point_data, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
-        np.testing.assert_allclose(compute_center(model), [1.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(model.alphas @ model.X, [1.0, 0.0], atol=1e-8)
 
     def test_unit_square_center(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         spec = KernelSpec(LINEAR, None)
         model = train(X, spec, SolverConfig(f=0.1))
-        np.testing.assert_allclose(compute_center(model), [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(model.alphas @ X, [0.5, 0.5], atol=1e-6)
         K = kernel_matrix(X, spec)
         best, _ = simplex_grid_max(K, C=2.5, step=1e-3)
         assert model.dual_objective == pytest.approx(best, abs=1e-4)
-
-    def test_gaussian_unsupported(self, two_point_model):
-        with pytest.raises(UnsupportedOperationError):
-            compute_center(two_point_model)
 
 
 class TestSerialization:
