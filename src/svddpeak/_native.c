@@ -1,6 +1,7 @@
 /* The compiled library of svddpeak, built on first use by ``_native.py``.
- * It exports two functions: ``svdd_smo_run``, the SMO inner loop, and
- * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``.
+ * It exports three functions: ``svdd_smo_run``, the SMO inner loop,
+ * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``, and
+ * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``.
  *
  * Inner loop of maximal-violating-pair SMO for the SVDD dual.
  *
@@ -28,10 +29,17 @@
  * -m flags and runs on any x86-64 (and scalar-only elsewhere).
  */
 
+#define _GNU_SOURCE /* newlocale and strtod_l */
+
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
+#ifdef __APPLE__
+#include <xlocale.h>
+#endif
 
 /* numpy's argmin and argmax rule: replace when not (v >= best), resp. not
  * (v <= best), and stop replacing once best is NaN */
@@ -482,4 +490,227 @@ int64_t svdd_csv_rows(int64_t start, int64_t stop, int64_t n_cols, const char *c
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* ------------------------------------------------------------------------
+ * The body of an unlabeled CSV file for ``cli.read_csv_dataset``: every
+ * cell a float64, equal to Python's float() of its text bit for bit.
+ *
+ * The grammar is a part of what the row loop (``cli._read_csv_rows``)
+ * accepts. A cell is an optional sign, digits, an optional '.' and digits
+ * (a digit on at least one side of it), and an optional exponent ('e' or
+ * 'E', an optional sign, digits), with spaces or tabs around it. Cells are
+ * joined by ','; a line ends in "\n" or "\r\n", and the last line may have
+ * no ending. A blank line (nothing before its ending) is skipped, as the
+ * row loop skips it. Anything else (quotes, a line of spaces, a bare '\r',
+ * other whitespace, non-ASCII bytes, '_', nan, inf) refuses the whole
+ * file, and the row loop reads it again and decides.
+ *
+ * A value is one correctly rounded operation. Clinger's fast path: when
+ * the significant digits, trailing zeros dropped, make an integer m <= 2^53
+ * and the decimal exponent k has |k| <= 22, m and 10^|k| are exact
+ * doubles, so m * 10^k (or m / 10^-k) rounds once. Every other cell goes
+ * to strtod_l in the C locale, which rounds exactly, as float() does.
+ *
+ * The file is read in blocks of block_bytes. A line longer than a block is
+ * refused, so an accepted cell is shorter than csv's default field limit
+ * (131,072 characters) whenever a block is.
+ */
+
+static locale_t c_locale;
+
+__attribute__((constructor)) static void make_c_locale(void)
+{
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+}
+
+#define IS_SPACE(c) ((c) == ' ' || (c) == '\t')
+#define IS_DIGIT(c) ((unsigned)((c) - '0') < 10u)
+/* m holds at most this many digits; a longer cell goes to strtod_l, as
+ * does one whose exponent passes EXPONENT_CAP */
+#define HELD_DIGITS 19
+#define EXPONENT_CAP 100000
+
+/* The cell at p, up to end or its separator, into *value; returns the
+ * first byte after it and its trailing spaces, or NULL when the cell is
+ * outside the grammar. strtod_l reads a longer decimal number than the
+ * grammar only through a digit, '.', 'e' or sign at stop, and there is
+ * none: the grammar stopped at a byte it does not continue with, or at
+ * end, where the line's "\r", "\n" or the NUL after the file stands. */
+static const char *parse_cell(const char *p, const char *end, double *value)
+{
+    uint64_t m = 0; /* the digits, wrapped past HELD_DIGITS */
+    int64_t k = 0;  /* the cell is m x 10^k when it holds HELD_DIGITS or fewer */
+    int negative = 0;
+
+    while (p < end && IS_SPACE(*p))
+        p++;
+    const char *const start = p;
+    if (p < end && (*p == '+' || *p == '-'))
+        negative = *p++ == '-';
+    const char *const digits = p;
+    for (; p < end && IS_DIGIT(*p); p++)
+        m = 10 * m + (uint64_t)(*p - '0');
+    int64_t n_digits = p - digits;
+    if (p < end && *p == '.') {
+        const char *const fraction = ++p;
+        for (; p < end && IS_DIGIT(*p); p++)
+            m = 10 * m + (uint64_t)(*p - '0');
+        k = fraction - p;
+        n_digits -= k;
+    }
+    if (n_digits == 0)
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int64_t e = 0;
+        int e_negative = 0;
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            e_negative = *p++ == '-';
+        if (p == end || !IS_DIGIT(*p))
+            return NULL;
+        for (; p < end && IS_DIGIT(*p); p++)
+            if (e < EXPONENT_CAP)
+                e = 10 * e + (*p - '0');
+        k += e_negative ? -e : e;
+    }
+    const char *const stop = p;
+    while (p < end && IS_SPACE(*p))
+        p++;
+
+    if (n_digits <= HELD_DIGITS) {
+        if (m == 0) {
+            *value = negative ? -0.0 : 0.0;
+            return p;
+        }
+        while (m % 10 == 0) {
+            m /= 10;
+            k++;
+        }
+        if (m <= (UINT64_C(1) << 53) && k >= -22 && k <= 22) {
+            const double x = k >= 0 ? (double)m * POW10[k] : (double)m / POW10[-k];
+            *value = negative ? -x : x;
+            return p;
+        }
+    }
+    char *parsed;
+    *value = strtod_l(start, &parsed, c_locale);
+    return parsed == stop ? p : NULL;
+}
+
+/* The n_cols cells of the line at p into values; returns the start of the
+ * next line, or NULL when the line is refused. A line ends in "\n" or
+ * "\r\n", or at end, which the caller puts only after a "\n" or at the
+ * end of the file. */
+static const char *parse_row(const char *p, const char *end, int64_t n_cols, double *values)
+{
+    int64_t c;
+    for (c = 0; c < n_cols; c++) {
+        if (c > 0) {
+            if (p == end || *p != ',')
+                return NULL;
+            p++;
+        }
+        p = parse_cell(p, end, values + c);
+        if (p == NULL)
+            return NULL;
+    }
+    if (p < end && *p == '\n')
+        return p + 1;
+    if (end - p >= 2 && p[0] == '\r' && p[1] == '\n')
+        return p + 2;
+    return p == end ? p : NULL;
+}
+
+/* The lines of fh from where it stands that are not blank, a last line
+ * without an ending included; -1 when it cannot be read */
+static int64_t count_rows(FILE *fh, char *block, int64_t block_bytes)
+{
+    int64_t rows = 0, length = 0; /* the bytes of the current line so far */
+    char first = 0;               /* and the first of them */
+    size_t got;
+
+    while ((got = fread(block, 1, (size_t)block_bytes, fh)) > 0) {
+        const char *p = block, *const end = block + got;
+        for (;;) {
+            const char *const newline = memchr(p, '\n', (size_t)(end - p));
+            const char *const stop = newline ? newline : end;
+            if (length == 0 && stop > p)
+                first = *p;
+            length += stop - p;
+            if (newline == NULL)
+                break;
+            const int blank = length == 0 || (length == 1 && first == '\r');
+            rows += !blank;
+            length = 0;
+            p = newline + 1;
+        }
+    }
+    return ferror(fh) ? -1 : rows + (length > 0);
+}
+
+/* Parse the file at path from byte offset on: n_rows lines of n_cols cells,
+ * blank lines aside, into out, row-major. Returns n_rows, or -1 when the
+ * file is refused, does not hold n_rows such lines, or cannot be read.
+ * With out NULL, returns the number of lines that are not blank from
+ * offset on instead, or -1. */
+int64_t svdd_csv_floats(const char *path, int64_t offset, int64_t n_cols, double *out,
+                        int64_t n_rows, int64_t block_bytes)
+{
+    int64_t row = 0, held = 0, result = -1;
+    int at_end = 0;
+    char *block = NULL;
+    FILE *fh;
+
+    if (c_locale == (locale_t)0 || n_cols < 1 || block_bytes < 1)
+        return -1;
+    fh = fopen(path, "rb");
+    if (fh == NULL)
+        return -1;
+    /* one byte more: the NUL after a last line without an ending */
+    block = malloc((size_t)block_bytes + 1);
+    if (block == NULL || fseeko(fh, (off_t)offset, SEEK_SET) != 0)
+        goto done;
+    if (out == NULL) {
+        result = count_rows(fh, block, block_bytes);
+        goto done;
+    }
+    while (!at_end) {
+        const size_t want = (size_t)(block_bytes - held);
+        const size_t got = fread(block + held, 1, want, fh);
+        if (got < want) {
+            if (ferror(fh))
+                goto done;
+            at_end = 1;
+        }
+        const char *p = block;
+        const char *lines_end = block + held + got;
+        block[held + got] = '\0';
+        if (!at_end) /* the complete lines: up to the last "\n" */
+            while (lines_end > p && lines_end[-1] != '\n')
+                lines_end--;
+        while (p < lines_end) {
+            const char *const blank = p + (*p == '\r');
+            if (blank < lines_end && *blank == '\n') {
+                p = blank + 1;
+                continue;
+            }
+            if (row == n_rows)
+                goto done;
+            p = parse_row(p, lines_end, n_cols, out + row * n_cols);
+            if (p == NULL)
+                goto done;
+            row++;
+        }
+        held = block + held + got - p;
+        if (held == block_bytes)
+            goto done; /* a line longer than a block */
+        memmove(block, p, (size_t)held);
+    }
+    if (row == n_rows)
+        result = row;
+done:
+    free(block);
+    fclose(fh);
+    return result;
 }

@@ -1,12 +1,14 @@
 """The compiled library: built on first use, loaded with ctypes.
 
-``_native.c`` exports two functions, each with a Python twin that gives
-the same result where the library cannot be had:
+``_native.c`` exports three functions, each with a twin that gives the
+same result where the library cannot be had:
 
 - ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
   reached through ``smo_loop()``;
 - ``svdd_csv_rows``, the CSV cell writer (twin:
-  ``datagen._python_blocks``), reached through ``csv_blocks()``.
+  ``datagen._python_blocks``), reached through ``csv_blocks()``;
+- ``svdd_csv_floats``, the CSV body reader (twin: numpy's parser in
+  ``cli._parse_body``), reached through ``csv_floats()``.
 
 The source is compiled once per source, flags and platform into the cache
 directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the
@@ -18,7 +20,7 @@ compiler that built it (``svdd_smo_compiler``).
 
 Nothing here runs at import. The first command that needs the library
 tries the build, once per process; when no compiler is found, the compile
-fails or the cache cannot be written, both accessors return None and the
+fails or the cache cannot be written, every accessor returns None and the
 twins run.
 
 The library picks its SMO pass over n when it is loaded: AVX-512F, AVX2
@@ -33,9 +35,10 @@ import hashlib
 import itertools
 import os
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_native.c")
 # -ffp-contract=off: no fused multiply-add, so every rounding is numpy's
@@ -46,8 +49,12 @@ _COMPILE_TIMEOUT_S = 120
 ISAS = ("scalar", "avx2", "avx512f")
 # svdd_csv_rows's bound on the bytes of one float cell (FLOAT_CELL_BYTES)
 FLOAT_CELL_BYTES = 24
+# svdd_csv_floats reads a file this many bytes at a time and refuses a
+# longer line; a larger buffer showed up in the peak RSS of small runs
+CSV_BLOCK_BYTES = 1 << 16
 
-# (smo loop, csv blocks, library) once the first user has asked; None until then
+# (smo loop, csv blocks, csv floats, library) once the first user has asked;
+# None until then
 _loaded = None
 
 
@@ -75,6 +82,8 @@ def _library_stem() -> str:
 def _build(directory: Path, library: Path) -> None:
     """Compile ``SOURCE`` to a fresh name in ``directory``, then move it to
     ``library`` in one step; the temporary file never outlives a failure."""
+    import subprocess  # only a command that finds no library compiles one
+
     compiler = _find_compiler()
     if compiler is None:
         raise OSError("no C compiler found")
@@ -85,6 +94,8 @@ def _build(directory: Path, library: Path) -> None:
         subprocess.run([compiler, *FLAGS, "-o", temp, str(SOURCE)], capture_output=True,
                        timeout=_COMPILE_TIMEOUT_S, check=True)
         os.replace(temp, library)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler} failed: {exc}") from exc
     finally:
         if os.path.exists(temp):
             os.unlink(temp)
@@ -104,6 +115,10 @@ def _load():
     rows = lib.svdd_csv_rows
     rows.restype = ctypes.c_int64
     rows.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6 + [ctypes.c_int64]
+    parse = lib.svdd_csv_floats
+    parse.restype = ctypes.c_int64
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.c_int64, ctypes.c_int64]
 
     def run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
@@ -133,7 +148,17 @@ def _load():
                 raise RuntimeError("svdd_csv_rows: a block outgrew its buffer")
             yield text[:written]
 
-    return run, blocks, lib
+    def floats(path, offset, n_cols):
+        name = os.fsencode(path)
+        n_rows = parse(name, offset, n_cols, None, 0, CSV_BLOCK_BYTES)
+        if n_rows < 0:
+            return None
+        out = np.empty((n_rows, n_cols))
+        if parse(name, offset, n_cols, out.ctypes.data, n_rows, CSV_BLOCK_BYTES) != n_rows:
+            return None
+        return out
+
+    return run, blocks, floats, lib
 
 
 def _ensure_loaded():
@@ -141,8 +166,8 @@ def _ensure_loaded():
     if _loaded is None:
         try:
             _loaded = _load()
-        except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
-            _loaded = (None, None, None)
+        except (OSError, ValueError, AttributeError):
+            _loaded = (None, None, None, None)
     return _loaded
 
 
@@ -159,9 +184,17 @@ def csv_blocks():
     return _ensure_loaded()[1]
 
 
+def csv_floats():
+    """The compiled body reader, or None when it cannot be built or loaded.
+    It is called as ``floats(path, offset, n_cols)`` and returns the cells
+    from byte ``offset`` on as an ``(n_rows, n_cols)`` float64 array, or
+    None when the file lies outside its grammar (``_native.c``)."""
+    return _ensure_loaded()[2]
+
+
 def library():
     """The loaded ``ctypes`` library, or None when the twins run."""
-    return _ensure_loaded()[2]
+    return _ensure_loaded()[3]
 
 
 def backend() -> dict:

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -28,15 +29,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, _native
-from . import baselines as _baselines
 from . import datagen as _datagen
-from . import evaluation as _evaluation
 from . import solver as _solver
-from . import tuning as _tuning
 from .errors import InputError, NoPeakFoundError, ParseError, SvddError
 from .kernel import GAUSSIAN, LINEAR, KernelSpec, nearest_distances
 from .solver import SolverConfig
-from .tuning import BandwidthGrid
+
+# tuning, smoothing, baselines and evaluation are imported by the commands
+# that run them, so that score, grid and shapes start without them
 
 SHUTTLE_URL = "https://archive.ics.uci.edu/dataset/148/statlog+shuttle"
 
@@ -48,8 +48,6 @@ EXIT_NO_PEAK = 3
 # U+001C-U+001F: numpy's parser strips them as whitespace, Python's float
 # does not; in UTF-8 each byte stands only for its own character
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# a larger read buffer showed up in the peak RSS of small runs (1 MiB: +0.8 MiB)
-_SCAN_CHUNK_BYTES = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -91,19 +89,41 @@ def read_csv_dataset(path):
     A final integer column named 'label' is split off when present. Rows
     are validated; a malformed cell reports its 1-based line number.
 
-    The body of an unlabeled file is parsed in one pass by numpy's C
-    parser. A file it refuses, or whose body is not ``len(header)``
-    columns wide, every labeled file, and every file holding a byte
-    0x1C-0x1F (which numpy strips and ``float`` refuses), is read again by
-    ``_read_csv_rows``, which defines what is accepted and raises every
-    ``ParseError``.
+    The body of an unlabeled file is parsed in one pass by the compiled
+    library (``_native.csv_floats``), or by numpy's C parser where the
+    library cannot be built. A file the parser refuses, or whose body is
+    not ``len(header)`` columns wide, and every labeled file, is read
+    again by ``_read_csv_rows``, which defines what is accepted and raises
+    every ``ParseError``. The bulk readers open the path more than once,
+    so what is not a regular file (a pipe, which gives its bytes once) is
+    read by ``_read_csv_rows`` alone.
     """
+    if not os.path.isfile(path):
+        return _read_csv_rows(path)
     with _open_text(path, newline="") as fh:
-        header, width, has_label = _read_header(path, csv.reader(fh))
-        body = None if has_label or _holds_separator_bytes(path) else _parse_body(fh)
+        reader = csv.reader(fh)
+        header, width, has_label = _read_header(path, reader)
+        body = None if has_label else _read_body(path, fh, reader.line_num, len(header))
     if body is None or body.shape[1] != len(header):
         return _read_csv_rows(path)
     return header, body, None
+
+
+def _read_body(path, fh, header_lines, n_cols):
+    """The cells after the header, which took ``header_lines`` lines of the
+    text file ``fh``, as a 2-D float array; None where the parser refuses
+    them."""
+    floats = _native.csv_floats()
+    if floats is None:
+        # numpy strips bytes 0x1C-0x1F, which float refuses
+        return None if _holds_separator_bytes(path) else _parse_body(fh)
+    with open(path, "rb") as raw:
+        head = b"".join(itertools.islice(raw, header_lines))
+    # csv also ends a line at a bare "\r", a binary file only at "\n": a
+    # header holding a bare "\r" would end elsewhere here
+    if b"\r" in head.replace(b"\r\n", b""):
+        return None
+    return floats(path, len(head), n_cols)
 
 
 @contextlib.contextmanager
@@ -128,7 +148,7 @@ def _open_text(path, newline=None):
 def _holds_separator_bytes(path) -> bool:
     with open(path, "rb") as fh:
         return any(any(sep in chunk for sep in _SEPARATOR_BYTES)
-                   for chunk in iter(lambda: fh.read(_SCAN_CHUNK_BYTES), b""))
+                   for chunk in iter(lambda: fh.read(_native.CSV_BLOCK_BYTES), b""))
 
 
 def _int64(text) -> int:
@@ -141,7 +161,7 @@ def _int64(text) -> int:
 
 def _parse_body(fh):
     """The rest of ``fh`` as a 2-D float array, or None where numpy's
-    parser refuses it."""
+    parser refuses it: the compiled reader's twin."""
     try:
         with warnings.catch_warnings():
             # a header-only file: the row loop gives it its (0, width) shape
@@ -239,8 +259,17 @@ def sample_shuttle_class1(X, labels, count, seed):
     return X[chosen]
 
 
-def _grid_from_args(args) -> BandwidthGrid:
+def _grid_from_args(args):
+    from .tuning import BandwidthGrid
+
     return BandwidthGrid(args.s_min, args.s_max, args.s_step)
+
+
+def _min_run(args) -> int:
+    """``--min-run``, or the peak criterion's default when it is not given."""
+    from .tuning import DEFAULT_MIN_RUN
+
+    return DEFAULT_MIN_RUN if args.min_run is None else args.min_run
 
 
 def _solver_config(args) -> SolverConfig:
@@ -299,6 +328,9 @@ def _select_bandwidth(args, X, method):
     When ``peak`` finds no plateau, s is None, the fields hold the error,
     and the curve still carries the diagnostics.
     """
+    from . import baselines as _baselines
+    from . import tuning as _tuning
+
     grid = _grid_from_args(args)
     if method == "md":
         s = _baselines.select_md(X, args.f).s
@@ -311,7 +343,7 @@ def _select_bandwidth(args, X, method):
     curve = _tuning.sweep_objective(X, args.f, grid, config=_solver_config(args),
                                     warm_start=False, jobs=args.jobs)
     try:
-        peak = _tuning.find_peak(curve, min_run=args.min_run)
+        peak = _tuning.find_peak(curve, min_run=_min_run(args))
     except NoPeakFoundError as exc:
         return None, {"f": args.f, "s": None, "error": str(exc)}, (
             CURVE_HEADER, _curve_rows(curve, exc.fit, exc.zero_mask))
@@ -320,6 +352,10 @@ def _select_bandwidth(args, X, method):
 
 
 def cmd_train(args) -> int:
+    if args.kernel == LINEAR and (args.s is not None or args.tune is not None):
+        print("error: --s and --tune set a gaussian bandwidth; a linear model takes neither",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.s is None and args.tune is None and args.kernel != LINEAR:
         print("error: provide --s or --tune (a gaussian model needs a bandwidth)",
               file=sys.stderr)
@@ -333,7 +369,7 @@ def cmd_train(args) -> int:
         if s is None:
             raise NoPeakFoundError(fields["error"])
         tuned = {"method": args.tune, **{k: fields[k] for k in ("s_low", "s_high") if k in fields}}
-    spec = KernelSpec(kind=args.kernel, s=s if args.kernel == GAUSSIAN else None)
+    spec = KernelSpec(kind=args.kernel, s=s)
     model = _solver.train(X, spec, config)
     model.save(args.out)
     params = {
@@ -432,6 +468,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import evaluation as _evaluation
+
     os.makedirs(args.out_dir, exist_ok=True)
     if args.full:
         vertex_counts = list(range(5, 31))
@@ -447,7 +485,7 @@ def cmd_simulate(args) -> int:
         grid=grid,
         master_seed=args.seed,
         f=args.f,
-        min_run=args.min_run,
+        min_run=_min_run(args),
         solver_config=_solver_config(args),
         jobs=args.jobs,
     )
@@ -559,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=[GAUSSIAN, LINEAR], default=GAUSSIAN)
     _add_solver_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
+    p.add_argument("--min-run", dest="min_run", type=int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -569,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["peak", "cv", "md", "dfn"], required=True)
     _add_solver_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
+    p.add_argument("--min-run", dest="min_run", type=int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--curve", default=None, help="curve CSV path (default <out>_curve.csv)")
@@ -600,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240501)
     _add_solver_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=_tuning.DEFAULT_MIN_RUN)
+    p.add_argument("--min-run", dest="min_run", type=int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -68,12 +68,11 @@ def compute_metrics(counts: ConfusionCounts) -> Metrics:
 
 
 def _confusion(predicted_inlier, truth) -> ConfusionCounts:
-    return ConfusionCounts(
-        tp=int(np.sum(predicted_inlier & truth)),
-        fp=int(np.sum(predicted_inlier & ~truth)),
-        fn=int(np.sum(~predicted_inlier & truth)),
-        tn=int(np.sum(~predicted_inlier & ~truth)),
-    )
+    tp = int(np.count_nonzero(predicted_inlier & truth))
+    predicted = int(np.count_nonzero(predicted_inlier))
+    inside = int(np.count_nonzero(truth))
+    return ConfusionCounts(tp=tp, fp=predicted - tp, fn=inside - tp,
+                           tn=truth.size - predicted - inside + tp)
 
 
 def score_grid(model: SvddModel, grid: LabeledGrid):
@@ -314,7 +313,12 @@ def polygon_study(
 
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.
+    A vertex count given twice raises InputError before any solve.
     """
+    vertex_counts = list(vertex_counts)
+    repeated = sorted({vc for vc in vertex_counts if vertex_counts.count(vc) > 1})
+    if repeated:
+        raise InputError(f"vertex counts must be distinct, {repeated} repeat")
     grid = grid or BandwidthGrid.low_dimensional()
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
                    r_max=r_max, resolution=resolution, min_run=min_run,

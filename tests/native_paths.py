@@ -1,7 +1,8 @@
 """Pin the compiled library's functions to one path, so tests can hold
 every path to the reference: the SMO inner loop to a compiled pass
 (through the library's exported ``svdd_smo_level``) or the Python loop,
-and the CSV row writer to the compiled writer or its Python twin."""
+the CSV row writer to the compiled writer or its Python twin, and the
+CSV body reader to the compiled reader or numpy's parser."""
 
 import contextlib
 import ctypes
@@ -60,4 +61,23 @@ def pinned_writer(name):
     with pytest.MonkeyPatch.context() as patch:
         if name == "python":
             patch.setattr(_native, "csv_blocks", lambda: None)
+        yield
+
+
+def supported_readers() -> list:
+    """The CSV body readers this host can run: the compiled one
+    (svdd_csv_floats) when the library builds, then numpy's parser
+    (cli._parse_body)."""
+    return (["compiled"] if _native.csv_floats() is not None else []) + ["numpy"]
+
+
+@contextlib.contextmanager
+def pinned_reader(name):
+    """Read CSV bodies with reader ``name``; skip the test when the host
+    lacks it."""
+    if name not in supported_readers():
+        pytest.skip(f"the {name} reader cannot run on this host")
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "numpy":
+            patch.setattr(_native, "csv_floats", lambda: None)
         yield

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -26,7 +27,13 @@ from svddpeak.cli import (
 from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset, write_csv_blocks
 from svddpeak.errors import ParseError
 
-from native_paths import WRITERS, pinned_writer, supported_writers
+from native_paths import (
+    WRITERS,
+    pinned_reader,
+    pinned_writer,
+    supported_readers,
+    supported_writers,
+)
 
 
 @pytest.fixture
@@ -113,6 +120,22 @@ class TestTrain:
         assert exit_info.value.code == EXIT_USAGE
         assert "not allowed with argument --s" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth", [["--s", "1"], ["--tune", "md"], ["--tune", "peak"]])
+    def test_linear_kernel_with_a_bandwidth_is_usage_error(self, two_point_csv, tmp_path,
+                                                          capsys, monkeypatch, bandwidth):
+        # the selected s used to be computed, printed, then dropped
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the usage error")
+
+        monkeypatch.setattr(cli, "_select_bandwidth", never)
+        monkeypatch.setattr(solver, "train", never)
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(two_point_csv), "--kernel", "linear", *bandwidth,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --s and --tune")
+        assert not out.exists()
+        assert not (tmp_path / "m.json.manifest.json").exists()
 
     def test_f_one_trains(self, banana_csv, tmp_path):
         # f = 1 leaves the uniform point as the only feasible solution
@@ -463,6 +486,17 @@ class TestSimulate:
         assert manifest["parameters"]["kkt_tol"] == 1e-5
         assert manifest["parameters"]["max_iterations"] == 50
 
+    def test_repeated_vertex_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the usage error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        out_dir = tmp_path / "study"
+        assert main(["simulate", "--vertices", "5,5", "--per-count", "1", "--samples", "100",
+                     "--seed", "7", "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "[5] repeat" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("flag, value", [("--vertices", "x"), ("--vertices", "5,x"),
                                              ("--per-count", "0"), ("--per-count", "-1")])
     def test_bad_vertex_or_polygon_count_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -586,6 +620,25 @@ def test_cli_import_starts_no_process_pool():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["score"]])
+def test_score_and_version_import_no_sweep_module(two_point_csv, tmp_path, argv):
+    # -X importtime names every module the real entry point imports
+    if argv == ["score"]:
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(two_point_csv), "--s", "2", "--f", "0.1",
+                     "--out", str(model)]) == EXIT_OK
+        argv = ["score", "--model", str(model), "--data", str(two_point_csv),
+                "--out", str(tmp_path / "scored.csv")]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "svddpeak.cli", *argv],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=_src_dir()))
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"svddpeak.solver", "svddpeak.datagen"} <= imported
+    unused = {f"svddpeak.{m}" for m in ("tuning", "smoothing", "evaluation", "baselines")}
+    assert imported & unused == set()
+
+
 def test_tune_jobs_two_on_a_cold_cache_writes_jobs_one_bytes(banana_csv, tmp_path):
     # the --jobs 2 workers race to build the SMO library into an empty cache
     cache = tmp_path / "xdg"
@@ -700,6 +753,29 @@ class TestCsvIngestion:
                      "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
 
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        # the bulk readers open the path again, and a pipe gives its bytes
+        # once: 200,000 rows used to score as the 277 of the first buffer
+        path = tmp_path / "queries.csv"
+        save_dataset(path, np.random.default_rng(4).normal(size=(20_000, 2)))
+        fifo = tmp_path / "queries.fifo"
+        os.mkfifo(fifo)
+        # a reader that opens the pipe again after the writer is done blocks
+        # for good, so both ends run in threads that the test can give up on
+        read = {}
+        ends = [threading.Thread(target=lambda: read.update(got=read_csv_dataset(fifo)),
+                                 daemon=True),
+                threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                 daemon=True)]
+        for end in ends:
+            end.start()
+        for end in ends:
+            end.join(timeout=60)
+        assert not any(end.is_alive() for end in ends)
+        header, X, labels = read_csv_dataset(path)
+        assert read["got"][0] == header and read["got"][2] is None
+        assert read["got"][1].tobytes() == X.tobytes()
+
     def test_reader_peak_memory(self, tmp_path):
         # 200,000 x 2 floats are 3.2 MB; the row loop's lists of Python
         # floats peaked at about 37 MB
@@ -768,14 +844,15 @@ def _read_outcome(read, path):
 
 
 def _assert_reads_like_the_row_loop(path):
-    """``read_csv_dataset`` accepts what the row loop accepts, with the
-    same bits, and fails where it fails, with the same message."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _read_outcome(read_csv_dataset, path)
+    """``read_csv_dataset``, on every body reader the host has, accepts
+    what the row loop accepts, with the same bits, and fails where it
+    fails, with the same message."""
     want = _read_outcome(cli._read_csv_rows, path)
-    assert got == want
-    return got
+    for reader in supported_readers():
+        with pinned_reader(reader), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_outcome(read_csv_dataset, path) == want, reader
+    return want
 
 
 # cells both readers read, and odd cells: ones only Python's float reads,
@@ -854,12 +931,32 @@ class TestBulkReadMatchesRowLoop:
         # numpy's parser strips U+001C-U+001F, Python's float does not
         ("x1\n1\x1c\n", False),
         ("x1\n\x1f1\n", False),
+        ('"x\n1",x2\n1,2\n3,4\n', True),  # a header that spans two lines
+        ("x1,x2\r1,2\n3,4\n", True),  # a header ended by a bare \r
+        ("x1,x2\n1,2\r\n3,4", True),  # a last line without an ending
+        ("x1,x2\n 1 ,\t-2e3\t\n+.5,5.\n", True),
     ])
     def test_fixed_cases(self, tmp_path, text, accepted):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         outcome = _assert_reads_like_the_row_loop(path)
         assert (outcome[0] == "ok") == accepted
+
+    def test_compiled_reader_needs_no_row_loop(self, tmp_path, monkeypatch):
+        cells = ["0", "-0", "1e-5", "+.5", "5.", " 7 ", "\t-1.25E+3", "123456789012345678",
+                 "1e309", "4e-320"]
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x2\n" + "".join(f"{a},{b}\r\n" for a, b in zip(cells, cells[::-1])))
+
+        def no_row_loop(path):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(cli, "_read_csv_rows", no_row_loop)
+        with pinned_reader("compiled"):
+            header, X, labels = read_csv_dataset(path)
+        assert header == ["x1", "x2"] and labels is None
+        want = np.array([[float(a), float(b)] for a, b in zip(cells, cells[::-1])])
+        assert X.tobytes() == want.tobytes()
 
     def test_refused_file_reports_the_row_loops_line(self, tmp_path):
         path = tmp_path / "bad.csv"

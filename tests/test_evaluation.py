@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svddpeak import solver
+from svddpeak import evaluation, solver
 from svddpeak.datagen import (
     LabeledGrid,
     Polygon,
@@ -66,6 +66,15 @@ def square_case():
     X = sample_interior(UNIT_SQUARE, 400, seed=5)
     grid = make_labeled_grid(UNIT_SQUARE, resolution=(60, 60))
     return X, grid
+
+
+def test_confusion_counts_every_cell_once(rng):
+    predicted, truth = rng.random((2, 1000)) < [[0.3], [0.6]]
+    counts = evaluation._confusion(predicted, truth)
+    assert (counts.tp, counts.fp, counts.fn, counts.tn) == (
+        np.sum(predicted & truth), np.sum(predicted & ~truth), np.sum(~predicted & truth),
+        np.sum(~predicted & ~truth))
+    assert all(type(n) is int for n in (counts.tp, counts.fp, counts.fn, counts.tn))
 
 
 class TestScoreGrid:
@@ -261,6 +270,16 @@ class TestPolygonStudy:
         # every SMO solve goes through train_path, once per bandwidth, in grid order
         assert paths == study["grid"].values().tolist()
         assert len(solved) == len(paths)
+
+    @pytest.mark.parametrize("vertex_counts", [[5, 5], [5, 8, 5], (8, 8)])
+    def test_repeated_vertex_count_raises_before_any_solve(self, monkeypatch, vertex_counts):
+        # the same polygon was solved twice and its ratio counted twice
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        with pytest.raises(InputError, match="repeat"):
+            polygon_study(**dict(SMALL_STUDY, vertex_counts=vertex_counts))
 
     @pytest.mark.parametrize("max_iterations", [50, 200])
     def test_failed_solves_become_failure_rows(self, max_iterations):
