@@ -331,17 +331,18 @@ def _select_bandwidth(args, X, method):
     from . import baselines as _baselines
     from . import tuning as _tuning
 
-    grid = _grid_from_args(args)
     if method == "md":
         s = _baselines.select_md(X, args.f).s
         return s, {"s": s, "f": args.f}, None
+    grid = _grid_from_args(args)
     if method != "peak":
         select = _baselines.select_cv if method == "cv" else _baselines.select_dfn
         result = select(X, grid)
         return result.s, {"s": result.s}, (["s", "value"],
                                            [[_fmt(s), _fmt(v)] for s, v in result.curve])
+    _tuning.require_peak_grid(grid.values())
     curve = _tuning.sweep_objective(X, args.f, grid, config=_solver_config(args),
-                                    warm_start=False, jobs=args.jobs)
+                                    jobs=args.jobs)
     try:
         peak = _tuning.find_peak(curve, min_run=_min_run(args))
     except NoPeakFoundError as exc:
@@ -390,14 +391,10 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     _, X, _ = read_csv_dataset(args.data)
-    grid = _grid_from_args(args)
     s, fields, curve = _select_bandwidth(args, X, args.method)
-    report = {
-        "method": args.method,
-        "data": str(args.data),
-        "grid": {"s_min": grid.s_min, "s_max": grid.s_max, "step": grid.step},
-        **fields,
-    }
+    report = {"method": args.method, "data": str(args.data), **fields}
+    if args.method != "md":
+        report["grid"] = {"s_min": args.s_min, "s_max": args.s_max, "step": args.s_step}
     if curve:
         curve_path = args.curve or (os.path.splitext(str(args.out))[0] + "_curve.csv")
         _write_rows(curve_path, *curve)
@@ -661,10 +658,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(args) -> None:
+    """InputError naming the first output (``--out``, ``--curve``) whose
+    directory does not exist, so that a command fails before it reads or
+    solves anything. A manifest goes next to its primary output."""
+    for path in (getattr(args, "out", None), getattr(args, "curve", None)):
+        if path is None:
+            continue
+        directory = os.path.dirname(str(path)) or os.curdir
+        if not os.path.isdir(directory):
+            raise InputError(f"cannot write {path}: no directory {directory}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except NoPeakFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

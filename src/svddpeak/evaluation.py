@@ -31,6 +31,7 @@ from .tuning import (
     _resolve_config,
     _sweep_curve,
     find_peak,
+    require_peak_grid,
 )
 
 
@@ -167,12 +168,12 @@ def f1_sweep(
 
     ``labeled`` is a LabeledGrid or a (points, labels) pair; a scoring
     set of another dimension than ``train_X`` raises DimensionError
-    before any solve. The models come from one warm-started
-    ``solver.train_path``, and each also records its V*(s), so one sweep
-    serves both the F1 curve and the objective curve. Bandwidths whose
-    solve or scoring fails are excluded from the curve and recorded in
-    ``failures``; if all fail, SweepError is raised. The argmax ties
-    toward the smallest bandwidth.
+    before any solve. The models come from one ``solver.train_path``,
+    the sweep ``tuning.sweep_objective`` makes, and each also records its
+    V*(s), so one sweep serves both the F1 curve and the objective curve.
+    Bandwidths whose solve or scoring fails are excluded from the curve
+    and recorded in ``failures``; if all fail, SweepError is raised. The
+    argmax ties toward the smallest bandwidth.
     """
     X = as_data_matrix(train_X)
     config = _resolve_config(f, config)
@@ -307,19 +308,21 @@ def polygon_study(
     lattice, and divide by the best F1 over the full labeled sweep. The
     plateau midpoint is snapped to the sweep grid, so every ratio is at
     most 1 by construction. Each bandwidth is solved once: the same
-    warm-started sweep gives V*(s) for the plateau and F1 for the ratio.
+    sweep gives V*(s) for the plateau and F1 for the ratio.
     Polygons where a solve fails or no plateau exists are recorded as
     failure rows, never dropped silently.
 
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.
-    A vertex count given twice raises InputError before any solve.
+    A vertex count given twice, or a grid too short for ``find_peak``,
+    raises InputError before any solve.
     """
     vertex_counts = list(vertex_counts)
     repeated = sorted({vc for vc in vertex_counts if vertex_counts.count(vc) > 1})
     if repeated:
         raise InputError(f"vertex counts must be distinct, {repeated} repeat")
     grid = grid or BandwidthGrid.low_dimensional()
+    require_peak_grid(grid.values())
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
                    r_max=r_max, resolution=resolution, min_run=min_run,
                    solver_config=solver_config)

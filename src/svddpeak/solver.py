@@ -53,6 +53,12 @@ _CURVATURE_FLOOR = 1e-12
 # the support-vector count instead of every scoring row at once
 SCORE_BLOCK_ROWS = 4096
 
+# solves per warm run of train_path: a run starts cold and warm-starts each
+# later solve from the one before. Fixed, so that cutting a grid into runs
+# for worker processes does not change a bit; 40 cuts the default 160-point
+# grid into 4 balanced runs
+WARM_RUN = 40
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -331,29 +337,34 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
     return _fit(X, _kernel.kernel_matrix(X, spec), spec, config, initial_alphas)
 
 
-def train_path(X, s_values, config: SolverConfig, warm_start: bool = True):
+def train_path(X, s_values, config: SolverConfig):
     """Fit one Gaussian model per bandwidth, in the order of ``s_values``.
 
     A generator: yields ``(s, model)``, or ``(s, err)`` when that solve
     raised the SvddError ``err``. The squared distances are computed once
-    for the whole path. With ``warm_start`` each solve starts from the
-    last successful model's alphas. Each model equals
+    for the whole path. The solves at positions 0, ``WARM_RUN``,
+    2 ``WARM_RUN``, ... start cold, from the uniform point; every other
+    one starts from the alphas of the last successful model since the
+    last cold start (cold while there is none). So a path cut at multiples
+    of ``WARM_RUN`` gives the same models piece by piece as whole. Each
+    model equals
     ``train(X, KernelSpec(GAUSSIAN, s), config, initial_alphas=<same start>)``
     bit for bit.
     """
     X = as_data_matrix(X)
     sq_dists = _kernel.squared_distance_matrix(X)
     alpha0 = None
-    for s in s_values:
+    for index, s in enumerate(s_values):
         s = float(s)
+        if index % WARM_RUN == 0:
+            alpha0 = None
         try:
             spec = KernelSpec(kind=GAUSSIAN, s=s)
             model = _fit(X, _kernel.kernel_matrix_from_sq(sq_dists, s), spec, config, alpha0)
         except SvddError as exc:
             yield s, exc
             continue
-        if warm_start:
-            alpha0 = model.alphas
+        alpha0 = model.alphas
         yield s, model
 
 

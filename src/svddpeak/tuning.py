@@ -29,6 +29,8 @@ from .solver import SolverConfig
 # solver tolerance of their own optimum
 MONOTONICITY_SLACK = 1e-7
 DEFAULT_MIN_RUN = 3
+# the fewest interior grid points (second differences) find_peak smooths
+MIN_INTERIOR_POINTS = 10
 
 # Default smooth for the second-derivative curve: a fixed penalty, the
 # SplineConfig default of 100, because generalized cross-validation badly
@@ -51,8 +53,6 @@ class BandwidthGrid:
             raise InputError("grid endpoints and step must be positive")
         if self.s_min >= self.s_max:
             raise InputError("need s_min < s_max")
-        if (self.s_max - self.s_min) / self.step < 8:
-            raise InputError("grid too coarse: need at least 8 steps for differencing")
 
     def values(self) -> np.ndarray:
         count = int(np.floor((self.s_max - self.s_min) / self.step + 1e-9)) + 1
@@ -115,10 +115,9 @@ def _v_star(s, result) -> float:
     return result.dual_objective
 
 
-def _path_v_star(X, config, warm_start, s_values) -> list:
+def _path_v_star(X, config, s_values) -> list:
     """V* along one ``train_path`` over ``s_values``; a process-pool task."""
-    path = _solver.train_path(X, s_values, config, warm_start=warm_start)
-    return [_v_star(s, result) for s, result in path]
+    return [_v_star(s, result) for s, result in _solver.train_path(X, s_values, config)]
 
 
 def sweep_objective(
@@ -131,24 +130,29 @@ def sweep_objective(
 ) -> ObjectiveCurve:
     """Train across the bandwidth grid and record V*(s) with derivatives.
 
-    The solves run along ``solver.train_path``; with ``warm_start`` each
-    starts from the previous solution. With jobs > 1 the grid is cut into
-    ``jobs`` chunks, each one cold-started path in a process pool: a cold
-    solve starts from the uniform point in any chunk, so the curve does
-    not depend on the worker count.
+    The solves run along one ``solver.train_path``, in warm runs of
+    ``solver.WARM_RUN`` solves. With jobs > 1 the grid is cut at the
+    runs' starts and the runs are shared out to a process pool, so the
+    curve has the same bits for any worker count. ``warm_start=False``
+    cuts the grid into runs of one value instead: every solve cold.
     """
     X = as_data_matrix(X)
     config = _resolve_config(f, config)
     s_values = grid.values()
+    if warm_start and jobs == 1:
+        # train_path makes the runs itself, on one distance matrix
+        runs = [s_values]
+    else:
+        run = _solver.WARM_RUN if warm_start else 1
+        runs = [s_values[start:start + run] for start in range(0, s_values.size, run)]
+    task = partial(_path_v_star, X, config)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(partial(_path_v_star, X, config, False),
-                              np.array_split(s_values, jobs))
-            v_star = [v for chunk in chunks for v in chunk]
+            v_star = [v for chunk in pool.map(task, runs) for v in chunk]
     else:
-        v_star = _path_v_star(X, config, warm_start, s_values)
+        v_star = [v for chunk in map(task, runs) for v in chunk]
     return _sweep_curve(s_values, v_star, f, X.shape[0])
 
 
@@ -193,6 +197,15 @@ def _sweep_curve(s_values, v_star, f: float, n: int) -> ObjectiveCurve:
     return curve
 
 
+def require_peak_grid(s_values) -> None:
+    """InputError unless the grid ``s_values`` has enough interior points
+    for ``find_peak``; the peak path checks this before its first solve."""
+    interior = max(len(s_values) - 2, 0)
+    if interior < MIN_INTERIOR_POINTS:
+        raise InputError(f"grid too coarse: the peak criterion needs at least "
+                         f"{MIN_INTERIOR_POINTS} interior grid points, got {interior}")
+
+
 def _zero_runs(mask):
     """(start, stop) of each maximal True run of ``mask`` in order, stop
     exclusive."""
@@ -211,9 +224,8 @@ def find_peak(
     the points whose confidence band contains zero, and returns the first
     contiguous run of at least ``min_run`` masked points as an interval.
     """
+    require_peak_grid(curve.s_values)
     interior = curve.interior_s
-    if interior.size < 10:
-        raise InputError(f"need at least 10 interior grid points, got {interior.size}")
     if min_run < 1:
         raise InputError("min_run must be at least 1")
     fit = fit_pspline(interior, curve.d2, spline_config or D2_SPLINE_DEFAULT)
@@ -257,7 +269,9 @@ def select_bandwidth_peak(
     min_run: int = DEFAULT_MIN_RUN,
     jobs: int = 1,
 ) -> PeakResult:
-    """Sweep the grid (warm-started), then find the first zero plateau."""
+    """Sweep the grid, then find the first zero plateau. A grid too short
+    for ``find_peak`` raises InputError before any solve."""
     grid = grid or BandwidthGrid.low_dimensional()
-    curve = sweep_objective(X, f, grid, config=config, warm_start=True, jobs=jobs)
+    require_peak_grid(grid.values())
+    curve = sweep_objective(X, f, grid, config=config, jobs=jobs)
     return find_peak(curve, min_run=min_run)

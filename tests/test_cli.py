@@ -252,6 +252,105 @@ class TestTrainTune:
         assert not model_path.exists()
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("did the work before the usage error")
+
+
+class TestGridRule:
+    def test_md_builds_no_grid(self, banana_csv, tmp_path):
+        reports = []
+        for name, flags in (("default", []), ("coarse", ["--s-step", "1"]),
+                            ("nonpositive", ["--s-min", "0"])):
+            out = tmp_path / f"{name}.json"
+            assert main(["tune", "--data", str(banana_csv), "--method", "md", *flags,
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["s"] == reports[1]["s"] == reports[2]["s"]
+        assert all("grid" not in report for report in reports)
+
+    @pytest.mark.parametrize("method", ["cv", "dfn"])
+    def test_grid_baselines_take_a_short_grid(self, banana_csv, tmp_path, method):
+        out = tmp_path / "report.json"
+        assert main(["tune", "--data", str(banana_csv), "--method", method, "--s-min", "0.5",
+                     "--s-max", "3", "--s-step", "0.5", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["s"] in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        assert len(read_rows(report["curve_csv"])) == 1 + 6
+
+    @pytest.mark.parametrize("command", [["tune", "--method", "peak"], ["train", "--tune", "peak"]])
+    def test_peak_on_a_short_grid_is_usage_error_before_any_solve(
+            self, banana_csv, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        out = tmp_path / "out.json"
+        assert main([*command, "--data", str(banana_csv), "--s-min", "0.5", "--s-max", "3",
+                     "--s-step", "0.5", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: grid too coarse: the peak criterion needs "
+                                           "at least 10 interior grid points, got 4\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_on_a_short_grid_is_usage_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "train_path", _never)
+        assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                     "--s-step", "1", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "grid too coarse" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPeakSweepPolicy:
+    def test_tune_curve_is_the_library_sweep(self, banana_csv, tmp_path):
+        from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak, sweep_objective
+
+        out = tmp_path / "report.json"
+        assert main(["tune", "--data", str(banana_csv), "--method", "peak",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        rows = read_rows(report["curve_csv"])[1:]
+        _, X, _ = read_csv_dataset(banana_csv)
+        grid = BandwidthGrid.low_dimensional()
+        curve = sweep_objective(X, 0.001, grid)
+        assert [r[1] for r in rows] == [cli._fmt(v) for v in curve.v_star]
+        peak = select_bandwidth_peak(X, 0.001, grid)
+        assert (report["s_low"], report["s_high"]) == (peak.s_low, peak.s_high)
+        assert [r[4] for r in rows[1:-1]] == [cli._fmt(v) for v in peak.fit.fitted]
+
+
+class TestMissingOutputDirectory:
+    @pytest.fixture
+    def model_path(self, two_point_csv, tmp_path):
+        out = tmp_path / "model.json"
+        assert main(["train", "--data", str(two_point_csv), "--s", "2", "--f", "0.1",
+                     "--out", str(out)]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["tune", "--data", "{data}", "--method", "peak", "--out", "nodir/r.json"],
+         "nodir/r.json"),
+        (["tune", "--data", "{data}", "--method", "cv", "--out", "r.json",
+          "--curve", "nodir/c.csv"], "nodir/c.csv"),
+        (["train", "--data", "{data}", "--tune", "peak", "--out", "nodir/m.json"],
+         "nodir/m.json"),
+        (["score", "--model", "{model}", "--data", "{data}", "--out", "nodir/s.csv"],
+         "nodir/s.csv"),
+        (["grid", "--model", "{model}", "--out", "nodir/g.csv"], "nodir/g.csv"),
+        (["shapes", "--kind", "banana", "--out", "nodir/b.csv"], "nodir/b.csv"),
+    ])
+    def test_fails_before_reading_or_solving(self, two_point_csv, model_path, tmp_path,
+                                             capsys, monkeypatch, argv, missing):
+        for module, name in ((solver, "train_path"), (solver, "train"),
+                             (solver, "score_distances"), (solver, "score_lattice"),
+                             (solver, "load_model"), (cli, "read_csv_dataset"),
+                             (cli._datagen, "generate_shape")):
+            monkeypatch.setattr(module, name, _never)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(data=two_point_csv, model=model_path) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {missing}: no directory nodir\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestScoreAndGrid:
     @pytest.fixture
     def model_path(self, two_point_csv, tmp_path):

@@ -161,7 +161,7 @@ class TestF1Sweep:
         for kind, seed in [("banana", 11), ("star", 22), ("three_cluster", 33)]:
             X = generate_shape(kind, seed=seed)
             result = f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), grid, f=0.001)
-            curve = sweep_objective(X, 0.001, grid, warm_start=True)
+            curve = sweep_objective(X, 0.001, grid)
             np.testing.assert_array_equal(result.s_values, curve.s_values)
             np.testing.assert_array_equal(result.v_star, curve.v_star)
             own = result.objective_curve(0.001, X.shape[0])

@@ -196,15 +196,36 @@ class TestTrainPath:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_models_equal_train_bitwise(self, banana, warm):
+        # one path warm-starts each solve from the last; paths of one value
+        # (warm=False) are all cold
         config = SolverConfig(f=0.001)
         start = None
-        path = list(train_path(banana, self.S_VALUES, config, warm_start=warm))
+        if warm:
+            path = list(train_path(banana, self.S_VALUES, config))
+        else:
+            path = [step for s in self.S_VALUES for step in train_path(banana, [s], config)]
         assert [s for s, _ in path] == list(self.S_VALUES)
         for s, model in path:
             expected = train(banana, KernelSpec(GAUSSIAN, s), config, initial_alphas=start)
             _assert_same_model(model, expected)
             if warm:
                 start = expected.alphas
+
+    def test_runs_restart_cold_every_warm_run(self, banana):
+        config = SolverConfig(f=0.001)
+        s_values = np.linspace(0.2, 2.3, solver.WARM_RUN + 2)
+        path = list(train_path(banana, s_values, config))
+        before, at_run, after = (model for _, model in path[solver.WARM_RUN - 1:])
+        _assert_same_model(at_run, train(banana, KernelSpec(GAUSSIAN, s_values[-2]), config))
+        _assert_same_model(after, train(banana, KernelSpec(GAUSSIAN, s_values[-1]), config,
+                                        initial_alphas=at_run.alphas))
+        # the run before the cold start was warm
+        _assert_same_model(before, train(banana, KernelSpec(GAUSSIAN, s_values[-3]), config,
+                                         initial_alphas=path[-4][1].alphas))
+        # a path cut at a run's start gives the same models as the whole path
+        tail = list(train_path(banana, s_values[solver.WARM_RUN:], config))
+        for (_, whole), (_, cut) in zip(path[solver.WARM_RUN:], tail):
+            _assert_same_model(cut, whole)
 
     def test_failed_solve_is_yielded_and_path_goes_on(self, banana):
         # 300 iterations are enough for wide bandwidths, not for narrow ones

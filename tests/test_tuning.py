@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svddpeak.solver as solver
 import svddpeak.tuning as tuning
 from svddpeak.datagen import generate_shape
 from svddpeak.errors import InputError, NoPeakFoundError, SweepError
@@ -72,8 +73,22 @@ class TestBandwidthGrid:
             BandwidthGrid(0.0, 1.0, 0.1)
         with pytest.raises(InputError):
             BandwidthGrid(2.0, 1.0, 0.1)
-        with pytest.raises(InputError):
-            BandwidthGrid(1.0, 1.5, 0.1)  # fewer than 8 steps
+        # a short grid is a grid; only the peak criterion needs a long one
+        assert BandwidthGrid(1.0, 1.5, 0.1).values().size == 6
+
+    @pytest.mark.parametrize("grid, interior", [
+        (BandwidthGrid(1.0, 1.5, 0.1), 4),
+        (BandwidthGrid(1.0, 2.0, 0.1), 9),
+        (BandwidthGrid(1.0, 2.1, 0.1), 10),
+        (BandwidthGrid(0.05, 8.0, 5.0), 0),
+    ])
+    def test_peak_grid_needs_ten_interior_points(self, grid, interior):
+        assert grid.values().size - 2 == interior
+        if interior >= tuning.MIN_INTERIOR_POINTS:
+            tuning.require_peak_grid(grid.values())
+        else:
+            with pytest.raises(InputError, match=f"10 interior grid points, got {interior}$"):
+                tuning.require_peak_grid(grid.values())
 
 
 class TestSweepObjective:
@@ -123,8 +138,19 @@ class TestSweepObjective:
         X = rng.normal(size=(30, 2))
         grid = BandwidthGrid(0.5, 3.0, 0.25)
         seq = sweep_objective(X, 0.05, grid, warm_start=False)
-        par = sweep_objective(X, 0.05, grid, jobs=2)
+        par = sweep_objective(X, 0.05, grid, warm_start=False, jobs=2)
         np.testing.assert_array_equal(seq.v_star, par.v_star)
+        # runs of one value: every solve cold
+        cold = [train_path(X, [s], SolverConfig(f=0.05)) for s in grid.values()]
+        np.testing.assert_array_equal(seq.v_star, [next(p)[1].dual_objective for p in cold])
+
+    def test_warm_runs_give_the_same_bits_for_any_jobs(self, banana):
+        # the default grid is four warm runs; pooled, each run is one task
+        whole = [m.dual_objective for _, m in train_path(banana, LOW_GRID.values(),
+                                                          SolverConfig(f=0.001))]
+        for jobs in (1, 2, 3):
+            curve = sweep_objective(banana, 0.001, LOW_GRID, jobs=jobs)
+            np.testing.assert_array_equal(curve.v_star, whole)
 
     def test_parallel_sweep_error_names_bandwidth(self, rng):
         X = rng.normal(size=(40, 2))
@@ -253,6 +279,21 @@ class TestSelectBandwidthPeak:
         # good boundaries (roughly s in [0.4, 1.1] at this data scale)
         assert result.s_low <= 1.1 and result.s_high >= 0.4
         assert result.recommended < 2.0
+
+    def test_same_bits_for_any_jobs(self, banana):
+        one = select_bandwidth_peak(banana, 0.001)
+        two = select_bandwidth_peak(banana, 0.001, jobs=2)
+        assert (one.s_low, one.s_high) == (two.s_low, two.s_high)
+        np.testing.assert_array_equal(one.fit.fitted, two.fit.fitted)
+        np.testing.assert_array_equal(one.zero_mask, two.zero_mask)
+
+    def test_short_grid_raises_before_any_solve(self, banana, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        with pytest.raises(InputError, match="grid too coarse"):
+            select_bandwidth_peak(banana, 0.001, BandwidthGrid(0.5, 1.5, 0.1))
 
     def test_propagates_no_peak(self, rng, monkeypatch):
         X = rng.normal(size=(20, 2))
