@@ -6,11 +6,12 @@
  * Inner loop of maximal-violating-pair SMO for the SVDD dual.
  *
  * The compiled twin of ``solver._run_python``: from the current state it
- * takes pairwise steps until the maximal violation is at most kkt_tol or
- * ``iterations`` reaches max_iterations, and returns ``iterations``. The
- * caller owns the start, the fresh re-derivation of the gradient and the
- * convergence error. Every rounding equals the numpy loop's, so the two
- * give the same alphas bit for bit:
+ * takes pairwise steps until the maximal violation is at most kkt_tol,
+ * ``iterations`` reaches max_iterations or a step needs a kernel row that
+ * is not filled, and returns ``iterations``. The caller owns the start,
+ * the rows, the fresh re-derivation of the gradient and the convergence
+ * error. Every rounding equals the numpy loop's, so the two give the same
+ * alphas bit for bit:
  *
  *   - the gradient update keeps numpy's order, d = K_i[k] - K_j[k];
  *     d *= 2 clipped; g[k] += d, and the library is built with
@@ -21,7 +22,16 @@
  *     the current one only when it is strictly smaller.
  *
  * The gradient update and the choice of the next pair share one pass
- * over n. K is the exactly symmetric n x n Gram matrix, row-major.
+ * over n.
+ *
+ * K is the solver's n x n row buffer, row-major. A row k with filled[k]
+ * nonzero is row k of the exactly symmetric Gram matrix; any other row
+ * holds finite values the loop never reads. A step with the pair (i, j)
+ * reads rows i and j in full, so before that step the loop checks both:
+ * when one is not filled, it stops, writes that row's index to *missing
+ * (else -1) and returns. The caller fills the row and calls again with the
+ * same state. A call starts with selection only, so it picks the same
+ * pair again and goes on as if it had never stopped.
  *
  * The pass exists three times: scalar, and one vector body instantiated at
  * 8 lanes for AVX-512F and at 4 for AVX2. ``svdd_smo_level`` picks one; at
@@ -228,19 +238,25 @@ static pass_fn choose_pass(int64_t n)
 }
 
 int64_t svdd_smo_run(const double *K, const double *diag, double *alpha, double *grad,
-                     double *up_pen, double *low_pen, int64_t n, double C,
-                     double kkt_tol, double curvature_floor, int64_t max_iterations,
-                     int64_t iterations)
+                     double *up_pen, double *low_pen, const uint8_t *filled, int64_t n,
+                     double C, double kkt_tol, double curvature_floor,
+                     int64_t max_iterations, int64_t iterations, int64_t *missing)
 {
     const pass_fn pass = choose_pass(n);
     int64_t i, j;
 
-    /* selection only: a zero-step update would turn -0.0 into +0.0 */
+    *missing = -1;
+    /* selection only: a zero-step update would turn -0.0 into +0.0, and a
+     * run resumed after a missing row picks the same pair again */
     select_pair(grad, up_pen, low_pen, n, &i, &j);
     while (iterations < max_iterations) {
         const double violation = grad[j] - grad[i];
         if (violation <= kkt_tol)
             break;
+        if (!filled[i] || !filled[j]) {
+            *missing = filled[i] ? j : i;
+            break;
+        }
 
         const double *K_i = K + i * n;
         const double *K_j = K + j * n;

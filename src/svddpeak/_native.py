@@ -4,7 +4,10 @@
 same result where the library cannot be had:
 
 - ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
-  reached through ``smo_loop()``;
+  reached through ``smo_loop()``. It steps on the solver's kernel row
+  buffer and returns ``(iterations, row)``: ``row`` is -1 when the loop
+  converged or hit the iteration cap, else the index of a row it needs
+  that is not filled yet. The solver fills that row and calls again;
 - ``svdd_csv_rows``, the CSV cell writer (twin:
   ``datagen._python_blocks``), reached through ``csv_blocks()``;
 - ``svdd_csv_floats``, the CSV body reader (twin: numpy's parser in
@@ -110,8 +113,8 @@ def _load():
     lib.svdd_smo_compiler.argtypes, lib.svdd_smo_compiler.restype = [], ctypes.c_char_p
     smo = lib.svdd_smo_run
     smo.restype = ctypes.c_int64
-    smo.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
-        ctypes.c_int64, ctypes.c_int64]
+    smo.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     rows = lib.svdd_csv_rows
     rows.restype = ctypes.c_int64
     rows.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6 + [ctypes.c_int64]
@@ -120,11 +123,14 @@ def _load():
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                       ctypes.c_int64, ctypes.c_int64]
 
-    def run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
+    def run(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
-        return smo(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
-                   up_pen.ctypes.data, low_pen.ctypes.data, K.shape[0], C, kkt_tol,
-                   curvature_floor, max_iterations, iterations)
+        missing = ctypes.c_int64()
+        iterations = smo(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
+                         up_pen.ctypes.data, low_pen.ctypes.data, filled.ctypes.data,
+                         K.shape[0], C, kkt_tol, curvature_floor, max_iterations, iterations,
+                         ctypes.byref(missing))
+        return iterations, missing.value
 
     def blocks(cells, table, n_rows, block_rows):
         n = len(cells)

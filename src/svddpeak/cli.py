@@ -390,6 +390,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.method == "md" and args.curve is not None:
+        raise InputError("--curve: md computes its bandwidth in closed form and has no curve")
     _, X, _ = read_csv_dataset(args.data)
     s, fields, curve = _select_bandwidth(args, X, args.method)
     report = {"method": args.method, "data": str(args.data), **fields}

@@ -116,8 +116,7 @@ class LabeledGrid:
 
     @functools.cached_property
     def points(self) -> np.ndarray:
-        gx, gy = np.meshgrid(self.xs, self.ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return _lattice_points(self.xs, self.ys)
 
     @property
     def bounds(self) -> tuple:
@@ -129,6 +128,12 @@ class LabeledGrid:
     def resolution(self) -> tuple:
         """(rx, ry)"""
         return (self.xs.size, self.ys.size)
+
+
+def _lattice_points(xs, ys) -> np.ndarray:
+    """The points (xs[a], ys[b]) of a lattice, x fastest."""
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def shoelace_area(vertices) -> float:
@@ -226,10 +231,10 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     pad_y = padding * (y_max - y_min)
     xs = np.linspace(x_min - pad_x, x_max + pad_x, rx)
     ys = np.linspace(y_min - pad_y, y_max + pad_y, ry)
-    grid = LabeledGrid(xs, ys, np.zeros(rx * ry, dtype=bool))
-    if poly is not None:
-        grid.labels = points_in_polygon(grid.points, poly)
-    return grid
+    if poly is None:
+        return LabeledGrid(xs, ys, np.zeros(rx * ry, dtype=bool))
+    # a lattice kept for its labels only: the points go once they are labeled
+    return LabeledGrid(xs, ys, points_in_polygon(_lattice_points(xs, ys), poly))
 
 
 def make_star_polygon(n_points=5, outer_radius=4.0, inner_radius=1.6, seed=None) -> Polygon:
@@ -286,15 +291,16 @@ def shape_truth_grid(kind: str, X, resolution=(200, 200), noise: float | None = 
         raise InputError(f"unknown shape kind {kind!r}; expected one of {SHAPE_KINDS}")
     noise = SHAPE_NOISE[kind] if noise is None else float(noise)
     grid = labeled_grid_over(X, resolution=resolution)
+    points = _lattice_points(grid.xs, grid.ys)
     if kind == BANANA:
         t = np.linspace(-3.0, 3.0, 2001)
         arc = np.column_stack([t, t * t / 3.0 - 1.5])
-        grid.labels = _kernel.nearest_distances(grid.points, arc) <= 2.0 * noise
+        grid.labels = _kernel.nearest_distances(points, arc) <= 2.0 * noise
     elif kind == STAR:
-        grid.labels = points_in_polygon(grid.points, make_star_polygon())
+        grid.labels = points_in_polygon(points, make_star_polygon())
     else:
         centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
-        grid.labels = _kernel.nearest_distances(grid.points, centers) <= 2.45 * noise
+        grid.labels = _kernel.nearest_distances(points, centers) <= 2.45 * noise
     return grid
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +53,10 @@ _CURVATURE_FLOOR = 1e-12
 # rows scored per cross-kernel block; bounds scoring memory to a block times
 # the support-vector count instead of every scoring row at once
 SCORE_BLOCK_ROWS = 4096
+
+# kernel rows computed per block when a row buffer fills rows: 64 rows of a
+# 600-point set are 0.3 MB
+FILL_BLOCK_ROWS = 64
 
 # solves per warm run of train_path: a run starts cold and warm-starts each
 # later solve from the one before. Fixed, so that cutting a grid into runs
@@ -189,19 +194,72 @@ def _boundary_indices(alphas, C, tol) -> np.ndarray:
     return np.flatnonzero((alphas > tol) & (alphas < C - tol))
 
 
-def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
+class _KernelRows:
+    """The kernel matrix of one solve, as an n x n buffer ``K`` whose rows
+    are computed when a solve first reads them.
+
+    Row k of ``K`` is row k of the kernel matrix once ``filled[k]`` is set.
+    ``fill`` computes rows from ``source`` (row indices -> those rows of the
+    kernel matrix), ``FILL_BLOCK_ROWS`` at a time, and mirrors each row into
+    its column: the kernel matrix is exactly symmetric, so a filled row's
+    column is right too. Entries in neither a filled row nor a filled column
+    may hold anything finite, such as the rows of another bandwidth, but
+    the diagonal must be the kernel's throughout. With no ``source``, ``K``
+    is the whole kernel matrix and every row is filled.
+
+    Why an unfilled entry cannot change a bit of a solve: the support of
+    alpha is always filled (``_fit`` fills the start's support, and SMO
+    fills both rows of a pair before its step), so in ``K @ alpha`` an
+    unfilled entry K[r, k] is multiplied by alpha[k] = 0, which gives a
+    zero whatever the finite entry; and an SMO step reads only the rows of
+    its pair.
+    """
+
+    def __init__(self, K, source=None):
+        self.K = K
+        self.source = source
+        self.filled = np.full(K.shape[0], source is None, dtype=np.uint8)
+
+    def fill(self, rows) -> None:
+        """Fill the rows of the index array ``rows`` that are not filled yet."""
+        rows = rows[self.filled[rows] == 0]
+        for start in range(0, rows.size, FILL_BLOCK_ROWS):
+            block_rows = rows[start:start + FILL_BLOCK_ROWS]
+            block = self.source(block_rows)
+            self.K[block_rows] = block
+            self.K[:, block_rows] = block.T
+        self.filled[rows] = 1
+
+
+def _gaussian_rows(X, s, rows) -> np.ndarray:
+    """Rows ``rows`` of the Gaussian kernel matrix of X at bandwidth s, bit
+    for bit the rows of ``kernel.kernel_matrix``: both come from
+    ``squared_distances`` and ``_gaussian``, one entry at a time."""
+    block = _kernel.squared_distances(X[rows], X)
+    return _kernel._gaussian(block, s, out=block)
+
+
+def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows=None):
     """Maximal-violating-pair SMO on min a'Ka - diag(K)'a over the scaled box.
 
-    Returns (alpha, kkt_residual, iterations). Gradient is maintained
-    incrementally and re-derived from scratch before convergence is
-    accepted, so drift cannot produce a falsely converged result.
+    Returns (alpha, kkt_residual, iterations, K @ alpha). Gradient is
+    maintained incrementally and re-derived from scratch before convergence
+    is accepted, so drift cannot produce a falsely converged result.
+
+    ``rows`` is the ``_KernelRows`` that ``K`` belongs to, with the support
+    of ``alpha0`` filled; None means ``K`` is the whole kernel matrix. The
+    solve gives the same bits whichever other rows are filled.
 
     The pairwise steps run in an inner loop with two implementations of
     one contract: the compiled ``_native.c`` (built on first use, see
     ``_native``) and ``_run_python``. Both give the same bits; the Python
     loop runs when the library cannot be built or ``K`` is not a square
-    C-contiguous float64 matrix.
+    C-contiguous float64 matrix. The loop returns early, naming the row,
+    when its next pair needs a row that is not filled; the row is filled
+    and the loop resumes from the same state, gradient and all.
     """
+    if rows is None:
+        rows = _KernelRows(K)
     diag = np.ascontiguousarray(np.diag(K))
     alpha = np.asarray(alpha0, dtype=float).copy()
     grad = 2.0 * (K @ alpha) - diag
@@ -213,9 +271,13 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
     run = compiled or _run_python
     iterations = 0
     while True:
-        iterations = run(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol,
-                         _CURVATURE_FLOOR, max_iterations, iterations)
-        grad = 2.0 * (K @ alpha) - diag
+        iterations, missing = run(K, diag, alpha, grad, up_pen, low_pen, rows.filled, C,
+                                  kkt_tol, _CURVATURE_FLOOR, max_iterations, iterations)
+        if missing >= 0:
+            rows.fill(np.array([missing]))
+            continue
+        K_alpha = K @ alpha
+        grad = 2.0 * K_alpha - diag
         violation = _violation(grad, up_pen, low_pen)
         if iterations >= max_iterations:
             raise ConvergenceError(
@@ -226,7 +288,7 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0):
                 iterations=iterations,
             )
         if violation <= kkt_tol:
-            return alpha, max(violation, 0.0), iterations
+            return alpha, max(violation, 0.0), iterations, K_alpha
 
 
 def _violation(grad, up_pen, low_pen) -> float:
@@ -236,19 +298,21 @@ def _violation(grad, up_pen, low_pen) -> float:
     return grad.item(j) - grad.item(i)
 
 
-def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_floor,
+def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
                 max_iterations, iterations):
     """Take SMO steps in place until the maximal violation is at most
-    ``kkt_tol`` or ``iterations`` reaches ``max_iterations``; returns
-    ``iterations``. The numpy twin of ``svdd_smo_run`` in ``_native.c``.
+    ``kkt_tol``, ``iterations`` reaches ``max_iterations`` or the next pair
+    needs a row k of ``K`` with ``filled[k]`` zero; returns ``(iterations,
+    k)``, with k = -1 unless a row was missing. The numpy twin of
+    ``svdd_smo_run`` in ``_native.c``.
 
     Per iteration numpy overhead is kept small without changing a single
     rounding of the plain formulation (columns ``K[:, i]``, masks rebuilt
     by ``np.where`` every step):
 
-    * ``K`` is exactly symmetric (``kernel_matrix`` and
-      ``kernel_matrix_from_sq`` guarantee it), so a step reads the
-      contiguous rows ``K[i]``, ``K[j]``;
+    * the kernel matrix is exactly symmetric (``kernel_matrix`` and
+      ``_gaussian_rows`` guarantee it), so a step reads the contiguous
+      filled rows ``K[i]``, ``K[j]``;
     * the bound masks are offset vectors, ``up_pen`` (+inf where alpha = C)
       and ``low_pen`` (-inf where alpha = 0), updated only at the two
       coordinates a step moves: i = argmin(grad + up_pen) and
@@ -271,6 +335,10 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_flo
         violation = grad.item(j) - grad.item(i)
         if violation <= kkt_tol:
             break
+        if not filled.item(i):
+            return iterations, i
+        if not filled.item(j):
+            return iterations, j
         K_i = K[i]
         curvature = k_diag[i] + k_diag[j] - 2.0 * K_i.item(j)
         if curvature > curvature_floor:
@@ -293,7 +361,7 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, C, kkt_tol, curvature_flo
         multiply(diff, 2.0 * clipped, diff)
         add(grad, diff, grad)
         iterations += 1
-    return iterations
+    return iterations, -1
 
 
 def _threshold_from_parts(K, alphas, boundary, alpha_quad, kkt_tol):
@@ -309,7 +377,7 @@ def _threshold_from_parts(K, alphas, boundary, alpha_quad, kkt_tol):
     return float(max(per_sv.mean(), 0.0))
 
 
-def _threshold_midpoint_fallback(K, alphas, C, alpha_quad, kkt_tol):
+def _threshold_midpoint_fallback(diag, K_alphas, alphas, C, alpha_quad, kkt_tol):
     """Threshold when the optimum has every alpha at a box bound.
 
     The KKT conditions then only bracket R^2: it is at least the largest
@@ -317,7 +385,7 @@ def _threshold_midpoint_fallback(K, alphas, C, alpha_quad, kkt_tol):
     alpha = C points. Take the midpoint of that interval (or its upper
     end when nothing is strictly inside).
     """
-    dist_sq = np.diag(K) - 2.0 * (K @ alphas) + alpha_quad
+    dist_sq = diag - 2.0 * K_alphas + alpha_quad
     inside = alphas <= kkt_tol
     outside = alphas >= C - kkt_tol
     hi = float(dist_sq[outside].min()) if np.any(outside) else 0.0
@@ -334,25 +402,31 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
     feasible set first); the default is the uniform feasible point.
     """
     X = as_data_matrix(X)
-    return _fit(X, _kernel.kernel_matrix(X, spec), spec, config, initial_alphas)
+    if spec.kind == GAUSSIAN:
+        rows = _KernelRows(np.eye(X.shape[0]), partial(_gaussian_rows, X, spec.s))
+    else:
+        rows = _KernelRows(_kernel.kernel_matrix(X, spec))
+    return _fit(X, rows, spec, config, initial_alphas)
 
 
 def train_path(X, s_values, config: SolverConfig):
     """Fit one Gaussian model per bandwidth, in the order of ``s_values``.
 
     A generator: yields ``(s, model)``, or ``(s, err)`` when that solve
-    raised the SvddError ``err``. The squared distances are computed once
-    for the whole path. The solves at positions 0, ``WARM_RUN``,
-    2 ``WARM_RUN``, ... start cold, from the uniform point; every other
-    one starts from the alphas of the last successful model since the
-    last cold start (cold while there is none). So a path cut at multiples
-    of ``WARM_RUN`` gives the same models piece by piece as whole. Each
-    model equals
+    raised the SvddError ``err``. Every solve fills the kernel rows it
+    reads into one n x n buffer, allocated once for the whole path. The
+    solves at positions 0, ``WARM_RUN``, 2 ``WARM_RUN``, ... start cold,
+    from the uniform point; every other one starts from the alphas of the
+    last successful model since the last cold start (cold while there is
+    none). So a path cut at multiples of ``WARM_RUN`` gives the same models
+    piece by piece as whole. Each model equals
     ``train(X, KernelSpec(GAUSSIAN, s), config, initial_alphas=<same start>)``
     bit for bit.
     """
     X = as_data_matrix(X)
-    sq_dists = _kernel.squared_distance_matrix(X)
+    # unit diagonal: every solve reads the whole diagonal, and the Gaussian
+    # kernel's is 1; the rest of each row is written before it is read
+    buffer = np.eye(X.shape[0])
     alpha0 = None
     for index, s in enumerate(s_values):
         s = float(s)
@@ -360,7 +434,8 @@ def train_path(X, s_values, config: SolverConfig):
             alpha0 = None
         try:
             spec = KernelSpec(kind=GAUSSIAN, s=s)
-            model = _fit(X, _kernel.kernel_matrix_from_sq(sq_dists, s), spec, config, alpha0)
+            rows = _KernelRows(buffer, partial(_gaussian_rows, X, s))
+            model = _fit(X, rows, spec, config, alpha0)
         except SvddError as exc:
             yield s, exc
             continue
@@ -368,41 +443,52 @@ def train_path(X, s_values, config: SolverConfig):
         yield s, model
 
 
-def _fit(X, K, spec, config, initial_alphas) -> SvddModel:
-    """Solve the dual on ``K``, the kernel matrix of the rows of ``X``.
+def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
+    """Solve the dual on the kernel rows ``rows`` (a ``_KernelRows``) of
+    the rows of ``X``.
 
-    The body shared by ``train`` and ``train_path``.
+    The body shared by ``train`` and ``train_path``. No part of the model
+    refers to ``rows.K``, which the next solve of a path overwrites.
     """
     n = X.shape[0]
     C = config.box_bound(n)
 
-    if config.f == 1.0:
-        # C = 1/n: the uniform point is the only feasible one, whatever the start
-        alphas, residual, iterations = np.full(n, 1.0 / n), 0.0, 0
+    # with f = 1, C = 1/n: the uniform point is the only feasible one,
+    # whatever the start
+    if config.f == 1.0 or initial_alphas is None:
+        alpha0 = np.full(n, 1.0 / n)
     else:
-        if initial_alphas is None:
+        alpha0 = np.clip(np.asarray(initial_alphas, dtype=float), 0.0, C)
+        total = alpha0.sum()
+        if not np.isfinite(total) or total <= 0:
             alpha0 = np.full(n, 1.0 / n)
         else:
-            alpha0 = np.clip(np.asarray(initial_alphas, dtype=float), 0.0, C)
-            total = alpha0.sum()
-            if not np.isfinite(total) or total <= 0:
-                alpha0 = np.full(n, 1.0 / n)
-            else:
-                alpha0 = np.clip(alpha0 / total, 0.0, C)
-        alphas, residual, iterations = _solve_smo(
-            K, C, config.kkt_tol, config.max_iterations, alpha0
+            alpha0 = np.clip(alpha0 / total, 0.0, C)
+    rows.fill(np.flatnonzero(alpha0 > 0.0))
+    K = rows.K
+    if config.f == 1.0:
+        solved, residual, iterations, K_alphas = alpha0, 0.0, 0, None
+    else:
+        solved, residual, iterations, K_alphas = _solve_smo(
+            K, C, config.kkt_tol, config.max_iterations, alpha0, rows
         )
-    alphas = alphas / alphas.sum()
+    alphas = solved / solved.sum()
     np.clip(alphas, 0.0, C, out=alphas)
+    # the solver's K @ alpha serves when normalising left every bit as it
+    # was; bits, not values, so that -0.0 is never taken for +0.0
+    if K_alphas is None or alphas.tobytes() != solved.tobytes():
+        K_alphas = K @ alphas
 
-    alpha_quad = float(alphas @ (K @ alphas))
-    dual_objective = float(np.diag(K) @ alphas - alpha_quad)
+    alpha_quad = float(alphas @ K_alphas)
+    diag = np.diag(K)
+    dual_objective = float(diag @ alphas - alpha_quad)
     sv_indices = np.flatnonzero(alphas > 0.0)
     boundary = _boundary_indices(alphas, C, config.kkt_tol)
     if boundary.size:
         r_squared = _threshold_from_parts(K, alphas, boundary, alpha_quad, config.kkt_tol)
     else:
-        r_squared = _threshold_midpoint_fallback(K, alphas, C, alpha_quad, config.kkt_tol)
+        r_squared = _threshold_midpoint_fallback(diag, K_alphas, alphas, C, alpha_quad,
+                                                 config.kkt_tol)
     return SvddModel(
         alphas=alphas,
         sv_indices=sv_indices,

@@ -161,6 +161,18 @@ class TestTune:
         report = json.loads(out.read_text())
         assert report["s"] == pytest.approx(2.0 / math.sqrt(math.log(2.998)), abs=1e-9)
 
+    def test_md_with_curve_is_usage_error(self, two_point_csv, tmp_path, capsys, monkeypatch):
+        # md has no curve: --curve used to be accepted and nothing written there
+        from svddpeak import baselines
+
+        monkeypatch.setattr(baselines, "select_md", lambda *args: pytest.fail("md ran"))
+        monkeypatch.setattr(cli, "read_csv_dataset", lambda *args: pytest.fail("data read"))
+        out, curve = tmp_path / "md.json", tmp_path / "md.csv"
+        assert main(["tune", "--data", str(two_point_csv), "--method", "md",
+                     "--curve", str(curve), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --curve: md ")
+        assert sorted(tmp_path.iterdir()) == [two_point_csv]
+
     def test_cv_equidistant_ties_to_s_min(self, tmp_path):
         data = tmp_path / "tri.csv"
         save_dataset(data, np.eye(3))

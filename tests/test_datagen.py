@@ -165,6 +165,20 @@ class TestLabeledGrid:
         assert grid.resolution == (3, 2)
         assert grid.bounds == (0.0, 2.0, 5.0, 6.0)
 
+    @pytest.mark.parametrize("kind", [None, *SHAPE_KINDS])
+    def test_labeling_keeps_no_lattice_points(self, kind):
+        # a polygon task holds its lattice through every solve of its sweep;
+        # the 40,000 x 2 points are needed only to label it
+        if kind is None:
+            poly = generate_polygon(PolygonConfig(k=8, seed=3))
+            grid = make_labeled_grid(poly, resolution=(30, 20))
+            expected = points_in_polygon(LabeledGrid(grid.xs, grid.ys, grid.labels).points,
+                                         poly)
+            np.testing.assert_array_equal(grid.labels, expected)
+        else:
+            grid = shape_truth_grid(kind, generate_shape(kind, seed=0), resolution=(30, 20))
+        assert "points" not in vars(grid)
+
     def test_label_count_must_match_lattice(self):
         with pytest.raises(InputError):
             LabeledGrid([0.0, 1.0, 2.0], [5.0, 6.0], np.zeros(5, dtype=bool))

@@ -1,20 +1,28 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svddpeak import solver
-from svddpeak.datagen import LabeledGrid, generate_shape
+from svddpeak import kernel, solver
+from svddpeak.datagen import (
+    LabeledGrid,
+    PolygonConfig,
+    generate_polygon,
+    generate_shape,
+    sample_interior,
+)
 from svddpeak.errors import (
     ConvergenceError,
     DimensionError,
     InputError,
     NumericalError,
 )
+from svddpeak.evaluation import _polygon_seed
 from svddpeak.kernel import (
     GAUSSIAN,
     LINEAR,
@@ -39,6 +47,7 @@ from svddpeak.solver import (
     train,
     train_path,
 )
+from svddpeak.tuning import BandwidthGrid
 
 from oracles import reference_smo, simplex_grid_max
 from native_paths import PASSES, pinned, supported_passes
@@ -239,6 +248,128 @@ class TestTrainPath:
         _assert_same_model(path[2][1], expected)
 
 
+def _dense_train(X, spec, config, initial_alphas=None):
+    """``train`` on the whole kernel matrix, every row filled from the start."""
+    rows = solver._KernelRows(kernel_matrix(X, spec))
+    return solver._fit(solver.as_data_matrix(X), rows, spec, config, initial_alphas)
+
+
+def _polygon_600():
+    """The training set of the 600-point polygon task of
+    ``simulate --vertices 10 --per-count 1`` at the default master seed."""
+    seed = _polygon_seed(20240501, 10, 0)
+    polygon = generate_polygon(PolygonConfig(k=10, r_min=3.0, r_max=5.0, seed=seed))
+    return sample_interior(polygon, 600, seed + 50_000)
+
+
+@pytest.fixture
+def filled_rows(monkeypatch):
+    """(s, row count) of every block of kernel rows the solver computes."""
+    filled = []
+    real_rows = solver._gaussian_rows
+
+    def counting_rows(X, s, rows):
+        filled.append((s, len(rows)))
+        return real_rows(X, s, rows)
+
+    monkeypatch.setattr(solver, "_gaussian_rows", counting_rows)
+    return filled
+
+
+class TestRowBuffer:
+    """``train_path`` computes only the kernel rows its solves read, into one
+    buffer, and gives the models of the whole kernel matrix bit for bit."""
+
+    @staticmethod
+    def _assert_path_equals_dense_train(X, s_values, config):
+        start = None
+        path = list(train_path(X, s_values, config))
+        for s, model in path:
+            spec = KernelSpec(GAUSSIAN, s)
+            for other in (_dense_train(X, spec, config, start),
+                          train(X, spec, config, initial_alphas=start)):
+                _assert_same_model(model, other)
+                assert model.alpha_quad == other.alpha_quad
+            # the solver's last K @ alpha, when _fit reuses it, has the bits
+            # of a fresh product
+            K = kernel_matrix(X, spec)
+            assert model.alpha_quad == float(model.alphas @ (K @ model.alphas))
+            start = model.alphas
+        return [model for _, model in path]
+
+    def test_f_one_fills_every_row(self):
+        # no SMO step is taken, so every row must be filled before alpha_quad
+        X = generate_shape("banana", n=60, seed=11)
+        models = self._assert_path_equals_dense_train(X, (0.3, 0.6, 0.9), SolverConfig(f=1.0))
+        assert all(model.iterations == 0 for model in models)
+
+    def test_midpoint_fallback_reads_unfilled_rows(self, filled_rows):
+        # two far points take alpha = C = 1/2 and the rest 0, so the
+        # threshold comes from the fallback, which reads K @ alpha on every
+        # row; from a warm start that is already optimal, the last solve
+        # fills only its start's support
+        X = np.vstack([[[-1.0, 0.0], [1.0, 0.0]],
+                       np.random.default_rng(0).uniform(-0.3, 0.3, size=(8, 2))])
+        s_values, config = (0.8, 1.0, 1.2, 1.5), SolverConfig(f=0.2)
+        models = self._assert_path_equals_dense_train(X, s_values, config)
+        assert [model.boundary_sv_indices.size == 0 for model in models] == [False] + [True] * 3
+        assert models[-1].iterations == 0
+        filled_rows.clear()
+        list(train_path(X, s_values, config))
+        assert sum(count for s, count in filled_rows if s == 1.5) < X.shape[0]
+
+    def test_every_solve_reads_a_unit_diagonal(self, monkeypatch):
+        # an unfilled row's diagonal enters the gradient, so it must be the
+        # kernel's before the row is filled
+        diagonals = []
+        real_smo = solver._solve_smo
+
+        def recording_smo(K, *args, **kwargs):
+            diagonals.append(np.diag(K).copy())
+            return real_smo(K, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_smo", recording_smo)
+        X = generate_shape("banana", n=120, seed=11)
+        config = SolverConfig(f=0.001)
+        s_values = np.linspace(0.2, 2.0, 12)
+        path = [model for _, model in train_path(X, s_values, config)]
+        # a warm start fills only its support, here two rows of 120
+        start = np.zeros(X.shape[0])
+        start[[0, 60]] = 0.5
+        train(X, KernelSpec(GAUSSIAN, 0.5), config, initial_alphas=start)
+        assert len(path) == 12 and len(diagonals) == 13
+        assert all((d == 1.0).all() for d in diagonals)
+
+    @pytest.mark.parametrize("data, bound", [("banana", 0.15), ("polygon-600", 0.20)])
+    def test_sweep_fills_few_rows(self, monkeypatch, filled_rows, data, bound):
+        # warm solves read few rows; a fall-back to whole matrices fails here
+        X = generate_shape("banana", seed=11) if data == "banana" else _polygon_600()
+
+        def dense(*args):
+            pytest.fail("the solver built a dense matrix")
+
+        monkeypatch.setattr(kernel, "squared_distance_matrix", dense)
+        monkeypatch.setattr(kernel, "kernel_matrix_from_sq", dense)
+        grid = BandwidthGrid.low_dimensional().values()
+        list(train_path(X, grid, SolverConfig(f=0.001)))
+        filled = sum(count for _, count in filled_rows)
+        assert 0 < filled <= bound * X.shape[0] * grid.size
+
+    def test_polygon_sweep_peak_memory(self):
+        # one 600 x 600 buffer is 2.7 MiB; a distance matrix plus a kernel
+        # matrix per solve peaked at 8.2 MiB
+        X = _polygon_600()
+        grid = BandwidthGrid.low_dimensional().values()
+        tracemalloc.start()
+        try:
+            path = list(train_path(X, grid, SolverConfig(f=0.001)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(path) == grid.size
+        assert peak < 7 * 2**20
+
+
 def _solve_on(name, *args):
     """``solver._solve_smo(*args)`` on the inner-loop pass ``name``."""
     with pinned(name):
@@ -249,7 +380,7 @@ def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
     """Every pass the host runs reproduces the plain reference loop bit for bit."""
     expected = reference_smo(K, C, kkt_tol, max_iterations, alpha0)
     for name in supported_passes():
-        alphas, residual, iterations = _solve_on(name, K, C, kkt_tol, max_iterations, alpha0)
+        alphas, residual, iterations, _ = _solve_on(name, K, C, kkt_tol, max_iterations, alpha0)
         assert np.array_equal(alphas, expected[0]), name
         assert residual == expected[1], name
         assert iterations == expected[2], name
@@ -264,6 +395,42 @@ def _assert_same_failure(K, C, alpha0, kkt_tol, max_iterations, name):
     assert np.array_equal(err.value.alphas, expected.value.alphas), name
     assert err.value.kkt_residual == expected.value.kkt_residual, name
     assert err.value.iterations == expected.value.iterations == max_iterations, name
+
+
+RANDOM_PROBLEMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    # every tail length of the 4- and 8-lane passes, and several blocks
+    n=st.integers(2, 70),
+    integer_rows=st.booleans(),
+    near_copies=st.integers(0, 3),
+    kind=st.sampled_from([GAUSSIAN, LINEAR]),
+    s=st.floats(0.05, 4.0),
+    f=st.floats(0.01, 0.95),
+    warm=st.booleans(),
+    max_iterations=st.one_of(st.integers(1, 40), st.just(20_000)),
+)
+
+
+def _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm):
+    """(K, C, alpha0) of one draw of ``RANDOM_PROBLEMS``."""
+    rng = np.random.default_rng(seed)
+    shape = (n, int(rng.integers(1, 4)))
+    # integer rows tie many gradient entries exactly; copies shifted by
+    # 2**-20 take steps at the curvature floor
+    if integer_rows:
+        X = rng.integers(-7, 8, size=shape).astype(float)
+    else:
+        X = rng.normal(size=shape)
+    X = np.vstack([X, X[:near_copies] + 2.0**-20])
+    K = kernel_matrix(X, KernelSpec(kind, s if kind == GAUSSIAN else None))
+    C = SolverConfig(f=f).box_bound(X.shape[0])
+    if warm:
+        # the start _fit makes of a warm start: clipped, rescaled, clipped
+        alpha0 = np.clip(rng.dirichlet(np.ones(X.shape[0])), 0.0, C)
+        alpha0 = np.clip(alpha0 / alpha0.sum(), 0.0, C)
+    else:
+        alpha0 = np.full(X.shape[0], 1.0 / X.shape[0])
+    return K, C, alpha0
 
 
 class TestSmoMatchesReference:
@@ -315,48 +482,59 @@ class TestSmoMatchesReference:
 
     @pytest.mark.parametrize("name", PASSES)
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        # every tail length of the 4- and 8-lane passes, and several blocks
-        n=st.integers(2, 70),
-        integer_rows=st.booleans(),
-        near_copies=st.integers(0, 3),
-        kind=st.sampled_from([GAUSSIAN, LINEAR]),
-        s=st.floats(0.05, 4.0),
-        f=st.floats(0.01, 0.95),
-        warm=st.booleans(),
-        max_iterations=st.one_of(st.integers(1, 40), st.just(20_000)),
-    )
+    @given(**RANDOM_PROBLEMS)
     def test_random_problems(self, name, seed, n, integer_rows, near_copies, kind, s, f,
                              warm, max_iterations):
         if name not in supported_passes():
             pytest.skip(f"the {name} pass cannot run on this host")
-        rng = np.random.default_rng(seed)
-        shape = (n, int(rng.integers(1, 4)))
-        # integer rows tie many gradient entries exactly; copies shifted by
-        # 2**-20 take steps at the curvature floor
-        if integer_rows:
-            X = rng.integers(-7, 8, size=shape).astype(float)
-        else:
-            X = rng.normal(size=shape)
-        X = np.vstack([X, X[:near_copies] + 2.0**-20])
-        K = kernel_matrix(X, KernelSpec(kind, s if kind == GAUSSIAN else None))
-        C = SolverConfig(f=f).box_bound(X.shape[0])
-        if warm:
-            # the start _fit makes of a warm start: clipped, rescaled, clipped
-            alpha0 = np.clip(rng.dirichlet(np.ones(X.shape[0])), 0.0, C)
-            alpha0 = np.clip(alpha0 / alpha0.sum(), 0.0, C)
-        else:
-            alpha0 = np.full(X.shape[0], 1.0 / X.shape[0])
+        K, C, alpha0 = _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm)
         try:
             expected = reference_smo(K, C, 1e-6, max_iterations, alpha0)
         except ConvergenceError:
             _assert_same_failure(K, C, alpha0, 1e-6, max_iterations, name)
             return
-        alphas, residual, iterations = _solve_on(name, K, C, 1e-6, max_iterations, alpha0)
+        alphas, residual, iterations, _ = _solve_on(name, K, C, 1e-6, max_iterations, alpha0)
         assert np.array_equal(alphas, expected[0])
         assert residual == expected[1]
         assert iterations == expected[2]
+
+    @pytest.mark.parametrize("name", PASSES)
+    @settings(max_examples=60, deadline=None)
+    @given(**RANDOM_PROBLEMS, support_share=st.floats(0.0, 1.0),
+           filled_share=st.floats(0.0, 1.0))
+    def test_row_buffer_matches_dense(self, name, seed, n, integer_rows, near_copies, kind, s,
+                                      f, warm, max_iterations, support_share, filled_share):
+        # a buffer whose rows outside the start's support are filled at
+        # random, with arbitrary finite values in neither a filled row nor
+        # a filled column, solves as the dense matrix does, bit for bit
+        if name not in supported_passes():
+            pytest.skip(f"the {name} pass cannot run on this host")
+        K, C, alpha0 = _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm)
+        rng = np.random.default_rng([seed, 1])
+        if warm:
+            # a warm start from a sparse support, as a sweep's are
+            alpha0 = np.where(rng.random(alpha0.size) < support_share, alpha0, 0.0)
+            alpha0[rng.integers(alpha0.size)] = C
+            alpha0 = np.clip(alpha0 / alpha0.sum(), 0.0, C)
+        buffer = rng.uniform(-1e3, 1e3, size=K.shape)
+        np.fill_diagonal(buffer, np.diag(K))
+        rows = solver._KernelRows(buffer, lambda index: K[index])
+        rows.fill(np.flatnonzero((alpha0 > 0.0) | (rng.random(alpha0.size) < filled_share)))
+        with pinned(name):
+            try:
+                expected = solver._solve_smo(K, C, 1e-6, max_iterations, alpha0)
+            except ConvergenceError as dense:
+                with pytest.raises(ConvergenceError) as err:
+                    solver._solve_smo(buffer, C, 1e-6, max_iterations, alpha0, rows)
+                assert err.value.alphas.tobytes() == dense.alphas.tobytes()
+                assert err.value.kkt_residual == dense.kkt_residual
+                assert err.value.iterations == dense.iterations
+                return
+            got = solver._solve_smo(buffer, C, 1e-6, max_iterations, alpha0, rows)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1:3] == expected[1:3]
+        assert np.array_equal(got[3], expected[3])
+        assert rows.filled[got[0] > 0.0].all()
 
 
 class TestThreshold:
