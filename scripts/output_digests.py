@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every output of a fixed set of svddpeak commands.
+
+Runs the commands in ``COMMANDS`` and the shape script with the package
+of a source tree (its ``src``) in a fresh temporary directory, each in a
+directory of its own, and prints ``<sha256>  <directory>/<output>`` for
+every file they write, manifests aside (those carry a timestamp), and for
+their stdout. The capped runs fail on purpose: their stderr is an output
+too, and their exit code is printed as ``exit <code>  <directory>``. Two
+runs that differ only in ``--jobs`` write files of the same names, so
+their lines differ only in the directory.
+
+Diff the lines of two trees to check that a change keeps every output
+byte-identical:
+
+    python scripts/output_digests.py --tree path/to/parent > parent.txt
+    python scripts/output_digests.py > change.txt
+    diff parent.txt change.txt
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BANANA = "../shapes/banana.csv"
+MODEL = "../train/model.json"
+
+# (directory, svddpeak arguments, whether a capped solve fails on purpose)
+COMMANDS = (
+    ("shapes", ("shapes", "--kind", "banana", "--seed", "11", "--out", "banana.csv"), False),
+    ("tune-jobs1", ("tune", "--method", "peak", "--data", BANANA, "--jobs", "1",
+                    "--out", "tune.json"), False),
+    ("tune-jobs2", ("tune", "--method", "peak", "--data", BANANA, "--jobs", "2",
+                    "--out", "tune.json"), False),
+    ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
+    ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
+    ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),
+    ("simulate", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples", "200",
+                  "--jobs", "2", "--out-dir", "."), False),
+    # the cap drops one of the four polygons, in the middle of its sweep
+    ("simulate-capped", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples",
+                         "200", "--max-iterations", "20000", "--out-dir", "."), True),
+    ("tune-capped", ("tune", "--method", "peak", "--data", BANANA, "--max-iterations", "500",
+                     "--out", "tune.json"), True),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(tree: Path) -> list:
+    """The output lines for the source tree ``tree``, in command order."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    shape_script = (sys.executable, str(tree / "scripts" / "run_shape_benchmark.py"),
+                    "--out-dir", ".")
+    runs = [(name, (sys.executable, "-m", "svddpeak.cli", *argv), fails)
+            for name, argv, fails in COMMANDS] + [("shape-script", shape_script, False)]
+    lines = []
+    with tempfile.TemporaryDirectory() as top:
+        for name, argv, fails in runs:
+            cwd = Path(top, name)
+            cwd.mkdir()
+            done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
+            if not fails and done.returncode != 0:
+                raise SystemExit(f"{name} exited {done.returncode}:\n"
+                                 f"{done.stderr.decode(errors='replace')}")
+            lines.append(f"{_sha256(done.stdout)}  {name}/stdout")
+            if fails:
+                lines.append(f"{_sha256(done.stderr)}  {name}/stderr")
+                lines.append(f"exit {done.returncode}  {name}")
+            for path in sorted(cwd.iterdir()):
+                if not path.name.endswith(".manifest.json"):
+                    lines.append(f"{_sha256(path.read_bytes())}  {name}/{path.name}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="the source tree to run (default: this one)")
+    args = parser.parse_args()
+    print("\n".join(digests(args.tree.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,9 @@
 /* The compiled library of svddpeak, built on first use by ``_native.py``.
  * It exports three functions: ``svdd_smo_run``, the SMO inner loop,
  * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``, and
- * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``.
+ * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``. Each
+ * has a Python twin that runs where the library cannot be built; the
+ * reader's is the row loop ``cli._read_csv_rows``.
  *
  * Inner loop of maximal-violating-pair SMO for the SVDD dual.
  *

@@ -10,8 +10,9 @@ same result where the library cannot be had:
   that is not filled yet. The solver fills that row and calls again;
 - ``svdd_csv_rows``, the CSV cell writer (twin:
   ``datagen._python_blocks``), reached through ``csv_blocks()``;
-- ``svdd_csv_floats``, the CSV body reader (twin: numpy's parser in
-  ``cli._parse_body``), reached through ``csv_floats()``.
+- ``svdd_csv_floats``, the CSV body reader (twin: the row loop
+  ``cli._read_csv_rows``, which also reads every file the compiled
+  reader refuses), reached through ``csv_floats()``.
 
 The source is compiled once per source, flags and platform into the cache
 directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the

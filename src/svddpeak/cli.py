@@ -23,7 +23,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -44,10 +43,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NO_PEAK = 3
-
-# U+001C-U+001F: numpy's parser strips them as whitespace, Python's float
-# does not; in UTF-8 each byte stands only for its own character
-_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _fmt(value) -> str:
@@ -90,33 +85,32 @@ def read_csv_dataset(path):
     are validated; a malformed cell reports its 1-based line number.
 
     The body of an unlabeled file is parsed in one pass by the compiled
-    library (``_native.csv_floats``), or by numpy's C parser where the
-    library cannot be built. A file the parser refuses, or whose body is
-    not ``len(header)`` columns wide, and every labeled file, is read
-    again by ``_read_csv_rows``, which defines what is accepted and raises
-    every ``ParseError``. The bulk readers open the path more than once,
-    so what is not a regular file (a pipe, which gives its bytes once) is
-    read by ``_read_csv_rows`` alone.
+    library (``_native.csv_floats``). A file that parser refuses, or whose
+    body is not ``len(header)`` columns wide, and every labeled file, is
+    read again by ``_read_csv_rows``, which defines what is accepted and
+    raises every ``ParseError``. The compiled reader opens the path more
+    than once, so what is not a regular file (a pipe, which gives its
+    bytes once) is read by ``_read_csv_rows`` alone, as is every file
+    where the library cannot be built.
     """
     if not os.path.isfile(path):
         return _read_csv_rows(path)
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header, width, has_label = _read_header(path, reader)
-        body = None if has_label else _read_body(path, fh, reader.line_num, len(header))
+        body = None if has_label else _read_body(path, reader.line_num, len(header))
     if body is None or body.shape[1] != len(header):
         return _read_csv_rows(path)
     return header, body, None
 
 
-def _read_body(path, fh, header_lines, n_cols):
+def _read_body(path, header_lines, n_cols):
     """The cells after the header, which took ``header_lines`` lines of the
-    text file ``fh``, as a 2-D float array; None where the parser refuses
-    them."""
+    file, as a 2-D float array read by the compiled library; None where it
+    refuses them or cannot be built."""
     floats = _native.csv_floats()
     if floats is None:
-        # numpy strips bytes 0x1C-0x1F, which float refuses
-        return None if _holds_separator_bytes(path) else _parse_body(fh)
+        return None
     with open(path, "rb") as raw:
         head = b"".join(itertools.islice(raw, header_lines))
     # csv also ends a line at a bare "\r", a binary file only at "\n": a
@@ -145,30 +139,12 @@ def _open_text(path, newline=None):
             raise
 
 
-def _holds_separator_bytes(path) -> bool:
-    with open(path, "rb") as fh:
-        return any(any(sep in chunk for sep in _SEPARATOR_BYTES)
-                   for chunk in iter(lambda: fh.read(_native.CSV_BLOCK_BYTES), b""))
-
-
 def _int64(text) -> int:
     """``int(text)``; ValueError unless it fits a 64-bit integer."""
     value = int(text)
     if not -2**63 <= value < 2**63:
         raise ValueError(f"{text.strip()!r} does not fit a 64-bit integer")
     return value
-
-
-def _parse_body(fh):
-    """The rest of ``fh`` as a 2-D float array, or None where numpy's
-    parser refuses it: the compiled reader's twin."""
-    try:
-        with warnings.catch_warnings():
-            # a header-only file: the row loop gives it its (0, width) shape
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        return None
 
 
 def _read_header(path, reader):
@@ -340,11 +316,12 @@ def _select_bandwidth(args, X, method):
         result = select(X, grid)
         return result.s, {"s": result.s}, (["s", "value"],
                                            [[_fmt(s), _fmt(v)] for s, v in result.curve])
-    _tuning.require_peak_grid(grid.values())
+    min_run = _min_run(args)
+    _tuning.require_peak_grid(grid.values(), min_run)
     curve = _tuning.sweep_objective(X, args.f, grid, config=_solver_config(args),
                                     jobs=args.jobs)
     try:
-        peak = _tuning.find_peak(curve, min_run=_min_run(args))
+        peak = _tuning.find_peak(curve, min_run=min_run)
     except NoPeakFoundError as exc:
         return None, {"f": args.f, "s": None, "error": str(exc)}, (
             CURVE_HEADER, _curve_rows(curve, exc.fit, exc.zero_mask))

@@ -8,7 +8,7 @@ sweeps stay aggregable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -27,10 +27,11 @@ from .solver import SolverConfig, SvddModel
 from .tuning import (
     DEFAULT_MIN_RUN,
     BandwidthGrid,
-    ObjectiveCurve,
+    Sweep,
+    _path_sweep,
     _resolve_config,
-    _sweep_curve,
     find_peak,
+    pool_map,
     require_peak_grid,
 )
 
@@ -116,13 +117,12 @@ def _scoring_set(labeled, dim: int):
 
 
 @dataclass
-class F1SweepResult:
-    s_values: np.ndarray
-    metrics: list
+class F1SweepResult(Sweep):
+    """A labeled sweep: ``metrics`` holds the Metrics of each kept solve,
+    ``f_best`` the best F1 and ``s_best`` the smallest bandwidth scoring it."""
+
     s_best: float
     f_best: float
-    v_star: np.ndarray  # optimal dual objective of each solve, aligned with s_values
-    failures: list = field(default_factory=list)  # (s, message) pairs
 
     def f1_curve(self) -> np.ndarray:
         return np.array([m.f1 for m in self.metrics])
@@ -132,20 +132,6 @@ class F1SweepResult:
         if abs(float(self.s_values[idx]) - s) > 1e-9:
             raise InputError(f"s={s!r} is not on the sweep grid")
         return self.metrics[idx].f1
-
-    def objective_curve(self, f: float, n: int) -> ObjectiveCurve:
-        """V*(s) of the sweep's own solves, checked like a tuning sweep.
-
-        A failed solve leaves a hole in the uniform grid, so any failure
-        raises SweepError instead.
-        """
-        if self.failures:
-            s, message = self.failures[0]
-            raise SweepError(
-                f"{len(self.failures)} labeled-sweep solve(s) failed, first at s={s:g}: {message}",
-                s=s,
-            )
-        return _sweep_curve(self.s_values, self.v_star, f, n)
 
     def peak_ratio(self, f: float, n: int, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
@@ -168,44 +154,27 @@ def f1_sweep(
 
     ``labeled`` is a LabeledGrid or a (points, labels) pair; a scoring
     set of another dimension than ``train_X`` raises DimensionError
-    before any solve. The models come from one ``solver.train_path``,
-    the sweep ``tuning.sweep_objective`` makes, and each also records its
-    V*(s), so one sweep serves both the F1 curve and the objective curve.
-    Bandwidths whose solve or scoring fails are excluded from the curve
-    and recorded in ``failures``; if all fail, SweepError is raised. The
-    argmax ties toward the smallest bandwidth.
+    before any solve. The sweep is the loop ``tuning.sweep_objective``
+    runs, ``tuning._path_sweep``, scoring each model as it goes, so one
+    sweep serves both the F1 curve and the objective curve
+    (``objective_curve``). Bandwidths whose solve fails are
+    excluded from the curve and recorded in ``failures``; if all fail,
+    SweepError is raised. The argmax ties toward the smallest bandwidth.
     """
     X = as_data_matrix(train_X)
     config = _resolve_config(f, config)
     distances, truth = _scoring_set(labeled, X.shape[1])
-    kept_s = []
-    v_star = []
-    metrics = []
-    failures = []
-    for s, model in _solver.train_path(X, s_grid.values(), config):
-        try:
-            if isinstance(model, SvddError):
-                raise model
-            dist_sq = distances(model)
-        except SvddError as exc:
-            failures.append((s, str(exc)))
-            continue
-        kept_s.append(s)
-        v_star.append(model.dual_objective)
-        metrics.append(compute_metrics(_confusion(dist_sq <= model.r_squared, truth)))
-    if not kept_s:
+
+    def score(model):
+        return compute_metrics(_confusion(distances(model) <= model.r_squared, truth))
+
+    sweep = _path_sweep(X, config, score, s_grid.values())
+    if not sweep.metrics:
         raise SweepError("every bandwidth in the labeled sweep failed")
-    s_arr = np.array(kept_s)
-    f1s = np.array([m.f1 for m in metrics])
+    f1s = np.array([m.f1 for m in sweep.metrics])
     best = int(np.argmax(f1s))  # first max = smallest s on ties
-    return F1SweepResult(
-        s_values=s_arr,
-        metrics=metrics,
-        s_best=float(s_arr[best]),
-        f_best=float(f1s[best]),
-        v_star=np.array(v_star),
-        failures=failures,
-    )
+    return F1SweepResult(**vars(sweep), s_best=float(sweep.s_values[best]),
+                         f_best=float(f1s[best]))
 
 
 @dataclass
@@ -314,27 +283,24 @@ def polygon_study(
 
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.
-    A vertex count given twice, or a grid too short for ``find_peak``,
-    raises InputError before any solve.
+    A vertex count below 3 or given twice, a grid too short for
+    ``find_peak`` and a ``min_run`` below 1 raise InputError before any
+    solve.
     """
     vertex_counts = list(vertex_counts)
     repeated = sorted({vc for vc in vertex_counts if vertex_counts.count(vc) > 1})
     if repeated:
         raise InputError(f"vertex counts must be distinct, {repeated} repeat")
+    if min(vertex_counts, default=3) < 3:
+        raise InputError(f"polygons need at least 3 vertices, got {min(vertex_counts)}")
     grid = grid or BandwidthGrid.low_dimensional()
-    require_peak_grid(grid.values())
+    require_peak_grid(grid.values(), min_run)
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
                    r_max=r_max, resolution=resolution, min_run=min_run,
                    solver_config=solver_config)
     keys = [(vc, idx, _polygon_seed(master_seed, vc, idx))
             for vc in vertex_counts for idx in range(polygons_per_count)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(task, keys))
-    else:
-        outcomes = list(map(task, keys))
+    outcomes = pool_map(task, keys, jobs)
     rows = [o for o in outcomes if isinstance(o, StudyRow)]
     failures = [o for o in outcomes if isinstance(o, StudyFailure)]
     summaries = []

@@ -86,6 +86,48 @@ class ObjectiveCurve:
 
 
 @dataclass
+class Sweep:
+    """The record of one bandwidth sweep.
+
+    ``s_values``, ``v_star`` and ``metrics`` cover the bandwidths whose
+    solve succeeded, in grid order; ``metrics`` holds what the sweep's
+    ``score(model)`` returned for each (None without one). ``failures``
+    holds ``(s, message)`` for each failed solve, in grid order.
+    """
+
+    s_values: np.ndarray
+    v_star: np.ndarray
+    metrics: list
+    failures: list
+
+    def objective_curve(self, f: float, n: int) -> ObjectiveCurve:
+        """The curve of this sweep over n training rows, checked: SweepError
+        at the first failed solve, and unless V* is non-increasing and stays
+        within [0, 1 - 1/n]."""
+        if self.failures:
+            s, message = self.failures[0]
+            raise SweepError(f"sweep solve failed at s={s:g}: {message}", s=s)
+        curve = curve_from_samples(self.s_values, self.v_star, f)
+        s_values, v_star = curve.s_values, curve.v_star
+        increases = np.diff(v_star)
+        worst = float(increases.max()) if increases.size else 0.0
+        if worst > MONOTONICITY_SLACK:
+            k = int(np.argmax(increases))
+            raise SweepError(
+                f"V*(s) increased by {worst:.3e} between s={s_values[k]:g} and "
+                f"s={s_values[k + 1]:g}; the solver did not converge tightly enough",
+                s=float(s_values[k + 1]),
+            )
+        upper = 1.0 - 1.0 / n
+        if float(v_star.min()) < -1e-9 or float(v_star.max()) > upper + 1e-9:
+            raise SweepError(
+                f"V*(s) left its theoretical range [0, {upper:g}]",
+                s=float(s_values[int(np.argmax(v_star))]),
+            )
+        return curve
+
+
+@dataclass
 class PeakResult:
     s_low: float
     s_high: float
@@ -108,16 +150,31 @@ def _resolve_config(f, config) -> SolverConfig:
     return config
 
 
-def _v_star(s, result) -> float:
-    """V* of one ``train_path`` result; a failed solve is a SweepError at s."""
-    if isinstance(result, SvddError):
-        raise SweepError(f"sweep solve failed at s={s:g}: {result}", s=s) from result
-    return result.dual_objective
+def _path_sweep(X, config, score, s_values) -> Sweep:
+    """The record of one ``solver.train_path`` over ``s_values``: the only
+    loop over it, and a process-pool task. A failed solve is recorded and
+    the path goes on. ``score(model)``, when given, is kept for each
+    successful solve (None otherwise); no model is kept."""
+    kept, v_star, metrics, failures = [], [], [], []
+    for s, model in _solver.train_path(X, s_values, config):
+        if isinstance(model, SvddError):
+            failures.append((s, str(model)))
+            continue
+        kept.append(s)
+        v_star.append(model.dual_objective)
+        metrics.append(None if score is None else score(model))
+    return Sweep(np.array(kept), np.array(v_star), metrics, failures)
 
 
-def _path_v_star(X, config, s_values) -> list:
-    """V* along one ``train_path`` over ``s_values``; a process-pool task."""
-    return [_v_star(s, result) for s, result in _solver.train_path(X, s_values, config)]
+def pool_map(task, items, jobs: int) -> list:
+    """``[task(item) for item in items]``; with jobs > 1 the items are shared
+    out to a pool of ``jobs`` processes, so ``task`` must pickle."""
+    if jobs <= 1:
+        return list(map(task, items))
+    from concurrent import futures
+
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, items))
 
 
 def sweep_objective(
@@ -134,26 +191,25 @@ def sweep_objective(
     ``solver.WARM_RUN`` solves. With jobs > 1 the grid is cut at the
     runs' starts and the runs are shared out to a process pool, so the
     curve has the same bits for any worker count. ``warm_start=False``
-    cuts the grid into runs of one value instead: every solve cold.
+    cuts the grid into runs of one value instead: every solve cold. Every
+    bandwidth is solved; then the first failed solve, if any, raises
+    SweepError (``Sweep.objective_curve``).
     """
     X = as_data_matrix(X)
     config = _resolve_config(f, config)
     s_values = grid.values()
     if warm_start and jobs == 1:
-        # train_path makes the runs itself, on one distance matrix
+        # train_path makes the runs itself, on one row buffer
         runs = [s_values]
     else:
         run = _solver.WARM_RUN if warm_start else 1
         runs = [s_values[start:start + run] for start in range(0, s_values.size, run)]
-    task = partial(_path_v_star, X, config)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            v_star = [v for chunk in pool.map(task, runs) for v in chunk]
-    else:
-        v_star = [v for chunk in map(task, runs) for v in chunk]
-    return _sweep_curve(s_values, v_star, f, X.shape[0])
+    parts = pool_map(partial(_path_sweep, X, config, None), runs, jobs)
+    sweep = Sweep(np.concatenate([p.s_values for p in parts]),
+                  np.concatenate([p.v_star for p in parts]),
+                  [m for p in parts for m in p.metrics],
+                  [failure for p in parts for failure in p.failures])
+    return sweep.objective_curve(f, X.shape[0])
 
 
 def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
@@ -174,36 +230,16 @@ def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
     return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2, f=f)
 
 
-def _sweep_curve(s_values, v_star, f: float, n: int) -> ObjectiveCurve:
-    """The curve of a sweep over n training rows, checked: SweepError unless
-    V* is non-increasing and stays within [0, 1 - 1/n]."""
-    curve = curve_from_samples(s_values, v_star, f)
-    s_values, v_star = curve.s_values, curve.v_star
-    increases = np.diff(v_star)
-    worst = float(increases.max()) if increases.size else 0.0
-    if worst > MONOTONICITY_SLACK:
-        k = int(np.argmax(increases))
-        raise SweepError(
-            f"V*(s) increased by {worst:.3e} between s={s_values[k]:g} and "
-            f"s={s_values[k + 1]:g}; the solver did not converge tightly enough",
-            s=float(s_values[k + 1]),
-        )
-    upper = 1.0 - 1.0 / n
-    if float(v_star.min()) < -1e-9 or float(v_star.max()) > upper + 1e-9:
-        raise SweepError(
-            f"V*(s) left its theoretical range [0, {upper:g}]",
-            s=float(s_values[int(np.argmax(v_star))]),
-        )
-    return curve
-
-
-def require_peak_grid(s_values) -> None:
+def require_peak_grid(s_values, min_run: int = DEFAULT_MIN_RUN) -> None:
     """InputError unless the grid ``s_values`` has enough interior points
-    for ``find_peak``; the peak path checks this before its first solve."""
+    for ``find_peak`` and ``min_run`` is at least 1; the peak path checks
+    this before its first solve."""
     interior = max(len(s_values) - 2, 0)
     if interior < MIN_INTERIOR_POINTS:
         raise InputError(f"grid too coarse: the peak criterion needs at least "
                          f"{MIN_INTERIOR_POINTS} interior grid points, got {interior}")
+    if min_run < 1:
+        raise InputError("min_run must be at least 1")
 
 
 def _zero_runs(mask):
@@ -224,10 +260,8 @@ def find_peak(
     the points whose confidence band contains zero, and returns the first
     contiguous run of at least ``min_run`` masked points as an interval.
     """
-    require_peak_grid(curve.s_values)
+    require_peak_grid(curve.s_values, min_run)
     interior = curve.interior_s
-    if min_run < 1:
-        raise InputError("min_run must be at least 1")
     fit = fit_pspline(interior, curve.d2, spline_config or D2_SPLINE_DEFAULT)
     mask = ci_contains_zero(fit)
     runs = _zero_runs(mask)
@@ -270,8 +304,9 @@ def select_bandwidth_peak(
     jobs: int = 1,
 ) -> PeakResult:
     """Sweep the grid, then find the first zero plateau. A grid too short
-    for ``find_peak`` raises InputError before any solve."""
+    for ``find_peak``, or a ``min_run`` below 1, raises InputError before
+    any solve."""
     grid = grid or BandwidthGrid.low_dimensional()
-    require_peak_grid(grid.values())
+    require_peak_grid(grid.values(), min_run)
     curve = sweep_objective(X, f, grid, config=config, jobs=jobs)
     return find_peak(curve, min_run=min_run)

@@ -2,7 +2,7 @@
 every path to the reference: the SMO inner loop to a compiled pass
 (through the library's exported ``svdd_smo_level``) or the Python loop,
 the CSV row writer to the compiled writer or its Python twin, and the
-CSV body reader to the compiled reader or numpy's parser."""
+CSV body reader to the compiled reader or the row loop."""
 
 import contextlib
 import ctypes
@@ -66,9 +66,9 @@ def pinned_writer(name):
 
 def supported_readers() -> list:
     """The CSV body readers this host can run: the compiled one
-    (svdd_csv_floats) when the library builds, then numpy's parser
-    (cli._parse_body)."""
-    return (["compiled"] if _native.csv_floats() is not None else []) + ["numpy"]
+    (svdd_csv_floats) when the library builds, then the row loop
+    (cli._read_csv_rows)."""
+    return (["compiled"] if _native.csv_floats() is not None else []) + ["rows"]
 
 
 @contextlib.contextmanager
@@ -78,6 +78,6 @@ def pinned_reader(name):
     if name not in supported_readers():
         pytest.skip(f"the {name} reader cannot run on this host")
     with pytest.MonkeyPatch.context() as patch:
-        if name == "numpy":
+        if name == "rows":
             patch.setattr(_native, "csv_floats", lambda: None)
         yield

@@ -301,6 +301,29 @@ class TestGridRule:
                                            "at least 10 interior grid points, got 4\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["tune", "--method", "peak"], ["train", "--tune", "peak"]])
+    def test_peak_min_run_below_one_is_usage_error_before_any_solve(
+            self, banana_csv, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        out = tmp_path / "out.json"
+        assert main([*command, "--data", str(banana_csv), "--min-run", "0",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: min_run must be at least 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--vertices", "5", "--min-run", "0"], "min_run must be at least 1"),
+        (["--vertices", "5,10,2"], "polygons need at least 3 vertices, got 2"),
+    ])
+    def test_simulate_bad_min_run_or_vertex_count_is_usage_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(solver, "train_path", _never)
+        assert main(["simulate", *flags, "--per-count", "1", "--samples", "100",
+                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_on_a_short_grid_is_usage_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "train_path", _never)
@@ -1031,7 +1054,7 @@ class TestBulkReadMatchesRowLoop:
         ("x1,x2\nnan,inf\n-Infinity,-nan\n", True),
         ("\nx1,x2\n1,2\n", False),  # first line blank: no header
         ("x1,x2\n1,2,3\n", False),  # 3 fields under a 2-field header
-        ("x1,x2,x3\n", True),  # header only: (0, 3), and no loadtxt warning
+        ("x1,x2,x3\n", True),  # header only: (0, 3), and no warning
         ("x1,x2\n\n\n", True),  # header and blank lines
         ("x1\n", True),
         ("x1,x2,label\n1,2,1.0\n", False),  # labels are int(), not float()
@@ -1039,7 +1062,7 @@ class TestBulkReadMatchesRowLoop:
         ("x1,x2\n1,2\r3,4\r", True),
         ("x1,x2\n1,2\n\n3,4", True),
         ("x1,x2\n1\n", False),
-        # numpy's parser strips U+001C-U+001F, Python's float does not
+        # Python's float refuses U+001C-U+001F, which numpy strips as whitespace
         ("x1\n1\x1c\n", False),
         ("x1\n\x1f1\n", False),
         ('"x\n1",x2\n1,2\n3,4\n', True),  # a header that spans two lines

@@ -7,6 +7,8 @@ from svddpeak import evaluation, solver
 from svddpeak.datagen import (
     LabeledGrid,
     Polygon,
+    PolygonConfig,
+    generate_polygon,
     generate_shape,
     make_labeled_grid,
     sample_interior,
@@ -280,6 +282,27 @@ class TestPolygonStudy:
         monkeypatch.setattr(solver, "train_path", never)
         with pytest.raises(InputError, match="repeat"):
             polygon_study(**dict(SMALL_STUDY, vertex_counts=vertex_counts))
+
+    @pytest.mark.parametrize("study", [dict(vertex_counts=[5, 2]), dict(min_run=0)])
+    def test_bad_vertex_count_or_min_run_raises_before_any_solve(self, monkeypatch, study):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        with pytest.raises(InputError, match="at least"):
+            polygon_study(**dict(SMALL_STUDY, **study))
+
+    def test_failure_row_carries_tunes_message(self):
+        # a capped solve that drops the polygon fails tune's sweep of its sample
+        config = SolverConfig(f=0.001, max_iterations=200)
+        study = dict(SMALL_STUDY, vertex_counts=[5], polygons_per_count=1)
+        (failure,) = polygon_study(**study, solver_config=config).failures
+        polygon = generate_polygon(PolygonConfig(k=5, r_min=3.0, r_max=5.0, seed=failure.seed))
+        X = sample_interior(polygon, study["sample_size"], failure.seed + 50_000)
+        with pytest.raises(SweepError) as err:
+            sweep_objective(X, 0.001, study["grid"], config=config)
+        assert failure.error == str(err.value)
+        assert failure.error.startswith("sweep solve failed at s=")
 
     @pytest.mark.parametrize("max_iterations", [50, 200])
     def test_failed_solves_become_failure_rows(self, max_iterations):

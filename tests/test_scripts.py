@@ -1,4 +1,4 @@
-"""Smoke run of the shape benchmark script."""
+"""Smoke runs of the scripts."""
 
 import csv
 import os
@@ -28,3 +28,20 @@ def test_shape_benchmark_prints_a_row_and_writes_a_curve_per_shape(tmp_path):
         with open(tmp_path / f"{kind}_f1_curve.csv", newline="") as fh:
             curve = list(csv.reader(fh))
         assert curve[0] == ["s", "f1"] and len(curve) == 1 + 160
+
+
+def test_output_digests_are_the_same_for_any_jobs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    lines = done.stdout.splitlines()
+
+    def tune_outputs(jobs):
+        directory = f"tune-jobs{jobs}/"
+        return {name[len(directory):]: digest for digest, name in
+                (line.split("  ") for line in lines) if name.startswith(directory)}
+
+    assert sorted(tune_outputs(1)) == ["stdout", "tune.json", "tune_curve.csv"]
+    assert tune_outputs(1) == tune_outputs(2)
+    assert "exit 1  tune-capped" in lines and "exit 0  simulate-capped" in lines

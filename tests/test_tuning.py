@@ -158,6 +158,31 @@ class TestSweepObjective:
         with pytest.raises(SweepError, match="s=0.5"):
             sweep_objective(X, 0.05, BandwidthGrid(0.5, 2.0, 0.1), config=config, jobs=2)
 
+    def test_capped_sweep_keeps_the_same_record_for_any_jobs(self, banana, monkeypatch):
+        # a cap of 400 fails solves in both warm runs of this grid, and not all
+        records = []
+        objective_curve = tuning.Sweep.objective_curve
+
+        def keep(sweep, f, n):
+            records.append(sweep)
+            return objective_curve(sweep, f, n)
+
+        monkeypatch.setattr(tuning.Sweep, "objective_curve", keep)
+        grid, config = BandwidthGrid(0.05, 4.0, 0.05), SolverConfig(f=0.001, max_iterations=400)
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(SweepError) as err:
+                sweep_objective(banana, 0.001, grid, config=config, jobs=jobs)
+            errors.append(str(err.value))
+        one, two = records
+        assert one.s_values.tobytes() == two.s_values.tobytes()
+        assert one.v_star.tobytes() == two.v_star.tobytes()
+        assert one.failures == two.failures
+        failed = [s for s, _ in one.failures]
+        assert min(failed) < 2.0 < max(failed) and one.s_values.size > 40
+        assert one.s_values.size + len(failed) == grid.values().size
+        assert errors == [f"sweep solve failed at s=0.05: {one.failures[0][1]}"] * 2
+
 
 class TestFindPeak:
     def test_banana_narrative_band(self):
@@ -294,6 +319,14 @@ class TestSelectBandwidthPeak:
         monkeypatch.setattr(solver, "train_path", never)
         with pytest.raises(InputError, match="grid too coarse"):
             select_bandwidth_peak(banana, 0.001, BandwidthGrid(0.5, 1.5, 0.1))
+
+    def test_min_run_below_one_raises_before_any_solve(self, banana, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        with pytest.raises(InputError, match="min_run must be at least 1"):
+            select_bandwidth_peak(banana, 0.001, min_run=0)
 
     def test_propagates_no_peak(self, rng, monkeypatch):
         X = rng.normal(size=(20, 2))
