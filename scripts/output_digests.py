@@ -37,6 +37,8 @@ COMMANDS = (
                     "--out", "tune.json"), False),
     ("tune-jobs2", ("tune", "--method", "peak", "--data", BANANA, "--jobs", "2",
                     "--out", "tune.json"), False),
+    ("tune-minrun5", ("tune", "--method", "peak", "--data", BANANA, "--min-run", "5",
+                      "--kkt-tol", "1e-7", "--out", "tune.json"), False),
     ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
     ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),

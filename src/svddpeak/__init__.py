@@ -22,52 +22,7 @@ _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthGrid",
-    "BaselineResult",
-    "ConfusionCounts",
-    "F1SweepResult",
-    "GAUSSIAN",
-    "KernelSpec",
-    "LINEAR",
-    "LabeledGrid",
-    "Metrics",
-    "ObjectiveCurve",
-    "PeakResult",
-    "Polygon",
-    "PolygonConfig",
-    "PositionReport",
-    "SimulationReport",
-    "SolverConfig",
-    "SplineConfig",
-    "SplineFit",
-    "SvddModel",
-    "__version__",
-    "ci_contains_zero",
-    "classify",
-    "compute_metrics",
-    "f1_sweep",
-    "find_peak",
-    "fit_pspline",
-    "generate_polygon",
-    "generate_shape",
-    "kernel_matrix",
-    "load_model",
-    "make_labeled_grid",
-    "polygon_study",
-    "position_report",
-    "sample_interior",
-    "score_distances",
-    "score_grid",
-    "score_lattice",
-    "select_bandwidth_peak",
-    "select_cv",
-    "select_dfn",
-    "select_md",
-    "sweep_objective",
-    "train",
-    "train_path",
-]
+__all__ = sorted([*_HOME, "__version__"])
 
 
 def __getattr__(name):

@@ -1,11 +1,13 @@
 """Command-line surface: training, tuning, scoring, grids, simulation,
 shape generation, and UCI shuttle ingestion.
 
-Every command writes a manifest JSON next to its primary output with the
-resolved parameters, seeds, input digests, tool version, and timestamp;
-re-running a command from its manifest reproduces the primary outputs
-byte for byte (the manifest's own timestamp is the only thing that
-changes). All randomness flows from explicit --seed flags.
+Every command writes a manifest JSON next to its primary output
+(``_write_manifest``): every parsed argument, the --seed, input digests,
+tool version and timestamp, and for ``train --tune`` the bandwidth it
+selected (``tuned``). Re-running a command with its manifest's arguments
+reproduces the primary outputs byte for byte (the manifest's own
+timestamp is the only thing that changes). All randomness flows from
+explicit --seed flags.
 
 CSV dialect everywhere: comma separator, required header row, '.'
 decimal, UTF-8.
@@ -57,17 +59,21 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_output, command, parameters, inputs, seeds=None,
-                    solves=False):
-    """Write ``<primary_output>.manifest.json``. Commands that solve the dual
-    (``solves``) also record the SMO backend that ran."""
+def _write_manifest(args, primary_output, inputs, solves=False, **results):
+    """Write ``<primary_output>.manifest.json``: the command, every parsed
+    argument (``parameters``), ``--seed`` (``seeds``), the SHA-256 of each
+    input file, and ``results``, what the command chose beyond its
+    arguments. Commands that solve the dual (``solves``) also record the
+    SMO backend that ran."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
-        "seeds": seeds or {},
+        "seeds": {"seed": args.seed} if "seed" in parameters else {},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **results,
     }
     if solves:
         manifest["smo_backend"] = _native.backend()
@@ -269,9 +275,11 @@ def _write_records(path, records, kind, header=None):
     ])
 
 
-def _curve_rows(curve, fit, mask):
-    """Rows for the objective-curve export; derivative columns are blank
-    at the two endpoints where central differences are undefined."""
+def _curve_rows(result):
+    """Rows for the objective-curve export of a ``PeakResult`` or a
+    ``NoPeakFoundError``; derivative columns are blank at the two endpoints
+    where central differences are undefined."""
+    curve, fit, mask = result.curve, result.fit, result.zero_mask
     rows = []
     n = curve.s_values.size
     for i, s in enumerate(curve.s_values):
@@ -316,17 +324,13 @@ def _select_bandwidth(args, X, method):
         result = select(X, grid)
         return result.s, {"s": result.s}, (["s", "value"],
                                            [[_fmt(s), _fmt(v)] for s, v in result.curve])
-    min_run = _min_run(args)
-    _tuning.require_peak_grid(grid.values(), min_run)
-    curve = _tuning.sweep_objective(X, args.f, grid, config=_solver_config(args),
-                                    jobs=args.jobs)
     try:
-        peak = _tuning.find_peak(curve, min_run=min_run)
+        peak = _tuning.select_bandwidth_peak(X, args.f, grid, config=_solver_config(args),
+                                             min_run=_min_run(args), jobs=args.jobs)
     except NoPeakFoundError as exc:
-        return None, {"f": args.f, "s": None, "error": str(exc)}, (
-            CURVE_HEADER, _curve_rows(curve, exc.fit, exc.zero_mask))
+        return None, {"f": args.f, "s": None, "error": str(exc)}, (CURVE_HEADER, _curve_rows(exc))
     fields = {"f": args.f, "s": peak.recommended, "s_low": peak.s_low, "s_high": peak.s_high}
-    return peak.recommended, fields, (CURVE_HEADER, _curve_rows(curve, peak.fit, peak.zero_mask))
+    return peak.recommended, fields, (CURVE_HEADER, _curve_rows(peak))
 
 
 def cmd_train(args) -> int:
@@ -346,21 +350,12 @@ def cmd_train(args) -> int:
         s, fields, _ = _select_bandwidth(args, X, args.tune)
         if s is None:
             raise NoPeakFoundError(fields["error"])
-        tuned = {"method": args.tune, **{k: fields[k] for k in ("s_low", "s_high") if k in fields}}
+        tuned = {"method": args.tune, "s": s, "s_low": fields.get("s_low"),
+                 "s_high": fields.get("s_high")}
     spec = KernelSpec(kind=args.kernel, s=s)
     model = _solver.train(X, spec, config)
     model.save(args.out)
-    params = {
-        "data": str(args.data),
-        "kernel": args.kernel,
-        "s": s,
-        "f": args.f,
-        "kkt_tol": args.kkt_tol,
-        "max_iterations": args.max_iterations,
-        "tuned": tuned,
-        "out": str(args.out),
-    }
-    _write_manifest(args.out, "train", params, [args.data], solves=True)
+    _write_manifest(args, args.out, [args.data], solves=True, tuned=tuned)
     print(f"trained on {X.shape[0]} rows: s={_fmt(s) if s is not None else 'n/a'} "
           f"r_squared={_fmt(model.r_squared)} -> {args.out}")
     return EXIT_OK
@@ -381,7 +376,7 @@ def cmd_tune(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, "tune", report, [args.data], solves=True)
+    _write_manifest(args, args.out, [args.data], solves=True)
     if s is None:
         print(f"method={args.method}: no zero plateau found; diagnostics in {curve_path}",
               file=sys.stderr)
@@ -403,8 +398,7 @@ def cmd_score(args) -> int:
     _datagen.write_csv_blocks(args.out, header + ["dist_sq", "r_sq", "label"],
                               [*Z.T, dist_sq, _labels(outlier)],
                               ["%.12g"] * (Z.shape[1] + 1) + [_fmt(model.r_squared), "%s"])
-    _write_manifest(args.out, "score", {"model": str(args.model), "data": str(args.data),
-                                        "out": str(args.out)}, [args.model, args.data])
+    _write_manifest(args, args.out, [args.model, args.data])
     n_out = int(np.count_nonzero(outlier))
     print(f"scored {Z.shape[0]} rows ({n_out} outliers) -> {args.out}")
     return EXIT_OK
@@ -435,9 +429,7 @@ def cmd_grid(args) -> int:
     _datagen.write_csv_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
                               [*lattice.T, dist_sq, _labels(outlier), near_sv],
                               ["%.12g", "%.12g", "%.12g", "%s", "%d"])
-    params = {"model": str(args.model), "resolution": res, "padding": args.padding,
-              "data": str(args.data) if args.data else None, "out": str(args.out)}
-    _write_manifest(args.out, "grid", params, inputs)
+    _write_manifest(args, args.out, inputs)
     n_in = lattice.shape[0] - int(np.count_nonzero(outlier))
     print(f"grid {res}x{res}: {n_in} inlier cells of {lattice.shape[0]} -> {args.out}")
     return EXIT_OK
@@ -446,25 +438,25 @@ def cmd_grid(args) -> int:
 def cmd_simulate(args) -> int:
     from . import evaluation as _evaluation
 
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.full:
         vertex_counts = list(range(5, 31))
         per_count = 20
     else:
         vertex_counts = args.vertices
         per_count = args.per_count
-    grid = _grid_from_args(args)
     report = _evaluation.polygon_study(
         vertex_counts=vertex_counts,
         polygons_per_count=per_count,
         sample_size=args.samples,
-        grid=grid,
+        grid=_grid_from_args(args),
         master_seed=args.seed,
         f=args.f,
         min_run=_min_run(args),
         solver_config=_solver_config(args),
         jobs=args.jobs,
     )
+    # only now, so that an input polygon_study refuses leaves no directory
+    os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "polygon_study.csv")
     _write_records(report_path, report.rows, _evaluation.StudyRow)
     _write_records(os.path.join(args.out_dir, "polygon_study_summary.csv"), report.summaries,
@@ -474,18 +466,7 @@ def cmd_simulate(args) -> int:
         failures_path = os.path.join(args.out_dir, "polygon_study_failures.csv")
         _write_records(failures_path, report.failures, _evaluation.StudyFailure)
         print(f"{len(report.failures)} polygon(s) failed; see {failures_path}", file=sys.stderr)
-    params = {
-        "vertex_counts": vertex_counts,
-        "polygons_per_count": per_count,
-        "samples": args.samples,
-        "f": args.f,
-        "kkt_tol": args.kkt_tol,
-        "max_iterations": args.max_iterations,
-        "grid": {"s_min": grid.s_min, "s_max": grid.s_max, "step": grid.step},
-        "out_dir": str(args.out_dir),
-    }
-    _write_manifest(report_path, "simulate", params, [], seeds={"master_seed": args.seed},
-                    solves=True)
+    _write_manifest(args, report_path, [], solves=True)
     ratios = report.ratios()
     if ratios.size:
         print(f"{len(report.rows)} polygons: mean ratio {_fmt(float(ratios.mean()))}, "
@@ -496,8 +477,7 @@ def cmd_simulate(args) -> int:
 def cmd_shapes(args) -> int:
     X = _datagen.generate_shape(args.kind, n=args.n, noise=args.noise, seed=args.seed)
     _datagen.save_dataset(args.out, X)
-    params = {"kind": args.kind, "n": X.shape[0], "noise": args.noise, "out": str(args.out)}
-    _write_manifest(args.out, "shapes", params, [], seeds={"seed": args.seed})
+    _write_manifest(args, args.out, [])
     print(f"wrote {X.shape[0]} x {X.shape[1]} {args.kind} dataset -> {args.out}")
     return EXIT_OK
 
@@ -517,21 +497,9 @@ def cmd_shuttle(args) -> int:
     if args.sample_class1:
         sample = sample_shuttle_class1(X, labels, args.sample_class1, args.seed)
         _datagen.save_dataset(args.out, sample)
-        _write_manifest(
-            args.out,
-            "shuttle",
-            {"path": str(args.path), "sample_class1": args.sample_class1, "out": str(args.out)},
-            [args.path],
-            seeds={"seed": args.seed},
-        )
+        _write_manifest(args, args.out, [args.path])
         print(f"sampled {sample.shape[0]} class-1 rows -> {args.out}")
     return EXIT_OK
-
-
-def _add_grid_flags(p, s_min=0.05, s_max=8.0, s_step=0.05):
-    p.add_argument("--s-min", dest="s_min", type=float, default=s_min)
-    p.add_argument("--s-max", dest="s_max", type=float, default=s_max)
-    p.add_argument("--s-step", dest="s_step", type=float, default=s_step)
 
 
 def positive_int(text) -> int:
@@ -550,10 +518,17 @@ def int_list(text) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_solver_flags(p):
+def _add_sweep_flags(p):
+    """The flags of the commands that sweep a bandwidth grid: the solver's,
+    the grid's, the peak criterion's ``--min-run``, and ``--jobs``."""
     p.add_argument("--f", type=float, default=0.001, help="expected outlier fraction")
-    p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-6)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=100_000)
+    p.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol)
+    p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
+    p.add_argument("--s-min", type=float, default=0.05)
+    p.add_argument("--s-max", type=float, default=8.0)
+    p.add_argument("--s-step", type=float, default=0.05)
+    p.add_argument("--min-run", type=int, default=None)
+    p.add_argument("--jobs", type=positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,20 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
     bandwidth.add_argument("--tune", choices=["peak", "cv", "md", "dfn"], default=None,
                            help="select the bandwidth first (alternative to --s)")
     p.add_argument("--kernel", choices=[GAUSSIAN, LINEAR], default=GAUSSIAN)
-    _add_solver_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=None)
-    p.add_argument("--jobs", type=positive_int, default=1)
+    _add_sweep_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", help="select a bandwidth and export the criterion curve")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=["peak", "cv", "md", "dfn"], required=True)
-    _add_solver_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=None)
-    p.add_argument("--jobs", type=positive_int, default=1)
+    _add_sweep_flags(p)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--curve", default=None, help="curve CSV path (default <out>_curve.csv)")
     p.set_defaults(func=cmd_tune)
@@ -607,16 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="random-polygon F1-ratio study")
     p.add_argument("--vertices", type=int_list, default="5,10,15",
                    help="comma-separated vertex counts")
-    p.add_argument("--per-count", dest="per_count", type=positive_int, default=5)
+    p.add_argument("--per-count", type=positive_int, default=5)
     p.add_argument("--samples", type=int, default=600)
     p.add_argument("--full", action="store_true",
                    help="paper-scale run: vertices 5..30, 20 polygons each")
     p.add_argument("--seed", type=int, default=20240501)
-    _add_solver_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--min-run", dest="min_run", type=int, default=None)
-    p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _add_sweep_flags(p)
+    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("shapes", help="generate a benchmark shape dataset")
@@ -629,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shuttle", help="ingest the UCI Statlog shuttle file")
     p.add_argument("--path", default=None)
-    p.add_argument("--sample-class1", dest="sample_class1", type=int, default=None)
+    p.add_argument("--sample-class1", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_shuttle)
@@ -658,10 +624,8 @@ def main(argv=None) -> int:
     except NoPeakFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PEAK
-    except (ParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SvddError as exc:

@@ -50,16 +50,17 @@ class SweepError(SvddError):
 class NoPeakFoundError(SvddError):
     """No zero plateau of the required length exists on the sweep grid.
 
-    Carries the pointwise zero-mask and the underlying smooth fit so the
-    caller can inspect or export the diagnostics, and the closest
-    near-plateau: ``longest_run`` is the (s_low, s_high) of the longest
-    zero run (None when no point is zero), ``longest_run_length`` its
-    point count, to set against ``min_run``.
+    Carries the objective curve, the pointwise zero-mask and the smooth
+    fit of its second derivative so the caller can inspect or export the
+    diagnostics, and the closest near-plateau: ``longest_run`` is the
+    (s_low, s_high) of the longest zero run (None when no point is zero),
+    ``longest_run_length`` its point count, to set against ``min_run``.
     """
 
     def __init__(self, message, zero_mask=None, fit=None, longest_run=None,
-                 longest_run_length=0, min_run=None):
+                 longest_run_length=0, min_run=None, curve=None):
         super().__init__(message)
+        self.curve = curve
         self.zero_mask = zero_mask
         self.fit = fit
         self.longest_run = longest_run

@@ -129,11 +129,14 @@ class Sweep:
 
 @dataclass
 class PeakResult:
+    """The first zero plateau of ``curve``'s smoothed second derivative."""
+
     s_low: float
     s_high: float
     recommended: float
     fit: SplineFit
     zero_mask: np.ndarray
+    curve: ObjectiveCurve
 
     @property
     def interval(self) -> tuple:
@@ -259,6 +262,7 @@ def find_peak(
     Fits the penalized B-spline to (s, d2) on the interior grid, masks
     the points whose confidence band contains zero, and returns the first
     contiguous run of at least ``min_run`` masked points as an interval.
+    The result, or the NoPeakFoundError, carries ``curve``.
     """
     require_peak_grid(curve.s_values, min_run)
     interior = curve.interior_s
@@ -282,6 +286,7 @@ def find_peak(
             longest_run=s_range,
             longest_run_length=length,
             min_run=min_run,
+            curve=curve,
         )
     start, stop = run
     s_low = float(interior[start])
@@ -292,6 +297,7 @@ def find_peak(
         recommended=0.5 * (s_low + s_high),
         fit=fit,
         zero_mask=mask,
+        curve=curve,
     )
 
 

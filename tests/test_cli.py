@@ -1,8 +1,10 @@
+import argparse
 import csv
 import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import threading
@@ -241,12 +243,10 @@ class TestTrainTune:
         assert main(["train", "--data", str(banana_csv), "--tune", method,
                      "--out", str(model_path)]) == EXIT_OK
         report = json.loads(report_path.read_text())
-        parameters = json.loads((tmp_path / "model.json.manifest.json").read_text())["parameters"]
-        assert json.loads(model_path.read_text())["s"] == parameters["s"] == report["s"]
-        tuned = {"method": method}
-        if method == "peak":
-            tuned.update(s_low=report["s_low"], s_high=report["s_high"])
-        assert parameters["tuned"] == tuned
+        tuned = json.loads((tmp_path / "model.json.manifest.json").read_text())["tuned"]
+        assert json.loads(model_path.read_text())["s"] == tuned["s"] == report["s"]
+        assert tuned == {"method": method, "s": report["s"], "s_low": report.get("s_low"),
+                         "s_high": report.get("s_high")}
 
     def test_no_plateau_exits_three_from_tune_and_train(self, banana_csv, tmp_path, capsys):
         flags = ["--data", str(banana_csv), "--s-max", "0.6"]
@@ -319,18 +319,20 @@ class TestGridRule:
     def test_simulate_bad_min_run_or_vertex_count_is_usage_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(solver, "train_path", _never)
+        out_dir = tmp_path / "study"
         assert main(["simulate", *flags, "--per-count", "1", "--samples", "100",
-                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_simulate_on_a_short_grid_is_usage_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "train_path", _never)
+        out_dir = tmp_path / "study"
         assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
-                     "--s-step", "1", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+                     "--s-step", "1", "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert "grid too coarse" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert not out_dir.exists()
 
 
 class TestPeakSweepPolicy:
@@ -629,7 +631,7 @@ class TestSimulate:
         assert main(["simulate", "--vertices", "5,5", "--per-count", "1", "--samples", "100",
                      "--seed", "7", "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert "[5] repeat" in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [("--vertices", "x"), ("--vertices", "5,x"),
                                              ("--per-count", "0"), ("--per-count", "-1")])
@@ -836,6 +838,70 @@ class TestManifestSmoBackend:
         assert manifest["smo_backend"] == {"kind": "python"}
 
 
+def _replay_argv(manifest):
+    """The argv a manifest records: its command, then each parameter under
+    its option string in ``build_parser()``."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a.option_strings[-1]
+               for a in commands.choices[manifest["command"]]._actions}
+    argv = [manifest["command"]]
+    for dest, value in manifest["parameters"].items():
+        if value is None or value is False:
+            continue
+        argv.append(options[dest])
+        if isinstance(value, list):
+            argv.append(",".join(map(str, value)))
+        elif value is not True:
+            argv.append(str(value))
+    return argv
+
+
+class TestManifestReplay:
+    """A command rerun with the arguments its manifest records, in another
+    directory that holds the same inputs, writes the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, banana_csv, tmp_path_factory):
+        top = tmp_path_factory.mktemp("inputs")
+        shutil.copy(banana_csv, top / "banana.csv")
+        assert main(["train", "--data", str(top / "banana.csv"), "--s", "0.7",
+                     "--out", str(top / "model.json")]) == EXIT_OK
+        return top
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["train", "--data", "banana.csv", "--s", "0.7", "--f", "0.01", "--out", "m.json"],
+         ["m.json"]),
+        (["train", "--data", "banana.csv", "--tune", "peak", "--out", "m.json"], ["m.json"]),
+        (["tune", "--method", "peak", "--data", "banana.csv", "--min-run", "5",
+          "--kkt-tol", "1e-7", "--out", "r.json"], ["r.json", "r_curve.csv"]),
+        (["score", "--model", "model.json", "--data", "banana.csv", "--out", "s.csv"],
+         ["s.csv"]),
+        (["grid", "--model", "model.json", "--data", "banana.csv", "--resolution", "40",
+          "--padding", "0.2", "--out", "g.csv"], ["g.csv"]),
+        (["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+          "--min-run", "4", "--seed", "7", "--out-dir", "study"],
+         ["study/polygon_study.csv", "study/polygon_study_summary.csv"]),
+        (["shapes", "--kind", "three_cluster", "--n", "90", "--seed", "3", "--out", "x.csv"],
+         ["x.csv"]),
+    ], ids=["train-s", "train-tune", "tune", "score", "grid", "simulate", "shapes"])
+    def test_replay_writes_the_same_bytes(self, inputs, tmp_path, monkeypatch, argv, outputs):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        manifest = f"{outputs[0]}.manifest.json"
+        shutil.copytree(inputs, first)
+        shutil.copytree(inputs, replay)
+        monkeypatch.chdir(first)
+        assert main(argv) == EXIT_OK
+        recorded = json.loads((first / manifest).read_text())
+        monkeypatch.chdir(replay)
+        assert main(_replay_argv(recorded)) == EXIT_OK
+        rerecorded = json.loads((replay / manifest).read_text())
+        for output in outputs:
+            assert (replay / output).read_bytes() == (first / output).read_bytes()
+        assert rerecorded["parameters"] == recorded["parameters"]
+        assert rerecorded["inputs"] == recorded["inputs"]
+
+
 class TestCsvIngestion:
     def test_round_trip_identity(self, tmp_path, rng):
         X = rng.normal(size=(15, 4))
@@ -881,6 +947,19 @@ class TestCsvIngestion:
                      "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--data"])
+    def test_a_directory_as_input_is_usage_error(self, two_point_csv, tmp_path, capsys, flag):
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(two_point_csv), "--s", "2", "--f", "0.1",
+                     "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        inputs = {"--model": str(model), "--data": str(two_point_csv), flag: str(tmp_path)}
+        out = tmp_path / "out.csv"
+        assert main(["score", *(a for pair in inputs.items() for a in pair),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+        assert not out.exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["score", "--model", str(tmp_path / "nope.json"),

@@ -47,7 +47,7 @@ from svddpeak.solver import (
     train,
     train_path,
 )
-from svddpeak.tuning import BandwidthGrid
+from svddpeak.tuning import MONOTONICITY_SLACK, BandwidthGrid
 
 from oracles import reference_smo, simplex_grid_max
 from native_paths import PASSES, pinned, supported_passes
@@ -246,6 +246,26 @@ class TestTrainPath:
         expected = train(banana, KernelSpec(GAUSSIAN, 3.1), config,
                          initial_alphas=path[0][1].alphas)
         _assert_same_model(path[2][1], expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 50),
+           f=st.sampled_from([0.001, 0.05, 0.2]), scale=st.floats(0.3, 3.0),
+           shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+    def test_v_star_ignores_row_order_and_translation(self, seed, n, f, scale, shift):
+        # V*(s) depends only on the pairwise distances of the rows, so a
+        # permutation or a translation of the rows moves it by no more than
+        # the slack of the sweep's monotonicity check
+        rng = np.random.default_rng(seed)
+        X = scale * rng.normal(size=(n, 2))
+        config = SolverConfig(f=f)
+
+        def v_star(rows):
+            return np.array([model.dual_objective
+                             for _, model in train_path(rows, self.S_VALUES, config)])
+
+        expected = v_star(X)
+        for moved in (X[rng.permutation(n)], X + np.array(shift)):
+            np.testing.assert_allclose(v_star(moved), expected, rtol=0, atol=MONOTONICITY_SLACK)
 
 
 def _dense_train(X, spec, config, initial_alphas=None):

@@ -195,6 +195,7 @@ class TestFindPeak:
         interior = curve.interior_s
         target = (interior >= 0.4999) & (interior <= 0.8501)
         np.testing.assert_array_equal(result.zero_mask, target)
+        assert result.curve is curve
 
     def test_all_zero_returns_entire_grid(self):
         interior = LOW_GRID.values()[1:-1]
@@ -213,6 +214,7 @@ class TestFindPeak:
             find_peak(curve, NARRATIVE_SPLINE)
         assert err.value.zero_mask is not None
         assert not err.value.zero_mask.any()
+        assert err.value.curve is curve
         assert err.value.longest_run is None
         assert err.value.longest_run_length == 0
         assert "no grid point has one" in str(err.value)
