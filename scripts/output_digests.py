@@ -40,6 +40,8 @@ COMMANDS = (
     ("tune-minrun5", ("tune", "--method", "peak", "--data", BANANA, "--min-run", "5",
                       "--kkt-tol", "1e-7", "--out", "tune.json"), False),
     ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
+    # 129 boundary support vectors: two threshold blocks and a one-row remainder
+    ("train-s0.2", ("train", "--s", "0.2", "--data", BANANA, "--out", "model.json"), False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
     ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),
     ("simulate", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples", "200",

@@ -312,14 +312,17 @@ def _select_bandwidth(args, X, method):
     When ``peak`` finds no plateau, s is None, the fields hold the error,
     and the curve still carries the diagnostics.
     """
-    from . import baselines as _baselines
     from . import tuning as _tuning
 
     if method == "md":
+        from . import baselines as _baselines
+
         s = _baselines.select_md(X, args.f).s
         return s, {"s": s, "f": args.f}, None
     grid = _grid_from_args(args)
     if method != "peak":
+        from . import baselines as _baselines
+
         select = _baselines.select_cv if method == "cv" else _baselines.select_dfn
         result = select(X, grid)
         return result.s, {"s": result.s}, (["s", "value"],
@@ -605,14 +608,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_output_dirs(args) -> None:
     """InputError naming the first output (``--out``, ``--curve``) whose
-    directory does not exist, so that a command fails before it reads or
-    solves anything. A manifest goes next to its primary output."""
+    directory does not exist, or an ``--out-dir`` that names or lies below
+    something other than a directory, so that a command fails before it
+    reads or solves anything. A manifest goes next to its primary output."""
     for path in (getattr(args, "out", None), getattr(args, "curve", None)):
         if path is None:
             continue
         directory = os.path.dirname(str(path)) or os.curdir
         if not os.path.isdir(directory):
             raise InputError(f"cannot write {path}: no directory {directory}")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None:
+        # the missing part of --out-dir is made after the run; what exists
+        # of it must be a directory
+        existing = os.path.normpath(str(out_dir))
+        while existing and not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise InputError(f"cannot write {out_dir}: {existing} is not a directory")
 
 
 def main(argv=None) -> int:

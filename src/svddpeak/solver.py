@@ -364,11 +364,31 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curva
     return iterations, -1
 
 
-def _threshold_from_parts(K, alphas, boundary, alpha_quad, kkt_tol):
+def _row_products(K, rows, v) -> np.ndarray:
+    """``K[rows, :] @ v`` bit for bit, ``FILL_BLOCK_ROWS`` rows at a time,
+    so that no copy of more than a block of rows of ``K`` is made.
+
+    A block of two or more rows goes through gemv, as the one-shot product
+    does, and gets its bits (the tests hold it to them). A one-row block
+    would go through numpy's dot instead, whose bits can differ, so a
+    one-row remainder joins the block before it.
+    """
+    out = np.empty(rows.size)
+    start = 0
+    while start < rows.size:
+        stop = start + FILL_BLOCK_ROWS
+        if stop + 1 == rows.size:
+            stop += 1
+        block = rows[start:stop]
+        out[start:start + block.size] = K[block] @ v
+        start = stop
+    return out
+
+
+def _threshold_from_parts(K, diag, alphas, boundary, alpha_quad, kkt_tol):
     """Average squared center distance over the boundary support vectors,
-    of which there is at least one."""
-    diag = np.diag(K)
-    per_sv = diag[boundary] - 2.0 * (K[boundary, :] @ alphas) + alpha_quad
+    of which there is at least one. ``diag`` is the diagonal of ``K``."""
+    per_sv = diag[boundary] - 2.0 * _row_products(K, boundary, alphas) + alpha_quad
     spread = float(per_sv.max() - per_sv.min())
     if spread > 10.0 * kkt_tol * max(1.0, float(np.abs(diag).max())):
         raise NumericalError(
@@ -485,7 +505,8 @@ def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
     sv_indices = np.flatnonzero(alphas > 0.0)
     boundary = _boundary_indices(alphas, C, config.kkt_tol)
     if boundary.size:
-        r_squared = _threshold_from_parts(K, alphas, boundary, alpha_quad, config.kkt_tol)
+        r_squared = _threshold_from_parts(K, diag, alphas, boundary, alpha_quad,
+                                          config.kkt_tol)
     else:
         r_squared = _threshold_midpoint_fallback(diag, K_alphas, alphas, C, alpha_quad,
                                                  config.kkt_tol)
@@ -551,9 +572,11 @@ def score_lattice(model: SvddModel, xs, ys) -> np.ndarray:
     sv_alphas = model.sv_alphas()
     if model.spec.kind == GAUSSIAN:
         # cross_kernel's arithmetic without its input checks (20 us a call)
-        ey = _kernel._gaussian(_kernel.squared_distances(ys[:, None], sv[:, 1:]), model.spec.s)
+        sq = _kernel.squared_distances(ys[:, None], sv[:, 1:])
+        ey = _kernel._gaussian(sq, model.spec.s, out=sq)
         ey *= sv_alphas
-        ex = _kernel._gaussian(_kernel.squared_distances(xs[:, None], sv[:, :1]), model.spec.s)
+        sq = _kernel.squared_distances(xs[:, None], sv[:, :1])
+        ex = _kernel._gaussian(sq, model.spec.s, out=sq)
         dist_sq = ey @ ex.T
         # 1 - 2 w + quad, rounded in the order score_distances uses
         dist_sq *= -2.0

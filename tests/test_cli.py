@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svddpeak import _native, cli, solver
+from svddpeak import _native, cli, evaluation, solver
 from svddpeak.cli import (
     EXIT_NO_PEAK,
     EXIT_OK,
@@ -633,6 +633,21 @@ class TestSimulate:
         assert "[5] repeat" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("below", ["", "study"])
+    def test_out_dir_on_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch, below):
+        def never(*args, **kwargs):
+            raise AssertionError("ran the study before the usage error")
+
+        monkeypatch.setattr(evaluation, "polygon_study", never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out_dir = afile / below if below else afile
+        assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                     "--seed", "7", "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_dir}: {afile} is not a directory\n")
+        assert afile.read_text() == "kept\n"
+
     @pytest.mark.parametrize("flag, value", [("--vertices", "x"), ("--vertices", "5,x"),
                                              ("--per-count", "0"), ("--per-count", "-1")])
     def test_bad_vertex_or_polygon_count_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -773,6 +788,16 @@ def test_score_and_version_import_no_sweep_module(two_point_csv, tmp_path, argv)
     assert {"svddpeak.solver", "svddpeak.datagen"} <= imported
     unused = {f"svddpeak.{m}" for m in ("tuning", "smoothing", "evaluation", "baselines")}
     assert imported & unused == set()
+
+
+def test_peak_tune_imports_no_baselines(banana_csv, tmp_path):
+    probe = ("import sys; from svddpeak.cli import main; "
+             f"code = main(['tune', '--method', 'peak', '--data', {str(banana_csv)!r}, "
+             "'--out', 'r.json']); "
+             "print(code, 'svddpeak.tuning' in sys.modules, 'svddpeak.baselines' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=_src_dir())).stdout
+    assert out.splitlines()[-1].split() == ["0", "True", "False"]
 
 
 def test_tune_jobs_two_on_a_cold_cache_writes_jobs_one_bytes(banana_csv, tmp_path):

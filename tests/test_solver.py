@@ -389,6 +389,22 @@ class TestRowBuffer:
         assert len(path) == grid.size
         assert peak < 7 * 2**20
 
+    def test_cold_small_bandwidth_solve_holds_one_square_array(self):
+        # at s = 0.05 nearly every point is a boundary support vector, so a
+        # copy of the boundary's kernel rows would be a second n x n array
+        X = _polygon_600()
+        # the first solve of a process loads the compiled loop: not traced
+        train(X[:5], KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.001))
+        tracemalloc.start()
+        try:
+            model = train(X, KernelSpec(GAUSSIAN, 0.05), SolverConfig(f=0.001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = X.shape[0]
+        assert model.boundary_sv_indices.size > 0.9 * n
+        assert peak < 1.5 * n * n * 8
+
 
 def _solve_on(name, *args):
     """``solver._solve_smo(*args)`` on the inner-loop pass ``name``."""
@@ -590,6 +606,17 @@ class TestThreshold:
         best, _ = simplex_grid_max(K, C=0.5, step=1e-3)
         assert model.dual_objective == pytest.approx(best, abs=1e-4)
         assert model.r_squared >= 0.0
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 129, 200])
+    def test_blocked_row_products_equal_the_one_shot_product(self, size):
+        # 129 rows are two blocks and a one-row remainder, which joins the
+        # block before it
+        rng = np.random.default_rng(size)
+        A = rng.normal(size=(256, 256))
+        K = A + A.T
+        alphas = rng.random(256)
+        rows = np.sort(rng.choice(256, size=size, replace=False))
+        assert np.array_equal(solver._row_products(K, rows, alphas), K[rows, :] @ alphas)
 
 
 class TestScoring:
