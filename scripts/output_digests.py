@@ -5,8 +5,9 @@ Runs the commands in ``COMMANDS`` and the shape script with the package
 of a source tree (its ``src``) in a fresh temporary directory, each in a
 directory of its own, and prints ``<sha256>  <directory>/<output>`` for
 every file they write, manifests aside (those carry a timestamp), and for
-their stdout. The capped runs fail on purpose: their stderr is an output
-too, and their exit code is printed as ``exit <code>  <directory>``. Two
+their stdout. The capped runs and the usage errors fail on purpose: their
+stderr is an output too, and their exit code is printed as
+``exit <code>  <directory>``. Two
 runs that differ only in ``--jobs`` write files of the same names, so
 their lines differ only in the directory.
 
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BANANA = "../shapes/banana.csv"
 MODEL = "../train/model.json"
 
-# (directory, svddpeak arguments, whether a capped solve fails on purpose)
+# (directory, svddpeak arguments, whether the run fails on purpose)
 COMMANDS = (
     ("shapes", ("shapes", "--kind", "banana", "--seed", "11", "--out", "banana.csv"), False),
     ("tune-jobs1", ("tune", "--method", "peak", "--data", BANANA, "--jobs", "1",
@@ -51,6 +52,9 @@ COMMANDS = (
                          "200", "--max-iterations", "20000", "--out-dir", "."), True),
     ("tune-capped", ("tune", "--method", "peak", "--data", BANANA, "--max-iterations", "500",
                      "--out", "tune.json"), True),
+    ("train-linear-s", ("train", "--kernel", "linear", "--s", "1.0", "--data", BANANA,
+                        "--out", "model.json"), True),
+    ("shuttle-no-out", ("shuttle", "--path", "missing.txt", "--sample-class1", "5"), True),
 )
 
 

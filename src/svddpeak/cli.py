@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, _native
 from . import datagen as _datagen
 from . import solver as _solver
-from .errors import InputError, NoPeakFoundError, ParseError, SvddError
+from .errors import DimensionError, InputError, NoPeakFoundError, ParseError, SvddError
 from .kernel import GAUSSIAN, LINEAR, KernelSpec, nearest_distances
 from .solver import SolverConfig
 
@@ -309,8 +309,8 @@ def _select_bandwidth(args, X, method):
     """(s, report fields, (curve header, curve rows) or None) of one selector
     on the rows X, as ``tune`` reports it and ``train --tune`` uses it.
 
-    When ``peak`` finds no plateau, s is None, the fields hold the error,
-    and the curve still carries the diagnostics.
+    When ``peak`` finds no plateau, its NoPeakFoundError propagates, with
+    the curve and the fit for the diagnostics.
     """
     from . import tuning as _tuning
 
@@ -327,32 +327,23 @@ def _select_bandwidth(args, X, method):
         result = select(X, grid)
         return result.s, {"s": result.s}, (["s", "value"],
                                            [[_fmt(s), _fmt(v)] for s, v in result.curve])
-    try:
-        peak = _tuning.select_bandwidth_peak(X, args.f, grid, config=_solver_config(args),
-                                             min_run=_min_run(args), jobs=args.jobs)
-    except NoPeakFoundError as exc:
-        return None, {"f": args.f, "s": None, "error": str(exc)}, (CURVE_HEADER, _curve_rows(exc))
+    peak = _tuning.select_bandwidth_peak(X, args.f, grid, config=_solver_config(args),
+                                         min_run=_min_run(args), jobs=args.jobs)
     fields = {"f": args.f, "s": peak.recommended, "s_low": peak.s_low, "s_high": peak.s_high}
     return peak.recommended, fields, (CURVE_HEADER, _curve_rows(peak))
 
 
 def cmd_train(args) -> int:
     if args.kernel == LINEAR and (args.s is not None or args.tune is not None):
-        print("error: --s and --tune set a gaussian bandwidth; a linear model takes neither",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("--s and --tune set a gaussian bandwidth; a linear model takes neither")
     if args.s is None and args.tune is None and args.kernel != LINEAR:
-        print("error: provide --s or --tune (a gaussian model needs a bandwidth)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("provide --s or --tune (a gaussian model needs a bandwidth)")
     _, X, _ = read_csv_dataset(args.data)
     config = _solver_config(args)
     tuned = None
     s = args.s
     if args.tune is not None:
         s, fields, _ = _select_bandwidth(args, X, args.tune)
-        if s is None:
-            raise NoPeakFoundError(fields["error"])
         tuned = {"method": args.tune, "s": s, "s_low": fields.get("s_low"),
                  "s_high": fields.get("s_high")}
     spec = KernelSpec(kind=args.kernel, s=s)
@@ -368,7 +359,12 @@ def cmd_tune(args) -> int:
     if args.method == "md" and args.curve is not None:
         raise InputError("--curve: md computes its bandwidth in closed form and has no curve")
     _, X, _ = read_csv_dataset(args.data)
-    s, fields, curve = _select_bandwidth(args, X, args.method)
+    try:
+        s, fields, curve = _select_bandwidth(args, X, args.method)
+    except NoPeakFoundError as exc:
+        # the report and the curve still carry the diagnostics
+        s, fields = None, {"f": args.f, "s": None, "error": str(exc)}
+        curve = (CURVE_HEADER, _curve_rows(exc))
     report = {"method": args.method, "data": str(args.data), **fields}
     if args.method != "md":
         report["grid"] = {"s_min": args.s_min, "s_max": args.s_max, "step": args.s_step}
@@ -410,9 +406,7 @@ def cmd_score(args) -> int:
 def cmd_grid(args) -> int:
     model = _solver.load_model(args.model)
     if model.dim != 2:
-        print(f"grid scoring needs a 2-D model, this one has {model.dim} features",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DimensionError(f"grid scoring needs a 2-D model, this one has {model.dim} features")
     if args.data:
         _, P, _ = read_csv_dataset(args.data)
         inputs = [args.model, args.data]
@@ -492,8 +486,7 @@ def cmd_shuttle(args) -> int:
         print("then re-run with --path pointing at the extracted shuttle file.")
         return EXIT_OK
     if args.sample_class1 and not args.out:
-        print("--out is required with --sample-class1", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("--out is required with --sample-class1")
     X, labels = ingest_shuttle(args.path)
     counts = {int(c): int(np.sum(labels == c)) for c in np.unique(labels)}
     print(f"{X.shape[0]} rows, 9 features, class counts: {counts}")

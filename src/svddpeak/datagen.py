@@ -30,7 +30,6 @@ import numpy as np
 
 from . import _native
 from . import kernel as _kernel
-from . import solver as _solver
 from .errors import DegenerateInputError, InputError
 from .kernel import as_data_matrix
 
@@ -42,6 +41,10 @@ SHAPE_KINDS = (BANANA, STAR, THREE_CLUSTER)
 # defaults for the reconstructed benchmark shapes
 SHAPE_SIZES = {BANANA: 267, STAR: 500, THREE_CLUSTER: 450}
 SHAPE_NOISE = {BANANA: 0.25, STAR: 0.0, THREE_CLUSTER: 0.7}
+CLUSTER_CENTERS = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
+
+# rows per string that write_csv_blocks writes
+WRITE_BLOCK_ROWS = 4096
 
 _MAX_POLYGON_ATTEMPTS = 16
 
@@ -269,10 +272,9 @@ def generate_shape(kind: str, n: int | None = None, noise: float | None = None, 
     if kind == STAR:
         poly = make_star_polygon()
         return sample_interior(poly, n, seed)
-    centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
     sizes = [n // 3 + (1 if r < n % 3 else 0) for r in range(3)]
     parts = [
-        centers[c] + rng.normal(0.0, noise, (sizes[c], 2))
+        CLUSTER_CENTERS[c] + rng.normal(0.0, noise, (sizes[c], 2))
         for c in range(3)
         if sizes[c] > 0
     ]
@@ -299,8 +301,7 @@ def shape_truth_grid(kind: str, X, resolution=(200, 200), noise: float | None = 
     elif kind == STAR:
         grid.labels = points_in_polygon(points, make_star_polygon())
     else:
-        centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
-        grid.labels = _kernel.nearest_distances(points, centers) <= 2.45 * noise
+        grid.labels = _kernel.nearest_distances(points, CLUSTER_CENTERS) <= 2.45 * noise
     return grid
 
 
@@ -337,8 +338,8 @@ def write_csv_blocks(path, header, columns, cell_formats) -> None:
     ``\\r\\n``. The cells must need no quoting, as numbers and bare words
     do not. ``"%.12g" % v`` prints a float as ``f"{v:.12g}"`` does and
     ``"%d" % v`` as ``str(int(v))``; a format with no conversion is a
-    constant cell and takes no column. Rows go out
-    ``solver.SCORE_BLOCK_ROWS`` at a time, each block as one string.
+    constant cell and takes no column. Rows go out ``WRITE_BLOCK_ROWS``
+    at a time, each block as one string.
 
     The ``%.12g`` cells are written by the compiled library when it loads
     (``_native.csv_blocks``), else by ``_python_blocks``; every other cell
@@ -352,7 +353,7 @@ def write_csv_blocks(path, header, columns, cell_formats) -> None:
     csv.writer(line).writerow(header)
     with open(path, "wb") as fh:
         fh.write(line.getvalue().encode("utf-8"))
-        for text in blocks(cells, table, n_rows, _solver.SCORE_BLOCK_ROWS):
+        for text in blocks(cells, table, n_rows, WRITE_BLOCK_ROWS):
             fh.write(text)
 
 

@@ -47,10 +47,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise InputError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -215,9 +211,6 @@ class SimulationReport:
     rows: list
     failures: list
     summaries: list
-    grid: BandwidthGrid
-    f: float
-    sample_size: int
 
     def ratios(self) -> np.ndarray:
         return np.array([r.ratio for r in self.rows])
@@ -320,11 +313,4 @@ def polygon_study(
                 mean=float(vals.mean()),
             )
         )
-    return SimulationReport(
-        rows=rows,
-        failures=failures,
-        summaries=summaries,
-        grid=grid,
-        f=f,
-        sample_size=sample_size,
-    )
+    return SimulationReport(rows=rows, failures=failures, summaries=summaries)

@@ -49,17 +49,12 @@ class SplineConfig:
 
 @dataclass
 class SplineFit:
-    coefficients: np.ndarray
     fitted: np.ndarray
     se: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    lambda_used: float
     sigma2_hat: float
     effective_df: float
-    x: np.ndarray
-    knots: np.ndarray
-    degree: int
 
 
 def bspline_design(x, lo, hi, num_interior_knots, degree) -> np.ndarray:
@@ -86,7 +81,7 @@ def bspline_design(x, lo, hi, num_interior_knots, degree) -> np.ndarray:
         num_right = knots[k + 1 :][None, :] - x[:, None]
         B = (num_left * B[:, :-1] + num_right * B[:, 1:]) / (k * dx)
     assert B.shape[1] == n_basis
-    return B, knots
+    return B
 
 
 def _difference_penalty(n_basis, order) -> np.ndarray:
@@ -94,8 +89,9 @@ def _difference_penalty(n_basis, order) -> np.ndarray:
     return D.T @ D
 
 
-def _fit_at(x, y, config: SplineConfig, lam) -> SplineFit:
-    """The P-spline of ``config`` through (x, y) at penalty ``lam``."""
+def fit_pspline(x, y, config: SplineConfig | None = None) -> SplineFit:
+    """Fit the penalized B-spline at the fixed penalty ``config.lam``."""
+    config = config or SplineConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
@@ -107,12 +103,12 @@ def _fit_at(x, y, config: SplineConfig, lam) -> SplineFit:
         raise InputError(f"need at least {min_points} points, got {x.size}")
     if np.any(np.diff(x) <= 0):
         raise InputError("x must be strictly ascending")
-    B, knots = bspline_design(x, x[0], x[-1], config.num_interior_knots, config.degree)
-    M = B.T @ B + lam * _difference_penalty(B.shape[1], config.penalty_order)
+    B = bspline_design(x, x[0], x[-1], config.num_interior_knots, config.degree)
+    M = B.T @ B + config.lam * _difference_penalty(B.shape[1], config.penalty_order)
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular normal equations at lambda={lam:g}") from exc
+        raise NumericalError(f"singular normal equations at lambda={config.lam:g}") from exc
     # with M = L L' and W = L^-1 B': beta = L'^-1 W y, and the pointwise
     # leverage b_i' M^-1 b_i is the squared norm of column i of W
     W = np.linalg.solve(L, B.T)
@@ -127,24 +123,13 @@ def _fit_at(x, y, config: SplineConfig, lam) -> SplineFit:
     se = np.sqrt(sigma2 * leverage)
     z = NormalDist().inv_cdf(0.5 * (1.0 + config.ci_level))
     return SplineFit(
-        coefficients=beta,
         fitted=fitted,
         se=se,
         ci_lower=fitted - z * se,
         ci_upper=fitted + z * se,
-        lambda_used=float(lam),
         sigma2_hat=sigma2,
         effective_df=edf,
-        x=x,
-        knots=knots,
-        degree=config.degree,
     )
-
-
-def fit_pspline(x, y, config: SplineConfig | None = None) -> SplineFit:
-    """Fit the penalized B-spline at the fixed penalty ``config.lam``."""
-    config = config or SplineConfig()
-    return _fit_at(x, y, config, config.lam)
 
 
 def ci_contains_zero(fit: SplineFit) -> np.ndarray:

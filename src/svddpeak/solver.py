@@ -228,6 +228,8 @@ class _KernelRows:
             block = self.source(block_rows)
             self.K[block_rows] = block
             self.K[:, block_rows] = block.T
+            # released before the next block is computed, not after
+            del block
         self.filled[rows] = 1
 
 

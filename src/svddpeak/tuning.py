@@ -138,10 +138,6 @@ class PeakResult:
     zero_mask: np.ndarray
     curve: ObjectiveCurve
 
-    @property
-    def interval(self) -> tuple:
-        return (self.s_low, self.s_high)
-
 
 def _resolve_config(f, config) -> SolverConfig:
     if config is None:

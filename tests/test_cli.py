@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svddpeak import _native, cli, evaluation, solver
+from svddpeak import _native, cli, datagen, evaluation, solver
 from svddpeak.cli import (
     EXIT_NO_PEAK,
     EXIT_OK,
@@ -108,10 +108,12 @@ class TestTrain:
         assert payload["kernel_kind"] == "gaussian"
         assert payload["s"] == 0.7
 
-    def test_missing_bandwidth_is_usage_error(self, two_point_csv, tmp_path):
+    def test_missing_bandwidth_is_usage_error(self, two_point_csv, tmp_path, capsys):
         code = main(["train", "--data", str(two_point_csv), "--f", "0.1",
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: provide --s or --tune (a gaussian model needs a bandwidth)\n")
 
     def test_bandwidth_and_tune_together_is_usage_error(self, two_point_csv, tmp_path,
                                                        capsys):
@@ -445,6 +447,7 @@ class TestScoreAndGrid:
         assert main(["score", "--model", str(model_path), "--data", str(score_in),
                      "--out", str(whole)]) == EXIT_OK
         monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", 3)
         assert main(["score", "--model", str(model_path), "--data", str(score_in),
                      "--out", str(blocked)]) == EXIT_OK
         assert blocked.read_bytes() == whole.read_bytes()
@@ -454,7 +457,7 @@ class TestScoreAndGrid:
     def test_grid_blocks_write_same_bytes(self, model_path, tmp_path, monkeypatch, resolution):
         whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
         for block_rows, out in ((resolution * resolution, whole), (3, blocked)):
-            monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", block_rows)
             assert main(["grid", "--model", str(model_path), "--resolution", str(resolution),
                          "--out", str(out)]) == EXIT_OK
         assert blocked.read_bytes() == whole.read_bytes()
@@ -507,6 +510,19 @@ class TestScoreAndGrid:
         save_dataset(bad, np.zeros((2, 3)))
         assert main(["score", "--model", str(model_path), "--data", str(bad),
                      "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+
+    def test_grid_of_a_model_that_is_not_2d_is_usage_error(self, tmp_path, capsys):
+        data, model_path = tmp_path / "d3.csv", tmp_path / "d3.json"
+        save_dataset(data, np.random.default_rng(2).normal(size=(6, 3)))
+        assert main(["train", "--data", str(data), "--s", "1", "--out", str(model_path)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "grid.csv"
+        # the check comes before --data is read: this file does not exist
+        assert main(["grid", "--model", str(model_path), "--data", str(tmp_path / "missing.csv"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: grid scoring needs a 2-D model, this one has 3 features\n")
+        assert not out.exists()
 
     def test_grid_resolution_and_labels(self, model_path, two_point_csv, tmp_path):
         out = tmp_path / "grid.csv"
@@ -607,6 +623,20 @@ class TestSimulate:
         assert len(failures) == 2
         assert len(read_rows(out_dir / "polygon_study.csv")) == 1
 
+
+    def test_full_runs_the_paper_scale_study(self, tmp_path, monkeypatch):
+        calls = []
+
+        def study(**kwargs):
+            calls.append(kwargs)
+            return evaluation.SimulationReport(rows=[], failures=[], summaries=[])
+
+        monkeypatch.setattr(evaluation, "polygon_study", study)
+        assert main(["simulate", "--full", "--vertices", "5", "--per-count", "1",
+                     "--out-dir", str(tmp_path / "study")]) == EXIT_OK
+        [call] = calls
+        assert call["vertex_counts"] == list(range(5, 31))
+        assert call["polygons_per_count"] == 20
 
     def test_solver_flags_reach_the_study(self, tmp_path):
         # 50 SMO iterations fail every solve, so the polygon is a failure row
@@ -724,7 +754,7 @@ class TestShuttle:
         monkeypatch.setattr(cli, "ingest_shuttle", no_ingest)
         assert main(["shuttle", "--path", str(path), "--sample-class1", "3"]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert "--out is required" in captured.err
+        assert captured.err == "error: --out is required with --sample-class1\n"
         assert captured.out == ""
 
     def test_sample_flag_writes_csv(self, tmp_path):
@@ -1221,7 +1251,7 @@ class TestBlockWriter:
         labels = np.where(np.arange(values.size) % 2 == 0, "inlier", "outlier")
         flags = np.arange(values.size) % 3 == 0
         counts = np.arange(values.size) - 4
-        monkeypatch.setattr(solver, "SCORE_BLOCK_ROWS", 4)
+        monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", 4)
         written = {}
         for writer in supported_writers():
             written[writer] = tmp_path / f"{writer}.csv"

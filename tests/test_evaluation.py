@@ -85,7 +85,7 @@ class TestScoreGrid:
         X, grid = square_case
         model = train(X, KernelSpec(GAUSSIAN, 0.3), SolverConfig(f=0.01))
         predictions, counts = score_grid(model, grid)
-        assert counts.total == grid.points.shape[0]
+        assert counts.tp + counts.fp + counts.fn + counts.tn == grid.points.shape[0]
         assert counts.tp + counts.fn == int(np.sum(grid.labels))
         assert predictions.shape[0] == grid.points.shape[0]
 

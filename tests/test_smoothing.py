@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_lsq_spline
 
-from svddpeak import smoothing, tuning
+from svddpeak import tuning
 from svddpeak.errors import InputError, NumericalError
 from svddpeak.smoothing import (
     SplineConfig,
@@ -21,13 +21,13 @@ def x30():
 class TestBasis:
     def test_partition_of_unity(self):
         x = np.linspace(-1.0, 2.0, 57)
-        B, _ = bspline_design(x, -1.0, 2.0, 17, 3)
+        B = bspline_design(x, -1.0, 2.0, 17, 3)
         np.testing.assert_allclose(B.sum(axis=1), 1.0, atol=1e-12)
         assert B.shape == (57, 17 + 1 + 3)
 
     def test_nonnegative_and_local(self):
         x = np.linspace(0.0, 1.0, 41)
-        B, _ = bspline_design(x, 0.0, 1.0, 10, 3)
+        B = bspline_design(x, 0.0, 1.0, 10, 3)
         assert np.all(B >= 0.0)
         assert np.all(np.count_nonzero(B, axis=1) <= 4)
 
@@ -80,7 +80,7 @@ class TestFitPspline:
         y = np.sin(2.0 * x30) + rng.normal(0.0, 0.2, 30)
         config = SplineConfig(lam=lam, ci_level=0.9)
         fit = fit_pspline(x30, y, config)
-        B, _ = bspline_design(x30, x30[0], x30[-1], config.num_interior_knots, config.degree)
+        B = bspline_design(x30, x30[0], x30[-1], config.num_interior_knots, config.degree)
         D = np.diff(np.eye(B.shape[1]), n=config.penalty_order, axis=0)
         M_inv = np.linalg.inv(B.T @ B + lam * D.T @ D)
         edf = np.trace(M_inv @ B.T @ B)
@@ -92,9 +92,13 @@ class TestFitPspline:
         z = 1.6448536269514722  # 95% normal quantile
         np.testing.assert_allclose(fit.ci_upper - fit.fitted, z * se, rtol=0, atol=1e-12)
 
-    def test_indefinite_normal_equations_raise_numerical_error(self, rng, x30):
-        with pytest.raises(NumericalError):
-            smoothing._fit_at(x30, rng.normal(size=30), SplineConfig(), -1e6)
+    def test_indefinite_normal_equations_raise_numerical_error(self, rng, x30, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NumericalError, match="lambda=100"):
+            fit_pspline(x30, rng.normal(size=30), SplineConfig())
 
     def test_default_penalty_is_the_peak_criterions(self, rng, x30):
         # find_peak smooths d2 at the default penalty, on a 40-knot basis
@@ -102,7 +106,6 @@ class TestFitPspline:
         assert tuning.D2_SPLINE_DEFAULT == SplineConfig(num_interior_knots=40, lam=100.0)
         y = rng.normal(size=30)
         default = fit_pspline(x30, y)
-        assert default.lambda_used == 100.0
         np.testing.assert_array_equal(default.fitted,
                                       fit_pspline(x30, y, SplineConfig(lam=100.0)).fitted)
 
@@ -139,17 +142,12 @@ class TestCiContainsZero:
     def _fake_fit(self, fitted, se):
         z = 1.959963984540054  # 97.5% normal quantile
         return SplineFit(
-            coefficients=np.zeros(1),
             fitted=fitted,
             se=se,
             ci_lower=fitted - z * se,
             ci_upper=fitted + z * se,
-            lambda_used=1.0,
             sigma2_hat=1.0,
             effective_df=1.0,
-            x=np.arange(fitted.size, dtype=float),
-            knots=np.zeros(1),
-            degree=3,
         )
 
     def test_all_true_when_fitted_zero(self):

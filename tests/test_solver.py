@@ -188,6 +188,18 @@ class TestTrain:
             train(X, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="maximal-violating-pair SMO stalls at the iteration cap; "
+                              "second-order working-set selection (ROADMAP item 2) converges")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_kernel_on_near_duplicate_rows_converges(self, seed):
+        # integer rows plus copies shifted by 2^-20: the pair steps stay
+        # tiny and the residual stays between 3.8e-6 and 4.6e-5
+        rows = np.random.default_rng(seed).integers(-7, 8, (8, 2)).astype(float)
+        X = np.vstack([rows, rows + 2.0**-20])
+        model = train(X, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
+        assert model.kkt_residual <= SolverConfig.kkt_tol
+
 
 def _assert_same_model(a, b):
     assert np.array_equal(a.alphas, b.alphas)
@@ -403,7 +415,7 @@ class TestRowBuffer:
             tracemalloc.stop()
         n = X.shape[0]
         assert model.boundary_sv_indices.size > 0.9 * n
-        assert peak < 1.5 * n * n * 8
+        assert peak < 1.3 * n * n * 8
 
 
 def _solve_on(name, *args):

@@ -123,6 +123,36 @@ class TestSweepObjective:
         curve = curve_from_samples(s, v, f=0.1)
         np.testing.assert_allclose(curve.d2, 0.1, atol=1e-8)
 
+    @pytest.mark.parametrize("s, v", [([1.0, 1.1, 1.2], [0.3, 0.2]), ([1.0, 1.1], [0.3, 0.2]),
+                                      ([[1.0, 1.1, 1.2]], [[0.3, 0.2, 0.1]])])
+    def test_curve_needs_matching_vectors_of_three_points(self, s, v):
+        with pytest.raises(InputError, match="at least 3 points"):
+            curve_from_samples(s, v, f=0.1)
+
+    @pytest.mark.parametrize("s", [[1.0, 1.1, 1.3, 1.4], [1.4, 1.3, 1.2, 1.1], [1.0] * 4])
+    def test_curve_needs_a_uniform_ascending_grid(self, s):
+        with pytest.raises(InputError, match="uniform and ascending"):
+            curve_from_samples(s, [0.4, 0.3, 0.2, 0.1], f=0.1)
+
+    def test_rising_v_star_is_a_sweep_error(self):
+        s = np.arange(1.0, 2.01, 0.25)
+        v = np.array([0.5, 0.4, 0.4 + 2 * tuning.MONOTONICITY_SLACK, 0.3, 0.2])
+        message = "increased by 2.000e-07 between s=1.25 and s=1.5"
+        with pytest.raises(SweepError, match=message) as err:
+            tuning.Sweep(s, v, [None] * 5, []).objective_curve(0.1, 10)
+        assert err.value.s == 1.5
+        # a rise within the slack is solver tolerance
+        v[2] = 0.4 + 0.5 * tuning.MONOTONICITY_SLACK
+        assert tuning.Sweep(s, v, [None] * 5, []).objective_curve(0.1, 10).v_star[2] == v[2]
+
+    @pytest.mark.parametrize("v", [[0.9 + 1e-6, 0.8, 0.7, 0.6], [0.3, 0.2, 0.1, -1e-6]])
+    def test_v_star_outside_its_range_is_a_sweep_error(self, v):
+        # ten rows: V* lies in [0, 0.9]
+        s = np.array([1.0, 1.5, 2.0, 2.5])
+        with pytest.raises(SweepError, match=r"left its theoretical range \[0, 0.9\]") as err:
+            tuning.Sweep(s, np.array(v), [None] * 4, []).objective_curve(0.1, 10)
+        assert err.value.s == 1.0
+
     def test_sweep_error_identifies_bandwidth(self, rng):
         X = rng.normal(size=(40, 2))
         config = SolverConfig(f=0.05, kkt_tol=1e-14, max_iterations=2)
@@ -236,7 +266,7 @@ class TestFindPeak:
         assert f"the longest has 4, at s in [{interior[10]:g}, {interior[13]:g}]" in str(err.value)
         # one point fewer asked for, the same run is the peak
         result = find_peak(curve, NARRATIVE_SPLINE, min_run=4)
-        assert result.interval == (interior[10], interior[13])
+        assert (result.s_low, result.s_high) == (interior[10], interior[13])
 
     def test_short_crossing_skipped_by_min_run(self):
         # a steep transversal crossing touches zero on fewer than min_run
@@ -269,7 +299,8 @@ class TestFindPeak:
         d2_short = banana_narrative_d2(short)
         res_short = find_peak(constructed_curve(d2_short, short), NARRATIVE_SPLINE)
         res_long = find_peak(constructed_curve(banana_narrative_d2(), LOW_GRID), NARRATIVE_SPLINE)
-        assert res_short.interval == pytest.approx(res_long.interval, abs=1e-12)
+        assert (res_short.s_low, res_short.s_high) == pytest.approx(
+            (res_long.s_low, res_long.s_high), abs=1e-12)
 
     def test_too_few_interior_points(self):
         grid = BandwidthGrid(1.0, 1.9, 0.1)
