@@ -52,8 +52,7 @@ COMMANDS = (
                          "200", "--max-iterations", "20000", "--out-dir", "."), True),
     ("tune-capped", ("tune", "--method", "peak", "--data", BANANA, "--max-iterations", "500",
                      "--out", "tune.json"), True),
-    ("train-linear-s", ("train", "--kernel", "linear", "--s", "1.0", "--data", BANANA,
-                        "--out", "model.json"), True),
+    ("train-no-bandwidth", ("train", "--data", BANANA, "--out", "model.json"), True),
     ("shuttle-no-out", ("shuttle", "--path", "missing.txt", "--sample-class1", "5"), True),
 )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .kernel import as_data_matrix, kernel_matrix_from_sq, squared_distance_matrix
+from .kernel import _gaussian, as_data_matrix, kernel_matrix_from_sq, squared_distance_matrix
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -80,20 +80,25 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
     """Bandwidth maximizing the farthest-minus-nearest neighbor criterion.
 
     The max and min over neighbors both exclude the point itself;
-    including the diagonal would pin the min term at k(x, x) = 1.
+    including the diagonal would pin the min term at k(x, x) = 1. The
+    kernel is monotone in the squared distance, so each row's largest
+    and smallest entry are the kernel of its nearest and farthest
+    neighbor's squared distance, taken once for every ``s``.
     """
     X = as_data_matrix(X)
     n = X.shape[0]
     if n < 3:
         raise InputError("DFN selection needs at least 3 observations")
     sq = squared_distance_matrix(X)
-    off_diag = ~np.eye(n, dtype=bool)
+    # the zero diagonal is no larger than any other squared distance
+    farthest = sq.max(axis=1)
+    np.fill_diagonal(sq, np.inf)
+    nearest = sq.min(axis=1)
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
-        k = kernel_matrix_from_sq(sq, s)
-        row_max = np.max(np.where(off_diag, k, -np.inf), axis=1)
-        row_min = np.min(np.where(off_diag, k, np.inf), axis=1)
+        row_max = _gaussian(nearest, s)
+        row_min = _gaussian(farthest, s)
         scores[i] = (2.0 / n) * float(row_max.sum() - row_min.sum())
     best = _argmax_smallest(scores)
     return BaselineResult(method=DFN, s=float(s_values[best]), curve=np.column_stack([s_values, scores]))

@@ -33,7 +33,7 @@ from . import __version__, _native
 from . import datagen as _datagen
 from . import solver as _solver
 from .errors import DimensionError, InputError, NoPeakFoundError, ParseError, SvddError
-from .kernel import GAUSSIAN, LINEAR, KernelSpec, nearest_distances
+from .kernel import GAUSSIAN, KernelSpec, nearest_distances
 from .solver import SolverConfig
 
 # tuning, smoothing, baselines and evaluation are imported by the commands
@@ -334,10 +334,6 @@ def _select_bandwidth(args, X, method):
 
 
 def cmd_train(args) -> int:
-    if args.kernel == LINEAR and (args.s is not None or args.tune is not None):
-        raise InputError("--s and --tune set a gaussian bandwidth; a linear model takes neither")
-    if args.s is None and args.tune is None and args.kernel != LINEAR:
-        raise InputError("provide --s or --tune (a gaussian model needs a bandwidth)")
     _, X, _ = read_csv_dataset(args.data)
     config = _solver_config(args)
     tuned = None
@@ -346,11 +342,10 @@ def cmd_train(args) -> int:
         s, fields, _ = _select_bandwidth(args, X, args.tune)
         tuned = {"method": args.tune, "s": s, "s_low": fields.get("s_low"),
                  "s_high": fields.get("s_high")}
-    spec = KernelSpec(kind=args.kernel, s=s)
-    model = _solver.train(X, spec, config)
+    model = _solver.train(X, KernelSpec(GAUSSIAN, s), config)
     model.save(args.out)
     _write_manifest(args, args.out, [args.data], solves=True, tuned=tuned)
-    print(f"trained on {X.shape[0]} rows: s={_fmt(s) if s is not None else 'n/a'} "
+    print(f"trained on {X.shape[0]} rows: s={_fmt(s)} "
           f"r_squared={_fmt(model.r_squared)} -> {args.out}")
     return EXIT_OK
 
@@ -537,11 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it as JSON")
     p.add_argument("--data", required=True)
-    bandwidth = p.add_mutually_exclusive_group()
+    bandwidth = p.add_mutually_exclusive_group(required=True)
     bandwidth.add_argument("--s", type=float, default=None, help="Gaussian bandwidth")
     bandwidth.add_argument("--tune", choices=["peak", "cv", "md", "dfn"], default=None,
                            help="select the bandwidth first (alternative to --s)")
-    p.add_argument("--kernel", choices=[GAUSSIAN, LINEAR], default=GAUSSIAN)
     _add_sweep_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -591,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shuttle", help="ingest the UCI Statlog shuttle file")
     p.add_argument("--path", default=None)
-    p.add_argument("--sample-class1", type=int, default=None)
+    p.add_argument("--sample-class1", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_shuttle)

@@ -1,8 +1,7 @@
 """Kernel evaluation and kernel-matrix construction.
 
-Two kernel families are supported: the Gaussian kernel
-``exp(-||a - b||^2 / (2 s^2))`` with bandwidth ``s``, and the plain inner
-product (linear kernel). Every squared distance of the package comes from
+The one kernel is the Gaussian ``exp(-||a - b||^2 / (2 s^2))`` with
+bandwidth ``s``. Every squared distance of the package comes from
 ``squared_distances``, as a sum of squared coordinate differences, never
 the dot-product expansion, which cancels on nearby points.
 """
@@ -13,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericalError
+from .errors import DimensionError, InputError
 
 GAUSSIAN = "gaussian"
-LINEAR = "linear"
 
 # rows per block in nearest_distances: 1024 points against the 2001-point
 # banana arc is two 16 MB blocks
@@ -25,22 +23,22 @@ _NEAREST_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus the Gaussian bandwidth (ignored for linear)."""
+    """The Gaussian kernel at bandwidth ``s``; ``kind`` admits only
+    ``GAUSSIAN``."""
 
     kind: str = GAUSSIAN
-    s: float | None = 1.0
+    s: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, LINEAR):
-            raise InputError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == GAUSSIAN:
-            if self.s is None or not np.isfinite(self.s) or self.s <= 0:
-                raise InputError(f"gaussian bandwidth must be a positive real, got {self.s!r}")
-            # kernel entries divide by -2 s^2: it must neither underflow to
-            # 0 (0/0 on the diagonal) nor overflow
-            if not 0.0 < 2.0 * self.s * self.s < np.inf:
-                raise InputError(f"gaussian bandwidth {self.s!r} is out of range: 2 s^2 "
-                                 "must be a positive finite number")
+        if self.kind != GAUSSIAN:
+            raise InputError(f"unknown kernel kind {self.kind!r}: only {GAUSSIAN!r} is supported")
+        if self.s is None or not np.isfinite(self.s) or self.s <= 0:
+            raise InputError(f"gaussian bandwidth must be a positive real, got {self.s!r}")
+        # kernel entries divide by -2 s^2: it must neither underflow to 0
+        # (0/0 on the diagonal) nor overflow
+        if not 0.0 < 2.0 * self.s * self.s < np.inf:
+            raise InputError(f"gaussian bandwidth {self.s!r} is out of range: 2 s^2 "
+                             "must be a positive finite number")
 
 
 def as_data_matrix(values, min_rows=1, name="X") -> np.ndarray:
@@ -116,21 +114,9 @@ def kernel_matrix_from_sq(sq_dists: np.ndarray, s: float) -> np.ndarray:
 
 
 def kernel_matrix(X, spec: KernelSpec) -> np.ndarray:
-    """Full n-by-n kernel matrix of the rows of X (dense, symmetric).
-
-    Finite rows can overflow inner products, so a linear matrix with a
-    non-finite entry raises NumericalError. Gaussian entries are exp of a
-    non-positive number or -inf (``KernelSpec`` keeps 2 s^2 positive and
-    finite), so they lie in [0, 1] and go unchecked.
-    """
-    X = as_data_matrix(X)
-    if spec.kind == LINEAR:
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = X @ X.T
-            K = (K + K.T) / 2.0
-        if not np.isfinite(K).all():
-            raise NumericalError("the linear kernel matrix overflows: rescale the data")
-        return K
+    """Full n-by-n kernel matrix of the rows of X (dense, symmetric). Its
+    entries are exp of a non-positive number or -inf (``KernelSpec`` keeps
+    2 s^2 positive and finite), so they lie in [0, 1]."""
     return kernel_matrix_from_sq(squared_distance_matrix(X), spec.s)
 
 
@@ -142,7 +128,5 @@ def cross_kernel(Z, X, spec: KernelSpec) -> np.ndarray:
         raise DimensionError(
             f"scoring rows have {Z.shape[1]} feature(s), training rows have {X.shape[1]}"
         )
-    if spec.kind == LINEAR:
-        return Z @ X.T
     K = squared_distances(Z, X)
     return _gaussian(K, spec.s, out=K)

@@ -118,11 +118,10 @@ class SvddModel:
         return self.alphas[self.sv_indices]
 
     def to_dict(self) -> dict:
-        s = self.spec.s if self.spec.kind == GAUSSIAN else None
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "kernel_kind": self.spec.kind,
-            "s": s,
+            "kernel_kind": GAUSSIAN,
+            "s": self.spec.s,
             "f": self.config.f,
             "C": self.C,
             "r_squared": self.r_squared,
@@ -143,7 +142,8 @@ def model_from_dict(payload: dict) -> SvddModel:
     Only support vectors are serialized, so the rebuilt model's training
     view is the support-vector set itself (alphas are zero elsewhere and
     contribute nothing to scoring). The box bound is read back as saved.
-    A missing or mistyped field raises InputError.
+    A missing or mistyped field, or a kernel other than the Gaussian,
+    raises InputError.
     """
     if not isinstance(payload, dict):
         raise InputError("a model must be a JSON object")
@@ -152,7 +152,10 @@ def model_from_dict(payload: dict) -> SvddModel:
         raise InputError(f"unsupported model format_version {version!r}")
     try:
         kind = payload["kernel_kind"]
-        spec = KernelSpec(kind=kind, s=payload["s"] if kind == GAUSSIAN else None)
+        if kind != GAUSSIAN:
+            raise InputError(f"model has kernel_kind {kind!r}: only gaussian models can be "
+                             "loaded (the linear kernel is no longer supported)")
+        spec = KernelSpec(GAUSSIAN, payload["s"])
         sv = np.asarray(payload["support_vectors"], dtype=float)
         alphas = np.asarray(payload["alphas"], dtype=float)
         config = SolverConfig(f=payload["f"])
@@ -204,8 +207,7 @@ class _KernelRows:
     its column: the kernel matrix is exactly symmetric, so a filled row's
     column is right too. Entries in neither a filled row nor a filled column
     may hold anything finite, such as the rows of another bandwidth, but
-    the diagonal must be the kernel's throughout. With no ``source``, ``K``
-    is the whole kernel matrix and every row is filled.
+    the diagonal must be the kernel's throughout.
 
     Why an unfilled entry cannot change a bit of a solve: the support of
     alpha is always filled (``_fit`` fills the start's support, and SMO
@@ -215,10 +217,10 @@ class _KernelRows:
     its pair.
     """
 
-    def __init__(self, K, source=None):
+    def __init__(self, K, source):
         self.K = K
         self.source = source
-        self.filled = np.full(K.shape[0], source is None, dtype=np.uint8)
+        self.filled = np.zeros(K.shape[0], dtype=np.uint8)
 
     def fill(self, rows) -> None:
         """Fill the rows of the index array ``rows`` that are not filled yet."""
@@ -241,7 +243,7 @@ def _gaussian_rows(X, s, rows) -> np.ndarray:
     return _kernel._gaussian(block, s, out=block)
 
 
-def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows=None):
+def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows):
     """Maximal-violating-pair SMO on min a'Ka - diag(K)'a over the scaled box.
 
     Returns (alpha, kkt_residual, iterations, K @ alpha). Gradient is
@@ -249,8 +251,8 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows=None):
     is accepted, so drift cannot produce a falsely converged result.
 
     ``rows`` is the ``_KernelRows`` that ``K`` belongs to, with the support
-    of ``alpha0`` filled; None means ``K`` is the whole kernel matrix. The
-    solve gives the same bits whichever other rows are filled.
+    of ``alpha0`` filled. The solve gives the same bits whichever other
+    rows are filled.
 
     The pairwise steps run in an inner loop with two implementations of
     one contract: the compiled ``_native.c`` (built on first use, see
@@ -260,8 +262,6 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows=None):
     when its next pair needs a row that is not filled; the row is filled
     and the loop resumes from the same state, gradient and all.
     """
-    if rows is None:
-        rows = _KernelRows(K)
     diag = np.ascontiguousarray(np.diag(K))
     alpha = np.asarray(alpha0, dtype=float).copy()
     grad = 2.0 * (K @ alpha) - diag
@@ -424,10 +424,7 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
     feasible set first); the default is the uniform feasible point.
     """
     X = as_data_matrix(X)
-    if spec.kind == GAUSSIAN:
-        rows = _KernelRows(np.eye(X.shape[0]), partial(_gaussian_rows, X, spec.s))
-    else:
-        rows = _KernelRows(_kernel.kernel_matrix(X, spec))
+    rows = _KernelRows(np.eye(X.shape[0]), partial(_gaussian_rows, X, spec.s))
     return _fit(X, rows, spec, config, initial_alphas)
 
 
@@ -546,23 +543,19 @@ def score_distances(model: SvddModel, Z) -> np.ndarray:
         block = Z[start:start + SCORE_BLOCK_ROWS]
         cross = _kernel.cross_kernel(block, model.support_vectors, model.spec)
         weighted[start:start + block.shape[0]] = cross @ sv_alphas
-    if model.spec.kind == GAUSSIAN:
-        self_term = np.ones(Z.shape[0])
-    else:
-        self_term = np.einsum("ij,ij->i", Z, Z)
-    return self_term - 2.0 * weighted + model.alpha_quad
+    # K(z, z) = 1
+    return 1.0 - 2.0 * weighted + model.alpha_quad
 
 
 def score_lattice(model: SvddModel, xs, ys) -> np.ndarray:
     """dist^2 at every lattice point (xs[a], ys[b]) of a 2-D model.
 
     Ordered x-fastest like ``LabeledGrid.points``: entry b * len(xs) + a
-    is the point (xs[a], ys[b]). Both kernels separate over the axes, so
-    no (points x support vectors) array is built. The Gaussian kernel
-    factors as exp(-dx^2 / 2s^2) exp(-dy^2 / 2s^2): one table per axis,
-    ``Ex`` (len(xs) x n_sv) and ``Ey`` (len(ys) x n_sv), and one product
-    ``(Ey * alpha) @ Ex.T``. The linear kernel is an outer sum of per-axis
-    terms around the center c = sum_j alpha_j x_j.
+    is the point (xs[a], ys[b]). The kernel separates over the axes, so
+    no (points x support vectors) array is built: it factors as
+    exp(-dx^2 / 2s^2) exp(-dy^2 / 2s^2), one table per axis, ``Ex``
+    (len(xs) x n_sv) and ``Ey`` (len(ys) x n_sv), and one product
+    ``(Ey * alpha) @ Ex.T``.
     """
     if model.dim != 2:
         raise DimensionError(
@@ -571,21 +564,16 @@ def score_lattice(model: SvddModel, xs, ys) -> np.ndarray:
     xs = _kernel._as_vector(xs, "xs")
     ys = _kernel._as_vector(ys, "ys")
     sv = model.support_vectors
-    sv_alphas = model.sv_alphas()
-    if model.spec.kind == GAUSSIAN:
-        # cross_kernel's arithmetic without its input checks (20 us a call)
-        sq = _kernel.squared_distances(ys[:, None], sv[:, 1:])
-        ey = _kernel._gaussian(sq, model.spec.s, out=sq)
-        ey *= sv_alphas
-        sq = _kernel.squared_distances(xs[:, None], sv[:, :1])
-        ex = _kernel._gaussian(sq, model.spec.s, out=sq)
-        dist_sq = ey @ ex.T
-        # 1 - 2 w + quad, rounded in the order score_distances uses
-        dist_sq *= -2.0
-        dist_sq += 1.0
-    else:
-        cx, cy = sv_alphas @ sv
-        dist_sq = np.add.outer(ys * ys, xs * xs) - 2.0 * np.add.outer(ys * cy, xs * cx)
+    # cross_kernel's arithmetic without its input checks (20 us a call)
+    sq = _kernel.squared_distances(ys[:, None], sv[:, 1:])
+    ey = _kernel._gaussian(sq, model.spec.s, out=sq)
+    ey *= model.sv_alphas()
+    sq = _kernel.squared_distances(xs[:, None], sv[:, :1])
+    ex = _kernel._gaussian(sq, model.spec.s, out=sq)
+    dist_sq = ey @ ex.T
+    # 1 - 2 w + quad, rounded in the order score_distances uses
+    dist_sq *= -2.0
+    dist_sq += 1.0
     dist_sq += model.alpha_quad
     return dist_sq.ravel()
 

@@ -119,10 +119,11 @@ class Sweep:
                 s=float(s_values[k + 1]),
             )
         upper = 1.0 - 1.0 / n
-        if float(v_star.min()) < -1e-9 or float(v_star.max()) > upper + 1e-9:
+        outside = (v_star < -1e-9) | (v_star > upper + 1e-9)
+        if outside.any():
             raise SweepError(
                 f"V*(s) left its theoretical range [0, {upper:g}]",
-                s=float(s_values[int(np.argmax(v_star))]),
+                s=float(s_values[int(np.argmax(outside))]),
             )
         return curve
 

@@ -14,12 +14,16 @@ is identical to scanning the coordinate and keeps the search tractable.
 
 ``reference_smo`` is a frozen copy of the straightforward SMO loop
 (column reads, masks rebuilt with ``np.where`` on every iteration). The
-production solver must reproduce it bit for bit.
+production solver must reproduce it bit for bit. The SMO contract does
+not depend on the kernel, so ``linear_gram`` gives it inner-product
+matrices too, and ``whole_rows`` hands a whole matrix to the solver.
 """
 
 import numpy as np
 
+from svddpeak import solver
 from svddpeak.errors import ConvergenceError
+from svddpeak.kernel import kernel_matrix_from_sq, squared_distance_matrix
 
 
 def _lattice_counts(step, C):
@@ -142,6 +146,38 @@ def gaussian_kernel_matrix(X, s):
         for j in range(n):
             K[i, j] = np.exp(-np.sum((X[i] - X[j]) ** 2) / (2.0 * s * s))
     return K
+
+
+def linear_gram(X):
+    """The symmetrised inner-product matrix (X X' + (X X')') / 2 of the
+    rows of X: exactly symmetric, as the solver needs its matrix to be."""
+    X = np.asarray(X, dtype=float)
+    K = X @ X.T
+    return (K + K.T) / 2.0
+
+
+def whole_rows(K):
+    """The whole matrix ``K`` as the solver's ``_KernelRows``, every row
+    filled, its source reading the rows of ``K``."""
+    rows = solver._KernelRows(K, lambda index: K[index])
+    rows.fill(np.arange(K.shape[0]))
+    return rows
+
+
+def dfn_curve(X, s_values):
+    """The DFN criterion at each s of ``s_values``, from the whole kernel
+    matrix of each s with the diagonal masked out of each row's max and
+    min."""
+    n = X.shape[0]
+    sq = squared_distance_matrix(X)
+    off_diag = ~np.eye(n, dtype=bool)
+    scores = np.empty(len(s_values))
+    for i, s in enumerate(s_values):
+        k = kernel_matrix_from_sq(sq, s)
+        row_max = np.max(np.where(off_diag, k, -np.inf), axis=1)
+        row_min = np.min(np.where(off_diag, k, np.inf), axis=1)
+        scores[i] = (2.0 / n) * float(row_max.sum() - row_min.sum())
+    return scores
 
 
 def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, stats=None):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from svddpeak.baselines import select_cv, select_dfn, select_md
+from svddpeak.datagen import generate_shape
 from svddpeak.errors import DegenerateInputError, InputError
 from svddpeak.tuning import BandwidthGrid
+
+from oracles import dfn_curve
 
 # simplex vertices: every pairwise squared distance is exactly 2.0 in floats
 EQUIDISTANT = np.eye(3)
@@ -139,6 +142,24 @@ class TestSelectDfn:
     def test_needs_three_points(self, two_point_data):
         with pytest.raises(InputError):
             select_dfn(two_point_data, BandwidthGrid(0.1, 2.0, 0.1))
+
+    @pytest.mark.parametrize("kind", ["banana", "star", "three_cluster"])
+    def test_shape_curve_equals_the_dense_formula(self, kind):
+        X = generate_shape(kind, seed=0)
+        grid = BandwidthGrid.low_dimensional()
+        curve = select_dfn(X, grid).curve
+        assert np.array_equal(curve[:, 0], grid.values())
+        assert np.array_equal(curve[:, 1], dfn_curve(X, grid.values()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_curve_equals_the_dense_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        # integer rows tie many distances exactly
+        X = rng.normal(size=(int(rng.integers(3, 80)), int(rng.integers(3, 12))))
+        if seed % 2:
+            X = np.round(X * 2.0)
+        grid = BandwidthGrid(0.05, 6.0, 0.05)
+        assert np.array_equal(select_dfn(X, grid).curve[:, 1], dfn_curve(X, grid.values()))
 
 
 class TestSharedInvariances:

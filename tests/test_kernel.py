@@ -10,7 +10,6 @@ from svddpeak import kernel
 from svddpeak.errors import DimensionError, InputError
 from svddpeak.kernel import (
     GAUSSIAN,
-    LINEAR,
     KernelSpec,
     as_data_matrix,
     cross_kernel,
@@ -33,8 +32,6 @@ def vectors(dim):
 
 def pair_kernel(a, b, spec):
     """k(a, b) from the definition, one pair at a time in plain Python."""
-    if spec.kind == LINEAR:
-        return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
     sq = sum((float(u) - float(v)) ** 2 for u, v in zip(a, b))
     return math.exp(-sq / (2.0 * spec.s * spec.s))
 
@@ -56,9 +53,6 @@ class TestKernelValue:
         assert got == pytest.approx(math.exp(-4.0 / 8.0), abs=1e-12)
         assert got == pytest.approx(0.6065306597, abs=1e-9)
 
-    def test_linear_dot_product(self):
-        assert one_pair([1.0, 2.0], [3.0, 4.0], KernelSpec(LINEAR, None)) == 11.0
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             cross_kernel([[1.0]], [[1.0, 2.0]], KernelSpec(GAUSSIAN, 1.0))
@@ -67,6 +61,10 @@ class TestKernelValue:
         for Z, X in (([[np.nan]], [[1.0]]), ([[1.0]], [[np.inf]])):
             with pytest.raises(InputError):
                 cross_kernel(Z, X, KernelSpec(GAUSSIAN, 1.0))
+
+    def test_only_the_gaussian_kernel(self):
+        with pytest.raises(InputError, match="unknown kernel kind 'linear'"):
+            KernelSpec("linear")
 
     def test_invalid_bandwidth(self):
         with pytest.raises(InputError):
@@ -117,11 +115,11 @@ class TestKernelMatrix:
 
     def test_matches_per_entry_kernel_value(self, rng):
         X = rng.normal(size=(6, 3))
-        for spec in (KernelSpec(GAUSSIAN, 1.3), KernelSpec(LINEAR, None)):
-            K = kernel_matrix(X, spec)
-            for i in range(6):
-                for j in range(6):
-                    assert K[i, j] == pytest.approx(pair_kernel(X[i], X[j], spec), abs=1e-12)
+        spec = KernelSpec(GAUSSIAN, 1.3)
+        K = kernel_matrix(X, spec)
+        for i in range(6):
+            for j in range(6):
+                assert K[i, j] == pytest.approx(pair_kernel(X[i], X[j], spec), abs=1e-12)
 
     def test_symmetric_and_unit_diagonal(self, rng):
         X = rng.normal(size=(8, 2))
@@ -156,21 +154,16 @@ class TestKernelMatrix:
             assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
         assert np.array_equal(sq, before)
 
-    def test_linear_matrix(self):
-        X = np.array([[1.0, 0.0], [0.0, 2.0]])
-        K = kernel_matrix(X, KernelSpec(LINEAR, None))
-        np.testing.assert_allclose(K, np.array([[1.0, 0.0], [0.0, 4.0]]))
-
 
 class TestCrossKernel:
     def test_matches_kernel_value(self, rng):
         X = rng.normal(size=(5, 2))
         Z = rng.normal(size=(3, 2))
-        for spec in (KernelSpec(GAUSSIAN, 0.8), KernelSpec(LINEAR, None)):
-            C = cross_kernel(Z, X, spec)
-            for i in range(3):
-                for j in range(5):
-                    assert C[i, j] == pytest.approx(pair_kernel(Z[i], X[j], spec), abs=1e-12)
+        spec = KernelSpec(GAUSSIAN, 0.8)
+        C = cross_kernel(Z, X, spec)
+        for i in range(3):
+            for j in range(5):
+                assert C[i, j] == pytest.approx(pair_kernel(Z[i], X[j], spec), abs=1e-12)
 
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_is_plain_formula_bitwise(self, rng, d):

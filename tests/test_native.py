@@ -16,6 +16,7 @@ from svddpeak.kernel import GAUSSIAN, KernelSpec, kernel_matrix
 from svddpeak.solver import SolverConfig, train
 
 from native_paths import pinned, supported_passes
+from oracles import whole_rows
 
 
 @pytest.fixture
@@ -172,7 +173,8 @@ def test_loops_agree_on_non_finite_gram_entries(bad, where):
     for name in ["python"] + compiled:
         with pinned(name), np.errstate(invalid="ignore"):
             try:
-                results[name] = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(19, 1 / 19))[:3]
+                results[name] = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(19, 1 / 19),
+                                                  whole_rows(K))[:3]
             except ConvergenceError as err:
                 results[name] = err.alphas, err.kkt_residual, err.iterations
     a_py, r_py, it_py = results.pop("python")

@@ -1,6 +1,5 @@
 import json
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -20,12 +19,10 @@ from svddpeak.errors import (
     ConvergenceError,
     DimensionError,
     InputError,
-    NumericalError,
 )
 from svddpeak.evaluation import _polygon_seed
 from svddpeak.kernel import (
     GAUSSIAN,
-    LINEAR,
     KernelSpec,
     cross_kernel,
     kernel_matrix,
@@ -49,7 +46,7 @@ from svddpeak.solver import (
 )
 from svddpeak.tuning import MONOTONICITY_SLACK, BandwidthGrid
 
-from oracles import reference_smo, simplex_grid_max
+from oracles import linear_gram, reference_smo, simplex_grid_max, whole_rows
 from native_paths import PASSES, pinned, supported_passes
 
 K12 = math.exp(-0.5)
@@ -178,28 +175,6 @@ class TestTrain:
             np.testing.assert_allclose(model.alphas, 1.0 / 20, rtol=0, atol=1e-15)
             assert model.r_squared >= 0.0
 
-    def test_overflowing_linear_gram_is_rejected_before_the_solve(self, rng, monkeypatch):
-        # finite rows whose inner products overflow: the SMO loop once ran
-        # all 100,000 iterations on a NaN gradient
-        X = rng.normal(size=(20, 2)) * 1e160
-        monkeypatch.setattr(solver, "_solve_smo", lambda *args: pytest.fail("SMO ran"))
-        start = time.perf_counter()
-        with pytest.raises(NumericalError, match="overflows"):
-            train(X, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="maximal-violating-pair SMO stalls at the iteration cap; "
-                              "second-order working-set selection (ROADMAP item 2) converges")
-    @pytest.mark.parametrize("seed", range(6))
-    def test_linear_kernel_on_near_duplicate_rows_converges(self, seed):
-        # integer rows plus copies shifted by 2^-20: the pair steps stay
-        # tiny and the residual stays between 3.8e-6 and 4.6e-5
-        rows = np.random.default_rng(seed).integers(-7, 8, (8, 2)).astype(float)
-        X = np.vstack([rows, rows + 2.0**-20])
-        model = train(X, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
-        assert model.kkt_residual <= SolverConfig.kkt_tol
-
 
 def _assert_same_model(a, b):
     assert np.array_equal(a.alphas, b.alphas)
@@ -282,7 +257,7 @@ class TestTrainPath:
 
 def _dense_train(X, spec, config, initial_alphas=None):
     """``train`` on the whole kernel matrix, every row filled from the start."""
-    rows = solver._KernelRows(kernel_matrix(X, spec))
+    rows = whole_rows(kernel_matrix(X, spec))
     return solver._fit(solver.as_data_matrix(X), rows, spec, config, initial_alphas)
 
 
@@ -418,10 +393,11 @@ class TestRowBuffer:
         assert peak < 1.3 * n * n * 8
 
 
-def _solve_on(name, *args):
-    """``solver._solve_smo(*args)`` on the inner-loop pass ``name``."""
+def _solve_on(name, K, *args):
+    """``solver._solve_smo`` on the whole matrix ``K`` and the inner-loop
+    pass ``name``."""
     with pinned(name):
-        return solver._solve_smo(*args)
+        return solver._solve_smo(K, *args, whole_rows(K))
 
 
 def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
@@ -451,7 +427,7 @@ RANDOM_PROBLEMS = dict(
     n=st.integers(2, 70),
     integer_rows=st.booleans(),
     near_copies=st.integers(0, 3),
-    kind=st.sampled_from([GAUSSIAN, LINEAR]),
+    kind=st.sampled_from(["gaussian", "linear"]),
     s=st.floats(0.05, 4.0),
     f=st.floats(0.01, 0.95),
     warm=st.booleans(),
@@ -470,7 +446,7 @@ def _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm):
     else:
         X = rng.normal(size=shape)
     X = np.vstack([X, X[:near_copies] + 2.0**-20])
-    K = kernel_matrix(X, KernelSpec(kind, s if kind == GAUSSIAN else None))
+    K = kernel_matrix(X, KernelSpec(GAUSSIAN, s)) if kind == "gaussian" else linear_gram(X)
     C = SolverConfig(f=f).box_bound(X.shape[0])
     if warm:
         # the start _fit makes of a warm start: clipped, rescaled, clipped
@@ -508,7 +484,7 @@ class TestSmoMatchesReference:
         # row pair (k, k + 8) has curvature 2**-40, below the floor
         base = np.random.default_rng(0).integers(-7, 8, size=(8, 2)).astype(float)
         X = np.vstack([base, base + [2.0**-20, 0.0]])
-        K = kernel_matrix(X, KernelSpec(LINEAR, None))
+        K = linear_gram(X)
         C = SolverConfig(f=0.3).box_bound(16)
         alpha0 = np.full(16, 1.0 / 16)
         stats = {}
@@ -518,8 +494,23 @@ class TestSmoMatchesReference:
 
     def test_linear_kernel(self, rng):
         X = rng.normal(size=(60, 3))
-        K = kernel_matrix(X, KernelSpec(LINEAR, None))
+        K = linear_gram(X)
         _assert_same_solve(K, SolverConfig(f=0.05).box_bound(60), rng.dirichlet(np.ones(60)))
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="maximal-violating-pair SMO stalls at the iteration cap; "
+                              "second-order working-set selection (ROADMAP item 2) converges")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_kernel_on_near_duplicate_rows_converges(self, seed):
+        # integer rows plus copies shifted by 2^-20: the pair steps stay
+        # tiny and the residual stays between 3.8e-6 and 4.6e-5
+        rows = np.random.default_rng(seed).integers(-7, 8, (8, 2)).astype(float)
+        K = linear_gram(np.vstack([rows, rows + 2.0**-20]))
+        config = SolverConfig(f=0.1)
+        _, residual, _, _ = solver._solve_smo(K, config.box_bound(16), config.kkt_tol,
+                                              config.max_iterations, np.full(16, 1.0 / 16),
+                                              whole_rows(K))
+        assert residual <= config.kkt_tol
 
     def test_convergence_error_payload(self, banana_sq):
         n = banana_sq.shape[0]
@@ -570,7 +561,7 @@ class TestSmoMatchesReference:
         rows.fill(np.flatnonzero((alpha0 > 0.0) | (rng.random(alpha0.size) < filled_share)))
         with pinned(name):
             try:
-                expected = solver._solve_smo(K, C, 1e-6, max_iterations, alpha0)
+                expected = solver._solve_smo(K, C, 1e-6, max_iterations, alpha0, whole_rows(K))
             except ConvergenceError as dense:
                 with pytest.raises(ConvergenceError) as err:
                     solver._solve_smo(buffer, C, 1e-6, max_iterations, alpha0, rows)
@@ -680,17 +671,15 @@ class TestScoreLattice:
         n=st.integers(1, 25),
         rx=st.integers(2, 9),
         ry=st.integers(2, 9),
-        kind=st.sampled_from([GAUSSIAN, LINEAR]),
         s=st.floats(0.2, 3.0),
         reload=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_row_scoring_of_the_points(self, seed, n, rx, ry, kind, s, reload):
+    def test_matches_row_scoring_of_the_points(self, seed, n, rx, ry, s, reload):
         assume(rx != ry)
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3.0, 3.0, (n, 2))
-        spec = KernelSpec(kind, s if kind == GAUSSIAN else None)
-        model = train(X, spec, SolverConfig(f=0.1))
+        model = train(X, KernelSpec(GAUSSIAN, s), SolverConfig(f=0.1))
         if reload:
             # a reloaded model keeps only its support vectors
             model = model_from_dict(json.loads(json.dumps(model.to_dict())))
@@ -759,27 +748,6 @@ class TestPositionReport:
                     assert abs(d - r2) <= tol
                 else:
                     assert d >= r2 - tol
-
-
-class TestCenter:
-    """The linear kernel's center in input space, sum_i alpha_i x_i."""
-
-    def test_single_point(self):
-        model = train([[4.0, -1.0]], KernelSpec(LINEAR, None), SolverConfig(f=0.5))
-        np.testing.assert_allclose(model.alphas @ model.X, [4.0, -1.0])
-
-    def test_two_point_midpoint(self, two_point_data):
-        model = train(two_point_data, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
-        np.testing.assert_allclose(model.alphas @ model.X, [1.0, 0.0], atol=1e-8)
-
-    def test_unit_square_center(self):
-        X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        spec = KernelSpec(LINEAR, None)
-        model = train(X, spec, SolverConfig(f=0.1))
-        np.testing.assert_allclose(model.alphas @ X, [0.5, 0.5], atol=1e-6)
-        K = kernel_matrix(X, spec)
-        best, _ = simplex_grid_max(K, C=2.5, step=1e-3)
-        assert model.dual_objective == pytest.approx(best, abs=1e-4)
 
 
 class TestSerialization:
@@ -860,15 +828,8 @@ class TestSerialization:
         with pytest.raises(InputError):
             model_from_dict(payload)
 
-    def test_linear_model_round_trip(self, two_point_data, tmp_path):
-        model = train(two_point_data, KernelSpec(LINEAR, None), SolverConfig(f=0.1))
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["s"] is None
-        loaded = load_model(path)
-        np.testing.assert_allclose(
-            score_distances(loaded, two_point_data),
-            score_distances(model, two_point_data),
-            atol=1e-12,
-        )
+    def test_linear_model_rejected(self, two_point_model):
+        # the form a linear model was saved in
+        payload = {**two_point_model.to_dict(), "kernel_kind": "linear", "s": None}
+        with pytest.raises(InputError, match="kernel_kind 'linear'"):
+            model_from_dict(payload)

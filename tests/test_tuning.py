@@ -145,13 +145,16 @@ class TestSweepObjective:
         v[2] = 0.4 + 0.5 * tuning.MONOTONICITY_SLACK
         assert tuning.Sweep(s, v, [None] * 5, []).objective_curve(0.1, 10).v_star[2] == v[2]
 
-    @pytest.mark.parametrize("v", [[0.9 + 1e-6, 0.8, 0.7, 0.6], [0.3, 0.2, 0.1, -1e-6]])
-    def test_v_star_outside_its_range_is_a_sweep_error(self, v):
-        # ten rows: V* lies in [0, 0.9]
+    @pytest.mark.parametrize("v, s_outside", [([0.9 + 1e-6, 0.8, 0.7, 0.6], 1.0),
+                                              ([0.3, 0.2, 0.1, -1e-6], 2.5)],
+                             ids=["v0", "v1"])
+    def test_v_star_outside_its_range_is_a_sweep_error(self, v, s_outside):
+        # ten rows: V* lies in [0, 0.9]; the error names the first s whose
+        # V* is outside, not the s of the largest V*
         s = np.array([1.0, 1.5, 2.0, 2.5])
         with pytest.raises(SweepError, match=r"left its theoretical range \[0, 0.9\]") as err:
             tuning.Sweep(s, np.array(v), [None] * 4, []).objective_curve(0.1, 10)
-        assert err.value.s == 1.0
+        assert err.value.s == s_outside
 
     def test_sweep_error_identifies_bandwidth(self, rng):
         X = rng.normal(size=(40, 2))
