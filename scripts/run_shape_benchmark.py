@@ -54,7 +54,7 @@ def main() -> int:
               f"{rec_txt:>6} {f_rec:>8.4f} {sweep.f_best:>8.4f} {ratio_txt:>6}")
         if args.out_dir:
             write_csv_blocks(os.path.join(args.out_dir, f"{kind}_f1_curve.csv"), ["s", "f1"],
-                             [sweep.s_values, sweep.f1_curve()], ["%.12g", "%.12g"])
+                             [sweep.s_values, sweep.f1_curve()])
     return 0
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .kernel import _gaussian, as_data_matrix, kernel_matrix_from_sq, squared_distance_matrix
+from .kernel import (_gaussian, as_data_matrix, kernel_matrix_from_sq, neighbor_extremes,
+                     squared_distance_matrix)
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -62,14 +63,15 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
 
 
 def select_md(X, f: float = 0.001) -> BaselineResult:
-    """Closed-form bandwidth from the maximum pairwise distance."""
+    """Closed-form bandwidth from the maximum pairwise distance, the
+    largest of the rows' farthest neighbors."""
     X = as_data_matrix(X)
     n = X.shape[0]
     if n < 2:
         raise InputError("MD selection needs at least 2 observations")
     if not (0.0 < f < 1.0):
         raise InputError(f"outlier fraction f must lie in (0, 1), got {f!r}")
-    d_max = float(np.sqrt(squared_distance_matrix(X).max()))
+    d_max = float(np.sqrt(neighbor_extremes(X)[1].max()))
     if d_max == 0.0:
         raise DegenerateInputError("all observations coincide; d_max = 0")
     delta = 1.0 / (n * (1.0 - f) + 1.0)
@@ -83,17 +85,14 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
     including the diagonal would pin the min term at k(x, x) = 1. The
     kernel is monotone in the squared distance, so each row's largest
     and smallest entry are the kernel of its nearest and farthest
-    neighbor's squared distance, taken once for every ``s``.
+    neighbor's squared distance, taken once for every ``s`` and without
+    an n x n matrix.
     """
     X = as_data_matrix(X)
     n = X.shape[0]
     if n < 3:
         raise InputError("DFN selection needs at least 3 observations")
-    sq = squared_distance_matrix(X)
-    # the zero diagonal is no larger than any other squared distance
-    farthest = sq.max(axis=1)
-    np.fill_diagonal(sq, np.inf)
-    nearest = sq.min(axis=1)
+    nearest, farthest = neighbor_extremes(X)
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):

@@ -390,8 +390,7 @@ def cmd_score(args) -> int:
     dist_sq = _solver.score_distances(model, Z)
     outlier = dist_sq > model.r_squared
     _datagen.write_csv_blocks(args.out, header + ["dist_sq", "r_sq", "label"],
-                              [*Z.T, dist_sq, _labels(outlier)],
-                              ["%.12g"] * (Z.shape[1] + 1) + [_fmt(model.r_squared), "%s"])
+                              [*Z.T, dist_sq, _fmt(model.r_squared), _labels(outlier)])
     _write_manifest(args, args.out, [args.model, args.data])
     n_out = int(np.count_nonzero(outlier))
     print(f"scored {Z.shape[0]} rows ({n_out} outliers) -> {args.out}")
@@ -419,8 +418,8 @@ def cmd_grid(args) -> int:
     near_sv = nearest_distances(lattice, model.support_vectors) <= spacing
 
     _datagen.write_csv_blocks(args.out, ["x", "y", "dist_sq", "label", "is_sv_nearby"],
-                              [*lattice.T, dist_sq, _labels(outlier), near_sv],
-                              ["%.12g", "%.12g", "%.12g", "%s", "%d"])
+                              [*lattice.T, dist_sq, _labels(outlier),
+                               _datagen.Coded(near_sv, ("0", "1"))])
     _write_manifest(args, args.out, inputs)
     n_in = lattice.shape[0] - int(np.count_nonzero(outlier))
     print(f"grid {res}x{res}: {n_in} inlier cells of {lattice.shape[0]} -> {args.out}")

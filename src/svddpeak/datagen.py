@@ -11,11 +11,12 @@ All randomness flows through numpy's seedable PCG64 generator
 datasets on every platform.
 
 ``write_csv_blocks`` is the one writer of large CSV files: datasets
-(``save_dataset``) and the CLI's scored rows and grids. Its ``%.12g``
-cells are written by the compiled library (``_native``), byte for byte as
-Python's ``%`` writes them, and every other cell is text that Python
-formats once per distinct value; where the library cannot be built, the
-per-row ``%`` loop (``_python_blocks``) writes the same bytes.
+(``save_dataset``) and the CLI's scored rows and grids. Each column
+carries its own cell kind: a numeric array is ``%.12g`` cells, written by
+the compiled library (``_native``) byte for byte as Python's ``%`` writes
+them, and a ``Coded`` column or a ``str`` constant is text given by the
+caller; where the library cannot be built, the per-row ``%`` loop
+(``_python_blocks``) writes the same bytes.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     return LabeledGrid(xs, ys, points_in_polygon(_lattice_points(xs, ys), poly))
 
 
-def make_star_polygon(n_points=5, outer_radius=4.0, inner_radius=1.6, seed=None) -> Polygon:
+def make_star_polygon(n_points=5, outer_radius=4.0, inner_radius=1.6) -> Polygon:
     """Regular star polygon with alternating outer and inner vertices."""
     angles = np.pi / 2.0 + np.arange(2 * n_points) * np.pi / n_points
     radii = np.where(np.arange(2 * n_points) % 2 == 0, outer_radius, inner_radius)
@@ -305,49 +306,37 @@ def shape_truth_grid(kind: str, X, resolution=(200, 200), noise: float | None = 
     return grid
 
 
-def save_dataset(path, X, labels=None) -> None:
-    """CSV export: header x1..xm plus an optional integer label column."""
+def save_dataset(path, X) -> None:
+    """CSV export: header x1..xm, one ``%.12g`` cell per coordinate."""
     X = as_data_matrix(X)
-    header = [f"x{i + 1}" for i in range(X.shape[1])]
-    columns, cell_formats = list(X.T), ["%.12g"] * X.shape[1]
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape[0] != X.shape[0]:
-            raise InputError("labels length must match the number of rows")
-        header.append("label")
-        columns.append(labels)
-        cell_formats.append("%d")
-    write_csv_blocks(path, header, columns, cell_formats)
+    write_csv_blocks(path, [f"x{i + 1}" for i in range(X.shape[1])], list(X.T))
 
 
 class Coded(NamedTuple):
     """A ``write_csv_blocks`` column given as integer ``codes`` into
-    ``values``: row i holds ``values[codes[i]]``."""
+    ``values``: row i holds ``str(values[codes[i]])``."""
 
     codes: np.ndarray
     values: tuple
 
 
-def write_csv_blocks(path, header, columns, cell_formats) -> None:
-    """Write ``header``, then one line per row of ``columns`` (1-D arrays of
-    one length, or ``Coded`` columns), cell by cell through
-    ``cell_formats``.
+def write_csv_blocks(path, header, columns) -> None:
+    """Write ``header``, then one line per row of ``columns``, each of which
+    carries its own cell kind: a numeric 1-D array is written as
+    ``"%.12g" % v`` (which prints a float as ``f"{v:.12g}"`` does), a
+    ``Coded`` column as its text values, and a ``str`` as the same text in
+    every row. The arrays and codes must have one length.
 
     The bytes are those of ``csv.writer``, which still writes the header
     (its names may need quoting): cells joined by ``,``, lines ended by
     ``\\r\\n``. The cells must need no quoting, as numbers and bare words
-    do not. ``"%.12g" % v`` prints a float as ``f"{v:.12g}"`` does and
-    ``"%d" % v`` as ``str(int(v))``; a format with no conversion is a
-    constant cell and takes no column. Rows go out ``WRITE_BLOCK_ROWS``
-    at a time, each block as one string.
-
-    The ``%.12g`` cells are written by the compiled library when it loads
-    (``_native.csv_blocks``), else by ``_python_blocks``; every other cell
-    is formatted once per distinct value, by its own ``%``.
+    do not. Rows go out ``WRITE_BLOCK_ROWS`` at a time, each block as one
+    string, by the compiled library when it loads (``_native.csv_blocks``),
+    else by ``_python_blocks``.
     """
-    first = columns[0]
+    first = next(c for c in columns if not isinstance(c, str))
     n_rows = len(first.codes if isinstance(first, Coded) else first)
-    cells, table = _cells(columns, cell_formats, n_rows)
+    cells, table = _cells(columns, n_rows)
     blocks = _native.csv_blocks() or _python_blocks
     line = io.StringIO(newline="")
     csv.writer(line).writerow(header)
@@ -357,40 +346,26 @@ def write_csv_blocks(path, header, columns, cell_formats) -> None:
             fh.write(text)
 
 
-def _cells(columns, cell_formats, n_rows):
-    """(cells, table) for the row writers: one array of ``n_rows`` per cell,
-    float64 for a ``%.12g`` cell, else int32 codes into ``table``, whose
-    entries are each distinct value's text, formatted once by the cell's
-    ``%``."""
-    cells, table, columns = [], [], iter(columns)
-    for fmt in cell_formats:
-        if fmt == "%.12g":
-            cells.append(np.asarray(next(columns), dtype=np.float64))
-        elif "%" in fmt.replace("%%", ""):
-            values, codes = _distinct(next(columns))
-            cells.append(np.asarray(codes, dtype=np.int32) + len(table))
-            table.extend(fmt % v for v in values)
-        else:  # a constant cell
+def _cells(columns, n_rows):
+    """(cells, table) for the row writers: one array of ``n_rows`` per
+    column, float64 for a numeric column, else int32 codes into ``table``,
+    which holds the text of every ``Coded`` value and ``str`` constant."""
+    cells, table = [], []
+    for column in columns:
+        if isinstance(column, str):
             cells.append(np.broadcast_to(np.int32(len(table)), (n_rows,)))
-            table.append(fmt % ())
+            table.append(column)
+        elif isinstance(column, Coded):
+            codes = np.asarray(column.codes)
+            if codes.size and (codes.min() < 0 or codes.max() >= len(column.values)):
+                raise InputError(f"codes must index {len(column.values)} values")
+            cells.append(codes.astype(np.int32) + len(table))
+            table.extend(map(str, column.values))
+        else:
+            cells.append(np.asarray(column, dtype=np.float64))
         if cells[-1].shape != (n_rows,):
             raise InputError(f"columns must be 1-D with {n_rows} rows, got {cells[-1].shape}")
     return cells, table
-
-
-def _distinct(column):
-    """(values, codes) with ``values[codes[i]]`` the value of row i; floats
-    are told apart by their bits, so -0.0 keeps its sign."""
-    if isinstance(column, Coded):
-        codes = np.asarray(column.codes)
-        if codes.size and (codes.min() < 0 or codes.max() >= len(column.values)):
-            raise InputError(f"codes must index {len(column.values)} values")
-        return list(column.values), codes
-    column = np.asarray(column)
-    bits = column.dtype.kind == "f" and column.itemsize in (2, 4, 8)
-    keys = column.view(f"u{column.itemsize}") if bits else column
-    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
-    return column[first].tolist(), codes
 
 
 def _python_blocks(cells, table, n_rows, block_rows):

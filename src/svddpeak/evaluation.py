@@ -131,10 +131,14 @@ class F1SweepResult(Sweep):
 
     def peak_ratio(self, f: float, n: int, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
-        V*(s) (else SweepError or NoPeakFoundError), its midpoint snapped to the
-        grid, its F1, and that over the best F1 (at most 1; 0 when the best is 0)."""
+        V*(s) (else SweepError or NoPeakFoundError), its middle grid point (the
+        lower one of an even plateau, as ``f1_sweep`` ties toward the smaller
+        ``s``), its F1, and that over the best F1 (at most 1; 0 when the best
+        is 0). The middle is taken by grid index, so the grid's last bits
+        cannot move it."""
         peak = find_peak(self.objective_curve(f, n), min_run=min_run)
-        snapped = float(self.s_values[int(np.argmin(np.abs(self.s_values - peak.recommended)))])
+        low, high = np.searchsorted(self.s_values, (peak.s_low, peak.s_high))
+        snapped = float(self.s_values[int(low + high) // 2])
         f_peak = self.f1_at(snapped)
         return peak, snapped, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
 
@@ -221,12 +225,11 @@ def _polygon_seed(master_seed, vertex_count, index) -> int:
     return master_seed * 100_000 + vertex_count * 100 + index
 
 
-def _polygon_task(key, *, sample_size, grid, f, r_min, r_max, resolution, min_run,
-                  solver_config):
+def _polygon_task(key, *, sample_size, grid, f, resolution, min_run, solver_config):
     """One polygon's full pipeline; ``key`` is (vertex_count, index, seed).
     Module-level so worker pools can pickle it."""
     vc, idx, seed = key
-    polygon = generate_polygon(PolygonConfig(k=vc, r_min=r_min, r_max=r_max, seed=seed))
+    polygon = generate_polygon(PolygonConfig(k=vc, seed=seed))
     X = sample_interior(polygon, sample_size, seed + 50_000)
     labeled = make_labeled_grid(polygon, resolution)
     try:
@@ -256,8 +259,6 @@ def polygon_study(
     grid: BandwidthGrid | None = None,
     master_seed: int = 20240501,
     f: float = 0.001,
-    r_min: float = 3.0,
-    r_max: float = 5.0,
     resolution=(200, 200),
     min_run: int = DEFAULT_MIN_RUN,
     solver_config: SolverConfig | None = None,
@@ -268,8 +269,8 @@ def polygon_study(
     For each polygon: sample its interior, pick a bandwidth from the
     objective-curve plateau, evaluate its F1 on the labeled bounding-box
     lattice, and divide by the best F1 over the full labeled sweep. The
-    plateau midpoint is snapped to the sweep grid, so every ratio is at
-    most 1 by construction. Each bandwidth is solved once: the same
+    bandwidth is the plateau's middle grid point (``peak_ratio``), so
+    every ratio is at most 1 by construction. Each bandwidth is solved once: the same
     sweep gives V*(s) for the plateau and F1 for the ratio.
     Polygons where a solve fails or no plateau exists are recorded as
     failure rows, never dropped silently.
@@ -288,9 +289,8 @@ def polygon_study(
         raise InputError(f"polygons need at least 3 vertices, got {min(vertex_counts)}")
     grid = grid or BandwidthGrid.low_dimensional()
     require_peak_grid(grid.values(), min_run)
-    task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f, r_min=r_min,
-                   r_max=r_max, resolution=resolution, min_run=min_run,
-                   solver_config=solver_config)
+    task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f,
+                   resolution=resolution, min_run=min_run, solver_config=solver_config)
     keys = [(vc, idx, _polygon_seed(master_seed, vc, idx))
             for vc in vertex_counts for idx in range(polygons_per_count)]
     outcomes = pool_map(task, keys, jobs)

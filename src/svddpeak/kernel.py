@@ -90,6 +90,23 @@ def nearest_distances(points, targets) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def neighbor_extremes(X) -> tuple:
+    """(nearest, farthest): the squared distance from each row of X to its
+    nearest other row (inf for a lone row) and to its farthest row, in
+    blocks of rows as ``nearest_distances`` takes them, with no n x n
+    matrix; each block holds the bits of those rows of the whole one."""
+    nearest, farthest = np.empty(X.shape[0]), np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _NEAREST_BLOCK_ROWS):
+        block = squared_distances(X[start:start + _NEAREST_BLOCK_ROWS], X)
+        rows = start + np.arange(block.shape[0])
+        # the zero diagonal is no larger than any other squared distance
+        farthest[rows] = block.max(axis=1)
+        block[rows - start, rows] = np.inf
+        nearest[rows] = block.min(axis=1)
+        del block  # before the next block's two arrays are allocated
+    return nearest, farthest
+
+
 def _gaussian(sq, s, out=None) -> np.ndarray:
     """exp(sq / (-2 s^2)) elementwise, the one place the Gaussian kernel is
     computed: into ``out`` (``sq`` itself may be given), else a new array."""

@@ -180,6 +180,14 @@ def dfn_curve(X, s_values):
     return scores
 
 
+def md_bandwidth(X, f):
+    """The MD bandwidth d_max / sqrt(-ln delta), delta = 1 / (n (1 - f) + 1),
+    with d_max from the whole squared-distance matrix."""
+    d_max = float(np.sqrt(squared_distance_matrix(X).max()))
+    delta = 1.0 / (X.shape[0] * (1.0 - f) + 1.0)
+    return d_max / float(np.sqrt(-np.log(delta)))
+
+
 def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, stats=None):
     """Maximal-violating-pair SMO, written plainly; same contract as
     ``solver._solve_smo``: (alpha, kkt_residual, iterations) or

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from svddpeak import kernel
 from svddpeak.baselines import select_cv, select_dfn, select_md
 from svddpeak.datagen import generate_shape
 from svddpeak.errors import DegenerateInputError, InputError
 from svddpeak.tuning import BandwidthGrid
 
-from oracles import dfn_curve
+from oracles import dfn_curve, md_bandwidth
 
 # simplex vertices: every pairwise squared distance is exactly 2.0 in floats
 EQUIDISTANT = np.eye(3)
@@ -81,6 +82,21 @@ class TestSelectMd:
     def test_invalid_f(self, two_point_data):
         with pytest.raises(InputError):
             select_md(two_point_data, f=1.0)
+
+    @pytest.mark.parametrize("kind", ["banana", "star", "three_cluster"])
+    def test_shape_bandwidth_equals_the_dense_formula(self, kind):
+        X = generate_shape(kind, seed=0)
+        assert select_md(X, f=0.001).s == md_bandwidth(X, 0.001)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bandwidth_equals_the_dense_formula(self, seed, monkeypatch):
+        # small blocks, so the farthest rows are found across several
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(int(rng.integers(2, 80)), int(rng.integers(3, 12))))
+        if seed % 2:
+            X = np.round(X * 2.0)
+        assert select_md(X, f=0.05).s == md_bandwidth(X, 0.05)
 
 
 class TestSelectCv:

@@ -26,8 +26,9 @@ from svddpeak.cli import (
     read_csv_dataset,
     sample_shuttle_class1,
 )
-from svddpeak.datagen import generate_shape, labeled_grid_over, save_dataset, write_csv_blocks
-from svddpeak.errors import ParseError
+from svddpeak.datagen import (Coded, generate_shape, labeled_grid_over, save_dataset,
+                              write_csv_blocks)
+from svddpeak.errors import InputError, ParseError
 
 from native_paths import (
     WRITERS,
@@ -971,7 +972,7 @@ class TestCsvIngestion:
         X = rng.normal(size=(8, 2))
         labels = rng.integers(0, 2, 8)
         path = tmp_path / "data.csv"
-        save_dataset(path, X, labels)
+        write_csv_blocks(path, ["x1", "x2", "label"], [*X.T, Coded(labels, ("0", "1"))])
         _, Y, got = read_csv_dataset(path)
         assert Y.shape == (8, 2)
         np.testing.assert_array_equal(got, labels)
@@ -1248,35 +1249,42 @@ class TestBlockWriter:
             assert "%.12g" % v == cli._fmt(v)
 
     def test_blocks_match_a_per_cell_csv_writer(self, tmp_path, monkeypatch):
+        # each column carries its kind: floats, Coded text and a str constant
         values = np.array(_PINNED_FLOATS)
-        labels = np.where(np.arange(values.size) % 2 == 0, "inlier", "outlier")
-        flags = np.arange(values.size) % 3 == 0
-        counts = np.arange(values.size) - 4
+        outlier = np.arange(values.size) % 2 == 1
+        flags = np.arange(values.size) % 3
+        header = ["a,b", "y", "r", "label", "flag"]
+        columns = [values, values[::-1], cli._fmt(0.1 + 0.2),
+                   Coded(outlier, ("inlier", "outlier")), Coded(flags, (0, 1, "two"))]
         monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", 4)
         written = {}
         for writer in supported_writers():
             written[writer] = tmp_path / f"{writer}.csv"
             with pinned_writer(writer):
-                write_csv_blocks(written[writer], ["a,b", "y", "r", "label", "flag", "count"],
-                                 [values, values[::-1], labels, flags, counts],
-                                 ["%.12g", "%.12g", cli._fmt(0.1 + 0.2), "%s", "%d", "%d"])
+                write_csv_blocks(written[writer], header, columns)
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["a,b", "y", "r", "label", "flag", "count"])
+            writer.writerow(header)
             writer.writerows(
-                [cli._fmt(a), cli._fmt(b), cli._fmt(0.1 + 0.2), label, int(flag), str(int(k))]
-                for a, b, label, flag, k in zip(values, values[::-1], labels, flags, counts)
+                [cli._fmt(a), cli._fmt(b), cli._fmt(0.1 + 0.2), ("inlier", "outlier")[o],
+                 str((0, 1, "two")[k])]
+                for a, b, o, k in zip(values, values[::-1], outlier.tolist(), flags.tolist())
             )
         for blocked in written.values():
             assert blocked.read_bytes() == reference.read_bytes()
-            assert blocked.read_bytes().startswith(b'"a,b",y,r,label,flag,count\r\n')
+            assert blocked.read_bytes().startswith(b'"a,b",y,r,label,flag\r\n')
 
-    @pytest.mark.parametrize("writer", WRITERS)
-    def test_float_cells_under_other_formats_keep_their_sign(self, tmp_path, writer):
-        # such cells are formatted once per distinct value: -0.0 is not 0.0
-        values = np.array([0.0, -0.0, 0.0, -0.0])
-        out = tmp_path / "signed.csv"
-        with pinned_writer(writer):
-            write_csv_blocks(out, ["s", "f"], [values, values], ["%s", "%.1f"])
-        assert out.read_bytes() == b"s,f\r\n0.0,0.0\r\n-0.0,-0.0\r\n0.0,0.0\r\n-0.0,-0.0\r\n"
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3), np.zeros(2)],
+        [np.zeros(3), Coded(np.zeros(4, dtype=int), ("a",))],
+        [np.zeros((3, 1))],
+    ])
+    def test_a_column_of_another_length_is_an_input_error(self, tmp_path, columns):
+        with pytest.raises(InputError, match="columns must be 1-D with"):
+            write_csv_blocks(tmp_path / "out.csv", ["c"] * len(columns), columns)
+
+    @pytest.mark.parametrize("codes", [[0, 2], [-1, 0]])
+    def test_a_code_outside_its_values_is_an_input_error(self, tmp_path, codes):
+        with pytest.raises(InputError, match="codes must index 2 values"):
+            write_csv_blocks(tmp_path / "out.csv", ["c"], [Coded(np.array(codes), ("a", "b"))])

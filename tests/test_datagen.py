@@ -244,14 +244,12 @@ class TestGenerateShape:
 class TestDatasetExport:
     def test_round_trip_via_csv(self, tmp_path, rng):
         X = rng.normal(size=(20, 3))
-        labels = rng.integers(0, 2, 20)
         path = tmp_path / "data.csv"
-        save_dataset(path, X, labels)
+        save_dataset(path, X)
         raw = np.genfromtxt(path, delimiter=",", names=True)
-        assert set(raw.dtype.names) == {"x1", "x2", "x3", "label"}
+        assert raw.dtype.names == ("x1", "x2", "x3")
         got = np.column_stack([raw["x1"], raw["x2"], raw["x3"]])
         np.testing.assert_allclose(got, X, rtol=1e-10)
-        np.testing.assert_array_equal(raw["label"].astype(int), labels)
 
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(InputError):

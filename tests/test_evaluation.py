@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -150,6 +152,23 @@ class TestF1Sweep:
         assert (f_peak, ratio) == (0.0, 0.0)
         assert s_recommended in result.s_values.tolist()
         assert peak.s_low <= s_recommended <= peak.s_high
+
+    def test_an_even_plateau_snaps_by_index_whatever_the_grid_last_bits(self):
+        # a 6-point plateau: its midpoint falls between the two middle grid
+        # points, so a snap to the nearest value would follow the last bits
+        X = generate_shape("star", n=80, seed=2)
+        result = f1_sweep(X, (X, np.ones(80, dtype=bool)), BandwidthGrid(0.05, 4.0, 0.05),
+                          f=0.001)
+        size = result.s_values.size
+        patterns = [np.ones(size), -np.ones(size), (-1.0) ** np.arange(size),
+                    *np.random.default_rng(0).choice([-1.0, 1.0], (8, size))]
+        for signs in patterns:
+            s_values = np.nextafter(result.s_values, signs * np.inf)
+            shifted = dataclasses.replace(result, s_values=s_values)
+            peak, snapped, f_peak, _ = shifted.peak_ratio(0.001, 80)
+            assert (peak.s_low, peak.s_high) == (s_values[29], s_values[34])
+            assert snapped == s_values[31]  # the lower middle, as f1_sweep ties
+            assert f_peak == result.metrics[31].f1
 
     def test_off_grid_lookup_rejected(self):
         X = sample_interior(UNIT_SQUARE, 40, seed=2)

@@ -16,6 +16,7 @@ from svddpeak.kernel import (
     kernel_matrix,
     kernel_matrix_from_sq,
     nearest_distances,
+    neighbor_extremes,
     squared_distance_matrix,
 )
 
@@ -189,6 +190,26 @@ class TestNearestDistances:
         targets = rng.normal(size=(13, 2))
         got = nearest_distances(points, targets)
         assert np.array_equal(got, cdist(points, targets).min(axis=1))
+
+
+class TestNeighborExtremes:
+    @pytest.mark.parametrize("block_rows", [1, 7, 1024])
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    def test_matches_the_whole_matrix_bitwise(self, rng, monkeypatch, block_rows, d):
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
+        X = rng.normal(size=(40, d))
+        X[5] = X[17]  # a duplicate row: its nearest other row is at 0
+        sq = squared_distance_matrix(X)
+        farthest = sq.max(axis=1)
+        np.fill_diagonal(sq, np.inf)
+        nearest, got_farthest = neighbor_extremes(X)
+        assert np.array_equal(nearest, sq.min(axis=1))
+        assert np.array_equal(got_farthest, farthest)
+        assert nearest[5] == nearest[17] == 0.0
+
+    def test_a_lone_row_has_no_nearest_neighbor(self):
+        nearest, farthest = neighbor_extremes(np.ones((1, 3)))
+        assert nearest.tolist() == [math.inf] and farthest.tolist() == [0.0]
 
 
 class TestDataValidation:
