@@ -91,9 +91,9 @@ def read_csv_dataset(path):
     are validated; a malformed cell reports its 1-based line number.
 
     The body of an unlabeled file is parsed in one pass by the compiled
-    library (``_native.csv_floats``). A file that parser refuses, or whose
-    body is not ``len(header)`` columns wide, and every labeled file, is
-    read again by ``_read_csv_rows``, which defines what is accepted and
+    library (``_native.csv_floats``), which returns exactly ``len(header)``
+    columns or refuses the file. A file it refuses, and every labeled file,
+    is read again by ``_read_csv_rows``, which defines what is accepted and
     raises every ``ParseError``. The compiled reader opens the path more
     than once, so what is not a regular file (a pipe, which gives its
     bytes once) is read by ``_read_csv_rows`` alone, as is every file
@@ -105,7 +105,7 @@ def read_csv_dataset(path):
         reader = csv.reader(fh)
         header, width, has_label = _read_header(path, reader)
         body = None if has_label else _read_body(path, reader.line_num, len(header))
-    if body is None or body.shape[1] != len(header):
+    if body is None:
         return _read_csv_rows(path)
     return header, body, None
 

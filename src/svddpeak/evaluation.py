@@ -123,12 +123,6 @@ class F1SweepResult(Sweep):
     def f1_curve(self) -> np.ndarray:
         return np.array([m.f1 for m in self.metrics])
 
-    def f1_at(self, s: float) -> float:
-        idx = int(np.argmin(np.abs(self.s_values - s)))
-        if abs(float(self.s_values[idx]) - s) > 1e-9:
-            raise InputError(f"s={s!r} is not on the sweep grid")
-        return self.metrics[idx].f1
-
     def peak_ratio(self, f: float, n: int, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
         V*(s) (else SweepError or NoPeakFoundError), its middle grid point (the
@@ -138,8 +132,9 @@ class F1SweepResult(Sweep):
         cannot move it."""
         peak = find_peak(self.objective_curve(f, n), min_run=min_run)
         low, high = np.searchsorted(self.s_values, (peak.s_low, peak.s_high))
-        snapped = float(self.s_values[int(low + high) // 2])
-        f_peak = self.f1_at(snapped)
+        mid = int(low + high) // 2
+        snapped = float(self.s_values[mid])
+        f_peak = self.metrics[mid].f1
         return peak, snapped, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
 
 

@@ -218,6 +218,10 @@ class _KernelRows:
     """
 
     def __init__(self, K, source):
+        # the compiled SMO loop reads K through a raw pointer
+        if not (K.dtype == np.float64 and K.flags.c_contiguous and K.ndim == 2
+                and K.shape[0] == K.shape[1]):
+            raise ValueError("a kernel row buffer must be a square C-contiguous float64 array")
         self.K = K
         self.source = source
         self.filled = np.zeros(K.shape[0], dtype=np.uint8)
@@ -243,34 +247,34 @@ def _gaussian_rows(X, s, rows) -> np.ndarray:
     return _kernel._gaussian(block, s, out=block)
 
 
-def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows):
-    """Maximal-violating-pair SMO on min a'Ka - diag(K)'a over the scaled box.
+def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
+    """Maximal-violating-pair SMO on min a'Ka - diag(K)'a over the scaled box,
+    with ``K = rows.K``.
 
     Returns (alpha, kkt_residual, iterations, K @ alpha). Gradient is
     maintained incrementally and re-derived from scratch before convergence
     is accepted, so drift cannot produce a falsely converged result.
 
-    ``rows`` is the ``_KernelRows`` that ``K`` belongs to, with the support
-    of ``alpha0`` filled. The solve gives the same bits whichever other
-    rows are filled.
+    ``rows`` is a ``_KernelRows`` with the support of ``alpha0`` filled.
+    The solve gives the same bits whichever other rows are filled. Its
+    rows must be finite: a gradient derived here (at the start and at each
+    re-check) that is not raises NumericalError, so neither loop needs a
+    rule for NaN.
 
-    The pairwise steps run in an inner loop with two implementations of
-    one contract: the compiled ``_native.c`` (built on first use, see
-    ``_native``) and ``_run_python``. Both give the same bits; the Python
-    loop runs when the library cannot be built or ``K`` is not a square
-    C-contiguous float64 matrix. The loop returns early, naming the row,
+    The pairwise steps run in an inner loop with two implementations of one
+    contract: the compiled ``_native.c`` (built on first use, see
+    ``_native``) and ``_run_python``, which runs when the library cannot be
+    built. Both give the same bits. The loop returns early, naming the row,
     when its next pair needs a row that is not filled; the row is filled
     and the loop resumes from the same state, gradient and all.
     """
+    K = rows.K
     diag = np.ascontiguousarray(np.diag(K))
     alpha = np.asarray(alpha0, dtype=float).copy()
-    grad = 2.0 * (K @ alpha) - diag
+    _, grad = _gradient(K, alpha, diag)
     up_pen = np.where(alpha < C, 0.0, np.inf)
     low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
-    # the C loop reads raw pointers: a square, C-contiguous float64 K only
-    compiled = (K.dtype == np.float64 and K.flags.c_contiguous
-                and K.shape == (alpha.size, alpha.size) and _native.smo_loop())
-    run = compiled or _run_python
+    run = _native.smo_loop() or _run_python
     iterations = 0
     while True:
         iterations, missing = run(K, diag, alpha, grad, up_pen, low_pen, rows.filled, C,
@@ -278,8 +282,7 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows):
         if missing >= 0:
             rows.fill(np.array([missing]))
             continue
-        K_alpha = K @ alpha
-        grad = 2.0 * K_alpha - diag
+        K_alpha, grad = _gradient(K, alpha, diag)
         violation = _violation(grad, up_pen, low_pen)
         if iterations >= max_iterations:
             raise ConvergenceError(
@@ -291,6 +294,15 @@ def _solve_smo(K, C, kkt_tol, max_iterations, alpha0, rows):
             )
         if violation <= kkt_tol:
             return alpha, max(violation, 0.0), iterations, K_alpha
+
+
+def _gradient(K, alpha, diag):
+    """(K @ alpha, 2 K @ alpha - diag); NumericalError if that is not finite."""
+    K_alpha = K @ alpha
+    grad = 2.0 * K_alpha - diag
+    if not np.isfinite(grad).all():
+        raise NumericalError("the SMO gradient is not finite: a kernel row holds NaN or inf")
+    return K_alpha, grad
 
 
 def _violation(grad, up_pen, low_pen) -> float:
@@ -488,9 +500,8 @@ def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
     if config.f == 1.0:
         solved, residual, iterations, K_alphas = alpha0, 0.0, 0, None
     else:
-        solved, residual, iterations, K_alphas = _solve_smo(
-            K, C, config.kkt_tol, config.max_iterations, alpha0, rows
-        )
+        solved, residual, iterations, K_alphas = _solve_smo(rows, C, config.kkt_tol,
+                                                            config.max_iterations, alpha0)
     alphas = solved / solved.sum()
     np.clip(alphas, 0.0, C, out=alphas)
     # the solver's K @ alpha serves when normalising left every bit as it

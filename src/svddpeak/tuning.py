@@ -187,23 +187,19 @@ def sweep_objective(
 ) -> ObjectiveCurve:
     """Train across the bandwidth grid and record V*(s) with derivatives.
 
-    The solves run along one ``solver.train_path``, in warm runs of
-    ``solver.WARM_RUN`` solves. With jobs > 1 the grid is cut at the
-    runs' starts and the runs are shared out to a process pool, so the
-    curve has the same bits for any worker count. ``warm_start=False``
-    cuts the grid into runs of one value instead: every solve cold. Every
+    The grid is cut into warm runs of ``solver.WARM_RUN`` values, one
+    ``solver.train_path`` each; a whole path starts cold at those cuts
+    too, so cutting changes no bit. With jobs > 1 the runs are shared out
+    to a process pool. ``warm_start=False`` cuts the grid into runs of one
+    value instead: every solve cold. Every
     bandwidth is solved; then the first failed solve, if any, raises
     SweepError (``Sweep.objective_curve``).
     """
     X = as_data_matrix(X)
     config = _resolve_config(f, config)
     s_values = grid.values()
-    if warm_start and jobs == 1:
-        # train_path makes the runs itself, on one row buffer
-        runs = [s_values]
-    else:
-        run = _solver.WARM_RUN if warm_start else 1
-        runs = [s_values[start:start + run] for start in range(0, s_values.size, run)]
+    run = _solver.WARM_RUN if warm_start else 1
+    runs = [s_values[start:start + run] for start in range(0, s_values.size, run)]
     parts = pool_map(partial(_path_sweep, X, config, None), runs, jobs)
     sweep = Sweep(np.concatenate([p.s_values for p in parts]),
                   np.concatenate([p.v_star for p in parts]),

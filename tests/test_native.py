@@ -1,6 +1,5 @@
 """Build, load and fallback of the compiled library (``_native``)."""
 
-import math
 import os
 import pathlib
 import subprocess
@@ -11,11 +10,11 @@ import pytest
 
 from svddpeak import _native, solver
 from svddpeak.datagen import generate_shape
-from svddpeak.errors import ConvergenceError
+from svddpeak.errors import NumericalError
 from svddpeak.kernel import GAUSSIAN, KernelSpec, kernel_matrix
 from svddpeak.solver import SolverConfig, train
 
-from native_paths import pinned, supported_passes
+from native_paths import PASSES, pinned, supported_passes
 from oracles import whole_rows
 
 
@@ -162,23 +161,64 @@ def test_falls_back_to_the_python_loop_with_the_same_bits(monkeypatch, tmp_path,
 # n = 19: rows 0-15 fill the vector blocks of either width, 16-18 are the tail
 @pytest.mark.parametrize("where", [(3, 5), (0, 0), (9, 9), (9, 2), (17, 17), (18, 6)])
 def test_loops_agree_on_non_finite_gram_entries(bad, where):
-    # numpy picks the first NaN in argmin and argmax; every compiled pass must too
-    compiled = supported_passes()[:-1]
-    if not compiled:
-        pytest.skip("no C compiler on this machine")
+    # a Gram matrix that is not finite gives a gradient that is not either,
+    # so every loop stops with NumericalError before its first step
     X = np.random.default_rng(1).normal(size=(19, 2))
     K = kernel_matrix(X, KernelSpec(GAUSSIAN, 0.7))
     K[where] = K[where[::-1]] = bad
-    results = {}
-    for name in ["python"] + compiled:
-        with pinned(name), np.errstate(invalid="ignore"):
-            try:
-                results[name] = solver._solve_smo(K, 0.5, 1e-6, 9, np.full(19, 1 / 19),
-                                                  whole_rows(K))[:3]
-            except ConvergenceError as err:
-                results[name] = err.alphas, err.kkt_residual, err.iterations
-    a_py, r_py, it_py = results.pop("python")
-    for name, (alphas, residual, iterations) in results.items():
-        assert np.array_equal(alphas, a_py, equal_nan=True), name
-        assert residual == r_py or (math.isnan(residual) and math.isnan(r_py)), name
-        assert iterations == it_py, name
+    for name in supported_passes():
+        calls = []
+        with pinned(name), pytest.MonkeyPatch.context() as patch, \
+                np.errstate(invalid="ignore"):
+            loop = _native.smo_loop() or solver._run_python
+
+            def counted(*args):
+                calls.append(1)
+                return loop(*args)
+
+            patch.setattr(_native, "smo_loop", lambda: counted)
+            with pytest.raises(NumericalError):
+                solver._solve_smo(whole_rows(K), 0.5, 1e-6, 9, np.full(19, 1 / 19))
+        assert calls == [], name
+
+
+@pytest.mark.parametrize("name", PASSES)
+def test_a_nan_row_filled_mid_solve_is_a_numerical_error(name):
+    # the start's two rows are finite, the first row the loop asks for is
+    # NaN; without the gradient check the solve ran to the iteration cap
+    X = np.random.default_rng(2).normal(size=(19, 2))
+    K = kernel_matrix(X, KernelSpec(GAUSSIAN, 0.7))
+    requests = []
+
+    def source(index):
+        requests.append(index.tolist())
+        return np.full((index.size, 19), np.nan) if len(requests) == 2 else K[index]
+
+    rows = solver._KernelRows(np.eye(19), source)
+    alpha0 = np.zeros(19)
+    alpha0[[0, 1]] = 0.5
+    rows.fill(np.array([0, 1]))
+    with pinned(name), np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError):
+            solver._solve_smo(rows, 0.5, 1e-6, 1000, alpha0)
+    assert len(requests) >= 2
+
+
+@pytest.mark.parametrize("buffer", [np.eye(4, dtype=np.float32),
+                                    np.asfortranarray(np.arange(16.0).reshape(4, 4)),
+                                    np.eye(8)[::2, ::2], np.zeros((2, 3)), np.ones(4)],
+                         ids=["float32", "fortran", "strided", "not-square", "one-dim"])
+def test_a_row_buffer_is_square_c_contiguous_float64(buffer):
+    with pytest.raises(ValueError):
+        solver._KernelRows(buffer, lambda index: None)
+
+
+def test_the_library_compiles_without_warnings(tmp_path):
+    # a variable left unused or a signed/unsigned mix fails here
+    compiler = _native._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on this machine")
+    result = subprocess.run([compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                             "-o", str(tmp_path / "library.so"), str(_native.SOURCE)],
+                            capture_output=True, text=True, timeout=_native._COMPILE_TIMEOUT_S)
+    assert result.returncode == 0, result.stderr

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svddpeak import kernel, solver
 from svddpeak.datagen import (
@@ -331,9 +332,9 @@ class TestRowBuffer:
         diagonals = []
         real_smo = solver._solve_smo
 
-        def recording_smo(K, *args, **kwargs):
-            diagonals.append(np.diag(K).copy())
-            return real_smo(K, *args, **kwargs)
+        def recording_smo(rows, *args, **kwargs):
+            diagonals.append(np.diag(rows.K).copy())
+            return real_smo(rows, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_solve_smo", recording_smo)
         X = generate_shape("banana", n=120, seed=11)
@@ -393,11 +394,44 @@ class TestRowBuffer:
         assert peak < 1.3 * n * n * 8
 
 
+# the smallest and the largest s KernelSpec accepts: 2 s^2 is then the
+# least subnormal, resp. the largest float below overflow
+S_LIMITS = (1.111379374742539e-162, 9.480751908109176e+153)
+
+
+class TestGaussianRows:
+    """What the SMO loops take for granted of every Gram row they read."""
+
+    def test_s_limits_are_the_edges_of_kernel_spec(self):
+        for s, outward in zip(S_LIMITS, (0.0, np.inf)):
+            KernelSpec(GAUSSIAN, s)
+            with pytest.raises(InputError):
+                KernelSpec(GAUSSIAN, float(np.nextafter(s, outward)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                    elements=st.floats(-1e300, 1e300)),
+           s=st.one_of(st.sampled_from(S_LIMITS), st.floats(*S_LIMITS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(X=np.array([[1e300], [-1e300], [0.0]]), s=S_LIMITS[0], seed=0)
+    @example(X=np.array([[1e300, -1e300], [-1e300, 1e300]]), s=S_LIMITS[1], seed=0)
+    def test_entries_are_finite_in_the_unit_interval_with_a_unit_diagonal(self, X, s, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(X.shape[0])[:rng.integers(1, X.shape[0] + 1)]
+        # far points square to inf, which is a kernel entry of 0
+        with np.errstate(over="ignore"):
+            block = solver._gaussian_rows(X, s, rows)
+        assert block.shape == (rows.size, X.shape[0])
+        assert np.isfinite(block).all()
+        assert ((block >= 0.0) & (block <= 1.0)).all()
+        assert (block[np.arange(rows.size), rows] == 1.0).all()
+
+
 def _solve_on(name, K, *args):
     """``solver._solve_smo`` on the whole matrix ``K`` and the inner-loop
     pass ``name``."""
     with pinned(name):
-        return solver._solve_smo(K, *args, whole_rows(K))
+        return solver._solve_smo(whole_rows(K), *args)
 
 
 def _assert_same_solve(K, C, alpha0, kkt_tol=1e-6, max_iterations=100_000):
@@ -507,9 +541,9 @@ class TestSmoMatchesReference:
         rows = np.random.default_rng(seed).integers(-7, 8, (8, 2)).astype(float)
         K = linear_gram(np.vstack([rows, rows + 2.0**-20]))
         config = SolverConfig(f=0.1)
-        _, residual, _, _ = solver._solve_smo(K, config.box_bound(16), config.kkt_tol,
-                                              config.max_iterations, np.full(16, 1.0 / 16),
-                                              whole_rows(K))
+        _, residual, _, _ = solver._solve_smo(whole_rows(K), config.box_bound(16),
+                                              config.kkt_tol, config.max_iterations,
+                                              np.full(16, 1.0 / 16))
         assert residual <= config.kkt_tol
 
     def test_convergence_error_payload(self, banana_sq):
@@ -561,15 +595,15 @@ class TestSmoMatchesReference:
         rows.fill(np.flatnonzero((alpha0 > 0.0) | (rng.random(alpha0.size) < filled_share)))
         with pinned(name):
             try:
-                expected = solver._solve_smo(K, C, 1e-6, max_iterations, alpha0, whole_rows(K))
+                expected = solver._solve_smo(whole_rows(K), C, 1e-6, max_iterations, alpha0)
             except ConvergenceError as dense:
                 with pytest.raises(ConvergenceError) as err:
-                    solver._solve_smo(buffer, C, 1e-6, max_iterations, alpha0, rows)
+                    solver._solve_smo(rows, C, 1e-6, max_iterations, alpha0)
                 assert err.value.alphas.tobytes() == dense.alphas.tobytes()
                 assert err.value.kkt_residual == dense.kkt_residual
                 assert err.value.iterations == dense.iterations
                 return
-            got = solver._solve_smo(buffer, C, 1e-6, max_iterations, alpha0, rows)
+            got = solver._solve_smo(rows, C, 1e-6, max_iterations, alpha0)
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1:3] == expected[1:3]
         assert np.array_equal(got[3], expected[3])
