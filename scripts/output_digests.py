@@ -50,8 +50,14 @@ COMMANDS = (
     # the cap drops one of the four polygons, in the middle of its sweep
     ("simulate-capped", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples",
                          "200", "--max-iterations", "20000", "--out-dir", "."), True),
+    # every solve fails: the polygon's failure row carries the first one
+    ("simulate-allcapped", ("simulate", "--vertices", "5", "--per-count", "1", "--samples",
+                            "200", "--max-iterations", "1", "--out-dir", "."), True),
     ("tune-capped", ("tune", "--method", "peak", "--data", BANANA, "--max-iterations", "500",
                      "--out", "tune.json"), True),
+    # the first failure is raised in a worker and crosses the process pool
+    ("tune-capped-jobs2", ("tune", "--method", "peak", "--data", BANANA, "--max-iterations",
+                           "500", "--jobs", "2", "--out", "tune.json"), True),
     ("train-no-bandwidth", ("train", "--data", BANANA, "--out", "model.json"), True),
     ("shuttle-no-out", ("shuttle", "--path", "missing.txt", "--sample-class1", "5"), True),
 )

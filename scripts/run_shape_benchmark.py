@@ -43,16 +43,19 @@ def main() -> int:
         cv = select_cv(X, grid).s
         md = select_md(X, args.f).s
         dfn = select_dfn(X, grid).s
-        sweep = f1_sweep(X, shape_truth_grid(kind, X), grid, args.f)
+        sweep = None
         try:
-            peak, rec, f_rec, ratio = sweep.peak_ratio(args.f, X.shape[0])
+            sweep = f1_sweep(X, shape_truth_grid(kind, X), grid, args.f)
+            peak, rec, f_rec, ratio = sweep.peak_ratio()
             peak_range = f"[{peak.s_low:.2f}, {peak.s_high:.2f}]"
             rec_txt, ratio_txt = f"{rec:.2f}", f"{ratio:.3f}"
         except (NoPeakFoundError, SweepError):
             peak_range, rec_txt, f_rec, ratio_txt = "none", "-", float("nan"), "-"
+        # a failed solve leaves no sweep, so no best F1 and no curve
+        f_best = float("nan") if sweep is None else sweep.f_best
         print(f"{kind:<14} {cv:>6.2f} {md:>7.2f} {dfn:>6.2f} {peak_range:>14} "
-              f"{rec_txt:>6} {f_rec:>8.4f} {sweep.f_best:>8.4f} {ratio_txt:>6}")
-        if args.out_dir:
+              f"{rec_txt:>6} {f_rec:>8.4f} {f_best:>8.4f} {ratio_txt:>6}")
+        if args.out_dir and sweep is not None:
             write_csv_blocks(os.path.join(args.out_dir, f"{kind}_f1_curve.csv"), ["s", "f1"],
                              [sweep.s_values, sweep.f1_curve()])
     return 0

@@ -103,7 +103,7 @@ def read_csv_dataset(path):
         return _read_csv_rows(path)
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, width, has_label = _read_header(path, reader)
+        header, width, has_label = _read_header(path, _records(path, reader))
         body = None if has_label else _read_body(path, reader.line_num, len(header))
     if body is None:
         return _read_csv_rows(path)
@@ -153,11 +153,21 @@ def _int64(text) -> int:
     return value
 
 
-def _read_header(path, reader):
-    """(header, feature count, has a label column) from the first record
-    of the ``csv.reader``."""
+def _records(path, reader):
+    """The records of the ``csv.reader``; one it refuses (a field over the
+    csv module's size limit) raises ParseError naming its line."""
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}",
+                         line_number=reader.line_num) from None
+
+
+def _read_header(path, records):
+    """(header, feature count, has a label column) from the first of the
+    ``records``."""
+    try:
+        header = next(records)
     except StopIteration:
         raise ParseError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in header]
@@ -174,9 +184,10 @@ def _read_csv_rows(path):
     the physical line on which the first bad row ends."""
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, width, has_label = _read_header(path, reader)
+        records = _records(path, reader)
+        header, width, has_label = _read_header(path, records)
         rows, labels = [], []
-        for row in reader:
+        for row in records:
             line_no = reader.line_num
             if not row:
                 continue

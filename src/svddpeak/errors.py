@@ -52,17 +52,11 @@ class NoPeakFoundError(SvddError):
 
     Carries the objective curve, the pointwise zero-mask and the smooth
     fit of its second derivative so the caller can inspect or export the
-    diagnostics, and the closest near-plateau: ``longest_run`` is the
-    (s_low, s_high) of the longest zero run (None when no point is zero),
-    ``longest_run_length`` its point count, to set against ``min_run``.
+    diagnostics; the message names the closest near-plateau.
     """
 
-    def __init__(self, message, zero_mask=None, fit=None, longest_run=None,
-                 longest_run_length=0, min_run=None, curve=None):
+    def __init__(self, message, zero_mask=None, fit=None, curve=None):
         super().__init__(message)
         self.curve = curve
         self.zero_mask = zero_mask
         self.fit = fit
-        self.longest_run = longest_run
-        self.longest_run_length = longest_run_length
-        self.min_run = min_run

@@ -21,7 +21,7 @@ from .datagen import (
     make_labeled_grid,
     sample_interior,
 )
-from .errors import DimensionError, InputError, SvddError, SweepError
+from .errors import DimensionError, InputError, SvddError
 from .kernel import as_data_matrix
 from .solver import SolverConfig, SvddModel
 from .tuning import (
@@ -123,14 +123,14 @@ class F1SweepResult(Sweep):
     def f1_curve(self) -> np.ndarray:
         return np.array([m.f1 for m in self.metrics])
 
-    def peak_ratio(self, f: float, n: int, min_run: int = DEFAULT_MIN_RUN):
+    def peak_ratio(self, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
         V*(s) (else SweepError or NoPeakFoundError), its middle grid point (the
         lower one of an even plateau, as ``f1_sweep`` ties toward the smaller
         ``s``), its F1, and that over the best F1 (at most 1; 0 when the best
         is 0). The middle is taken by grid index, so the grid's last bits
         cannot move it."""
-        peak = find_peak(self.objective_curve(f, n), min_run=min_run)
+        peak = find_peak(self.objective_curve(), min_run=min_run)
         low, high = np.searchsorted(self.s_values, (peak.s_low, peak.s_high))
         mid = int(low + high) // 2
         snapped = float(self.s_values[mid])
@@ -152,9 +152,8 @@ def f1_sweep(
     before any solve. The sweep is the loop ``tuning.sweep_objective``
     runs, ``tuning._path_sweep``, scoring each model as it goes, so one
     sweep serves both the F1 curve and the objective curve
-    (``objective_curve``). Bandwidths whose solve fails are
-    excluded from the curve and recorded in ``failures``; if all fail,
-    SweepError is raised. The argmax ties toward the smallest bandwidth.
+    (``objective_curve``). The first failed solve raises its SweepError.
+    The argmax ties toward the smallest bandwidth.
     """
     X = as_data_matrix(train_X)
     config = _resolve_config(f, config)
@@ -164,8 +163,6 @@ def f1_sweep(
         return compute_metrics(_confusion(distances(model) <= model.r_squared, truth))
 
     sweep = _path_sweep(X, config, score, s_grid.values())
-    if not sweep.metrics:
-        raise SweepError("every bandwidth in the labeled sweep failed")
     f1s = np.array([m.f1 for m in sweep.metrics])
     best = int(np.argmax(f1s))  # first max = smallest s on ties
     return F1SweepResult(**vars(sweep), s_best=float(sweep.s_values[best]),
@@ -230,7 +227,7 @@ def _polygon_task(key, *, sample_size, grid, f, resolution, min_run, solver_conf
     try:
         # one solve per bandwidth gives both V*(s) and the lattice F1
         sweep = f1_sweep(X, labeled, grid, f, config=solver_config)
-        peak, snapped, f_peak, ratio = sweep.peak_ratio(f, X.shape[0], min_run=min_run)
+        peak, snapped, f_peak, ratio = sweep.peak_ratio(min_run=min_run)
     except SvddError as exc:
         return StudyFailure(vertex_count=vc, polygon_index=idx, seed=seed, error=str(exc))
     return StudyRow(

@@ -68,14 +68,17 @@ def _as_vector(v, name):
 def squared_distances(A, B) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B, summed
     one coordinate at a time in coordinate order, as a per-pair loop would.
-    For B = A the result is exactly symmetric with a zero diagonal."""
-    out = np.subtract(A[:, 0, None], B[None, :, 0])
-    out *= out
-    diff = np.empty_like(out)
-    for k in range(1, A.shape[1]):
-        np.subtract(A[:, k, None], B[None, :, k], out=diff)
-        diff *= diff
-        out += diff
+    For B = A the result is exactly symmetric with a zero diagonal. A
+    distance past the float range is inf, silently: its Gaussian kernel
+    value, 0, is the right one."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(A[:, 0, None], B[None, :, 0])
+        out *= out
+        diff = np.empty_like(out)
+        for k in range(1, A.shape[1]):
+            np.subtract(A[:, k, None], B[None, :, k], out=diff)
+            diff *= diff
+            out += diff
     return out
 
 

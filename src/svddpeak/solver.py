@@ -36,6 +36,7 @@ from .errors import (
     InputError,
     NumericalError,
     SvddError,
+    SweepError,
 )
 from .kernel import GAUSSIAN, KernelSpec, as_data_matrix
 
@@ -443,16 +444,16 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
 def train_path(X, s_values, config: SolverConfig):
     """Fit one Gaussian model per bandwidth, in the order of ``s_values``.
 
-    A generator: yields ``(s, model)``, or ``(s, err)`` when that solve
-    raised the SvddError ``err``. Every solve fills the kernel rows it
-    reads into one n x n buffer, allocated once for the whole path. The
-    solves at positions 0, ``WARM_RUN``, 2 ``WARM_RUN``, ... start cold,
-    from the uniform point; every other one starts from the alphas of the
-    last successful model since the last cold start (cold while there is
-    none). So a path cut at multiples of ``WARM_RUN`` gives the same models
-    piece by piece as whole. Each model equals
-    ``train(X, KernelSpec(GAUSSIAN, s), config, initial_alphas=<same start>)``
-    bit for bit.
+    A generator: yields ``(s, model)``. The first solve that raises an
+    SvddError ends the path with a SweepError naming its ``s``, since a
+    curve with a hole has no central differences. Every solve fills the
+    kernel rows it reads into one n x n buffer, allocated once for the
+    whole path. The solves at positions 0, ``WARM_RUN``, 2 ``WARM_RUN``,
+    ... start cold, from the uniform point; every other one starts from the
+    alphas of the model before it. So a path cut at multiples of
+    ``WARM_RUN`` gives the same models piece by piece as whole. Each model
+    equals ``train(X, KernelSpec(GAUSSIAN, s), config, initial_alphas=<same
+    start>)`` bit for bit.
     """
     X = as_data_matrix(X)
     # unit diagonal: every solve reads the whole diagonal, and the Gaussian
@@ -468,8 +469,7 @@ def train_path(X, s_values, config: SolverConfig):
             rows = _KernelRows(buffer, partial(_gaussian_rows, X, s))
             model = _fit(X, rows, spec, config, alpha0)
         except SvddError as exc:
-            yield s, exc
-            continue
+            raise SweepError(f"sweep solve failed at s={s:g}: {exc}", s=s) from exc
         alpha0 = model.alphas
         yield s, model
 

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import solver as _solver
-from .errors import InputError, NoPeakFoundError, SvddError, SweepError
+from .errors import InputError, NoPeakFoundError, SweepError
 from .kernel import as_data_matrix
 from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import SolverConfig
@@ -78,7 +78,6 @@ class ObjectiveCurve:
     v_star: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    f: float
 
     @property
     def interior_s(self) -> np.ndarray:
@@ -87,27 +86,21 @@ class ObjectiveCurve:
 
 @dataclass
 class Sweep:
-    """The record of one bandwidth sweep.
-
-    ``s_values``, ``v_star`` and ``metrics`` cover the bandwidths whose
-    solve succeeded, in grid order; ``metrics`` holds what the sweep's
-    ``score(model)`` returned for each (None without one). ``failures``
-    holds ``(s, message)`` for each failed solve, in grid order.
+    """The record of one bandwidth sweep over ``n`` training rows, every
+    solve of which succeeded (a failed one ends the sweep before a record
+    is built): ``s_values`` and ``v_star`` in grid order, and ``metrics``,
+    what the sweep's ``score(model)`` returned for each (None without one).
     """
 
     s_values: np.ndarray
     v_star: np.ndarray
     metrics: list
-    failures: list
+    n: int
 
-    def objective_curve(self, f: float, n: int) -> ObjectiveCurve:
-        """The curve of this sweep over n training rows, checked: SweepError
-        at the first failed solve, and unless V* is non-increasing and stays
-        within [0, 1 - 1/n]."""
-        if self.failures:
-            s, message = self.failures[0]
-            raise SweepError(f"sweep solve failed at s={s:g}: {message}", s=s)
-        curve = curve_from_samples(self.s_values, self.v_star, f)
+    def objective_curve(self) -> ObjectiveCurve:
+        """The curve of this sweep, checked: SweepError unless V* is
+        non-increasing and stays within [0, 1 - 1/n]."""
+        curve = curve_from_samples(self.s_values, self.v_star)
         s_values, v_star = curve.s_values, curve.v_star
         increases = np.diff(v_star)
         worst = float(increases.max()) if increases.size else 0.0
@@ -118,7 +111,7 @@ class Sweep:
                 f"s={s_values[k + 1]:g}; the solver did not converge tightly enough",
                 s=float(s_values[k + 1]),
             )
-        upper = 1.0 - 1.0 / n
+        upper = 1.0 - 1.0 / self.n
         outside = (v_star < -1e-9) | (v_star > upper + 1e-9)
         if outside.any():
             raise SweepError(
@@ -152,18 +145,14 @@ def _resolve_config(f, config) -> SolverConfig:
 
 def _path_sweep(X, config, score, s_values) -> Sweep:
     """The record of one ``solver.train_path`` over ``s_values``: the only
-    loop over it, and a process-pool task. A failed solve is recorded and
-    the path goes on. ``score(model)``, when given, is kept for each
-    successful solve (None otherwise); no model is kept."""
-    kept, v_star, metrics, failures = [], [], [], []
-    for s, model in _solver.train_path(X, s_values, config):
-        if isinstance(model, SvddError):
-            failures.append((s, str(model)))
-            continue
-        kept.append(s)
+    loop over it, and a process-pool task. ``score(model)``, when given, is
+    kept for each solve (None otherwise); no model is kept. The first
+    failed solve raises its SweepError."""
+    v_star, metrics = [], []
+    for _, model in _solver.train_path(X, s_values, config):
         v_star.append(model.dual_objective)
         metrics.append(None if score is None else score(model))
-    return Sweep(np.array(kept), np.array(v_star), metrics, failures)
+    return Sweep(np.array(s_values, dtype=float), np.array(v_star), metrics, X.shape[0])
 
 
 def pool_map(task, items, jobs: int) -> list:
@@ -191,9 +180,9 @@ def sweep_objective(
     ``solver.train_path`` each; a whole path starts cold at those cuts
     too, so cutting changes no bit. With jobs > 1 the runs are shared out
     to a process pool. ``warm_start=False`` cuts the grid into runs of one
-    value instead: every solve cold. Every
-    bandwidth is solved; then the first failed solve, if any, raises
-    SweepError (``Sweep.objective_curve``).
+    value instead: every solve cold. The first failed solve raises its
+    SweepError, across the process pool too, and no later bandwidth of
+    its run is solved.
     """
     X = as_data_matrix(X)
     config = _resolve_config(f, config)
@@ -203,12 +192,11 @@ def sweep_objective(
     parts = pool_map(partial(_path_sweep, X, config, None), runs, jobs)
     sweep = Sweep(np.concatenate([p.s_values for p in parts]),
                   np.concatenate([p.v_star for p in parts]),
-                  [m for p in parts for m in p.metrics],
-                  [failure for p in parts for failure in p.failures])
-    return sweep.objective_curve(f, X.shape[0])
+                  [m for p in parts for m in p.metrics], X.shape[0])
+    return sweep.objective_curve()
 
 
-def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
+def curve_from_samples(s_values, v_star) -> ObjectiveCurve:
     """Build an ObjectiveCurve from presampled (s, V*) pairs.
 
     The grid must be uniform; d1 and d2 are central differences.
@@ -223,7 +211,7 @@ def curve_from_samples(s_values, v_star, f: float) -> ObjectiveCurve:
         raise InputError("s grid must be uniform and ascending")
     d1 = (v_star[2:] - v_star[:-2]) / (2.0 * h)
     d2 = (v_star[2:] - 2.0 * v_star[1:-1] + v_star[:-2]) / (h * h)
-    return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2, f=f)
+    return ObjectiveCurve(s_values=s_values, v_star=v_star, d1=d1, d2=d2)
 
 
 def require_peak_grid(s_values, min_run: int = DEFAULT_MIN_RUN) -> None:
@@ -267,18 +255,15 @@ def find_peak(
         # the closest near-plateau: the longest run, the first of equal ones
         longest = max(runs, key=lambda r: r[1] - r[0], default=None)
         if longest is None:
-            length, s_range, found = 0, None, "no grid point has one"
+            found = "no grid point has one"
         else:
-            length = longest[1] - longest[0]
-            s_range = (float(interior[longest[0]]), float(interior[longest[1] - 1]))
-            found = f"the longest has {length}, at s in [{s_range[0]:g}, {s_range[1]:g}]"
+            start, stop = longest
+            found = (f"the longest has {stop - start}, at s in "
+                     f"[{interior[start]:g}, {interior[stop - 1]:g}]")
         raise NoPeakFoundError(
             f"no run of {min_run}+ grid points with a zero-straddling band; {found}",
             zero_mask=mask,
             fit=fit,
-            longest_run=s_range,
-            longest_run_length=length,
-            min_run=min_run,
             curve=curve,
         )
     start, stop = run

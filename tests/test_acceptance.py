@@ -118,7 +118,7 @@ def test_criterion_05_benchmark_shapes(kind, seed):
     # one solve per bandwidth: the labeled sweep's V* equals the tuning
     # sweep's (tests/test_evaluation.py::test_v_star_matches_warm_tuning_sweep)
     sweep = f1_sweep(X, shape_truth_grid(kind, X), LOW_GRID, 0.001)
-    peak, _, _, ratio = sweep.peak_ratio(0.001, X.shape[0])
+    peak, _, _, ratio = sweep.peak_ratio()
     assert LOW_GRID.s_min < peak.s_low <= peak.s_high < LOW_GRID.s_max
     md = select_md(X).s
     elapsed = time.time() - start
@@ -172,7 +172,7 @@ def test_criterion_07_shuttle_protocol():
     sample = sample_shuttle_class1(X, labels, 2000, seed=20240501)
     grid = BandwidthGrid.high_dimensional()
     sweep = f1_sweep(sample, (X, labels == 1), grid, 0.001)
-    peak, _, _, ratio = sweep.peak_ratio(0.001, sample.shape[0])
+    peak, _, _, ratio = sweep.peak_ratio()
     elapsed = time.time() - start
     overlap = peak.s_low <= 25.0 and peak.s_high >= 10.0
     ok = overlap and ratio >= 0.9 and elapsed < 1800.0

@@ -121,6 +121,18 @@ class TestTrain:
                      "--out", str(out)]) == EXIT_OK
         assert len(json.loads(out.read_text())["alphas"]) == 267
 
+    def test_rows_past_the_float_range_train_quietly(self, tmp_path):
+        # their squared distance overflows to inf, whose kernel entry 0 is
+        # right, so numpy's overflow warning would only be noise on stderr
+        data = tmp_path / "far.csv"
+        data.write_text("x1,x2\n1e300,0\n-1e300,0\n0,1\n")
+        done = subprocess.run([sys.executable, "-m", "svddpeak.cli", "train", "--data", str(data),
+                               "--s", "1", "--f", "0.5", "--out", str(tmp_path / "m.json")],
+                              capture_output=True, text=True, env=dict(os.environ,
+                                                                       PYTHONPATH=_src_dir()))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.startswith("trained on 3 rows: s=1 ")
+
     def test_reproducible_byte_identical(self, two_point_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -629,14 +641,17 @@ class TestSimulate:
         assert call["polygons_per_count"] == 20
 
     def test_solver_flags_reach_the_study(self, tmp_path):
-        # 50 SMO iterations fail every solve, so the polygon is a failure row
+        # 50 SMO iterations fail the first solve, so the polygon is a failure
+        # row, and its message names both flags
         out_dir = tmp_path / "study"
         code = main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
                      "--seed", "7", "--kkt-tol", "1e-5", "--max-iterations", "50",
                      "--out-dir", str(out_dir)])
         assert code == EXIT_OK
-        assert read_rows(out_dir / "polygon_study_failures.csv")[1] == [
-            "5", "0", "700500", "every bandwidth in the labeled sweep failed"]
+        *row, error = read_rows(out_dir / "polygon_study_failures.csv")[1]
+        assert row == ["5", "0", "700500"]
+        assert error.startswith("sweep solve failed at s=0.05: SMO did not reach kkt_tol=1e-05 "
+                                "within 50 iterations ")
         assert len(read_rows(out_dir / "polygon_study.csv")) == 1
         manifest = json.loads((out_dir / "polygon_study.csv.manifest.json").read_text())
         assert manifest["parameters"]["kkt_tol"] == 1e-5
@@ -1089,6 +1104,24 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: line {line}: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["compiled", "rows"])
+    @pytest.mark.parametrize("body, line", [
+        (b"x1," + b"y" * 200_001 + b"\n1,2\n", 1),
+        (b"x1,x2\n1,2\n3," + b"4" * 200_001 + b"\n5,6\n", 3),
+    ], ids=["long-header", "long-cell"])
+    def test_field_over_the_csv_limit(self, model_path, tmp_path, capsys, reader, body, line):
+        # the compiled reader refuses a line that long, so both readers end
+        # in the csv module, which refuses a field over its size limit
+        data = tmp_path / "data.csv"
+        data.write_bytes(body)
+        out = tmp_path / "out.csv"
+        message = f"field larger than field limit ({csv.field_size_limit()})"
+        with pinned_reader(reader):
+            for argv in (["score", "--model", str(model_path)], ["train", "--s", "1"]):
+                assert main([*argv, "--data", str(data), "--out", str(out)]) == EXIT_USAGE
+                assert capsys.readouterr().err == f"error: {data}: line {line}: {message}\n"
+                assert not out.exists()
 
     @pytest.mark.parametrize("second_row, message", [
         (b"1 2 3 4 5 6 7 \xe9 9 1\n", "byte 0xe9 is not UTF-8"),

@@ -146,7 +146,7 @@ class TestF1Sweep:
         X = generate_shape("banana", n=80, seed=11)
         result = f1_sweep(X, (X, np.zeros(80, dtype=bool)), BandwidthGrid(0.05, 4.0, 0.05),
                           f=0.001)
-        peak, s_recommended, f_peak, ratio = result.peak_ratio(0.001, 80)
+        peak, s_recommended, f_peak, ratio = result.peak_ratio()
         assert result.f_best == 0.0
         assert (f_peak, ratio) == (0.0, 0.0)
         assert s_recommended in result.s_values.tolist()
@@ -164,7 +164,7 @@ class TestF1Sweep:
         for signs in patterns:
             s_values = np.nextafter(result.s_values, signs * np.inf)
             shifted = dataclasses.replace(result, s_values=s_values)
-            peak, snapped, f_peak, _ = shifted.peak_ratio(0.001, 80)
+            peak, snapped, f_peak, _ = shifted.peak_ratio()
             assert (peak.s_low, peak.s_high) == (s_values[29], s_values[34])
             assert snapped == s_values[31]  # the lower middle, as f1_sweep ties
             assert f_peak == result.metrics[31].f1
@@ -177,24 +177,33 @@ class TestF1Sweep:
             curve = sweep_objective(X, 0.001, grid)
             np.testing.assert_array_equal(result.s_values, curve.s_values)
             np.testing.assert_array_equal(result.v_star, curve.v_star)
-            own = result.objective_curve(0.001, X.shape[0])
+            own = result.objective_curve()
             np.testing.assert_array_equal(own.d2, curve.d2)
 
-    def test_failed_solves_are_recorded_not_raised(self):
+    def test_first_failed_solve_ends_the_sweep(self, monkeypatch):
+        # 500 iterations solve s = 0.7, ..., 1.4 of this grid, not 1.45: the
+        # sweep raises there, after 15 scored solves, and solves nothing later
+        solved, scored = [], []
+        real_smo, real_score = solver._solve_smo, solver.score_distances
+
+        def counting_smo(*args, **kwargs):
+            solved.append(1)
+            return real_smo(*args, **kwargs)
+
+        def counting_score(*args, **kwargs):
+            scored.append(1)
+            return real_score(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_smo", counting_smo)
+        monkeypatch.setattr(solver, "score_distances", counting_score)
         X = generate_shape("banana", seed=11)
-        labeled = (X, np.ones(X.shape[0], dtype=bool))
-        grid = BandwidthGrid.low_dimensional()
         config = SolverConfig(f=0.001, max_iterations=500)
-        result = f1_sweep(X, labeled, grid, f=0.001, config=config)
-        assert result.failures
-        assert result.s_values.size + len(result.failures) == grid.values().size
-        assert result.v_star.shape == result.s_values.shape
-        failed = {s for s, _ in result.failures}
-        assert failed.isdisjoint(result.s_values.tolist())
-        assert all("SMO did not reach" in message for _, message in result.failures)
-        # a holed grid has no objective curve
-        with pytest.raises(SweepError):
-            result.objective_curve(0.001, X.shape[0])
+        with pytest.raises(SweepError, match="SMO did not reach") as err:
+            f1_sweep(X, (X, np.ones(X.shape[0], dtype=bool)), BandwidthGrid(0.7, 2.0, 0.05),
+                     f=0.001, config=config)
+        assert str(err.value).startswith("sweep solve failed at s=1.45: ")
+        assert err.value.s == pytest.approx(1.45)
+        assert (len(solved), len(scored)) == (16, 15)
 
     @pytest.mark.parametrize("train_dim, scoring, error", [
         (2, (np.zeros((5, 3)), np.ones(5, dtype=bool)), DimensionError),
@@ -317,7 +326,7 @@ class TestPolygonStudy:
 
     @pytest.mark.parametrize("max_iterations", [50, 200])
     def test_failed_solves_become_failure_rows(self, max_iterations):
-        # 50 iterations fail every solve; 200 fail some, which leaves no uniform curve
+        # 50 iterations fail every solve, 200 some; the first failure ends the sweep
         config = SolverConfig(f=0.001, max_iterations=max_iterations)
         report = polygon_study(**dict(SMALL_STUDY, polygons_per_count=1), solver_config=config)
         assert report.rows == []

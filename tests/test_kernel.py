@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestKernelMatrix:
         for s in (0.05, 0.7, 3.0):
             assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
         assert np.array_equal(sq, before)
+
+
+    def test_distances_past_the_float_range_are_inf_without_a_warning(self):
+        # the squares of 2e300 and of the sum overflow; inf is the right
+        # distance, and its Gaussian entry, 0, the right kernel value
+        X = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0], [0.0, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sq = kernel.squared_distances(X, X)
+            K = kernel_matrix(X, KernelSpec(GAUSSIAN, 1.0))
+        assert sq[0, 1] == sq[1, 0] == sq[2, 3] == math.inf
+        assert K[0, 1] == K[2, 3] == 0.0
+        assert sq[0, 2] == math.inf and sq[2, 2] == 0.0
 
 
 class TestCrossKernel:

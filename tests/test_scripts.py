@@ -45,4 +45,8 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert sorted(tune_outputs(1)) == ["stdout", "tune.json", "tune_curve.csv"]
     assert tune_outputs(1) == tune_outputs(2)
     assert "exit 1  tune-capped" in lines and "exit 0  simulate-capped" in lines
+    assert "exit 1  tune-capped-jobs2" in lines and "exit 0  simulate-allcapped" in lines
+    stderr = {name: digest for digest, name in (line.split("  ") for line in lines)
+              if name.endswith("/stderr")}
+    assert stderr["tune-capped/stderr"] == stderr["tune-capped-jobs2/stderr"]
     assert "exit 2  train-no-bandwidth" in lines and "exit 2  shuttle-no-out" in lines

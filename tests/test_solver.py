@@ -20,6 +20,7 @@ from svddpeak.errors import (
     ConvergenceError,
     DimensionError,
     InputError,
+    SweepError,
 )
 from svddpeak.evaluation import _polygon_seed
 from svddpeak.kernel import (
@@ -224,16 +225,29 @@ class TestTrainPath:
         for (_, whole), (_, cut) in zip(path[solver.WARM_RUN:], tail):
             _assert_same_model(cut, whole)
 
-    def test_failed_solve_is_yielded_and_path_goes_on(self, banana):
+    def test_first_failed_solve_ends_the_path(self, banana, monkeypatch):
         # 300 iterations are enough for wide bandwidths, not for narrow ones
+        solved = []
+        real_smo = solver._solve_smo
+
+        def counting_smo(*args, **kwargs):
+            solved.append(1)
+            return real_smo(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_smo", counting_smo)
         config = SolverConfig(f=0.001, max_iterations=300)
-        path = list(train_path(banana, (3.0, 0.1, 3.1), config))
-        assert [s for s, _ in path] == [3.0, 0.1, 3.1]
-        assert isinstance(path[1][1], ConvergenceError)
-        # the warm start skips the failed solve: it comes from the last model
-        expected = train(banana, KernelSpec(GAUSSIAN, 3.1), config,
-                         initial_alphas=path[0][1].alphas)
-        _assert_same_model(path[2][1], expected)
+        path = train_path(banana, (3.0, 0.1, 3.1), config)
+        s, model = next(path)
+        assert s == 3.0
+        _assert_same_model(model, train(banana, KernelSpec(GAUSSIAN, 3.0), config))
+        with pytest.raises(SweepError) as err:
+            next(path)
+        assert err.value.s == 0.1
+        assert isinstance(err.value.__cause__, ConvergenceError)
+        assert str(err.value) == f"sweep solve failed at s=0.1: {err.value.__cause__}"
+        # the solve at 3.0, its twin in train, and the failed one: none for 3.1
+        assert len(solved) == 3
+        assert list(path) == []
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 50),

@@ -20,7 +20,7 @@ from svddpeak.tuning import (
 LOW_GRID = BandwidthGrid.low_dimensional()
 
 
-def constructed_curve(d2, grid=LOW_GRID, f=0.001):
+def constructed_curve(d2, grid=LOW_GRID):
     s = grid.values()
     interior = s[1:-1]
     assert d2.shape == interior.shape
@@ -29,7 +29,6 @@ def constructed_curve(d2, grid=LOW_GRID, f=0.001):
         v_star=np.zeros_like(s),
         d1=np.zeros_like(interior),
         d2=d2,
-        f=f,
     )
 
 
@@ -120,30 +119,30 @@ class TestSweepObjective:
     def test_quadratic_samples_give_exact_constant_d2(self):
         s = np.arange(1.0, 3.01, 0.1)
         v = 0.7 - 0.2 * s + 0.05 * s**2
-        curve = curve_from_samples(s, v, f=0.1)
+        curve = curve_from_samples(s, v)
         np.testing.assert_allclose(curve.d2, 0.1, atol=1e-8)
 
     @pytest.mark.parametrize("s, v", [([1.0, 1.1, 1.2], [0.3, 0.2]), ([1.0, 1.1], [0.3, 0.2]),
                                       ([[1.0, 1.1, 1.2]], [[0.3, 0.2, 0.1]])])
     def test_curve_needs_matching_vectors_of_three_points(self, s, v):
         with pytest.raises(InputError, match="at least 3 points"):
-            curve_from_samples(s, v, f=0.1)
+            curve_from_samples(s, v)
 
     @pytest.mark.parametrize("s", [[1.0, 1.1, 1.3, 1.4], [1.4, 1.3, 1.2, 1.1], [1.0] * 4])
     def test_curve_needs_a_uniform_ascending_grid(self, s):
         with pytest.raises(InputError, match="uniform and ascending"):
-            curve_from_samples(s, [0.4, 0.3, 0.2, 0.1], f=0.1)
+            curve_from_samples(s, [0.4, 0.3, 0.2, 0.1])
 
     def test_rising_v_star_is_a_sweep_error(self):
         s = np.arange(1.0, 2.01, 0.25)
         v = np.array([0.5, 0.4, 0.4 + 2 * tuning.MONOTONICITY_SLACK, 0.3, 0.2])
         message = "increased by 2.000e-07 between s=1.25 and s=1.5"
         with pytest.raises(SweepError, match=message) as err:
-            tuning.Sweep(s, v, [None] * 5, []).objective_curve(0.1, 10)
+            tuning.Sweep(s, v, [None] * 5, 10).objective_curve()
         assert err.value.s == 1.5
         # a rise within the slack is solver tolerance
         v[2] = 0.4 + 0.5 * tuning.MONOTONICITY_SLACK
-        assert tuning.Sweep(s, v, [None] * 5, []).objective_curve(0.1, 10).v_star[2] == v[2]
+        assert tuning.Sweep(s, v, [None] * 5, 10).objective_curve().v_star[2] == v[2]
 
     @pytest.mark.parametrize("v, s_outside", [([0.9 + 1e-6, 0.8, 0.7, 0.6], 1.0),
                                               ([0.3, 0.2, 0.1, -1e-6], 2.5)],
@@ -153,7 +152,7 @@ class TestSweepObjective:
         # V* is outside, not the s of the largest V*
         s = np.array([1.0, 1.5, 2.0, 2.5])
         with pytest.raises(SweepError, match=r"left its theoretical range \[0, 0.9\]") as err:
-            tuning.Sweep(s, np.array(v), [None] * 4, []).objective_curve(0.1, 10)
+            tuning.Sweep(s, np.array(v), [None] * 4, 10).objective_curve()
         assert err.value.s == s_outside
 
     def test_sweep_error_identifies_bandwidth(self, rng):
@@ -191,30 +190,35 @@ class TestSweepObjective:
         with pytest.raises(SweepError, match="s=0.5"):
             sweep_objective(X, 0.05, BandwidthGrid(0.5, 2.0, 0.1), config=config, jobs=2)
 
-    def test_capped_sweep_keeps_the_same_record_for_any_jobs(self, banana, monkeypatch):
-        # a cap of 400 fails solves in both warm runs of this grid, and not all
-        records = []
-        objective_curve = tuning.Sweep.objective_curve
-
-        def keep(sweep, f, n):
-            records.append(sweep)
-            return objective_curve(sweep, f, n)
-
-        monkeypatch.setattr(tuning.Sweep, "objective_curve", keep)
+    def test_capped_sweep_fails_alike_for_any_jobs(self, banana):
+        # a cap of 400 fails solves in both warm runs of this grid, and not
+        # all; the first failure ends the sweep, in a worker for jobs=2, and
+        # its SweepError crosses the process pool whole
         grid, config = BandwidthGrid(0.05, 4.0, 0.05), SolverConfig(f=0.001, max_iterations=400)
         errors = []
         for jobs in (1, 2):
             with pytest.raises(SweepError) as err:
                 sweep_objective(banana, 0.001, grid, config=config, jobs=jobs)
-            errors.append(str(err.value))
-        one, two = records
-        assert one.s_values.tobytes() == two.s_values.tobytes()
-        assert one.v_star.tobytes() == two.v_star.tobytes()
-        assert one.failures == two.failures
-        failed = [s for s, _ in one.failures]
-        assert min(failed) < 2.0 < max(failed) and one.s_values.size > 40
-        assert one.s_values.size + len(failed) == grid.values().size
-        assert errors == [f"sweep solve failed at s=0.05: {one.failures[0][1]}"] * 2
+            errors.append((type(err.value), str(err.value), err.value.s))
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith("sweep solve failed at s=0.05: SMO did not reach")
+        assert errors[0][2] == 0.05
+
+    def test_first_failed_solve_ends_the_sweep(self, banana, monkeypatch):
+        # the cold first solve of the first run fails; jobs=1 solves nothing
+        # after it, in its run or in a later one
+        solved = []
+        real_smo = solver._solve_smo
+
+        def counting_smo(*args, **kwargs):
+            solved.append(1)
+            return real_smo(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_smo", counting_smo)
+        config = SolverConfig(f=0.001, max_iterations=400)
+        with pytest.raises(SweepError, match="s=0.05"):
+            sweep_objective(banana, 0.001, BandwidthGrid(0.05, 4.0, 0.05), config=config)
+        assert len(solved) == 1
 
 
 class TestFindPeak:
@@ -248,9 +252,8 @@ class TestFindPeak:
         assert err.value.zero_mask is not None
         assert not err.value.zero_mask.any()
         assert err.value.curve is curve
-        assert err.value.longest_run is None
-        assert err.value.longest_run_length == 0
-        assert "no grid point has one" in str(err.value)
+        assert str(err.value) == ("no run of 3+ grid points with a zero-straddling band; "
+                                  "no grid point has one")
 
     def test_no_peak_names_the_longest_near_plateau(self, monkeypatch):
         interior = LOW_GRID.values()[1:-1]
@@ -263,10 +266,9 @@ class TestFindPeak:
         curve = constructed_curve(alternating(interior.size, 0.05))
         with pytest.raises(NoPeakFoundError) as err:
             find_peak(curve, NARRATIVE_SPLINE, min_run=5)
-        assert err.value.min_run == 5
-        assert err.value.longest_run_length == 4
-        assert err.value.longest_run == (interior[10], interior[13])
-        assert f"the longest has 4, at s in [{interior[10]:g}, {interior[13]:g}]" in str(err.value)
+        assert str(err.value) == ("no run of 5+ grid points with a zero-straddling band; "
+                                  f"the longest has 4, at s in [{interior[10]:g}, "
+                                  f"{interior[13]:g}]")
         # one point fewer asked for, the same run is the peak
         result = find_peak(curve, NARRATIVE_SPLINE, min_run=4)
         assert (result.s_low, result.s_high) == (interior[10], interior[13])
@@ -313,7 +315,6 @@ class TestFindPeak:
             v_star=np.zeros_like(s),
             d1=np.zeros(s.size - 2),
             d2=np.zeros(s.size - 2),
-            f=0.1,
         )
         with pytest.raises(InputError):
             find_peak(curve)
@@ -388,5 +389,5 @@ def test_envelope_theorem_on_warm_sweep(banana):
         a = model.alphas
         v_star.append(model.dual_objective)
         exact.append(-(a @ ((kernel_matrix_from_sq(sq, s) * sq) @ a)) / s**3)
-    gap = np.abs(curve_from_samples(s_values, v_star, f).d1 - np.array(exact[1:-1]))
+    gap = np.abs(curve_from_samples(s_values, v_star).d1 - np.array(exact[1:-1]))
     assert np.median(gap) < 1e-5
