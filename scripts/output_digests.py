@@ -60,6 +60,10 @@ COMMANDS = (
                            "500", "--jobs", "2", "--out", "tune.json"), True),
     ("train-no-bandwidth", ("train", "--data", BANANA, "--out", "model.json"), True),
     ("shuttle-no-out", ("shuttle", "--path", "missing.txt", "--sample-class1", "5"), True),
+    ("tune-kkt-nan", ("tune", "--method", "peak", "--data", BANANA, "--kkt-tol", "nan",
+                      "--out", "tune.json"), True),
+    ("tune-step-nan", ("tune", "--method", "peak", "--data", BANANA, "--s-step", "nan",
+                       "--out", "tune.json"), True),
 )
 
 

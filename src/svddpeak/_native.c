@@ -36,10 +36,10 @@
  * same state. A call starts with selection only, so it picks the same
  * pair again and goes on as if it had never stopped.
  *
- * The pass exists three times: scalar, and one vector body instantiated at
- * 8 lanes for AVX-512F and at 4 for AVX2. ``svdd_smo_level`` picks one; at
- * load it is the best the CPU supports, so the library is built without
- * -m flags and runs on any x86-64 (and scalar-only elsewhere).
+ * The pass exists twice: scalar, and an 8-lane vector pass that runs when
+ * the CPU has AVX-512F and n >= 8 (``svdd_smo_level``, set at load); every
+ * other case runs the scalar pass. The library is built without -m flags,
+ * so it runs on any x86-64 (and scalar-only elsewhere).
  */
 
 #define _GNU_SOURCE /* newlocale and strtod_l */
@@ -62,24 +62,22 @@
 #define TAKE_MIN(v, best) __builtin_expect(!((v) >= (best)), 0)
 #define TAKE_MAX(v, best) __builtin_expect(!((v) <= (best)), 0)
 
-enum { LEVEL_SCALAR, LEVEL_AVX2, LEVEL_AVX512F };
+enum { LEVEL_SCALAR, LEVEL_AVX512F };
 
 /* The pass svdd_smo_run takes, one of the LEVEL_ values. Tests may lower
  * it to pin each pass; a level above svdd_smo_cpu_level() is not safe. */
 int svdd_smo_level = LEVEL_SCALAR;
 
 #if defined(__GNUC__) && defined(__x86_64__)
-#define HAVE_X86_PASSES 1
+#define HAVE_VECTOR_PASS 1
 #endif
 
 int svdd_smo_cpu_level(void)
 {
-#ifdef HAVE_X86_PASSES
+#ifdef HAVE_VECTOR_PASS
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f"))
         return LEVEL_AVX512F;
-    if (__builtin_cpu_supports("avx2"))
-        return LEVEL_AVX2;
 #endif
     return LEVEL_SCALAR;
 }
@@ -146,89 +144,86 @@ static void pass_scalar(const double *K_i, const double *K_j, double scale, doub
     *j_out = j;
 }
 
-#ifdef HAVE_X86_PASSES
+#ifdef HAVE_VECTOR_PASS
+/* one AVX-512F register of doubles */
+enum { LANES = 8 };
+
 /* The vector pass, for n >= LANES. Lane l takes the indices k = l (mod
  * LANES) in increasing order and keeps its first minimum (maximum) with a
  * strict < (>). The lanes then merge to the smallest index among equal
  * values, -0.0 == +0.0 included, which is numpy's first index; the tail
  * continues with the same strict rule. Loads and stores go through
  * memcpy: rows and the gradient need no alignment. */
-#define DEFINE_VECTOR_PASS(NAME, LANES, ISA)                                                \
-__attribute__((target(ISA)))                                                                \
-static void NAME(const double *K_i, const double *K_j, double scale, double *grad,          \
-                 const double *up_pen, const double *low_pen, int64_t n,                    \
-                 int64_t *i_out, int64_t *j_out)                                            \
-{                                                                                           \
-    typedef double vd __attribute__((vector_size(8 * (LANES))));                           \
-    typedef int64_t vi __attribute__((vector_size(8 * (LANES))));                          \
-    const int64_t end = n - n % (LANES);                                                    \
-    vd a, b, g, pu, pl, lo, hi;                                                             \
-    vi lane, lo_at, hi_at;                                                                  \
-    int64_t k, l;                                                                           \
-                                                                                            \
-    for (l = 0; l < (LANES); l++)                                                           \
-        lane[l] = l;                                                                        \
-    /* +inf (-inf) at index l until lane l sees a smaller (larger) value */                 \
-    lo = (vd){0} + INFINITY;                                                                \
-    hi = (vd){0} - INFINITY;                                                                \
-    lo_at = hi_at = lane;                                                                   \
-    for (k = 0; k < end; k += (LANES)) {                                                    \
-        memcpy(&a, K_i + k, sizeof a);                                                      \
-        memcpy(&b, K_j + k, sizeof b);                                                      \
-        memcpy(&g, grad + k, sizeof g);                                                     \
-        memcpy(&pu, up_pen + k, sizeof pu);                                                 \
-        memcpy(&pl, low_pen + k, sizeof pl);                                                \
-        a -= b;                                                                             \
-        a *= scale;                                                                         \
-        g += a;                                                                             \
-        memcpy(grad + k, &g, sizeof g);                                                     \
-        const vd up = g + pu;                                                               \
-        const vd low = g + pl;                                                              \
-        const vi at = lane + k;                                                             \
-        const vi lt = (vi)(up < lo);                                                        \
-        const vi gt = (vi)(low > hi);                                                       \
-        lo = (vd)(((vi)up & lt) | ((vi)lo & ~lt));                                          \
-        hi = (vd)(((vi)low & gt) | ((vi)hi & ~gt));                                         \
-        lo_at = (at & lt) | (lo_at & ~lt);                                                  \
-        hi_at = (at & gt) | (hi_at & ~gt);                                                  \
-    }                                                                                       \
-                                                                                            \
-    double best_lo = lo[0], best_hi = hi[0];                                                \
-    int64_t i = lo_at[0], j = hi_at[0];                                                     \
-    for (l = 1; l < (LANES); l++) {                                                         \
-        if (lo[l] < best_lo || (lo[l] == best_lo && lo_at[l] < i)) {                        \
-            best_lo = lo[l];                                                                \
-            i = lo_at[l];                                                                   \
-        }                                                                                   \
-        if (hi[l] > best_hi || (hi[l] == best_hi && hi_at[l] < j)) {                        \
-            best_hi = hi[l];                                                                \
-            j = hi_at[l];                                                                   \
-        }                                                                                   \
-    }                                                                                       \
-    for (k = end; k < n; k++) {                                                             \
-        double d = K_i[k] - K_j[k];                                                         \
-        d *= scale;                                                                         \
-        grad[k] += d;                                                                       \
-        const double up = grad[k] + up_pen[k];                                              \
-        const double low = grad[k] + low_pen[k];                                            \
-        if (up < best_lo) { best_lo = up; i = k; }                                          \
-        if (low > best_hi) { best_hi = low; j = k; }                                        \
-    }                                                                                       \
-    *i_out = i;                                                                             \
-    *j_out = j;                                                                             \
-}
+__attribute__((target("avx512f")))
+static void pass_avx512f(const double *K_i, const double *K_j, double scale, double *grad,
+                         const double *up_pen, const double *low_pen, int64_t n,
+                         int64_t *i_out, int64_t *j_out)
+{
+    typedef double vd __attribute__((vector_size(8 * LANES)));
+    typedef int64_t vi __attribute__((vector_size(8 * LANES)));
+    const int64_t end = n - n % LANES;
+    vd a, b, g, pu, pl, lo, hi;
+    vi lane, lo_at, hi_at;
+    int64_t k, l;
 
-DEFINE_VECTOR_PASS(pass_avx512f, 8, "avx512f")
-DEFINE_VECTOR_PASS(pass_avx2, 4, "avx2")
+    for (l = 0; l < LANES; l++)
+        lane[l] = l;
+    /* +inf (-inf) at index l until lane l sees a smaller (larger) value */
+    lo = (vd){0} + INFINITY;
+    hi = (vd){0} - INFINITY;
+    lo_at = hi_at = lane;
+    for (k = 0; k < end; k += LANES) {
+        memcpy(&a, K_i + k, sizeof a);
+        memcpy(&b, K_j + k, sizeof b);
+        memcpy(&g, grad + k, sizeof g);
+        memcpy(&pu, up_pen + k, sizeof pu);
+        memcpy(&pl, low_pen + k, sizeof pl);
+        a -= b;
+        a *= scale;
+        g += a;
+        memcpy(grad + k, &g, sizeof g);
+        const vd up = g + pu;
+        const vd low = g + pl;
+        const vi at = lane + k;
+        const vi lt = (vi)(up < lo);
+        const vi gt = (vi)(low > hi);
+        lo = (vd)(((vi)up & lt) | ((vi)lo & ~lt));
+        hi = (vd)(((vi)low & gt) | ((vi)hi & ~gt));
+        lo_at = (at & lt) | (lo_at & ~lt);
+        hi_at = (at & gt) | (hi_at & ~gt);
+    }
+
+    double best_lo = lo[0], best_hi = hi[0];
+    int64_t i = lo_at[0], j = hi_at[0];
+    for (l = 1; l < LANES; l++) {
+        if (lo[l] < best_lo || (lo[l] == best_lo && lo_at[l] < i)) {
+            best_lo = lo[l];
+            i = lo_at[l];
+        }
+        if (hi[l] > best_hi || (hi[l] == best_hi && hi_at[l] < j)) {
+            best_hi = hi[l];
+            j = hi_at[l];
+        }
+    }
+    for (k = end; k < n; k++) {
+        double d = K_i[k] - K_j[k];
+        d *= scale;
+        grad[k] += d;
+        const double up = grad[k] + up_pen[k];
+        const double low = grad[k] + low_pen[k];
+        if (up < best_lo) { best_lo = up; i = k; }
+        if (low > best_hi) { best_hi = low; j = k; }
+    }
+    *i_out = i;
+    *j_out = j;
+}
 #endif
 
 static pass_fn choose_pass(int64_t n)
 {
-#ifdef HAVE_X86_PASSES
-    if (svdd_smo_level == LEVEL_AVX512F && n >= 8)
+#ifdef HAVE_VECTOR_PASS
+    if (svdd_smo_level == LEVEL_AVX512F && n >= LANES)
         return pass_avx512f;
-    if (svdd_smo_level == LEVEL_AVX2 && n >= 4)
-        return pass_avx2;
 #endif
     (void)n;
     return pass_scalar;

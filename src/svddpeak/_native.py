@@ -27,9 +27,9 @@ tries the build, once per process; when no compiler is found, the compile
 fails or the cache cannot be written, every accessor returns None and the
 twins run.
 
-The library picks its SMO pass over n when it is loaded: AVX-512F, AVX2
-or scalar, the best the CPU supports (``svdd_smo_level``). The flags stay
-portable, so one cached library serves any x86-64 CPU.
+The library picks its SMO pass over n when it is loaded
+(``svdd_smo_level``): AVX-512F when the CPU has it, else scalar. The
+flags stay portable, so one cached library serves any x86-64 CPU.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 _COMPILE_TIMEOUT_S = 120
 # names of the library's svdd_smo_level values
-ISAS = ("scalar", "avx2", "avx512f")
+ISAS = ("scalar", "avx512f")
 # svdd_csv_rows's bound on the bytes of one float cell (FLOAT_CELL_BYTES)
 FLOAT_CELL_BYTES = 24
 # svdd_csv_floats reads a file this many bytes at a time and refuses a
@@ -206,7 +206,7 @@ def library():
 
 def backend() -> dict:
     """The SMO backend for run manifests: ``{"kind": "c", "compiler": ...,
-    "flags": [...], "isa": "avx512f" | "avx2" | "scalar"}`` or
+    "flags": [...], "isa": "avx512f" | "scalar"}`` or
     ``{"kind": "python"}``."""
     lib = library()
     if lib is None:

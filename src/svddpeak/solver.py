@@ -77,8 +77,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.f <= 1.0):
             raise InputError(f"outlier fraction f must lie in (0, 1], got {self.f!r}")
-        if self.kkt_tol <= 0:
-            raise InputError("kkt_tol must be positive")
+        if not (0.0 < self.kkt_tol < np.inf):
+            raise InputError(f"kkt_tol must be positive and finite, got {self.kkt_tol!r}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
 

@@ -49,8 +49,8 @@ class BandwidthGrid:
     step: float
 
     def __post_init__(self):
-        if self.s_min <= 0 or self.s_max <= 0 or self.step <= 0:
-            raise InputError("grid endpoints and step must be positive")
+        if not all(0 < v < np.inf for v in (self.s_min, self.s_max, self.step)):
+            raise InputError("grid endpoints and step must be positive and finite")
         if self.s_min >= self.s_max:
             raise InputError("need s_min < s_max")
 
@@ -156,13 +156,16 @@ def _path_sweep(X, config, score, s_values) -> Sweep:
 
 
 def pool_map(task, items, jobs: int) -> list:
-    """``[task(item) for item in items]``; with jobs > 1 the items are shared
-    out to a pool of ``jobs`` processes, so ``task`` must pickle."""
-    if jobs <= 1:
+    """``[task(item) for item in items]``, ``items`` a list. With jobs > 1
+    and more than one item, the items are shared out to a pool of
+    ``min(jobs, len(items))`` processes (a pool starts all its workers at
+    the first task), so ``task`` must pickle."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return list(map(task, items))
     from concurrent import futures
 
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, items))
 
 

@@ -12,7 +12,7 @@ import pytest
 from svddpeak import _native
 
 # every pass there is, widest first; the compiled names are _native.ISAS
-PASSES = ("avx512f", "avx2", "scalar", "python")
+PASSES = ("avx512f", "scalar", "python")
 
 
 def supported_passes() -> list:

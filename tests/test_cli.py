@@ -299,6 +299,33 @@ class TestGridRule:
         assert capsys.readouterr().err == "error: min_run must be at least 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--s-step", "nan"), ("--s-min", "nan"),
+                                             ("--s-max", "nan"), ("--s-max", "inf")])
+    @pytest.mark.parametrize("command", [["tune", "--method", "peak"], ["train", "--tune", "peak"]])
+    def test_grid_that_is_not_finite_is_usage_error_before_any_solve(
+            self, banana_csv, tmp_path, capsys, monkeypatch, command, flag, value):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        out = tmp_path / "out.json"
+        assert main([*command, "--data", str(banana_csv), flag, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: grid endpoints and step must be positive "
+                                           "and finite\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["tune", "--method", "peak", "--kkt-tol", "nan"],
+                                      ["tune", "--method", "peak", "--kkt-tol", "inf"],
+                                      ["train", "--s", "1", "--kkt-tol", "inf"]])
+    def test_kkt_tol_that_is_not_finite_is_usage_error_before_any_solve(
+            self, banana_csv, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        out = tmp_path / "out.json"
+        assert main([*argv, "--data", str(banana_csv), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: kkt_tol must be positive and finite, "
+                                           f"got {argv[-1]}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--vertices", "5", "--min-run", "0"], "min_run must be at least 1"),
         (["--vertices", "5,10,2"], "polygons need at least 3 vertices, got 2"),
@@ -319,6 +346,18 @@ class TestGridRule:
         assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
                      "--s-step", "1", "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert "grid too coarse" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--s-step", "nan"), ("--s-min", "nan"),
+                                             ("--s-max", "inf")])
+    def test_simulate_grid_that_is_not_finite_is_usage_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(solver, "train_path", _never)
+        out_dir = tmp_path / "study"
+        assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                     flag, value, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: grid endpoints and step must be positive "
+                                           "and finite\n")
         assert not out_dir.exists()
 
 

@@ -150,6 +150,11 @@ class TestTrain:
         with pytest.raises(InputError):
             train(np.empty((0, 2)), KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.1))
 
+    @pytest.mark.parametrize("kkt_tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):
+        with pytest.raises(InputError, match="kkt_tol must be positive and finite"):
+            SolverConfig(f=0.1, kkt_tol=kkt_tol)
+
     def test_convergence_error_carries_iterate(self, rng):
         X = rng.normal(size=(30, 2))
         config = SolverConfig(f=0.1, kkt_tol=1e-12, max_iterations=3)

@@ -75,6 +75,13 @@ class TestBandwidthGrid:
         # a short grid is a grid; only the peak criterion needs a long one
         assert BandwidthGrid(1.0, 1.5, 0.1).values().size == 6
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0, 0.1), (0.1, np.nan, 0.1),
+                                        (0.1, 1.0, np.nan), (0.1, np.inf, 0.1),
+                                        (0.1, 1.0, np.inf)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(InputError, match="positive and finite"):
+            BandwidthGrid(*bounds)
+
     @pytest.mark.parametrize("grid, interior", [
         (BandwidthGrid(1.0, 1.5, 0.1), 4),
         (BandwidthGrid(1.0, 2.0, 0.1), 9),
@@ -183,6 +190,33 @@ class TestSweepObjective:
         for jobs in (1, 2, 3):
             curve = sweep_objective(banana, 0.001, LOW_GRID, jobs=jobs)
             np.testing.assert_array_equal(curve.v_star, whole)
+
+    def test_pool_starts_no_more_workers_than_runs(self, two_point_data, monkeypatch):
+        from concurrent import futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, items):
+                return map(task, items)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+        # the default grid is four warm runs
+        pooled = sweep_objective(two_point_data, 0.1, LOW_GRID, jobs=16)
+        assert asked == [4]
+        np.testing.assert_array_equal(pooled.v_star,
+                                      sweep_objective(two_point_data, 0.1, LOW_GRID).v_star)
+        # one item maps in-process
+        assert tuning.pool_map(str, [7], jobs=16) == ["7"] and asked == [4]
 
     def test_parallel_sweep_error_names_bandwidth(self, rng):
         X = rng.normal(size=(40, 2))
