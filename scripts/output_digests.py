@@ -41,7 +41,7 @@ COMMANDS = (
     ("tune-minrun5", ("tune", "--method", "peak", "--data", BANANA, "--min-run", "5",
                       "--kkt-tol", "1e-7", "--out", "tune.json"), False),
     ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
-    # 129 boundary support vectors: two threshold blocks and a one-row remainder
+    # 129 boundary support vectors, whose mean distance is R^2
     ("train-s0.2", ("train", "--s", "0.2", "--data", BANANA, "--out", "model.json"), False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
     ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),
@@ -64,6 +64,9 @@ COMMANDS = (
                       "--out", "tune.json"), True),
     ("tune-step-nan", ("tune", "--method", "peak", "--data", BANANA, "--s-step", "nan",
                        "--out", "tune.json"), True),
+    # 7.95e9 grid points: refused before any array is allocated
+    ("tune-step-1e-9", ("tune", "--method", "peak", "--data", BANANA, "--s-step", "1e-9",
+                        "--out", "tune.json"), True),
 )
 
 

@@ -143,8 +143,9 @@ def model_from_dict(payload: dict) -> SvddModel:
     Only support vectors are serialized, so the rebuilt model's training
     view is the support-vector set itself (alphas are zero elsewhere and
     contribute nothing to scoring). The box bound is read back as saved.
-    A missing or mistyped field, or a kernel other than the Gaussian,
-    raises InputError.
+    A missing or mistyped field, a number that is not finite or out of its
+    range (C > 0, r_squared >= 0, alphas >= 0), or a kernel other than the
+    Gaussian, raises InputError.
     """
     if not isinstance(payload, dict):
         raise InputError("a model must be a JSON object")
@@ -169,6 +170,16 @@ def model_from_dict(payload: dict) -> SvddModel:
         raise InputError(f"malformed model field: {exc}") from None
     if sv.ndim != 2 or alphas.shape != (sv.shape[0],):
         raise InputError("support_vectors and alphas are inconsistent")
+    sv = as_data_matrix(sv, name="support_vectors")
+    # NaN fails every comparison, so each rule also rejects it
+    for name, valid, rule in (
+        ("C", 0.0 < C < np.inf, "positive and finite"),
+        ("r_squared", 0.0 <= r_squared < np.inf, "non-negative and finite"),
+        ("dual_objective", abs(dual_objective) < np.inf, "finite"),
+        ("alphas", bool(np.all((alphas >= 0.0) & (alphas < np.inf))), "non-negative and finite"),
+    ):
+        if not valid:
+            raise InputError(f"model field {name!r} must be {rule}")
     K = _kernel.kernel_matrix(sv, spec)
     return SvddModel(
         alphas=alphas,
@@ -379,48 +390,25 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curva
     return iterations, -1
 
 
-def _row_products(K, rows, v) -> np.ndarray:
-    """``K[rows, :] @ v`` bit for bit, ``FILL_BLOCK_ROWS`` rows at a time,
-    so that no copy of more than a block of rows of ``K`` is made.
+def _threshold(dist_sq, alphas, boundary, C, kkt_tol) -> float:
+    """R^2 from ``dist_sq``, the squared center distance of every training row.
 
-    A block of two or more rows goes through gemv, as the one-shot product
-    does, and gets its bits (the tests hold it to them). A one-row block
-    would go through numpy's dot instead, whose bits can differ, so a
-    one-row remainder joins the block before it.
+    With boundary support vectors (the indices ``boundary``), their mean
+    distance; they must agree to within 10 ``kkt_tol`` (the Gaussian
+    diagonal is 1, so distances lie in [0, 2]), else NumericalError.
+    Without any, every alpha sits at a box bound and the KKT conditions only
+    bracket R^2: it is at least the largest distance among alpha = 0 rows
+    and at most the smallest among alpha = C rows. Take the midpoint of that
+    interval (or its upper end when no alpha is 0).
     """
-    out = np.empty(rows.size)
-    start = 0
-    while start < rows.size:
-        stop = start + FILL_BLOCK_ROWS
-        if stop + 1 == rows.size:
-            stop += 1
-        block = rows[start:stop]
-        out[start:start + block.size] = K[block] @ v
-        start = stop
-    return out
-
-
-def _threshold_from_parts(K, diag, alphas, boundary, alpha_quad, kkt_tol):
-    """Average squared center distance over the boundary support vectors,
-    of which there is at least one. ``diag`` is the diagonal of ``K``."""
-    per_sv = diag[boundary] - 2.0 * _row_products(K, boundary, alphas) + alpha_quad
-    spread = float(per_sv.max() - per_sv.min())
-    if spread > 10.0 * kkt_tol * max(1.0, float(np.abs(diag).max())):
-        raise NumericalError(
-            f"boundary support vectors disagree on the threshold by {spread:.3e}"
-        )
-    return float(max(per_sv.mean(), 0.0))
-
-
-def _threshold_midpoint_fallback(diag, K_alphas, alphas, C, alpha_quad, kkt_tol):
-    """Threshold when the optimum has every alpha at a box bound.
-
-    The KKT conditions then only bracket R^2: it is at least the largest
-    distance among alpha = 0 points and at most the smallest among
-    alpha = C points. Take the midpoint of that interval (or its upper
-    end when nothing is strictly inside).
-    """
-    dist_sq = diag - 2.0 * K_alphas + alpha_quad
+    if boundary.size:
+        per_sv = dist_sq[boundary]
+        spread = float(per_sv.max() - per_sv.min())
+        if spread > 10.0 * kkt_tol:
+            raise NumericalError(
+                f"boundary support vectors disagree on the threshold by {spread:.3e}"
+            )
+        return float(max(per_sv.mean(), 0.0))
     inside = alphas <= kkt_tol
     outside = alphas >= C - kkt_tol
     hi = float(dist_sq[outside].min()) if np.any(outside) else 0.0
@@ -514,12 +502,8 @@ def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
     dual_objective = float(diag @ alphas - alpha_quad)
     sv_indices = np.flatnonzero(alphas > 0.0)
     boundary = _boundary_indices(alphas, C, config.kkt_tol)
-    if boundary.size:
-        r_squared = _threshold_from_parts(K, diag, alphas, boundary, alpha_quad,
-                                          config.kkt_tol)
-    else:
-        r_squared = _threshold_midpoint_fallback(diag, K_alphas, alphas, C, alpha_quad,
-                                                 config.kkt_tol)
+    dist_sq = diag - 2.0 * K_alphas + alpha_quad
+    r_squared = _threshold(dist_sq, alphas, boundary, C, config.kkt_tol)
     return SvddModel(
         alphas=alphas,
         sv_indices=sv_indices,

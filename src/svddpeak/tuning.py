@@ -31,6 +31,9 @@ MONOTONICITY_SLACK = 1e-7
 DEFAULT_MIN_RUN = 3
 # the fewest interior grid points (second differences) find_peak smooths
 MIN_INTERIOR_POINTS = 10
+# the most points a BandwidthGrid may have: one solve each, so 100,000 is
+# far past any useful sweep, and the grid array stays under 1 MB
+MAX_GRID_POINTS = 100_000
 
 # Default smooth for the second-derivative curve: a fixed penalty, the
 # SplineConfig default of 100, because generalized cross-validation badly
@@ -53,10 +56,17 @@ class BandwidthGrid:
             raise InputError("grid endpoints and step must be positive and finite")
         if self.s_min >= self.s_max:
             raise InputError("need s_min < s_max")
+        # inf when the quotient overflows, which fails the bound too
+        points = self._point_count()
+        if not points <= MAX_GRID_POINTS:
+            raise InputError(f"the grid would have {points:g} points; "
+                             f"at most {MAX_GRID_POINTS} are allowed")
+
+    def _point_count(self) -> float:
+        return np.floor((self.s_max - self.s_min) / self.step + 1e-9) + 1
 
     def values(self) -> np.ndarray:
-        count = int(np.floor((self.s_max - self.s_min) / self.step + 1e-9)) + 1
-        return self.s_min + self.step * np.arange(count)
+        return self.s_min + self.step * np.arange(int(self._point_count()))
 
     @classmethod
     def low_dimensional(cls) -> "BandwidthGrid":

@@ -361,6 +361,27 @@ class TestGridRule:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("flags, count", [
+        (["--s-step", "1e-9"], "7.95e+09"),
+        (["--s-min", "1e-300", "--s-max", "1e300", "--s-step", "1e-300"], "inf"),
+    ], ids=["oversized", "overflowing"])
+    @pytest.mark.parametrize("command", ["tune", "simulate"])
+    def test_grid_of_too_many_points_is_usage_error_before_any_solve(
+            self, banana_csv, tmp_path, capsys, monkeypatch, command, flags, count):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        if command == "tune":
+            argv = ["tune", "--method", "peak", "--data", str(banana_csv),
+                    "--out", str(tmp_path / "tune.json")]
+        else:
+            argv = ["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                    "--out-dir", str(tmp_path / "study")]
+        assert main([*argv, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: the grid would have {count} points; "
+                                           "at most 100000 are allowed\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPeakSweepPolicy:
     def test_tune_curve_is_the_library_sweep(self, banana_csv, tmp_path):
         from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak, sweep_objective
@@ -565,6 +586,23 @@ class TestScoreAndGrid:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "kernel_kind 'linear'" in done.stderr and "Traceback" not in done.stderr
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("r_squared", math.nan, "'r_squared' must be non-negative and finite"),
+        ("r_squared", math.inf, "'r_squared' must be non-negative and finite"),
+        ("alphas", [math.nan, 0.5], "'alphas' must be non-negative and finite"),
+        ("C", math.nan, "'C' must be positive and finite"),
+    ])
+    def test_score_model_with_a_field_that_is_not_finite_is_usage_error(
+            self, model_path, two_point_csv, tmp_path, capsys, field, value, message):
+        # json writes NaN and Infinity, and reads them back
+        payload = {**json.loads(model_path.read_text()), field: value}
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "scored.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(two_point_csv),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: model field {message}\n"
+        assert not out.exists()
 
     def test_grid_resolution_and_labels(self, model_path, two_point_csv, tmp_path):
         out = tmp_path / "grid.csv"

@@ -51,3 +51,4 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert stderr["tune-capped/stderr"] == stderr["tune-capped-jobs2/stderr"]
     assert "exit 2  train-no-bandwidth" in lines and "exit 2  shuttle-no-out" in lines
     assert "exit 2  tune-kkt-nan" in lines and "exit 2  tune-step-nan" in lines
+    assert "exit 2  tune-step-1e-9" in lines

@@ -20,6 +20,7 @@ from svddpeak.errors import (
     ConvergenceError,
     DimensionError,
     InputError,
+    NumericalError,
     SweepError,
 )
 from svddpeak.evaluation import _polygon_seed
@@ -663,16 +664,28 @@ class TestThreshold:
         assert model.dual_objective == pytest.approx(best, abs=1e-4)
         assert model.r_squared >= 0.0
 
-    @pytest.mark.parametrize("size", [1, 63, 64, 65, 129, 200])
-    def test_blocked_row_products_equal_the_one_shot_product(self, size):
-        # 129 rows are two blocks and a one-row remainder, which joins the
-        # block before it
-        rng = np.random.default_rng(size)
-        A = rng.normal(size=(256, 256))
-        K = A + A.T
-        alphas = rng.random(256)
-        rows = np.sort(rng.choice(256, size=size, replace=False))
-        assert np.array_equal(solver._row_products(K, rows, alphas), K[rows, :] @ alphas)
+    @pytest.mark.parametrize("s", [0.2, 0.9])
+    def test_threshold_is_the_boundary_mean_of_the_dense_distances(self, s):
+        X = generate_shape("banana", seed=11)
+        spec = KernelSpec(GAUSSIAN, s)
+        model = train(X, spec, SolverConfig(f=0.001))
+        K = kernel_matrix(X, spec)
+        K_alphas = K @ model.alphas
+        dist_sq = 1.0 - 2.0 * K_alphas + float(model.alphas @ K_alphas)
+        boundary = model.boundary_sv_indices
+        assert boundary.size > 0
+        assert model.r_squared == max(float(dist_sq[boundary].mean()), 0.0)
+
+    def test_boundary_distances_that_disagree_are_a_numerical_error(self):
+        kkt_tol = 1e-6
+        alphas = np.array([0.25, 0.25, 0.5, 0.0])
+        boundary = np.array([0, 1])
+        dist_sq = np.array([0.5, 0.5 + 9 * kkt_tol, 0.7, 0.3])
+        assert solver._threshold(dist_sq, alphas, boundary, 0.5, kkt_tol) == pytest.approx(
+            0.5 + 4.5 * kkt_tol, abs=1e-15)
+        dist_sq[1] = 0.5 + 11 * kkt_tol
+        with pytest.raises(NumericalError, match="disagree on the threshold by 1.100e-05"):
+            solver._threshold(dist_sq, alphas, boundary, 0.5, kkt_tol)
 
 
 class TestScoring:
@@ -867,6 +880,27 @@ class TestSerialization:
         payload = two_point_model.to_dict()
         del payload[field]
         with pytest.raises(InputError, match=field):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("r_squared", math.nan, "'r_squared' must be non-negative and finite"),
+        ("r_squared", math.inf, "'r_squared' must be non-negative and finite"),
+        ("r_squared", -1e-3, "'r_squared' must be non-negative and finite"),
+        ("C", math.nan, "'C' must be positive and finite"),
+        ("C", math.inf, "'C' must be positive and finite"),
+        ("C", 0.0, "'C' must be positive and finite"),
+        ("dual_objective", math.nan, "'dual_objective' must be finite"),
+        ("dual_objective", -math.inf, "'dual_objective' must be finite"),
+        ("alphas", [math.nan, 0.5], "'alphas' must be non-negative and finite"),
+        ("alphas", [0.5, math.inf], "'alphas' must be non-negative and finite"),
+        ("alphas", [1.5, -0.5], "'alphas' must be non-negative and finite"),
+        ("support_vectors", [[0.0, 0.0], [math.nan, 0.0]], "support_vectors contains NaN"),
+        ("support_vectors", [[0.0, -math.inf], [2.0, 0.0]], "support_vectors contains NaN"),
+    ])
+    def test_field_that_is_not_finite_or_out_of_range_rejected(self, two_point_model, field,
+                                                               value, message):
+        payload = {**two_point_model.to_dict(), field: value}
+        with pytest.raises(InputError, match=message):
             model_from_dict(payload)
 
     def test_non_json_file_rejected(self, tmp_path):

@@ -82,6 +82,14 @@ class TestBandwidthGrid:
         with pytest.raises(InputError, match="positive and finite"):
             BandwidthGrid(*bounds)
 
+    def test_point_count_is_bounded_before_any_array(self):
+        assert BandwidthGrid(1.0, 100_000.0, 1.0).values().size == tuning.MAX_GRID_POINTS
+        with pytest.raises(InputError, match="100001 points"):
+            BandwidthGrid(1.0, 100_001.0, 1.0)
+        # the step count overflows to inf
+        with pytest.raises(InputError, match="inf points"):
+            BandwidthGrid(1e-300, 1e300, 1e-300)
+
     @pytest.mark.parametrize("grid, interior", [
         (BandwidthGrid(1.0, 1.5, 0.1), 4),
         (BandwidthGrid(1.0, 2.0, 0.1), 9),
