@@ -67,6 +67,11 @@ COMMANDS = (
     # 7.95e9 grid points: refused before any array is allocated
     ("tune-step-1e-9", ("tune", "--method", "peak", "--data", BANANA, "--s-step", "1e-9",
                         "--out", "tune.json"), True),
+    # 10^12 lattice cells: refused before any array is allocated
+    ("grid-res-huge", ("grid", "--model", MODEL, "--resolution", "1000000", "--out",
+                       "grid.csv"), True),
+    ("grid-padding-nan", ("grid", "--model", MODEL, "--padding", "nan", "--out", "grid.csv"),
+     True),
 )
 
 

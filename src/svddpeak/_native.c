@@ -1,9 +1,11 @@
 /* The compiled library of svddpeak, built on first use by ``_native.py``.
- * It exports three functions: ``svdd_smo_run``, the SMO inner loop,
- * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``, and
- * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``. Each
- * has a Python twin that runs where the library cannot be built; the
- * reader's is the row loop ``cli._read_csv_rows``.
+ * It exports four functions: ``svdd_smo_run``, the SMO inner loop,
+ * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``,
+ * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``, and
+ * ``svdd_sqdist``, the squared distances of ``kernel.squared_distances``.
+ * Each has a Python twin that runs where the library cannot be built; the
+ * reader's is the row loop ``cli._read_csv_rows``, the distances' the
+ * numpy loop ``kernel._numpy_squared_distances``.
  *
  * Inner loop of maximal-violating-pair SMO for the SVDD dual.
  *
@@ -720,4 +722,34 @@ done:
     free(block);
     fclose(fh);
     return result;
+}
+
+/* Squared Euclidean distances between the m rows of A and the n rows of B,
+ * each d >= 1 wide and row-major, into out (m x n, row-major):
+ * out[i * n + k] = sum over c of (A[i, c] - B[k, c])^2.
+ *
+ * The compiled twin of the numpy loop ``kernel._numpy_squared_distances``,
+ * bit for bit: the first difference is squared, then each later one is
+ * squared and added, in coordinate order, and each operation rounds once
+ * (the library is built with -ffp-contract=off, so no square is fused
+ * into its add). A sum past the float range is +inf, as numpy's is, and
+ * nothing is raised or signalled. */
+void svdd_sqdist(const double *A, const double *B, int64_t m, int64_t n, int64_t d,
+                 double *out)
+{
+    int64_t i, k, c;
+    for (i = 0; i < m; i++) {
+        const double *const a = A + i * d;
+        double *const row = out + i * n;
+        for (k = 0; k < n; k++) {
+            const double *const b = B + k * d;
+            double diff = a[0] - b[0];
+            double sum = diff * diff;
+            for (c = 1; c < d; c++) {
+                diff = a[c] - b[c];
+                sum += diff * diff;
+            }
+            row[k] = sum;
+        }
+    }
 }

@@ -1,6 +1,6 @@
 """The compiled library: built on first use, loaded with ctypes.
 
-``_native.c`` exports three functions, each with a twin that gives the
+``_native.c`` exports four functions, each with a twin that gives the
 same result where the library cannot be had:
 
 - ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
@@ -12,7 +12,10 @@ same result where the library cannot be had:
   ``datagen._python_blocks``), reached through ``csv_blocks()``;
 - ``svdd_csv_floats``, the CSV body reader (twin: the row loop
   ``cli._read_csv_rows``, which also reads every file the compiled
-  reader refuses), reached through ``csv_floats()``.
+  reader refuses), reached through ``csv_floats()``;
+- ``svdd_sqdist``, the squared distances of ``kernel.squared_distances``
+  (twin: the numpy loop ``kernel._numpy_squared_distances``), reached
+  through ``sqdist()``.
 
 The source is compiled once per source, flags and platform into the cache
 directory ``$XDG_CACHE_HOME/svddpeak`` (``~/.cache/svddpeak`` when the
@@ -57,8 +60,8 @@ FLOAT_CELL_BYTES = 24
 # longer line; a larger buffer showed up in the peak RSS of small runs
 CSV_BLOCK_BYTES = 1 << 16
 
-# (smo loop, csv blocks, csv floats, library) once the first user has asked;
-# None until then
+# (smo loop, csv blocks, csv floats, squared distances, library) once the
+# first user has asked; None until then
 _loaded = None
 
 
@@ -123,6 +126,9 @@ def _load():
     parse.restype = ctypes.c_int64
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                       ctypes.c_int64, ctypes.c_int64]
+    sq = lib.svdd_sqdist
+    sq.restype = None
+    sq.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
 
     def run(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
@@ -165,7 +171,17 @@ def _load():
             return None
         return out
 
-    return run, blocks, floats, lib
+    def distances(A, B):
+        for rows in (A, B):
+            if rows.dtype != np.float64 or rows.ndim != 2 or not rows.flags.c_contiguous:
+                raise ValueError("svdd_sqdist takes 2-D C-contiguous float64 rows")
+        if A.shape[1] != B.shape[1] or A.shape[1] < 1:
+            raise ValueError(f"svdd_sqdist: rows of width {A.shape[1]} and {B.shape[1]}")
+        out = np.empty((A.shape[0], B.shape[0]))
+        sq(A.ctypes.data, B.ctypes.data, A.shape[0], B.shape[0], A.shape[1], out.ctypes.data)
+        return out
+
+    return run, blocks, floats, distances, lib
 
 
 def _ensure_loaded():
@@ -174,7 +190,7 @@ def _ensure_loaded():
         try:
             _loaded = _load()
         except (OSError, ValueError, AttributeError):
-            _loaded = (None, None, None, None)
+            _loaded = (None, None, None, None, None)
     return _loaded
 
 
@@ -199,9 +215,18 @@ def csv_floats():
     return _ensure_loaded()[2]
 
 
+def sqdist():
+    """The compiled squared distances, with
+    ``kernel._numpy_squared_distances``'s signature and bits, or None when
+    they cannot be built or loaded. Both rows arguments must be 2-D
+    C-contiguous float64 arrays of one width, at least 1; any other is a
+    ValueError."""
+    return _ensure_loaded()[3]
+
+
 def library():
     """The loaded ``ctypes`` library, or None when the twins run."""
-    return _ensure_loaded()[3]
+    return _ensure_loaded()[4]
 
 
 def backend() -> dict:

@@ -47,6 +47,10 @@ CLUSTER_CENTERS = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
 # rows per string that write_csv_blocks writes
 WRITE_BLOCK_ROWS = 4096
 
+# the most lattice cells labeled_grid_over builds: scoring one lattice
+# holds a few arrays of this many doubles (0.13 GiB each)
+MAX_LATTICE_CELLS = 4096 * 4096
+
 _MAX_POLYGON_ATTEMPTS = 16
 
 
@@ -222,10 +226,16 @@ def make_labeled_grid(poly: Polygon, resolution=(200, 200)) -> LabeledGrid:
 def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon | None = None):
     """Inclusive lattice over the bounding box of 2-D points, each side
     widened by ``padding`` times its extent; labeled by ``poly`` when given,
-    else all False. Resolution is (rx, ry), at least 2 per axis."""
+    else all False. Resolution is (rx, ry), at least 2 per axis and at most
+    ``MAX_LATTICE_CELLS`` cells; ``padding`` is finite and at least 0."""
     rx, ry = int(resolution[0]), int(resolution[1])
     if rx < 2 or ry < 2:
         raise InputError(f"grid resolution must be at least 2 per axis, got {rx}x{ry}")
+    if rx * ry > MAX_LATTICE_CELLS:
+        raise InputError(f"grid resolution {rx}x{ry} has {rx * ry} cells, at most "
+                         f"{MAX_LATTICE_CELLS} are allowed")
+    if not 0.0 <= padding < np.inf:
+        raise InputError(f"grid padding must be a finite number at least 0, got {padding!r}")
     P = as_data_matrix(points)
     if P.shape[1] != 2:
         raise InputError("labeled grids are defined for 2-D data only")
@@ -233,8 +243,12 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     y_min, y_max = float(P[:, 1].min()), float(P[:, 1].max())
     pad_x = padding * (x_max - x_min)
     pad_y = padding * (y_max - y_min)
-    xs = np.linspace(x_min - pad_x, x_max + pad_x, rx)
-    ys = np.linspace(y_min - pad_y, y_max + pad_y, ry)
+    x_lo, x_hi, y_lo, y_hi = x_min - pad_x, x_max + pad_x, y_min - pad_y, y_max + pad_y
+    # false for a NaN too: a zero padding times an infinite extent
+    if not (x_hi - x_lo < np.inf and y_hi - y_lo < np.inf):
+        raise InputError(f"the grid box, padded by {padding!r}, is past the float range")
+    xs = np.linspace(x_lo, x_hi, rx)
+    ys = np.linspace(y_lo, y_hi, ry)
     if poly is None:
         return LabeledGrid(xs, ys, np.zeros(rx * ry, dtype=bool))
     # a lattice kept for its labels only: the points go once they are labeled

@@ -3,7 +3,10 @@
 The one kernel is the Gaussian ``exp(-||a - b||^2 / (2 s^2))`` with
 bandwidth ``s``. Every squared distance of the package comes from
 ``squared_distances``, as a sum of squared coordinate differences, never
-the dot-product expansion, which cancels on nearby points.
+the dot-product expansion, which cancels on nearby points. The sums run
+in one compiled pass (``_native.sqdist``, ``svdd_sqdist`` in ``_native.c``)
+when the library loads, else in the numpy loop
+``_numpy_squared_distances``; both round alike, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DimensionError, InputError
 
 GAUSSIAN = "gaussian"
@@ -70,7 +74,17 @@ def squared_distances(A, B) -> np.ndarray:
     one coordinate at a time in coordinate order, as a per-pair loop would.
     For B = A the result is exactly symmetric with a zero diagonal. A
     distance past the float range is inf, silently: its Gaussian kernel
-    value, 0, is the right one."""
+    value, 0, is the right one. A and B are 2-D of one width; a view that
+    is not C-contiguous float64 rows, such as a column slice, is copied."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    B = np.ascontiguousarray(B, dtype=np.float64)
+    return (_native.sqdist() or _numpy_squared_distances)(A, B)
+
+
+def _numpy_squared_distances(A, B) -> np.ndarray:
+    """The twin of the compiled ``svdd_sqdist``, with its roundings: the
+    first difference squared, then each later one squared and added, one
+    coordinate (one numpy pass over the block) at a time."""
     with np.errstate(over="ignore"):
         out = np.subtract(A[:, 0, None], B[None, :, 0])
         out *= out

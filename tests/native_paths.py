@@ -1,8 +1,9 @@
 """Pin the compiled library's functions to one path, so tests can hold
 every path to the reference: the SMO inner loop to a compiled pass
 (through the library's exported ``svdd_smo_level``) or the Python loop,
-the CSV row writer to the compiled writer or its Python twin, and the
-CSV body reader to the compiled reader or the row loop."""
+the CSV row writer to the compiled writer or its Python twin, the CSV
+body reader to the compiled reader or the row loop, and the squared
+distances to the compiled pass or the numpy loop."""
 
 import contextlib
 import ctypes
@@ -80,4 +81,23 @@ def pinned_reader(name):
     with pytest.MonkeyPatch.context() as patch:
         if name == "rows":
             patch.setattr(_native, "csv_floats", lambda: None)
+        yield
+
+
+def supported_distances() -> list:
+    """The squared-distance paths this host can run: the compiled pass
+    (svdd_sqdist) when the library builds, then the numpy loop
+    (kernel._numpy_squared_distances)."""
+    return (["compiled"] if _native.sqdist() is not None else []) + ["numpy"]
+
+
+@contextlib.contextmanager
+def pinned_distances(name):
+    """Compute squared distances on path ``name``; skip the test when the
+    host lacks it."""
+    if name not in supported_distances():
+        pytest.skip(f"the {name} squared distances cannot run on this host")
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "numpy":
+            patch.setattr(_native, "sqdist", lambda: None)
         yield

@@ -541,6 +541,34 @@ class TestScoreAndGrid:
         assert twin.read_bytes() == compiled.read_bytes()
         assert {row[-1] for row in read_rows(twin)[1:]} == {"inlier", "outlier"}
 
+    @pytest.mark.parametrize("argv, outputs", [
+        (["train", "--s", "0.2", "--data", "{data}", "--out", "model.json"], ["model.json"]),
+        (["tune", "--method", "peak", "--data", "{data}", "--out", "tune.json"],
+         ["tune.json", "tune_curve.csv"]),
+        (["grid", "--model", "{model}", "--out", "grid.csv"], ["grid.csv"]),
+    ], ids=["train-s0.2", "tune-peak", "grid"])
+    def test_without_a_compiler_the_twins_write_the_librarys_bytes(
+            self, banana_csv, tmp_path, monkeypatch, argv, outputs):
+        # every twin at once: the SMO loop, the CSV reader and writer and
+        # the squared distances
+        model = tmp_path / "model.json"
+        assert main(["train", "--s", "0.9", "--data", str(banana_csv),
+                     "--out", str(model)]) == EXIT_OK
+        argv = [a.format(data=banana_csv, model=model) for a in argv]
+        written = {}
+        for name in ("library", "twins"):
+            if name == "twins":
+                monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+                monkeypatch.setattr(_native, "_loaded", None)
+                monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(argv) == EXIT_OK
+            written[name] = {out: (work / out).read_bytes() for out in outputs}
+        assert _native.library() is None
+        assert written["twins"] == written["library"]
+
     @pytest.mark.parametrize("writer", WRITERS)
     def test_header_only_input_writes_only_the_header(self, model_path, tmp_path, writer):
         empty, out = tmp_path / "empty.csv", tmp_path / "scored.csv"
@@ -657,6 +685,36 @@ class TestScoreAndGrid:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--resolution", "1000000"], "error: grid resolution 1000000x1000000 has "
+         "1000000000000 cells, at most 16777216 are allowed\n"),
+        (["--resolution", "4097"], "error: grid resolution 4097x4097 has 16785409 cells, "
+         "at most 16777216 are allowed\n"),
+        (["--padding", "nan"], "error: grid padding must be a finite number at least 0, "
+         "got nan\n"),
+        (["--padding", "inf"], "error: grid padding must be a finite number at least 0, "
+         "got inf\n"),
+        (["--padding", "-0.6"], "error: grid padding must be a finite number at least 0, "
+         "got -0.6\n"),
+        (["--padding", "1e308"], "error: the grid box, padded by 1e+308, is past the float "
+         "range\n"),
+    ], ids=["resolution-1e6", "resolution-4097", "padding-nan", "padding-inf",
+            "padding-negative", "padding-past-range"])
+    def test_grid_lattice_out_of_bounds_is_usage_error(self, model_path, tmp_path, argv,
+                                                       message):
+        # a fresh interpreter, so a warning or traceback would show on stderr
+        work = tmp_path / "work"
+        work.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "svddpeak.cli", "grid", "--model", str(model_path), *argv,
+             "--out", "grid.csv"],
+            cwd=work, capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=_src_dir()),
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == message
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
     def test_grid_resolution_below_two_is_usage_error(self, model_path, tmp_path, capsys,

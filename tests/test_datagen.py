@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from svddpeak import kernel
+from svddpeak import datagen, kernel
 from svddpeak.datagen import (
     BANANA,
     SHAPE_KINDS,
@@ -17,6 +17,7 @@ from svddpeak.datagen import (
     PolygonConfig,
     generate_polygon,
     generate_shape,
+    labeled_grid_over,
     make_labeled_grid,
     make_star_polygon,
     points_in_polygon,
@@ -178,6 +179,26 @@ class TestLabeledGrid:
         else:
             grid = shape_truth_grid(kind, generate_shape(kind, seed=0), resolution=(30, 20))
         assert "points" not in vars(grid)
+
+    def test_cells_past_the_bound_are_refused_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(datagen, "MAX_LATTICE_CELLS", 12)
+        assert labeled_grid_over(UNIT_SQUARE.vertices, resolution=(3, 4)).resolution == (3, 4)
+        monkeypatch.setattr(np, "linspace", lambda *a, **kw: pytest.fail("array built"))
+        with pytest.raises(InputError, match="4x4 has 16 cells, at most 12"):
+            labeled_grid_over(UNIT_SQUARE.vertices, resolution=(4, 4))
+
+    @pytest.mark.parametrize("padding", [np.nan, np.inf, -np.inf, -0.6, -1e-300])
+    def test_padding_must_be_finite_and_at_least_zero(self, padding):
+        with pytest.raises(InputError, match="grid padding"):
+            labeled_grid_over(UNIT_SQUARE.vertices, resolution=(3, 3), padding=padding)
+
+    def test_padding_past_the_float_range_is_refused(self):
+        with pytest.raises(InputError, match="past the float range"):
+            labeled_grid_over(UNIT_SQUARE.vertices, resolution=(3, 3), padding=1e308)
+        # a zero padding keeps the box, but its extent is already infinite
+        wide = np.array([[-1e308, 0.0], [1e308, 1.0]])
+        with pytest.raises(InputError, match="past the float range"):
+            labeled_grid_over(wide, resolution=(3, 3))
 
     def test_label_count_must_match_lattice(self):
         with pytest.raises(InputError):

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from svddpeak import kernel
+from svddpeak import _native, kernel
 from svddpeak.errors import DimensionError, InputError
 from svddpeak.kernel import (
     GAUSSIAN,
@@ -20,6 +21,8 @@ from svddpeak.kernel import (
     neighbor_extremes,
     squared_distance_matrix,
 )
+
+from native_paths import pinned_distances, supported_distances
 
 # dimensions where summation order shows: numpy's pairwise sum departs from
 # a sequential sum from d = 9, and einsum from d = 3
@@ -149,25 +152,82 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("d", DIMENSIONS)
     def test_from_sq_is_plain_formula_bitwise(self, rng, d):
         X = rng.normal(size=(40, d))
-        sq = squared_distance_matrix(X)
-        assert np.array_equal(sq, squareform(pdist(X, "sqeuclidean")))
-        before = sq.copy()
-        for s in (0.05, 0.7, 3.0):
-            assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
-        assert np.array_equal(sq, before)
+        for path in supported_distances():
+            with pinned_distances(path):
+                sq = squared_distance_matrix(X)
+            assert np.array_equal(sq, squareform(pdist(X, "sqeuclidean"))), path
+            before = sq.copy()
+            for s in (0.05, 0.7, 3.0):
+                assert np.array_equal(kernel_matrix_from_sq(sq, s), np.exp(sq / (-2.0 * s * s)))
+            assert np.array_equal(sq, before)
 
 
     def test_distances_past_the_float_range_are_inf_without_a_warning(self):
         # the squares of 2e300 and of the sum overflow; inf is the right
         # distance, and its Gaussian entry, 0, the right kernel value
         X = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0], [0.0, 1e200]])
+        for path in supported_distances():
+            with pinned_distances(path), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sq = kernel.squared_distances(X, X)
+                K = kernel_matrix(X, KernelSpec(GAUSSIAN, 1.0))
+            assert sq[0, 1] == sq[1, 0] == sq[2, 3] == math.inf, path
+            assert K[0, 1] == K[2, 3] == 0.0
+            assert sq[0, 2] == math.inf and sq[2, 2] == 0.0
+
+
+@st.composite
+def _distance_operands(draw):
+    """(A, B): rows of one width d, 0-40 of each, as C-contiguous rows, a
+    column slice (X[:, 1:]) or fancy-indexed rows; signed zeros and values
+    up to +-1e200, so that some squares and sums overflow to inf."""
+    d = draw(st.integers(1, 40))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.0, -1.0]),
+                       st.floats(-1e200, 1e200))
+
+    def rows():
+        m = draw(st.integers(0, 40))
+        layout = draw(st.sampled_from(["rows", "column-slice", "fancy"]))
+        if layout == "rows":
+            return draw(arrays(np.float64, (m, d), elements=values))
+        if layout == "column-slice":
+            return draw(arrays(np.float64, (m, d + 1), elements=values))[:, 1:]
+        source = draw(arrays(np.float64, (draw(st.integers(1, 40)), d), elements=values))
+        picks = draw(st.lists(st.integers(0, source.shape[0] - 1), min_size=m, max_size=m))
+        return source[np.array(picks, dtype=np.intp)]
+
+    return rows(), rows()
+
+
+class TestSquaredDistancePaths:
+    """The compiled pass (``svdd_sqdist``) against its twin, the numpy loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands=_distance_operands())
+    def test_compiled_pass_gives_the_numpy_loops_bits(self, operands):
+        if _native.sqdist() is None:
+            pytest.skip("no compiled library on this host")
+        A, B = operands
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sq = kernel.squared_distances(X, X)
-            K = kernel_matrix(X, KernelSpec(GAUSSIAN, 1.0))
-        assert sq[0, 1] == sq[1, 0] == sq[2, 3] == math.inf
-        assert K[0, 1] == K[2, 3] == 0.0
-        assert sq[0, 2] == math.inf and sq[2, 2] == 0.0
+            got = kernel.squared_distances(A, B)
+        want = kernel._numpy_squared_distances(A, B)
+        assert got.shape == want.shape == (A.shape[0], B.shape[0])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("A, B", [
+        (np.ones((3, 2)), np.ones((4, 3))),
+        (np.ones((3, 0)), np.ones((4, 0))),
+        (np.ones((3, 3))[:, 1:], np.ones((4, 2))),
+        (np.ones((3, 2), dtype=np.float32), np.ones((4, 2))),
+        (np.ones(2), np.ones((4, 2))),
+    ], ids=["widths-differ", "zero-width", "column-slice", "float32", "one-dim"])
+    def test_compiled_pass_refuses_rows_it_cannot_read(self, A, B):
+        compiled = _native.sqdist()
+        if compiled is None:
+            pytest.skip("no compiled library on this host")
+        with pytest.raises(ValueError):
+            compiled(A, B)
 
 
 class TestCrossKernel:
@@ -186,9 +246,11 @@ class TestCrossKernel:
         Z = rng.normal(size=(50, d))
         X_before, Z_before = X.copy(), Z.copy()
         sq = cdist(Z, X, "sqeuclidean")
-        for s in (0.05, 0.7, 3.0):
-            got = cross_kernel(Z, X, KernelSpec(GAUSSIAN, s))
-            assert np.array_equal(got, np.exp(sq / (-2.0 * s * s)))
+        for path in supported_distances():
+            for s in (0.05, 0.7, 3.0):
+                with pinned_distances(path):
+                    got = cross_kernel(Z, X, KernelSpec(GAUSSIAN, s))
+                assert np.array_equal(got, np.exp(sq / (-2.0 * s * s))), path
         assert np.array_equal(X, X_before) and np.array_equal(Z, Z_before)
 
     def test_dimension_mismatch(self):
@@ -202,8 +264,10 @@ class TestNearestDistances:
         monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
         points = rng.normal(size=(60, 2))
         targets = rng.normal(size=(13, 2))
-        got = nearest_distances(points, targets)
-        assert np.array_equal(got, cdist(points, targets).min(axis=1))
+        for path in supported_distances():
+            with pinned_distances(path):
+                got = nearest_distances(points, targets)
+            assert np.array_equal(got, cdist(points, targets).min(axis=1)), path
 
 
 class TestNeighborExtremes:
@@ -213,13 +277,15 @@ class TestNeighborExtremes:
         monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
         X = rng.normal(size=(40, d))
         X[5] = X[17]  # a duplicate row: its nearest other row is at 0
-        sq = squared_distance_matrix(X)
+        sq = squareform(pdist(X, "sqeuclidean"))
         farthest = sq.max(axis=1)
         np.fill_diagonal(sq, np.inf)
-        nearest, got_farthest = neighbor_extremes(X)
-        assert np.array_equal(nearest, sq.min(axis=1))
-        assert np.array_equal(got_farthest, farthest)
-        assert nearest[5] == nearest[17] == 0.0
+        for path in supported_distances():
+            with pinned_distances(path):
+                nearest, got_farthest = neighbor_extremes(X)
+            assert np.array_equal(nearest, sq.min(axis=1)), path
+            assert np.array_equal(got_farthest, farthest), path
+            assert nearest[5] == nearest[17] == 0.0
 
     def test_a_lone_row_has_no_nearest_neighbor(self):
         nearest, farthest = neighbor_extremes(np.ones((1, 3)))
