@@ -30,6 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BANANA = "../shapes/banana.csv"
 MODEL = "../train/model.json"
+# four copies of one row, written next to the run directories
+IDENTICAL = "../identical.csv"
 
 # (directory, svddpeak arguments, whether the run fails on purpose)
 COMMANDS = (
@@ -72,6 +74,9 @@ COMMANDS = (
                        "grid.csv"), True),
     ("grid-padding-nan", ("grid", "--model", MODEL, "--padding", "nan", "--out", "grid.csv"),
      True),
+    # rows that all coincide: refused before any solve
+    ("tune-identical", ("tune", "--method", "peak", "--data", IDENTICAL, "--out", "tune.json"),
+     True),
 )
 
 
@@ -88,6 +93,7 @@ def digests(tree: Path) -> list:
             for name, argv, fails in COMMANDS] + [("shape-script", shape_script, False)]
     lines = []
     with tempfile.TemporaryDirectory() as top:
+        Path(top, "identical.csv").write_text("x1,x2\n" + "1.5,-2\n" * 4)
         for name, argv, fails in runs:
             cwd = Path(top, name)
             cwd.mkdir()

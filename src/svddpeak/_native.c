@@ -7,15 +7,10 @@
  * reader's is the row loop ``cli._read_csv_rows``, the distances' the
  * numpy loop ``kernel._numpy_squared_distances``.
  *
- * Inner loop of maximal-violating-pair SMO for the SVDD dual.
- *
- * The compiled twin of ``solver._run_python``: from the current state it
- * takes pairwise steps until the maximal violation is at most kkt_tol,
- * ``iterations`` reaches max_iterations or a step needs a kernel row that
- * is not filled, and returns ``iterations``. The caller owns the start,
- * the rows, the fresh re-derivation of the gradient and the convergence
- * error. Every rounding equals the numpy loop's, so the two give the same
- * alphas bit for bit:
+ * ``svdd_smo_run`` is the compiled twin of ``solver._run_python``, whose
+ * docstring states the loop's contract and whose steps it takes; the
+ * missing-row rule is ``solver._KernelRows``'s. Every rounding equals the
+ * numpy loop's, so the two give the same alphas bit for bit:
  *
  *   - the gradient update keeps numpy's order, d = K_i[k] - K_j[k];
  *     d *= 2 clipped; g[k] += d, and the library is built with
@@ -27,16 +22,7 @@
  *     the current one only when it is strictly smaller.
  *
  * The gradient update and the choice of the next pair share one pass
- * over n.
- *
- * K is the solver's n x n row buffer, row-major. A row k with filled[k]
- * nonzero is row k of the exactly symmetric Gram matrix; any other row
- * holds finite values the loop never reads. A step with the pair (i, j)
- * reads rows i and j in full, so before that step the loop checks both:
- * when one is not filled, it stops, writes that row's index to *missing
- * (else -1) and returns. The caller fills the row and calls again with the
- * same state. A call starts with selection only, so it picks the same
- * pair again and goes on as if it had never stopped.
+ * over n. K is the solver's n x n row buffer, row-major.
  *
  * The pass exists twice: scalar, and an 8-lane vector pass that runs when
  * the CPU has AVX-512F and n >= 8 (``svdd_smo_level``, set at load); every
@@ -247,8 +233,8 @@ int64_t svdd_smo_run(const double *K, const double *diag, double *alpha, double 
         const double violation = grad[j] - grad[i];
         if (violation <= kkt_tol)
             break;
-        if (!filled[i] || !filled[j]) {
-            *missing = filled[i] ? j : i;
+        if (!filled[i]) {
+            *missing = i;
             break;
         }
 

@@ -4,10 +4,7 @@
 same result where the library cannot be had:
 
 - ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
-  reached through ``smo_loop()``. It steps on the solver's kernel row
-  buffer and returns ``(iterations, row)``: ``row`` is -1 when the loop
-  converged or hit the iteration cap, else the index of a row it needs
-  that is not filled yet. The solver fills that row and calls again;
+  reached through ``smo_loop()``;
 - ``svdd_csv_rows``, the CSV cell writer (twin:
   ``datagen._python_blocks``), reached through ``csv_blocks()``;
 - ``svdd_csv_floats``, the CSV body reader (twin: the row loop
@@ -195,8 +192,8 @@ def _ensure_loaded():
 
 
 def smo_loop():
-    """The compiled inner loop, with ``solver._run_python``'s signature, or
-    None when it cannot be built or loaded."""
+    """The compiled inner loop, with ``solver._run_python``'s signature and
+    contract, or None when it cannot be built or loaded."""
     return _ensure_loaded()[0]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError
 from .kernel import (_gaussian, as_data_matrix, kernel_matrix_from_sq, neighbor_extremes,
-                     squared_distance_matrix)
+                     require_spread, squared_distance_matrix)
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -52,6 +52,7 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
     X = as_data_matrix(X)
     if X.shape[0] < 3:
         raise InputError("CV selection needs at least 3 observations")
+    require_spread(X)
     sq = squared_distance_matrix(X)[np.triu_indices(X.shape[0], 1)]
     s_values = grid.values()
     scores = np.empty(s_values.size)
@@ -71,9 +72,10 @@ def select_md(X, f: float = 0.001) -> BaselineResult:
         raise InputError("MD selection needs at least 2 observations")
     if not (0.0 < f < 1.0):
         raise InputError(f"outlier fraction f must lie in (0, 1), got {f!r}")
+    require_spread(X)
     d_max = float(np.sqrt(neighbor_extremes(X)[1].max()))
     if d_max == 0.0:
-        raise DegenerateInputError("all observations coincide; d_max = 0")
+        raise DegenerateInputError("every pairwise distance underflows to 0; d_max = 0")
     delta = 1.0 / (n * (1.0 - f) + 1.0)
     return BaselineResult(method=MD, s=d_max / float(np.sqrt(-np.log(delta))))
 
@@ -92,6 +94,7 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
     n = X.shape[0]
     if n < 3:
         raise InputError("DFN selection needs at least 3 observations")
+    require_spread(X)
     nearest, farthest = neighbor_extremes(X)
     s_values = grid.values()
     scores = np.empty(s_values.size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import DimensionError, InputError
+from .errors import DegenerateInputError, DimensionError, InputError
 
 GAUSSIAN = "gaussian"
 
@@ -124,10 +124,22 @@ def neighbor_extremes(X) -> tuple:
     return nearest, farthest
 
 
+def require_spread(X) -> None:
+    """DegenerateInputError when every row of the data matrix X is the same
+    point, that is when every column's range is 0: no bandwidth is better
+    than another for data without a distance. The check of every
+    bandwidth selector, made before any kernel entry is computed."""
+    if np.array_equal(X.min(axis=0), X.max(axis=0)):
+        raise DegenerateInputError("all observations coincide")
+
+
 def _gaussian(sq, s, out=None) -> np.ndarray:
     """exp(sq / (-2 s^2)) elementwise, the one place the Gaussian kernel is
-    computed: into ``out`` (``sq`` itself may be given), else a new array."""
-    K = np.divide(sq, -2.0 * s * s, out=out)
+    computed: into ``out`` (``sq`` itself may be given), else a new array.
+    A quotient past the float range (a tiny ``s``) is -inf, whose entry 0
+    is right, so its overflow warning is not raised."""
+    with np.errstate(over="ignore"):
+        K = np.divide(sq, -2.0 * s * s, out=out)
     return np.exp(K, out=K)
 
 

@@ -221,12 +221,14 @@ class _KernelRows:
     may hold anything finite, such as the rows of another bandwidth, but
     the diagonal must be the kernel's throughout.
 
-    Why an unfilled entry cannot change a bit of a solve: the support of
-    alpha is always filled (``_fit`` fills the start's support, and SMO
-    fills both rows of a pair before its step), so in ``K @ alpha`` an
-    unfilled entry K[r, k] is multiplied by alpha[k] = 0, which gives a
-    zero whatever the finite entry; and an SMO step reads only the rows of
-    its pair.
+    The support of alpha is always filled: ``_fit`` fills the start's
+    support, and a step of the pair (i, j) raises alpha only at i, whose
+    row the loop asks for first. j has alpha > 0 (``low_pen`` keeps the
+    others out of its argmax), so its row is filled already, and a
+    missing row is always i's. Hence an unfilled entry cannot change a bit
+    of a solve: in ``K @ alpha`` an unfilled entry K[r, k] is multiplied
+    by alpha[k] = 0, which gives a zero whatever the finite entry; and an
+    SMO step reads only the rows of its pair.
     """
 
     def __init__(self, K, source):
@@ -276,9 +278,10 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
     The pairwise steps run in an inner loop with two implementations of one
     contract: the compiled ``_native.c`` (built on first use, see
     ``_native``) and ``_run_python``, which runs when the library cannot be
-    built. Both give the same bits. The loop returns early, naming the row,
-    when its next pair needs a row that is not filled; the row is filled
-    and the loop resumes from the same state, gradient and all.
+    built. Both give the same bits. The loop returns early, naming row i of
+    its next pair when that row is not filled (see ``_KernelRows``); the
+    row is filled and the loop resumes from the same state, gradient and
+    all.
     """
     K = rows.K
     diag = np.ascontiguousarray(np.diag(K))
@@ -295,7 +298,7 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
             rows.fill(np.array([missing]))
             continue
         K_alpha, grad = _gradient(K, alpha, diag)
-        violation = _violation(grad, up_pen, low_pen)
+        _, _, violation = _pair(grad, up_pen, low_pen)
         if iterations >= max_iterations:
             raise ConvergenceError(
                 f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} "
@@ -317,75 +320,48 @@ def _gradient(K, alpha, diag):
     return K_alpha, grad
 
 
-def _violation(grad, up_pen, low_pen) -> float:
-    """grad[j] - grad[i] for i = argmin(grad + up_pen), j = argmax(grad + low_pen)."""
+def _pair(grad, up_pen, low_pen):
+    """The maximal-violating pair ``(i, j, grad[j] - grad[i])``: i =
+    argmin(grad + up_pen) and j = argmax(grad + low_pen), each the first
+    index on ties."""
     i = int((grad + up_pen).argmin())
     j = int((grad + low_pen).argmax())
-    return grad.item(j) - grad.item(i)
+    return i, j, grad.item(j) - grad.item(i)
 
 
 def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
                 max_iterations, iterations):
     """Take SMO steps in place until the maximal violation is at most
-    ``kkt_tol``, ``iterations`` reaches ``max_iterations`` or the next pair
-    needs a row k of ``K`` with ``filled[k]`` zero; returns ``(iterations,
-    k)``, with k = -1 unless a row was missing. The numpy twin of
-    ``svdd_smo_run`` in ``_native.c``.
+    ``kkt_tol``, ``iterations`` reaches ``max_iterations`` or row i of the
+    next pair is not filled; returns ``(iterations, i)`` in that last case,
+    else ``(iterations, -1)``. The numpy twin of ``svdd_smo_run`` in
+    ``_native.c``, with every rounding of it.
 
-    Per iteration numpy overhead is kept small without changing a single
-    rounding of the plain formulation (columns ``K[:, i]``, masks rebuilt
-    by ``np.where`` every step):
-
-    * the kernel matrix is exactly symmetric (``kernel_matrix`` and
-      ``_gaussian_rows`` guarantee it), so a step reads the contiguous
-      filled rows ``K[i]``, ``K[j]``;
-    * the bound masks are offset vectors, ``up_pen`` (+inf where alpha = C)
-      and ``low_pen`` (-inf where alpha = 0), updated only at the two
-      coordinates a step moves: i = argmin(grad + up_pen) and
-      j = argmax(grad + low_pen);
-    * the gradient update ``grad += (2 clipped) (K[i] - K[j])`` runs in
-      preallocated buffers, in the same order of operations;
-    * scalars are read as Python floats, which round exactly as numpy's.
+    ``up_pen`` is +inf where alpha = C and ``low_pen`` -inf where alpha = 0,
+    else 0; a step moves alpha, and so the penalties, only at i and j. The
+    kernel matrix is exactly symmetric, so a step reads the rows ``K[i]``
+    and ``K[j]`` for their columns.
     """
-    n = K.shape[0]
-    k_diag = diag.tolist()
-    masked = np.empty(n)
-    diff = np.empty(n)
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    inf = np.inf
     while iterations < max_iterations:
-        add(grad, up_pen, masked)
-        i = int(masked.argmin())
-        add(grad, low_pen, masked)
-        j = int(masked.argmax())
-        violation = grad.item(j) - grad.item(i)
+        i, j, violation = _pair(grad, up_pen, low_pen)
         if violation <= kkt_tol:
             break
-        if not filled.item(i):
+        if not filled[i]:
             return iterations, i
-        if not filled.item(j):
-            return iterations, j
-        K_i = K[i]
-        curvature = k_diag[i] + k_diag[j] - 2.0 * K_i.item(j)
-        if curvature > curvature_floor:
-            step = violation / (2.0 * curvature)
-        else:
-            step = inf
-        a_i = alpha.item(i)
-        a_j = alpha.item(j)
+        curvature = diag[i] + diag[j] - 2.0 * K[i, j]
+        step = violation / (2.0 * curvature) if curvature > curvature_floor else np.inf
+        a_i, a_j = alpha[i], alpha[j]
         room_i = C - a_i
         clipped = min(step, room_i, a_j)
         new_i = C if clipped >= room_i else a_i + clipped
         new_j = 0.0 if clipped >= a_j else a_j - clipped
         alpha[i] = new_i
         alpha[j] = new_j
-        up_pen[i] = 0.0 if new_i < C else inf
-        up_pen[j] = 0.0 if new_j < C else inf
-        low_pen[i] = 0.0 if new_i > 0.0 else -inf
-        low_pen[j] = 0.0 if new_j > 0.0 else -inf
-        subtract(K_i, K[j], diff)
-        multiply(diff, 2.0 * clipped, diff)
-        add(grad, diff, grad)
+        up_pen[i] = 0.0 if new_i < C else np.inf
+        up_pen[j] = 0.0 if new_j < C else np.inf
+        low_pen[i] = 0.0 if new_i > 0.0 else -np.inf
+        low_pen[j] = 0.0 if new_j > 0.0 else -np.inf
+        grad += (K[i] - K[j]) * (2.0 * clipped)
         iterations += 1
     return iterations, -1
 

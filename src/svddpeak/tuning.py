@@ -21,7 +21,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import InputError, NoPeakFoundError, SweepError
-from .kernel import as_data_matrix
+from .kernel import as_data_matrix, require_spread
 from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import SolverConfig
 
@@ -301,9 +301,12 @@ def select_bandwidth_peak(
     jobs: int = 1,
 ) -> PeakResult:
     """Sweep the grid, then find the first zero plateau. A grid too short
-    for ``find_peak``, or a ``min_run`` below 1, raises InputError before
-    any solve."""
+    for ``find_peak``, or a ``min_run`` below 1, raises InputError, and
+    rows that all coincide raise DegenerateInputError, before any
+    solve."""
     grid = grid or BandwidthGrid.low_dimensional()
     require_peak_grid(grid.values(), min_run)
+    X = as_data_matrix(X)
+    require_spread(X)
     curve = sweep_objective(X, f, grid, config=config, jobs=jobs)
     return find_peak(curve, min_run=min_run)

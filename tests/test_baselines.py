@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from svddpeak import kernel
+from svddpeak import kernel, solver
 from svddpeak.baselines import select_cv, select_dfn, select_md
 from svddpeak.datagen import generate_shape
 from svddpeak.errors import DegenerateInputError, InputError
-from svddpeak.tuning import BandwidthGrid
+from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak
 
 from oracles import dfn_curve, md_bandwidth
 
@@ -71,9 +71,10 @@ class TestSelectMd:
             values.append(select_md(X, f=0.001).s)
         assert values[0] > values[1] > values[2] > 0.0
 
-    def test_identical_points_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            select_md(np.ones((4, 2)), f=0.001)
+    def test_underflowing_distances_degenerate(self):
+        # distinct rows whose squared distance 1e-340 underflows to 0
+        with pytest.raises(DegenerateInputError, match="d_max = 0"):
+            select_md(np.array([[0.0], [1e-170], [0.0]]), f=0.001)
 
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
@@ -194,3 +195,30 @@ class TestSharedInvariances:
             base = select(X)
             assert select(Y) == pytest.approx(base, rel=1e-9)
             assert select(X[perm]) == pytest.approx(base, rel=1e-9)
+
+
+SELECTORS = {
+    "md": lambda X: select_md(X, f=0.001),
+    "cv": lambda X: select_cv(X, BandwidthGrid.low_dimensional()),
+    "dfn": lambda X: select_dfn(X, BandwidthGrid.low_dimensional()),
+    "peak": lambda X: select_bandwidth_peak(X, 0.001),
+}
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before refusing the rows")
+
+
+@pytest.mark.parametrize("method", sorted(SELECTORS))
+def test_identical_points_degenerate(method, monkeypatch):
+    # V*(s) is 0 at every s and every grid criterion is flat, so no
+    # bandwidth is better than another
+    monkeypatch.setattr(solver, "train_path", _no_solve)
+    with pytest.raises(DegenerateInputError, match="^all observations coincide$"):
+        SELECTORS[method](np.ones((4, 2)))
+
+
+def test_one_row_peak_degenerate(monkeypatch):
+    monkeypatch.setattr(solver, "train_path", _no_solve)
+    with pytest.raises(DegenerateInputError):
+        select_bandwidth_peak(np.array([[1.0, 2.0]]), 0.001)

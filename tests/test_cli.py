@@ -133,6 +133,17 @@ class TestTrain:
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
         assert done.stdout.startswith("trained on 3 rows: s=1 ")
 
+    def test_a_tiny_bandwidth_trains_quietly(self, two_point_csv, tmp_path):
+        # 2 s^2 is subnormal, so d^2 / (-2 s^2) overflows to -inf, whose
+        # kernel entry 0 is right
+        done = subprocess.run([sys.executable, "-m", "svddpeak.cli", "train", "--data",
+                               str(two_point_csv), "--s", "1e-155", "--f", "0.5",
+                               "--out", str(tmp_path / "m.json")],
+                              capture_output=True, text=True, env=dict(os.environ,
+                                                                       PYTHONPATH=_src_dir()))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.startswith("trained on 2 rows: s=1e-155 ")
+
     def test_reproducible_byte_identical(self, two_point_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -234,6 +245,18 @@ class TestTrainTune:
         assert json.loads(model_path.read_text())["s"] == tuned["s"] == report["s"]
         assert tuned == {"method": method, "s": report["s"], "s_low": report.get("s_low"),
                          "s_high": report.get("s_high")}
+
+    @pytest.mark.parametrize("argv", [("tune", "--method", "peak"), ("tune", "--method", "cv"),
+                                      ("tune", "--method", "md"), ("tune", "--method", "dfn"),
+                                      ("train", "--tune", "peak")],
+                             ids=["tune-peak", "tune-cv", "tune-md", "tune-dfn", "train-peak"])
+    def test_coincident_rows_exit_two(self, tmp_path, capsys, argv):
+        data = tmp_path / "same.csv"
+        save_dataset(data, np.ones((4, 2)))
+        out = tmp_path / "out.json"
+        assert main([*argv, "--data", str(data), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: all observations coincide\n"
+        assert sorted(tmp_path.iterdir()) == [data]
 
     def test_no_plateau_exits_three_from_tune_and_train(self, banana_csv, tmp_path, capsys):
         flags = ["--data", str(banana_csv), "--s-max", "0.6"]

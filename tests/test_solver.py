@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svddpeak import kernel, solver
+from svddpeak import _native, kernel, solver
 from svddpeak.datagen import (
     LabeledGrid,
     PolygonConfig,
@@ -511,6 +511,15 @@ def _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm):
     return K, C, alpha0
 
 
+def _sparse_warm_start(rng, alpha0, C, support_share):
+    """A warm start from a sparse support, as a sweep's are: about
+    ``support_share`` of the entries of ``alpha0`` kept, one set to C,
+    then rescaled and clipped as ``_fit`` does."""
+    alpha0 = np.where(rng.random(alpha0.size) < support_share, alpha0, 0.0)
+    alpha0[rng.integers(alpha0.size)] = C
+    return np.clip(alpha0 / alpha0.sum(), 0.0, C)
+
+
 class TestSmoMatchesReference:
 
     @pytest.fixture(scope="class")
@@ -605,10 +614,7 @@ class TestSmoMatchesReference:
         K, C, alpha0 = _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm)
         rng = np.random.default_rng([seed, 1])
         if warm:
-            # a warm start from a sparse support, as a sweep's are
-            alpha0 = np.where(rng.random(alpha0.size) < support_share, alpha0, 0.0)
-            alpha0[rng.integers(alpha0.size)] = C
-            alpha0 = np.clip(alpha0 / alpha0.sum(), 0.0, C)
+            alpha0 = _sparse_warm_start(rng, alpha0, C, support_share)
         buffer = rng.uniform(-1e3, 1e3, size=K.shape)
         np.fill_diagonal(buffer, np.diag(K))
         rows = solver._KernelRows(buffer, lambda index: K[index])
@@ -628,6 +634,70 @@ class TestSmoMatchesReference:
         assert got[1:3] == expected[1:3]
         assert np.array_equal(got[3], expected[3])
         assert rows.filled[got[0] > 0.0].all()
+
+    @pytest.mark.parametrize("name", PASSES)
+    @settings(max_examples=60, deadline=None)
+    @given(**RANDOM_PROBLEMS, support_share=st.floats(0.0, 1.0))
+    def test_only_rows_outside_the_support_are_requested(self, name, seed, n, integer_rows,
+                                                         near_copies, kind, s, f, warm,
+                                                         max_iterations, support_share):
+        if name not in supported_passes():
+            pytest.skip(f"the {name} pass cannot run on this host")
+        K, C, alpha0 = _random_problem(seed, n, integer_rows, near_copies, kind, s, f, warm)
+        if warm:
+            alpha0 = _sparse_warm_start(np.random.default_rng([seed, 1]), alpha0, C,
+                                        support_share)
+        requested = _requested_rows(name, K, C, alpha0, max_iterations)
+        assert all(alpha == 0.0 for _, alpha in requested)
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_a_warm_sweep_requests_only_rows_outside_the_support(self, banana_sq, name):
+        # a cold start fills every row; the warm starts after it grow
+        # their support by a few rows
+        n = banana_sq.shape[0]
+        C = SolverConfig(f=0.001).box_bound(n)
+        alpha0 = np.full(n, 1.0 / n)
+        requested = []
+        for s in (0.3, 0.4, 0.5, 0.6):
+            K = kernel_matrix_from_sq(banana_sq, s)
+            requested += _requested_rows(name, K, C, alpha0, 100_000)
+            alphas = reference_smo(K, C, 1e-6, 100_000, alpha0)[0]
+            alpha0 = np.clip(alphas / alphas.sum(), 0.0, C)
+        assert requested
+        assert all(alpha == 0.0 for _, alpha in requested)
+
+
+def _requested_rows(name, K, C, alpha0, max_iterations):
+    """``(row, alpha[row])`` for every row that ``solver._solve_smo`` fills
+    after its start, on pass ``name``, with alpha as it was when the row
+    was requested; the start fills only the rows of its support. Each time
+    the loop returns, every row with alpha > 0 must be filled."""
+    state, requested = {}, []
+
+    def source(index):
+        if "alpha" in state:
+            requested.extend(zip(index.tolist(), state["alpha"][index].tolist()))
+        return K[index]
+
+    buffer = np.zeros(K.shape)
+    np.fill_diagonal(buffer, np.diag(K))
+    rows = solver._KernelRows(buffer, source)
+    rows.fill(np.flatnonzero(alpha0 > 0.0))
+    with pinned(name), pytest.MonkeyPatch.context() as patch:
+        loop = _native.smo_loop() or solver._run_python
+
+        def recording(K, diag, alpha, grad, up_pen, low_pen, filled, *rest):
+            state["alpha"] = alpha
+            done = loop(K, diag, alpha, grad, up_pen, low_pen, filled, *rest)
+            assert filled[alpha > 0.0].all()
+            return done
+
+        patch.setattr(_native, "smo_loop", lambda: recording)
+        try:
+            solver._solve_smo(rows, C, 1e-6, max_iterations, alpha0)
+        except ConvergenceError:
+            pass
+    return requested
 
 
 class TestThreshold:
