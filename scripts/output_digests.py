@@ -32,6 +32,11 @@ BANANA = "../shapes/banana.csv"
 MODEL = "../train/model.json"
 # four copies of one row, written next to the run directories
 IDENTICAL = "../identical.csv"
+# four distinct rows whose squared distances all underflow to 0, written
+# there too
+UNDERFLOW = "../underflow.csv"
+# 20,000 rows: the compiled reader takes them in several blocks
+BIG = "../shapes-20k/banana.csv"
 
 # (directory, svddpeak arguments, whether the run fails on purpose)
 COMMANDS = (
@@ -42,10 +47,17 @@ COMMANDS = (
                     "--out", "tune.json"), False),
     ("tune-minrun5", ("tune", "--method", "peak", "--data", BANANA, "--min-run", "5",
                       "--kkt-tol", "1e-7", "--out", "tune.json"), False),
+    ("tune-cv", ("tune", "--method", "cv", "--data", BANANA, "--out", "tune.json"), False),
+    ("tune-dfn", ("tune", "--method", "dfn", "--data", BANANA, "--out", "tune.json"), False),
+    ("tune-md", ("tune", "--method", "md", "--data", BANANA, "--out", "tune.json"), False),
     ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
     # 129 boundary support vectors, whose mean distance is R^2
     ("train-s0.2", ("train", "--s", "0.2", "--data", BANANA, "--out", "model.json"), False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
+    # written by shapes, so every line ends in "\r\n"
+    ("shapes-20k", ("shapes", "--kind", "banana", "--n", "20000", "--seed", "12", "--out",
+                    "banana.csv"), False),
+    ("score-20k", ("score", "--model", MODEL, "--data", BIG, "--out", "scored.csv"), False),
     ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),
     ("simulate", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples", "200",
                   "--jobs", "2", "--out-dir", "."), False),
@@ -77,6 +89,8 @@ COMMANDS = (
     # rows that all coincide: refused before any solve
     ("tune-identical", ("tune", "--method", "peak", "--data", IDENTICAL, "--out", "tune.json"),
      True),
+    ("tune-underflow", ("tune", "--method", "peak", "--data", UNDERFLOW, "--out", "tune.json"),
+     True),
 )
 
 
@@ -94,6 +108,7 @@ def digests(tree: Path) -> list:
     lines = []
     with tempfile.TemporaryDirectory() as top:
         Path(top, "identical.csv").write_text("x1,x2\n" + "1.5,-2\n" * 4)
+        Path(top, "underflow.csv").write_text("x\n0\n1e-170\n0\n2e-170\n")
         for name, argv, fails in runs:
             cwd = Path(top, name)
             cwd.mkdir()

@@ -1,8 +1,9 @@
 /* The compiled library of svddpeak, built on first use by ``_native.py``.
- * It exports four functions: ``svdd_smo_run``, the SMO inner loop,
- * ``svdd_csv_rows``, the cell writer of ``datagen.write_csv_blocks``,
- * ``svdd_csv_floats``, the body reader of ``cli.read_csv_dataset``, and
- * ``svdd_sqdist``, the squared distances of ``kernel.squared_distances``.
+ * It exports four functions, none doing I/O: each computes over memory its
+ * caller owns. ``svdd_smo_run`` is the SMO inner loop, ``svdd_csv_rows``
+ * the cell writer of ``datagen.write_csv_blocks``, ``svdd_csv_floats`` the
+ * body parser of ``cli.read_csv_dataset``, and ``svdd_sqdist`` the squared
+ * distances of ``kernel.squared_distances``.
  * Each has a Python twin that runs where the library cannot be built; the
  * reader's is the row loop ``cli._read_csv_rows``, the distances' the
  * numpy loop ``kernel._numpy_squared_distances``.
@@ -217,7 +218,7 @@ static pass_fn choose_pass(int64_t n)
     return pass_scalar;
 }
 
-int64_t svdd_smo_run(const double *K, const double *diag, double *alpha, double *grad,
+int64_t svdd_smo_run(const double *K, double *alpha, double *grad,
                      double *up_pen, double *low_pen, const uint8_t *filled, int64_t n,
                      double C, double kkt_tol, double curvature_floor,
                      int64_t max_iterations, int64_t iterations, int64_t *missing)
@@ -240,7 +241,7 @@ int64_t svdd_smo_run(const double *K, const double *diag, double *alpha, double 
 
         const double *K_i = K + i * n;
         const double *K_j = K + j * n;
-        const double curvature = diag[i] + diag[j] - 2.0 * K_i[j];
+        const double curvature = K_i[i] + K_j[j] - 2.0 * K_i[j];
         const double step = curvature > curvature_floor ? violation / (2.0 * curvature)
                                                         : INFINITY;
         const double a_i = alpha[i];
@@ -507,9 +508,10 @@ int64_t svdd_csv_rows(int64_t start, int64_t stop, int64_t n_cols, const char *c
  * doubles, so m * 10^k (or m / 10^-k) rounds once. Every other cell goes
  * to strtod_l in the C locale, which rounds exactly, as float() does.
  *
- * The file is read in blocks of block_bytes. A line longer than a block is
- * refused, so an accepted cell is shorter than csv's default field limit
- * (131,072 characters) whenever a block is.
+ * Python (``_native.csv_floats``) reads the file and hands over blocks of
+ * whole lines; it refuses a line longer than a block, so an accepted cell
+ * is shorter than csv's default field limit (131,072 characters) whenever
+ * a block is.
  */
 
 static locale_t c_locale;
@@ -617,97 +619,46 @@ static const char *parse_row(const char *p, const char *end, int64_t n_cols, dou
     return p == end ? p : NULL;
 }
 
-/* The lines of fh from where it stands that are not blank, a last line
- * without an ending included; -1 when it cannot be read */
-static int64_t count_rows(FILE *fh, char *block, int64_t block_bytes)
+/* The lines of text[0 .. length): each ends in "\n" but a last one, which
+ * ends the file. With out NULL, returns how many are not blank; else
+ * parses them, n_cols cells a line and blank lines aside, into out, at most
+ * capacity rows, row-major, and returns the rows parsed. Returns -1 when a
+ * line is refused or there are more than capacity. text[length] is read,
+ * and must not continue a cell: after a "\n" no byte does, and a last line
+ * without an ending comes in a Python bytes object, whose buffer CPython
+ * always ends with a NUL. */
+int64_t svdd_csv_floats(const char *text, int64_t length, int64_t n_cols, double *out,
+                        int64_t capacity)
 {
-    int64_t rows = 0, length = 0; /* the bytes of the current line so far */
-    char first = 0;               /* and the first of them */
-    size_t got;
+    const char *p = text, *const end = text + length;
+    int64_t rows = 0;
 
-    while ((got = fread(block, 1, (size_t)block_bytes, fh)) > 0) {
-        const char *p = block, *const end = block + got;
-        for (;;) {
-            const char *const newline = memchr(p, '\n', (size_t)(end - p));
-            const char *const stop = newline ? newline : end;
-            if (length == 0 && stop > p)
-                first = *p;
-            length += stop - p;
-            if (newline == NULL)
-                break;
-            const int blank = length == 0 || (length == 1 && first == '\r');
-            rows += !blank;
-            length = 0;
-            p = newline + 1;
-        }
-    }
-    return ferror(fh) ? -1 : rows + (length > 0);
-}
-
-/* Parse the file at path from byte offset on: n_rows lines of n_cols cells,
- * blank lines aside, into out, row-major. Returns n_rows, or -1 when the
- * file is refused, does not hold n_rows such lines, or cannot be read.
- * With out NULL, returns the number of lines that are not blank from
- * offset on instead, or -1. */
-int64_t svdd_csv_floats(const char *path, int64_t offset, int64_t n_cols, double *out,
-                        int64_t n_rows, int64_t block_bytes)
-{
-    int64_t row = 0, held = 0, result = -1;
-    int at_end = 0;
-    char *block = NULL;
-    FILE *fh;
-
-    if (c_locale == (locale_t)0 || n_cols < 1 || block_bytes < 1)
+    if (c_locale == (locale_t)0 || n_cols < 1)
         return -1;
-    fh = fopen(path, "rb");
-    if (fh == NULL)
-        return -1;
-    /* one byte more: the NUL after a last line without an ending */
-    block = malloc((size_t)block_bytes + 1);
-    if (block == NULL || fseeko(fh, (off_t)offset, SEEK_SET) != 0)
-        goto done;
-    if (out == NULL) {
-        result = count_rows(fh, block, block_bytes);
-        goto done;
-    }
-    while (!at_end) {
-        const size_t want = (size_t)(block_bytes - held);
-        const size_t got = fread(block + held, 1, want, fh);
-        if (got < want) {
-            if (ferror(fh))
-                goto done;
-            at_end = 1;
-        }
-        const char *p = block;
-        const char *lines_end = block + held + got;
-        block[held + got] = '\0';
-        if (!at_end) /* the complete lines: up to the last "\n" */
-            while (lines_end > p && lines_end[-1] != '\n')
-                lines_end--;
-        while (p < lines_end) {
+    if (out != NULL) {
+        while (p < end) {
             const char *const blank = p + (*p == '\r');
-            if (blank < lines_end && *blank == '\n') {
+            if (blank < end && *blank == '\n') {
                 p = blank + 1;
                 continue;
             }
-            if (row == n_rows)
-                goto done;
-            p = parse_row(p, lines_end, n_cols, out + row * n_cols);
+            if (rows == capacity)
+                return -1;
+            p = parse_row(p, end, n_cols, out + rows * n_cols);
             if (p == NULL)
-                goto done;
-            row++;
+                return -1;
+            rows++;
         }
-        held = block + held + got - p;
-        if (held == block_bytes)
-            goto done; /* a line longer than a block */
-        memmove(block, p, (size_t)held);
+        return rows;
     }
-    if (row == n_rows)
-        result = row;
-done:
-    free(block);
-    fclose(fh);
-    return result;
+    for (;;) { /* a blank line holds at most a "\r" */
+        const char *const newline = memchr(p, '\n', (size_t)(end - p));
+        const char *const stop = newline ? newline : end;
+        rows += stop - p > (*p == '\r');
+        if (newline == NULL)
+            return rows;
+        p = newline + 1;
+    }
 }
 
 /* Squared Euclidean distances between the m rows of A and the n rows of B,

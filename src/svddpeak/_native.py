@@ -1,15 +1,15 @@
 """The compiled library: built on first use, loaded with ctypes.
 
-``_native.c`` exports four functions, each with a twin that gives the
-same result where the library cannot be had:
+``_native.c`` exports four functions, none doing I/O, each with a twin
+that gives the same result where the library cannot be had:
 
 - ``svdd_smo_run``, the SMO inner loop (twin: ``solver._run_python``),
   reached through ``smo_loop()``;
 - ``svdd_csv_rows``, the CSV cell writer (twin:
   ``datagen._python_blocks``), reached through ``csv_blocks()``;
-- ``svdd_csv_floats``, the CSV body reader (twin: the row loop
+- ``svdd_csv_floats``, the CSV body parser (twin: the row loop
   ``cli._read_csv_rows``, which also reads every file the compiled
-  reader refuses), reached through ``csv_floats()``;
+  reader refuses), reached through ``csv_floats()``, which reads the file;
 - ``svdd_sqdist``, the squared distances of ``kernel.squared_distances``
   (twin: the numpy loop ``kernel._numpy_squared_distances``), reached
   through ``sqdist()``.
@@ -53,8 +53,8 @@ _COMPILE_TIMEOUT_S = 120
 ISAS = ("scalar", "avx512f")
 # svdd_csv_rows's bound on the bytes of one float cell (FLOAT_CELL_BYTES)
 FLOAT_CELL_BYTES = 24
-# svdd_csv_floats reads a file this many bytes at a time and refuses a
-# longer line; a larger buffer showed up in the peak RSS of small runs
+# csv_floats reads a file this many bytes at a time and refuses a longer
+# line; a larger buffer showed up in the peak RSS of small runs
 CSV_BLOCK_BYTES = 1 << 16
 
 # (smo loop, csv blocks, csv floats, squared distances, library) once the
@@ -114,7 +114,7 @@ def _load():
     lib.svdd_smo_compiler.argtypes, lib.svdd_smo_compiler.restype = [], ctypes.c_char_p
     smo = lib.svdd_smo_run
     smo.restype = ctypes.c_int64
-    smo.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
+    smo.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     rows = lib.svdd_csv_rows
     rows.restype = ctypes.c_int64
@@ -122,15 +122,15 @@ def _load():
     parse = lib.svdd_csv_floats
     parse.restype = ctypes.c_int64
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                      ctypes.c_int64, ctypes.c_int64]
+                      ctypes.c_int64]
     sq = lib.svdd_sqdist
     sq.restype = None
     sq.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
 
-    def run(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
+    def run(K, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
         missing = ctypes.c_int64()
-        iterations = smo(K.ctypes.data, diag.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
+        iterations = smo(K.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
                          up_pen.ctypes.data, low_pen.ctypes.data, filled.ctypes.data,
                          K.shape[0], C, kkt_tol, curvature_floor, max_iterations, iterations,
                          ctypes.byref(missing))
@@ -158,15 +158,34 @@ def _load():
                 raise RuntimeError("svdd_csv_rows: a block outgrew its buffer")
             yield text[:written]
 
+    def lines(path, offset, n_cols, out):
+        # every block is read from the start of a line, so no partial line
+        # is carried into the next; the last block ends in CPython's NUL
+        count, capacity = 0, 0 if out is None else out.shape[0]
+        with open(path, "rb") as fh:
+            while True:
+                fh.seek(offset)
+                block = fh.read(CSV_BLOCK_BYTES)
+                at_end = len(block) < CSV_BLOCK_BYTES
+                length = len(block) if at_end else block.rfind(b"\n") + 1
+                if length == 0 and not at_end:
+                    return None  # a line longer than a block
+                got = parse(block, length, n_cols,
+                            None if out is None else out.ctypes.data + count * out.strides[0],
+                            capacity - count)
+                if got < 0:
+                    return None
+                count += got
+                if at_end:
+                    return count
+                offset += length
+
     def floats(path, offset, n_cols):
-        name = os.fsencode(path)
-        n_rows = parse(name, offset, n_cols, None, 0, CSV_BLOCK_BYTES)
-        if n_rows < 0:
+        n_rows = lines(path, offset, n_cols, None)
+        if n_rows is None:
             return None
         out = np.empty((n_rows, n_cols))
-        if parse(name, offset, n_cols, out.ctypes.data, n_rows, CSV_BLOCK_BYTES) != n_rows:
-            return None
-        return out
+        return out if lines(path, offset, n_cols, out) == n_rows else None
 
     def distances(A, B):
         for rows in (A, B):
@@ -208,7 +227,10 @@ def csv_floats():
     """The compiled body reader, or None when it cannot be built or loaded.
     It is called as ``floats(path, offset, n_cols)`` and returns the cells
     from byte ``offset`` on as an ``(n_rows, n_cols)`` float64 array, or
-    None when the file lies outside its grammar (``_native.c``)."""
+    None when the file lies outside its grammar (``_native.c``) or holds a
+    line longer than ``CSV_BLOCK_BYTES``. It reads the file twice in blocks
+    cut after their last line ending: ``svdd_csv_floats`` counts each
+    block's rows, then parses them into one array of exactly that many."""
     return _ensure_loaded()[2]
 
 

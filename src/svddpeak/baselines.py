@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
-from .kernel import (_gaussian, as_data_matrix, kernel_matrix_from_sq, neighbor_extremes,
-                     require_spread, squared_distance_matrix)
+from .errors import InputError
+from .kernel import (_gaussian, as_data_matrix, neighbor_extremes, require_spread,
+                     upper_triangle_distances)
 from .tuning import BandwidthGrid
 
 CV = "cv"
@@ -47,17 +47,19 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
     """Bandwidth maximizing the kernel-matrix coefficient of variation.
 
     Statistics are taken over the n(n-1)/2 distinct off-diagonal entries
-    with population variance.
+    with population variance. Their squared distances are taken from
+    blocks of rows, with no n x n matrix.
     """
     X = as_data_matrix(X)
     if X.shape[0] < 3:
         raise InputError("CV selection needs at least 3 observations")
     require_spread(X)
-    sq = squared_distance_matrix(X)[np.triu_indices(X.shape[0], 1)]
+    sq = upper_triangle_distances(X)
+    k = np.empty_like(sq)
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
-        k = kernel_matrix_from_sq(sq, s)
+        _gaussian(sq, s, out=k)
         scores[i] = np.var(k) / (np.mean(k) + epsilon)
     best = _argmax_smallest(scores)
     return BaselineResult(method=CV, s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
@@ -74,8 +76,6 @@ def select_md(X, f: float = 0.001) -> BaselineResult:
         raise InputError(f"outlier fraction f must lie in (0, 1), got {f!r}")
     require_spread(X)
     d_max = float(np.sqrt(neighbor_extremes(X)[1].max()))
-    if d_max == 0.0:
-        raise DegenerateInputError("every pairwise distance underflows to 0; d_max = 0")
     delta = 1.0 / (n * (1.0 - f) + 1.0)
     return BaselineResult(method=MD, s=d_max / float(np.sqrt(-np.log(delta))))
 

@@ -124,13 +124,37 @@ def neighbor_extremes(X) -> tuple:
     return nearest, farthest
 
 
+def upper_triangle_distances(X) -> np.ndarray:
+    """The squared distances of the row pairs i < j of X in the order of
+    ``np.triu_indices(n, 1)``, from blocks of rows as ``neighbor_extremes``
+    takes them, with no n x n matrix: the bits of the whole one."""
+    n = X.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    at = 0
+    for start in range(0, n, _NEAREST_BLOCK_ROWS):
+        # row r against the rows after the block's first: its part of the
+        # triangle starts at column r - start
+        block = squared_distances(X[start:start + _NEAREST_BLOCK_ROWS], X[start + 1:])
+        for k, row in enumerate(block):
+            out[at:at + row.size - k] = row[k:]
+            at += row.size - k
+        del block
+    return out
+
+
 def require_spread(X) -> None:
-    """DegenerateInputError when every row of the data matrix X is the same
-    point, that is when every column's range is 0: no bandwidth is better
-    than another for data without a distance. The check of every
-    bandwidth selector, made before any kernel entry is computed."""
-    if np.array_equal(X.min(axis=0), X.max(axis=0)):
-        raise DegenerateInputError("all observations coincide")
+    """DegenerateInputError when every squared distance between rows of the
+    data matrix X is 0: no bandwidth is better than another for data
+    without a distance. That is when every column's range squares to 0:
+    the difference of two entries of a column is at most its range, and
+    the range is one such difference. The check of every bandwidth
+    selector, made before any kernel entry is computed."""
+    with np.errstate(over="ignore"):
+        spread = X.max(axis=0) - X.min(axis=0)
+        if (spread * spread).any():
+            return
+    raise DegenerateInputError("every squared distance between observations underflows to 0"
+                               if spread.any() else "all observations coincide")
 
 
 def _gaussian(sq, s, out=None) -> np.ndarray:

@@ -284,20 +284,19 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
     all.
     """
     K = rows.K
-    diag = np.ascontiguousarray(np.diag(K))
     alpha = np.asarray(alpha0, dtype=float).copy()
-    _, grad = _gradient(K, alpha, diag)
+    _, grad = _gradient(K, alpha)
     up_pen = np.where(alpha < C, 0.0, np.inf)
     low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
     run = _native.smo_loop() or _run_python
     iterations = 0
     while True:
-        iterations, missing = run(K, diag, alpha, grad, up_pen, low_pen, rows.filled, C,
-                                  kkt_tol, _CURVATURE_FLOOR, max_iterations, iterations)
+        iterations, missing = run(K, alpha, grad, up_pen, low_pen, rows.filled, C, kkt_tol,
+                                  _CURVATURE_FLOOR, max_iterations, iterations)
         if missing >= 0:
             rows.fill(np.array([missing]))
             continue
-        K_alpha, grad = _gradient(K, alpha, diag)
+        K_alpha, grad = _gradient(K, alpha)
         _, _, violation = _pair(grad, up_pen, low_pen)
         if iterations >= max_iterations:
             raise ConvergenceError(
@@ -311,10 +310,11 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
             return alpha, max(violation, 0.0), iterations, K_alpha
 
 
-def _gradient(K, alpha, diag):
-    """(K @ alpha, 2 K @ alpha - diag); NumericalError if that is not finite."""
+def _gradient(K, alpha):
+    """(K @ alpha, 2 K @ alpha - diag(K)); NumericalError if that is not
+    finite."""
     K_alpha = K @ alpha
-    grad = 2.0 * K_alpha - diag
+    grad = 2.0 * K_alpha - np.diag(K)
     if not np.isfinite(grad).all():
         raise NumericalError("the SMO gradient is not finite: a kernel row holds NaN or inf")
     return K_alpha, grad
@@ -329,7 +329,7 @@ def _pair(grad, up_pen, low_pen):
     return i, j, grad.item(j) - grad.item(i)
 
 
-def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
+def _run_python(K, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
                 max_iterations, iterations):
     """Take SMO steps in place until the maximal violation is at most
     ``kkt_tol``, ``iterations`` reaches ``max_iterations`` or row i of the
@@ -348,7 +348,7 @@ def _run_python(K, diag, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curva
             break
         if not filled[i]:
             return iterations, i
-        curvature = diag[i] + diag[j] - 2.0 * K[i, j]
+        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
         step = violation / (2.0 * curvature) if curvature > curvature_floor else np.inf
         a_i, a_j = alpha[i], alpha[j]
         room_i = C - a_i

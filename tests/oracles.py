@@ -180,6 +180,17 @@ def dfn_curve(X, s_values):
     return scores
 
 
+def cv_curve(X, s_values, epsilon=1e-6):
+    """The CV criterion at each s of ``s_values``, from the upper triangle
+    of the whole squared-distance matrix."""
+    sq = squared_distance_matrix(X)[np.triu_indices(X.shape[0], 1)]
+    scores = np.empty(len(s_values))
+    for i, s in enumerate(s_values):
+        k = kernel_matrix_from_sq(sq, s)
+        scores[i] = np.var(k) / (np.mean(k) + epsilon)
+    return scores
+
+
 def md_bandwidth(X, f):
     """The MD bandwidth d_max / sqrt(-ln delta), delta = 1 / (n (1 - f) + 1),
     with d_max from the whole squared-distance matrix."""

@@ -5,11 +5,11 @@ import pytest
 
 from svddpeak import kernel, solver
 from svddpeak.baselines import select_cv, select_dfn, select_md
-from svddpeak.datagen import generate_shape
+from svddpeak.datagen import PolygonConfig, generate_polygon, generate_shape, sample_interior
 from svddpeak.errors import DegenerateInputError, InputError
 from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak
 
-from oracles import dfn_curve, md_bandwidth
+from oracles import cv_curve, dfn_curve, md_bandwidth
 
 # simplex vertices: every pairwise squared distance is exactly 2.0 in floats
 EQUIDISTANT = np.eye(3)
@@ -71,11 +71,6 @@ class TestSelectMd:
             values.append(select_md(X, f=0.001).s)
         assert values[0] > values[1] > values[2] > 0.0
 
-    def test_underflowing_distances_degenerate(self):
-        # distinct rows whose squared distance 1e-340 underflows to 0
-        with pytest.raises(DegenerateInputError, match="d_max = 0"):
-            select_md(np.array([[0.0], [1e-170], [0.0]]), f=0.001)
-
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
             select_md(np.zeros((1, 2)))
@@ -130,6 +125,19 @@ class TestSelectCv:
         import inspect
 
         assert inspect.signature(select_cv).parameters["epsilon"].default == 1e-6
+
+    @pytest.mark.parametrize("kind", ["banana", "star", "three_cluster", "polygon"])
+    def test_curve_equals_the_dense_formula(self, kind, monkeypatch):
+        # a block size that leaves a partial last block on every set
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", 97)
+        if kind == "polygon":
+            X = sample_interior(generate_polygon(PolygonConfig(k=10, seed=3)), 600, seed=4)
+        else:
+            X = generate_shape(kind, seed=0)
+        grid = BandwidthGrid.low_dimensional()
+        curve = select_cv(X, grid).curve
+        assert np.array_equal(curve[:, 0], grid.values())
+        assert np.array_equal(curve[:, 1], cv_curve(X, grid.values()))
 
 
 class TestSelectDfn:
@@ -216,6 +224,16 @@ def test_identical_points_degenerate(method, monkeypatch):
     monkeypatch.setattr(solver, "train_path", _no_solve)
     with pytest.raises(DegenerateInputError, match="^all observations coincide$"):
         SELECTORS[method](np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("method", sorted(SELECTORS))
+def test_underflowing_distances_degenerate(method, monkeypatch):
+    # distinct rows, but every squared distance (1e-340, 4e-340) underflows
+    # to 0, so every kernel entry is 1, as for identical rows
+    monkeypatch.setattr(solver, "train_path", _no_solve)
+    with pytest.raises(DegenerateInputError,
+                       match="^every squared distance between observations underflows to 0$"):
+        SELECTORS[method](np.array([[0.0, 5.0], [1e-170, 5.0], [0.0, 5.0], [2e-170, 5.0]]))
 
 
 def test_one_row_peak_degenerate(monkeypatch):

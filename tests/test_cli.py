@@ -258,6 +258,18 @@ class TestTrainTune:
         assert capsys.readouterr().err == "error: all observations coincide\n"
         assert sorted(tmp_path.iterdir()) == [data]
 
+    @pytest.mark.parametrize("method", ["peak", "cv", "md", "dfn"])
+    def test_underflowing_distances_exit_two(self, tmp_path, capsys, method):
+        # distinct rows, but every squared distance underflows to 0
+        data = tmp_path / "tiny.csv"
+        data.write_text("x\n0\n1e-170\n0\n2e-170\n")
+        out = tmp_path / "out.json"
+        assert main(["tune", "--method", method, "--data", str(data),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: every squared distance between observations underflows to 0\n")
+        assert sorted(tmp_path.iterdir()) == [data]
+
     def test_no_plateau_exits_three_from_tune_and_train(self, banana_csv, tmp_path, capsys):
         flags = ["--data", str(banana_csv), "--s-max", "0.6"]
         report_path, model_path = tmp_path / "report.json", tmp_path / "model.json"

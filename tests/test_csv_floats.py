@@ -125,3 +125,50 @@ def test_a_row_longer_than_a_block_goes_to_the_row_loop(floats, tmp_path, monkey
     assert _read(floats, path, b"1,2\n12345,67890\n3,4\n") is None
     _, X, _ = cli.read_csv_dataset(path)
     assert X.tolist() == [[1, 2], [12345, 67890], [3, 4]]
+
+
+# a body: lines of two cells or blank, each ended by "\n" or "\r\n", the
+# last one maybe without an ending
+LINES = st.lists(st.tuples(
+    st.one_of(st.none(), st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(-10**6, 10**6))),
+    st.sampled_from([b"\n", b"\r\n"])), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=LINES, ended=st.booleans(), data=st.data())
+def test_any_block_split_reads_as_the_whole_file(floats, tmp_path_factory, lines, ended, data):
+    texts = [b"" if cells is None else b"%r,%d" % cells for cells, _ in lines]
+    endings = [ending for _, ending in lines]
+    if texts and texts[-1] and not ended:
+        endings[-1] = b""
+    path = tmp_path_factory.mktemp("splits") / "data.csv"
+    whole = _read(floats, path, b"".join(t + e for t, e in zip(texts, endings)))
+    # a block holds a whole line with its ending; a last line without one
+    # needs a byte more, as the read that ends the file is a short one
+    longest = max((len(t) + max(len(e), 1) for t, e in zip(texts, endings)), default=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "CSV_BLOCK_BYTES", data.draw(st.integers(longest, 256)))
+        got = floats(path, len(HEADER), 2)
+    want = np.array([[float(c) for c in t.split(b",")] for t in texts if t]).reshape(-1, 2)
+    assert whole is not None and got is not None
+    assert got.shape == whole.shape == want.shape
+    assert got.tobytes() == whole.tobytes() == want.tobytes()
+
+
+def test_the_library_parses_a_buffer_it_is_handed():
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no compiled reader on this host")
+    text = b"1,2\r\n\n3.5, -4e1\n\r\n5,6"
+    parse = lib.svdd_csv_floats
+    assert parse(text, len(text), 2, None, 0) == 3
+    assert parse(text, 5, 2, None, 0) == 1  # "1,2\r\n" alone
+    out = np.zeros((3, 2))
+    assert parse(text, len(text), 2, out.ctypes.data, 3) == 3
+    assert out.tolist() == [[1.0, 2.0], [3.5, -40.0], [5.0, 6.0]]
+    # a third row does not fit: refused, and nothing written past the two
+    small = np.zeros((3, 2))
+    assert parse(text, len(text), 2, small.ctypes.data, 2) == -1
+    assert small.tolist() == [[1.0, 2.0], [3.5, -40.0], [0.0, 0.0]]
+    assert parse(b"1,x\n", 4, 2, out.ctypes.data, 3) == -1

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from svddpeak import _native, kernel
-from svddpeak.errors import DimensionError, InputError
+from svddpeak.errors import DegenerateInputError, DimensionError, InputError
 from svddpeak.kernel import (
     GAUSSIAN,
     KernelSpec,
@@ -19,7 +19,9 @@ from svddpeak.kernel import (
     kernel_matrix_from_sq,
     nearest_distances,
     neighbor_extremes,
+    require_spread,
     squared_distance_matrix,
+    upper_triangle_distances,
 )
 
 from native_paths import pinned_distances, supported_distances
@@ -290,6 +292,39 @@ class TestNeighborExtremes:
     def test_a_lone_row_has_no_nearest_neighbor(self):
         nearest, farthest = neighbor_extremes(np.ones((1, 3)))
         assert nearest.tolist() == [math.inf] and farthest.tolist() == [0.0]
+
+
+class TestUpperTriangleDistances:
+    @pytest.mark.parametrize("block_rows", [1, 7, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_matches_the_whole_matrix_bitwise(self, rng, monkeypatch, block_rows, n):
+        monkeypatch.setattr(kernel, "_NEAREST_BLOCK_ROWS", block_rows)
+        X = rng.normal(size=(n, 3))
+        for path in supported_distances():
+            with pinned_distances(path):
+                got = upper_triangle_distances(X)
+                want = squared_distance_matrix(X)[np.triu_indices(n, 1)]
+            assert got.tobytes() == want.tobytes(), path
+
+
+class TestRequireSpread:
+    # 2^-537 squares to the least subnormal, 2^-538 to 0
+    @pytest.mark.parametrize("rows", [
+        [[0.0], [2.0**-537]],
+        [[1.0, 0.0], [1.0 + 2.0**-52, 0.0], [1.0, 2.0**-538]],
+        [[-1e308], [1e308]],  # the range overflows to inf
+    ])
+    def test_a_distance_that_does_not_underflow_passes(self, rows):
+        require_spread(np.array(rows))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.5, -2.0]] * 3, "all observations coincide"),
+        ([[0.0, 7.0], [2.0**-538, 7.0], [2.0**-539, 7.0]],
+         "every squared distance between observations underflows to 0"),
+    ])
+    def test_data_without_a_distance_is_degenerate(self, rows, message):
+        with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+            require_spread(np.array(rows))
 
 
 class TestDataValidation:

@@ -53,4 +53,4 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert "exit 2  tune-kkt-nan" in lines and "exit 2  tune-step-nan" in lines
     assert "exit 2  tune-step-1e-9" in lines
     assert "exit 2  grid-res-huge" in lines and "exit 2  grid-padding-nan" in lines
-    assert "exit 2  tune-identical" in lines
+    assert "exit 2  tune-identical" in lines and "exit 2  tune-underflow" in lines

@@ -686,9 +686,9 @@ def _requested_rows(name, K, C, alpha0, max_iterations):
     with pinned(name), pytest.MonkeyPatch.context() as patch:
         loop = _native.smo_loop() or solver._run_python
 
-        def recording(K, diag, alpha, grad, up_pen, low_pen, filled, *rest):
+        def recording(K, alpha, grad, up_pen, low_pen, filled, *rest):
             state["alpha"] = alpha
-            done = loop(K, diag, alpha, grad, up_pen, low_pen, filled, *rest)
+            done = loop(K, alpha, grad, up_pen, low_pen, filled, *rest)
             assert filled[alpha > 0.0].all()
             return done
 
