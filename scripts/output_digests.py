@@ -38,7 +38,8 @@ UNDERFLOW = "../underflow.csv"
 # 20,000 rows: the compiled reader takes them in several blocks
 BIG = "../shapes-20k/banana.csv"
 
-# (directory, svddpeak arguments, whether the run fails on purpose)
+# (directory, svddpeak arguments, whether the run fails on purpose[, the
+# file piped to its stdin])
 COMMANDS = (
     ("shapes", ("shapes", "--kind", "banana", "--seed", "11", "--out", "banana.csv"), False),
     ("tune-jobs1", ("tune", "--method", "peak", "--data", BANANA, "--jobs", "1",
@@ -58,6 +59,9 @@ COMMANDS = (
     ("shapes-20k", ("shapes", "--kind", "banana", "--n", "20000", "--seed", "12", "--out",
                     "banana.csv"), False),
     ("score-20k", ("score", "--model", MODEL, "--data", BIG, "--out", "scored.csv"), False),
+    # the same rows through a pipe
+    ("score-20k-stdin", ("score", "--model", MODEL, "--data", "/dev/stdin", "--out",
+                         "scored.csv"), False, BIG),
     ("grid", ("grid", "--model", MODEL, "--out", "grid.csv"), False),
     ("simulate", ("simulate", "--vertices", "5,10", "--per-count", "2", "--samples", "200",
                   "--jobs", "2", "--out-dir", "."), False),
@@ -103,16 +107,18 @@ def digests(tree: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     shape_script = (sys.executable, str(tree / "scripts" / "run_shape_benchmark.py"),
                     "--out-dir", ".")
-    runs = [(name, (sys.executable, "-m", "svddpeak.cli", *argv), fails)
-            for name, argv, fails in COMMANDS] + [("shape-script", shape_script, False)]
+    runs = [(name, (sys.executable, "-m", "svddpeak.cli", *argv), fails, *stdin)
+            for name, argv, fails, *stdin in COMMANDS] + [("shape-script", shape_script, False)]
     lines = []
     with tempfile.TemporaryDirectory() as top:
         Path(top, "identical.csv").write_text("x1,x2\n" + "1.5,-2\n" * 4)
         Path(top, "underflow.csv").write_text("x\n0\n1e-170\n0\n2e-170\n")
-        for name, argv, fails in runs:
+        for name, argv, fails, *stdin in runs:
             cwd = Path(top, name)
             cwd.mkdir()
-            done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
+            piped = Path(cwd, *stdin).read_bytes() if stdin else None
+            done = subprocess.run(argv, cwd=cwd, env=env, input=piped, capture_output=True,
+                                  timeout=600)
             if not fails and done.returncode != 0:
                 raise SystemExit(f"{name} exited {done.returncode}:\n"
                                  f"{done.stderr.decode(errors='replace')}")

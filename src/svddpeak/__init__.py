@@ -11,7 +11,7 @@ _HOMES = {
                 "make_labeled_grid", "sample_interior"),
     "evaluation": ("ConfusionCounts", "F1SweepResult", "Metrics", "SimulationReport",
                    "compute_metrics", "f1_sweep", "polygon_study", "score_grid"),
-    "kernel": ("GAUSSIAN", "KernelSpec", "kernel_matrix"),
+    "kernel": ("GAUSSIAN", "KernelSpec"),
     "smoothing": ("SplineConfig", "SplineFit", "ci_contains_zero", "fit_pspline"),
     "solver": ("PositionReport", "SolverConfig", "SvddModel", "classify", "load_model",
                "position_report", "score_distances", "score_lattice", "train", "train_path"),

@@ -158,34 +158,33 @@ def _load():
                 raise RuntimeError("svdd_csv_rows: a block outgrew its buffer")
             yield text[:written]
 
-    def lines(path, offset, n_cols, out):
+    def lines(file, offset, n_cols, out):
         # every block is read from the start of a line, so no partial line
         # is carried into the next; the last block ends in CPython's NUL
         count, capacity = 0, 0 if out is None else out.shape[0]
-        with open(path, "rb") as fh:
-            while True:
-                fh.seek(offset)
-                block = fh.read(CSV_BLOCK_BYTES)
-                at_end = len(block) < CSV_BLOCK_BYTES
-                length = len(block) if at_end else block.rfind(b"\n") + 1
-                if length == 0 and not at_end:
-                    return None  # a line longer than a block
-                got = parse(block, length, n_cols,
-                            None if out is None else out.ctypes.data + count * out.strides[0],
-                            capacity - count)
-                if got < 0:
-                    return None
-                count += got
-                if at_end:
-                    return count
-                offset += length
+        while True:
+            file.seek(offset)
+            block = file.read(CSV_BLOCK_BYTES)
+            at_end = len(block) < CSV_BLOCK_BYTES
+            length = len(block) if at_end else block.rfind(b"\n") + 1
+            if length == 0 and not at_end:
+                return None  # a line longer than a block
+            got = parse(block, length, n_cols,
+                        None if out is None else out.ctypes.data + count * out.strides[0],
+                        capacity - count)
+            if got < 0:
+                return None
+            count += got
+            if at_end:
+                return count
+            offset += length
 
-    def floats(path, offset, n_cols):
-        n_rows = lines(path, offset, n_cols, None)
+    def floats(file, offset, n_cols):
+        n_rows = lines(file, offset, n_cols, None)
         if n_rows is None:
             return None
         out = np.empty((n_rows, n_cols))
-        return out if lines(path, offset, n_cols, out) == n_rows else None
+        return out if lines(file, offset, n_cols, out) == n_rows else None
 
     def distances(A, B):
         for rows in (A, B):
@@ -225,12 +224,13 @@ def csv_blocks():
 
 def csv_floats():
     """The compiled body reader, or None when it cannot be built or loaded.
-    It is called as ``floats(path, offset, n_cols)`` and returns the cells
-    from byte ``offset`` on as an ``(n_rows, n_cols)`` float64 array, or
-    None when the file lies outside its grammar (``_native.c``) or holds a
-    line longer than ``CSV_BLOCK_BYTES``. It reads the file twice in blocks
-    cut after their last line ending: ``svdd_csv_floats`` counts each
-    block's rows, then parses them into one array of exactly that many."""
+    Called as ``floats(file, offset, n_cols)`` on a seekable binary file, it
+    opens nothing and returns the cells from byte ``offset`` on as an
+    ``(n_rows, n_cols)`` float64 array, or None when the file lies outside
+    its grammar (``_native.c``) or holds a line longer than
+    ``CSV_BLOCK_BYTES``. It reads the file twice in blocks cut after their
+    last line ending: ``svdd_csv_floats`` counts each block's rows, then
+    parses them into one array of exactly that many."""
     return _ensure_loaded()[2]
 
 

@@ -20,7 +20,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import itertools
+import io
 import json
 import os
 import re
@@ -59,18 +59,24 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _input_digests(*paths) -> dict:
+    """Each input's SHA-256, taken before a command reads or writes
+    anything; None where it is not a regular file: a pipe is read once."""
+    return {str(p): _sha256(p) if os.path.isfile(p) else None for p in paths}
+
+
 def _write_manifest(args, primary_output, inputs, solves=False, **results):
     """Write ``<primary_output>.manifest.json``: the command, every parsed
-    argument (``parameters``), ``--seed`` (``seeds``), the SHA-256 of each
-    input file, and ``results``, what the command chose beyond its
-    arguments. Commands that solve the dual (``solves``) also record the
-    SMO backend that ran."""
+    argument (``parameters``), ``--seed`` (``seeds``), the ``inputs``
+    digests (``_input_digests``), and ``results``, what the command chose
+    beyond its arguments. Commands that solve the dual (``solves``) also
+    record the SMO backend that ran."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
         "command": args.command,
         "parameters": parameters,
         "seeds": {"seed": args.seed} if "seed" in parameters else {},
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         **results,
@@ -90,59 +96,53 @@ def read_csv_dataset(path):
     A final integer column named 'label' is split off when present. Rows
     are validated; a malformed cell reports its 1-based line number.
 
-    The body of an unlabeled file is parsed in one pass by the compiled
-    library (``_native.csv_floats``), which returns exactly ``len(header)``
-    columns or refuses the file. A file it refuses, and every labeled file,
-    is read again by ``_read_csv_rows``, which defines what is accepted and
-    raises every ``ParseError``. The compiled reader opens the path more
-    than once, so what is not a regular file (a pipe, which gives its
-    bytes once) is read by ``_read_csv_rows`` alone, as is every file
-    where the library cannot be built.
+    The file is opened once (``_open_text``). The compiled library
+    (``_native.csv_floats``) parses the body of an unlabeled file, from the
+    byte after the header's lines, into exactly ``len(header)`` columns or
+    refuses it. Every other file is read from its start by
+    ``_read_csv_rows``, which defines what is accepted and raises every
+    ``ParseError``.
     """
-    if not os.path.isfile(path):
-        return _read_csv_rows(path)
     with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+        head = []  # the lines csv takes for the header
+        reader = csv.reader(_kept(fh, head))
         header, width, has_label = _read_header(path, _records(path, reader))
-        body = None if has_label else _read_body(path, reader.line_num, len(header))
-    if body is None:
-        return _read_csv_rows(path)
-    return header, body, None
+        floats = None if has_label else _native.csv_floats()
+        if floats is not None:
+            body = floats(fh.buffer, len("".join(head).encode("utf-8")), len(header))
+            if body is not None:
+                return header, body, None
+        fh.seek(0)
+        return _read_csv_rows(path, fh)
 
 
-def _read_body(path, header_lines, n_cols):
-    """The cells after the header, which took ``header_lines`` lines of the
-    file, as a 2-D float array read by the compiled library; None where it
-    refuses them or cannot be built."""
-    floats = _native.csv_floats()
-    if floats is None:
-        return None
-    with open(path, "rb") as raw:
-        head = b"".join(itertools.islice(raw, header_lines))
-    # csv also ends a line at a bare "\r", a binary file only at "\n": a
-    # header holding a bare "\r" would end elsewhere here
-    if b"\r" in head.replace(b"\r\n", b""):
-        return None
-    return floats(path, len(head), n_cols)
+def _kept(lines, kept):
+    """The ``lines``, each also appended to ``kept``."""
+    for line in lines:
+        kept.append(line)
+        yield line
 
 
 @contextlib.contextmanager
 def _open_text(path, newline=None):
-    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
-    ParseError naming its line, wherever the reader meets it."""
-    with open(path, "r", newline=newline, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw_fh:
-                raw = raw_fh.read()
+    """``path`` opened once, as UTF-8 text over a seekable binary file
+    (``.buffer``) into which a pipe is read first. A byte that is not
+    UTF-8 raises ParseError naming its line, wherever the reader meets it."""
+    with open(path, "rb") as file:
+        raw = file if file.seekable() else io.BytesIO(file.read())
+        with io.TextIOWrapper(raw, encoding="utf-8", newline=newline) as fh:
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line_no = len(re.findall(rb"\r\n?|\n", raw[:exc.start])) + 1
-                raise ParseError(f"{path}: line {line_no}: byte 0x{raw[exc.start]:02x} is not "
-                                 f"UTF-8 ({exc.reason})", line_number=line_no) from None
-            raise
+                yield fh
+            except UnicodeDecodeError:
+                raw.seek(0)
+                data = raw.read()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line_no = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+                    raise ParseError(f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is "
+                                     f"not UTF-8 ({exc.reason})", line_number=line_no) from None
+                raise
 
 
 def _int64(text) -> int:
@@ -178,32 +178,32 @@ def _read_header(path, records):
     return header, width, has_label
 
 
-def _read_csv_rows(path):
-    """``read_csv_dataset`` one cell at a time with Python's ``float`` and
-    ``int``: accepts what they accept (``1_0``, quoted cells) and names
-    the physical line on which the first bad row ends."""
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = _records(path, reader)
-        header, width, has_label = _read_header(path, records)
-        rows, labels = [], []
-        for row in records:
-            line_no = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}",
-                    line_number=line_no,
-                )
-            try:
-                rows.append([float(v) for v in row[:width]])
-                if has_label:
-                    labels.append(_int64(row[-1]))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {line_no}: {exc}", line_number=line_no
-                ) from exc
+def _read_csv_rows(path, fh):
+    """``read_csv_dataset`` of ``fh`` (``_open_text``) from its start, one
+    cell at a time with Python's ``float`` and ``int``: accepts what they
+    accept (``1_0``, quoted cells) and names the physical line on which the
+    first bad row ends."""
+    reader = csv.reader(fh)
+    records = _records(path, reader)
+    header, width, has_label = _read_header(path, records)
+    rows, labels = [], []
+    for row in records:
+        line_no = reader.line_num
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}",
+                line_number=line_no,
+            )
+        try:
+            rows.append([float(v) for v in row[:width]])
+            if has_label:
+                labels.append(_int64(row[-1]))
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: line {line_no}: {exc}", line_number=line_no
+            ) from exc
     X = np.array(rows, dtype=float) if rows else np.empty((0, width))
     y = np.array(labels, dtype=int) if has_label else None
     return header[:width], X, y
@@ -345,6 +345,7 @@ def _select_bandwidth(args, X, method):
 
 
 def cmd_train(args) -> int:
+    inputs = _input_digests(args.data)
     _, X, _ = read_csv_dataset(args.data)
     config = _solver_config(args)
     tuned = None
@@ -355,7 +356,7 @@ def cmd_train(args) -> int:
                  "s_high": fields.get("s_high")}
     model = _solver.train(X, KernelSpec(GAUSSIAN, s), config)
     model.save(args.out)
-    _write_manifest(args, args.out, [args.data], solves=True, tuned=tuned)
+    _write_manifest(args, args.out, inputs, solves=True, tuned=tuned)
     print(f"trained on {X.shape[0]} rows: s={_fmt(s)} "
           f"r_squared={_fmt(model.r_squared)} -> {args.out}")
     return EXIT_OK
@@ -364,6 +365,7 @@ def cmd_train(args) -> int:
 def cmd_tune(args) -> int:
     if args.method == "md" and args.curve is not None:
         raise InputError("--curve: md computes its bandwidth in closed form and has no curve")
+    inputs = _input_digests(args.data)
     _, X, _ = read_csv_dataset(args.data)
     try:
         s, fields, curve = _select_bandwidth(args, X, args.method)
@@ -381,7 +383,7 @@ def cmd_tune(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args, args.out, [args.data], solves=True)
+    _write_manifest(args, args.out, inputs, solves=True)
     if s is None:
         print(f"method={args.method}: no zero plateau found; diagnostics in {curve_path}",
               file=sys.stderr)
@@ -396,28 +398,25 @@ def _labels(outlier):
 
 
 def cmd_score(args) -> int:
+    inputs = _input_digests(args.model, args.data)
     model = _solver.load_model(args.model)
     header, Z, _ = read_csv_dataset(args.data)
     dist_sq = _solver.score_distances(model, Z)
     outlier = dist_sq > model.r_squared
     _datagen.write_csv_blocks(args.out, header + ["dist_sq", "r_sq", "label"],
                               [*Z.T, dist_sq, _fmt(model.r_squared), _labels(outlier)])
-    _write_manifest(args, args.out, [args.model, args.data])
+    _write_manifest(args, args.out, inputs)
     n_out = int(np.count_nonzero(outlier))
     print(f"scored {Z.shape[0]} rows ({n_out} outliers) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
+    inputs = _input_digests(args.model, args.data) if args.data else _input_digests(args.model)
     model = _solver.load_model(args.model)
     if model.dim != 2:
         raise DimensionError(f"grid scoring needs a 2-D model, this one has {model.dim} features")
-    if args.data:
-        _, P, _ = read_csv_dataset(args.data)
-        inputs = [args.model, args.data]
-    else:
-        P = model.support_vectors
-        inputs = [args.model]
+    P = read_csv_dataset(args.data)[1] if args.data else model.support_vectors
     res = args.resolution
     grid = _datagen.labeled_grid_over(P, resolution=(res, res), padding=args.padding)
     lattice = grid.points
@@ -468,7 +467,7 @@ def cmd_simulate(args) -> int:
         failures_path = os.path.join(args.out_dir, "polygon_study_failures.csv")
         _write_records(failures_path, report.failures, _evaluation.StudyFailure)
         print(f"{len(report.failures)} polygon(s) failed; see {failures_path}", file=sys.stderr)
-    _write_manifest(args, report_path, [], solves=True)
+    _write_manifest(args, report_path, {}, solves=True)
     ratios = report.ratios()
     if ratios.size:
         print(f"{len(report.rows)} polygons: mean ratio {_fmt(float(ratios.mean()))}, "
@@ -479,7 +478,7 @@ def cmd_simulate(args) -> int:
 def cmd_shapes(args) -> int:
     X = _datagen.generate_shape(args.kind, n=args.n, noise=args.noise, seed=args.seed)
     _datagen.save_dataset(args.out, X)
-    _write_manifest(args, args.out, [])
+    _write_manifest(args, args.out, {})
     print(f"wrote {X.shape[0]} x {X.shape[1]} {args.kind} dataset -> {args.out}")
     return EXIT_OK
 
@@ -492,13 +491,14 @@ def cmd_shuttle(args) -> int:
         return EXIT_OK
     if args.sample_class1 and not args.out:
         raise InputError("--out is required with --sample-class1")
+    inputs = _input_digests(args.path) if args.sample_class1 else None
     X, labels = ingest_shuttle(args.path)
     counts = {int(c): int(np.sum(labels == c)) for c in np.unique(labels)}
     print(f"{X.shape[0]} rows, 9 features, class counts: {counts}")
     if args.sample_class1:
         sample = sample_shuttle_class1(X, labels, args.sample_class1, args.seed)
         _datagen.save_dataset(args.out, sample)
-        _write_manifest(args, args.out, [args.path])
+        _write_manifest(args, args.out, inputs)
         print(f"sampled {sample.shape[0]} class-1 rows -> {args.out}")
     return EXIT_OK
 

@@ -180,7 +180,7 @@ def model_from_dict(payload: dict) -> SvddModel:
     ):
         if not valid:
             raise InputError(f"model field {name!r} must be {rule}")
-    K = _kernel.kernel_matrix(sv, spec)
+    K = _kernel._gaussian(_kernel.squared_distances(sv, sv), spec.s)
     return SvddModel(
         alphas=alphas,
         sv_indices=np.arange(sv.shape[0]),

@@ -1,5 +1,7 @@
 import argparse
+import builtins
 import csv
+import hashlib
 import json
 import math
 import os
@@ -1080,6 +1082,58 @@ class TestManifestSmoBackend:
         assert manifest["smo_backend"] == {"kind": "python"}
 
 
+class TestManifestInputs:
+    """Input digests are taken when a command starts, before it reads or
+    writes anything, and only from regular files."""
+
+    def test_a_fifo_is_not_opened_again(self, two_point_csv, tmp_path):
+        # the digest of a pipe would open it again after the writer is
+        # done, and block for good: both ends run in threads the test can
+        # give up on
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        model = tmp_path / "model.json"
+        done = {}
+        ends = [threading.Thread(target=lambda: done.update(code=main(
+                    ["train", "--s", "1", "--data", str(fifo), "--out", str(model)])),
+                    daemon=True),
+                threading.Thread(target=lambda: fifo.write_bytes(two_point_csv.read_bytes()),
+                                 daemon=True)]
+        for end in ends:
+            end.start()
+        for end in ends:
+            end.join(timeout=60)
+        assert not any(end.is_alive() for end in ends)
+        assert done["code"] == EXIT_OK
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["inputs"] == {str(fifo): None}
+
+    def test_a_pipe_at_dev_stdin_has_no_digest(self, two_point_csv, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "svddpeak.cli", "train", "--s", "1",
+                               "--data", "/dev/stdin", "--out", "piped.json"],
+                              input=two_point_csv.read_bytes(), cwd=tmp_path,
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=_src_dir()))
+        assert done.returncode == EXIT_OK
+        manifest = json.loads((tmp_path / "piped.json.manifest.json").read_text())
+        assert manifest["inputs"] == {"/dev/stdin": None}
+        assert main(["train", "--s", "1", "--data", str(two_point_csv),
+                     "--out", str(tmp_path / "file.json")]) == EXIT_OK
+        assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+    def test_an_input_the_output_replaces_keeps_its_digest(self, two_point_csv, tmp_path):
+        model, data = tmp_path / "model.json", tmp_path / "q.csv"
+        assert main(["train", "--s", "1", "--data", str(two_point_csv),
+                     "--out", str(model)]) == EXIT_OK
+        shutil.copy(two_point_csv, data)
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert main(["score", "--model", str(model), "--data", str(data),
+                     "--out", str(data)]) == EXIT_OK
+        assert hashlib.sha256(data.read_bytes()).hexdigest() != digest
+        manifest = json.loads((tmp_path / "q.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(model): hashlib.sha256(model.read_bytes()).hexdigest(), str(data): digest}
+
+
 def _replay_argv(manifest):
     """The argv a manifest records: its command, then each parameter under
     its option string in ``build_parser()``."""
@@ -1209,27 +1263,58 @@ class TestCsvIngestion:
                      "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
 
     def test_a_pipe_is_read_whole(self, tmp_path):
-        # the bulk readers open the path again, and a pipe gives its bytes
-        # once: 200,000 rows used to score as the 277 of the first buffer
+        # a pipe gives its bytes once: they are read into memory and take
+        # the compiled reader, as a file on disk does; a reader that opened
+        # the path again read 200,000 rows as the 277 of the first buffer
         path = tmp_path / "queries.csv"
         save_dataset(path, np.random.default_rng(4).normal(size=(20_000, 2)))
-        fifo = tmp_path / "queries.fifo"
-        os.mkfifo(fifo)
-        # a reader that opens the pipe again after the writer is done blocks
-        # for good, so both ends run in threads that the test can give up on
-        read = {}
-        ends = [threading.Thread(target=lambda: read.update(got=read_csv_dataset(fifo)),
-                                 daemon=True),
-                threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
-                                 daemon=True)]
-        for end in ends:
-            end.start()
-        for end in ends:
-            end.join(timeout=60)
-        assert not any(end.is_alive() for end in ends)
         header, X, labels = read_csv_dataset(path)
-        assert read["got"][0] == header and read["got"][2] is None
-        assert read["got"][1].tobytes() == X.tobytes()
+        for reader in supported_readers():
+            fifo = tmp_path / f"{reader}.fifo"
+            os.mkfifo(fifo)
+            # a reader that opens the pipe again after the writer is done
+            # blocks for good, so both ends run in threads that the test can
+            # give up on
+            read = {}
+            ends = [threading.Thread(target=lambda: read.update(got=read_csv_dataset(fifo)),
+                                     daemon=True),
+                    threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                     daemon=True)]
+            with pinned_reader(reader), pytest.MonkeyPatch.context() as patch:
+                if reader == "compiled":
+                    patch.setattr(cli, "_read_csv_rows", _no_row_loop)
+                for end in ends:
+                    end.start()
+                for end in ends:
+                    end.join(timeout=60)
+            assert not any(end.is_alive() for end in ends), reader
+            assert read["got"][0] == header and read["got"][2] is None
+            assert read["got"][1].tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("reader", ["compiled", "rows"])
+    def test_each_input_is_opened_once(self, tmp_path, monkeypatch, reader):
+        # a body the compiled reader takes, one it refuses, and a label
+        # column: the row loop reads the last two from the same handle
+        paths = []
+        for name, text in (("plain", "x1,x2\n1,2\n"), ("refused", "x1,x2\n1_0,2\n"),
+                           ("labeled", "x1,x2,label\n1,2,0\n")):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text(text)
+        shuttle = tmp_path / "shuttle.trn"
+        shuttle.write_text("1 2 3 4 5 6 7 8 9 1\n")
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        with pinned_reader(reader):
+            monkeypatch.setattr(builtins, "open", recording_open)
+            for path in paths:
+                read_csv_dataset(path)
+            ingest_shuttle(shuttle)
+        assert opened == [*paths, shuttle]
 
     def test_reader_peak_memory(self, tmp_path):
         # 200,000 x 2 floats are 3.2 MB; the row loop's lists of Python
@@ -1293,6 +1378,23 @@ class TestUnreadableInputs:
                 assert capsys.readouterr().err == f"error: {data}: line {line}: {message}\n"
                 assert not out.exists()
 
+    @pytest.mark.parametrize("argv, body, line", [
+        (["score", "--model", "{model}", "--data", "/dev/stdin", "--out", "out.csv"],
+         b"x1,x2\n1,2\n3,4\xe9\n", 3),
+        (["shuttle", "--path", "/dev/stdin"], b"1 2 3 4 5 6 7 \xe9 9 1\n", 1),
+    ], ids=["score", "shuttle"])
+    def test_a_piped_byte_that_is_not_utf8(self, model_path, tmp_path, argv, body, line):
+        # the bad byte's line is found in the bytes already read, as a pipe
+        # gives them once
+        done = subprocess.run([sys.executable, "-m", "svddpeak.cli",
+                               *(a.format(model=model_path) for a in argv)],
+                              input=body, cwd=tmp_path, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=_src_dir()))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.decode().startswith(
+            f"error: /dev/stdin: line {line}: byte 0xe9 is not UTF-8 (")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("second_row, message", [
         (b"1 2 3 4 5 6 7 \xe9 9 1\n", "byte 0xe9 is not UTF-8"),
         (b"1 2 3 4 5 6 7 8 9 99999999999999999999\n",
@@ -1304,6 +1406,16 @@ class TestUnreadableInputs:
         assert main(["shuttle", "--path", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 2: ") and message in err
+
+
+def _no_row_loop(path, fh):
+    raise AssertionError("the row loop ran")
+
+
+def _read_rows(path):
+    """The row loop's ``read_csv_dataset``, on a file opened as it opens it."""
+    with cli._open_text(path, newline="") as fh:
+        return cli._read_csv_rows(path, fh)
 
 
 def _read_outcome(read, path):
@@ -1320,7 +1432,7 @@ def _assert_reads_like_the_row_loop(path):
     """``read_csv_dataset``, on every body reader the host has, accepts
     what the row loop accepts, with the same bits, and fails where it
     fails, with the same message."""
-    want = _read_outcome(cli._read_csv_rows, path)
+    want = _read_outcome(_read_rows, path)
     for reader in supported_readers():
         with pinned_reader(reader), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1406,6 +1518,9 @@ class TestBulkReadMatchesRowLoop:
         ("x1\n\x1f1\n", False),
         ('"x\n1",x2\n1,2\n3,4\n', True),  # a header that spans two lines
         ("x1,x2\r1,2\n3,4\n", True),  # a header ended by a bare \r
+        # eight bytes of four characters: a body offset counted in
+        # characters would read the header's "1,2" as a row
+        ("éééé1,2\n5,6\n", True),
         ("x1,x2\n1,2\r\n3,4", True),  # a last line without an ending
         ("x1,x2\n 1 ,\t-2e3\t\n+.5,5.\n", True),
     ])
@@ -1421,10 +1536,7 @@ class TestBulkReadMatchesRowLoop:
         path = tmp_path / "data.csv"
         path.write_text("x1,x2\n" + "".join(f"{a},{b}\r\n" for a, b in zip(cells, cells[::-1])))
 
-        def no_row_loop(path):
-            raise AssertionError("the row loop ran")
-
-        monkeypatch.setattr(cli, "_read_csv_rows", no_row_loop)
+        monkeypatch.setattr(cli, "_read_csv_rows", _no_row_loop)
         with pinned_reader("compiled"):
             header, X, labels = read_csv_dataset(path)
         assert header == ["x1", "x2"] and labels is None

@@ -26,7 +26,8 @@ def floats():
 
 def _read(floats, path, body, n_cols=2):
     path.write_bytes(HEADER + body)
-    return floats(path, len(HEADER), n_cols)
+    with open(path, "rb") as fh:
+        return floats(fh, len(HEADER), n_cols)
 
 
 def _column(floats, path, cells):
@@ -149,7 +150,8 @@ def test_any_block_split_reads_as_the_whole_file(floats, tmp_path_factory, lines
     longest = max((len(t) + max(len(e), 1) for t, e in zip(texts, endings)), default=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_native, "CSV_BLOCK_BYTES", data.draw(st.integers(longest, 256)))
-        got = floats(path, len(HEADER), 2)
+        with open(path, "rb") as fh:
+            got = floats(fh, len(HEADER), 2)
     want = np.array([[float(c) for c in t.split(b",")] for t in texts if t]).reshape(-1, 2)
     assert whole is not None and got is not None
     assert got.shape == whole.shape == want.shape

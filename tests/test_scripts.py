@@ -37,13 +37,12 @@ def test_output_digests_are_the_same_for_any_jobs():
     )
     lines = done.stdout.splitlines()
 
-    def tune_outputs(jobs):
-        directory = f"tune-jobs{jobs}/"
-        return {name[len(directory):]: digest for digest, name in
-                (line.split("  ") for line in lines) if name.startswith(directory)}
+    def outputs(directory):
+        return {name[len(directory) + 1:]: digest for digest, name in
+                (line.split("  ") for line in lines) if name.startswith(directory + "/")}
 
-    assert sorted(tune_outputs(1)) == ["stdout", "tune.json", "tune_curve.csv"]
-    assert tune_outputs(1) == tune_outputs(2)
+    assert sorted(outputs("tune-jobs1")) == ["stdout", "tune.json", "tune_curve.csv"]
+    assert outputs("tune-jobs1") == outputs("tune-jobs2")
     assert "exit 1  tune-capped" in lines and "exit 0  simulate-capped" in lines
     assert "exit 1  tune-capped-jobs2" in lines and "exit 0  simulate-allcapped" in lines
     stderr = {name: digest for digest, name in (line.split("  ") for line in lines)
@@ -54,3 +53,6 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert "exit 2  tune-step-1e-9" in lines
     assert "exit 2  grid-res-huge" in lines and "exit 2  grid-padding-nan" in lines
     assert "exit 2  tune-identical" in lines and "exit 2  tune-underflow" in lines
+    # the same rows from a pipe give the same bytes
+    assert sorted(outputs("score-20k-stdin")) == ["scored.csv", "stdout"]
+    assert outputs("score-20k-stdin") == outputs("score-20k")
