@@ -54,6 +54,9 @@ COMMANDS = (
     ("train", ("train", "--tune", "peak", "--data", BANANA, "--out", "model.json"), False),
     # 129 boundary support vectors, whose mean distance is R^2
     ("train-s0.2", ("train", "--s", "0.2", "--data", BANANA, "--out", "model.json"), False),
+    # every alpha at C = 1/n: the solve stops at its first check
+    ("train-f1", ("train", "--s", "1", "--f", "1", "--data", BANANA, "--out", "model.json"),
+     False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
     # written by shapes, so every line ends in "\r\n"
     ("shapes-20k", ("shapes", "--kind", "banana", "--n", "20000", "--seed", "12", "--out",
@@ -95,6 +98,8 @@ COMMANDS = (
      True),
     ("tune-underflow", ("tune", "--method", "peak", "--data", UNDERFLOW, "--out", "tune.json"),
      True),
+    ("shapes-seed-negative", ("shapes", "--kind", "banana", "--seed", "-1", "--out",
+                              "banana.csv"), True),
 )
 
 

@@ -23,7 +23,9 @@
  *     the current one only when it is strictly smaller.
  *
  * The gradient update and the choice of the next pair share one pass
- * over n. K is the solver's n x n row buffer, row-major.
+ * over n. A call steps from the pair (i, j) in ``pair`` and writes the
+ * next one back, so a call resumed after a missing row scans nothing.
+ * K is the solver's n x n row buffer, row-major.
  *
  * The pass exists twice: scalar, and an 8-lane vector pass that runs when
  * the CPU has AVX-512F and n >= 8 (``svdd_smo_level``, set at load); every
@@ -84,24 +86,6 @@ const char *svdd_smo_compiler(void)
 __attribute__((constructor)) static void choose_level(void)
 {
     svdd_smo_level = svdd_smo_cpu_level();
-}
-
-/* (i, j) over the current gradient, without touching it */
-static void select_pair(const double *grad, const double *up_pen, const double *low_pen,
-                        int64_t n, int64_t *i_out, int64_t *j_out)
-{
-    int64_t i = 0, j = 0, k;
-    double lo = grad[0] + up_pen[0];
-    double hi = grad[0] + low_pen[0];
-
-    for (k = 1; k < n; k++) {
-        const double up = grad[k] + up_pen[k];
-        const double low = grad[k] + low_pen[k];
-        if (TAKE_MIN(up, lo)) { lo = up; i = k; }
-        if (TAKE_MAX(low, hi)) { hi = low; j = k; }
-    }
-    *i_out = i;
-    *j_out = j;
 }
 
 /* grad += scale (K_i - K_j), then the next (i, j) over the updated gradient */
@@ -219,23 +203,20 @@ static pass_fn choose_pass(int64_t n)
 }
 
 int64_t svdd_smo_run(const double *K, double *alpha, double *grad,
-                     double *up_pen, double *low_pen, const uint8_t *filled, int64_t n,
-                     double C, double kkt_tol, double curvature_floor,
+                     double *up_pen, double *low_pen, const uint8_t *filled, int64_t *pair,
+                     int64_t n, double C, double kkt_tol, double curvature_floor,
                      int64_t max_iterations, int64_t iterations, int64_t *missing)
 {
     const pass_fn pass = choose_pass(n);
-    int64_t i, j;
+    int64_t i = pair[0], j = pair[1];
 
-    *missing = -1;
-    /* selection only: a zero-step update would turn -0.0 into +0.0, and a
-     * run resumed after a missing row picks the same pair again */
-    select_pair(grad, up_pen, low_pen, n, &i, &j);
+    *missing = 0;
     while (iterations < max_iterations) {
-        const double violation = grad[j] - grad[i];
+        const double violation = (grad[j] + low_pen[j]) - (grad[i] + up_pen[i]);
         if (violation <= kkt_tol)
             break;
         if (!filled[i]) {
-            *missing = i;
+            *missing = 1;
             break;
         }
 
@@ -264,6 +245,8 @@ int64_t svdd_smo_run(const double *K, double *alpha, double *grad,
         pass(K_i, K_j, 2.0 * clipped, grad, up_pen, low_pen, n, &i, &j);
         iterations++;
     }
+    pair[0] = i;
+    pair[1] = j;
     return iterations;
 }
 

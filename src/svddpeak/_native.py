@@ -114,7 +114,7 @@ def _load():
     lib.svdd_smo_compiler.argtypes, lib.svdd_smo_compiler.restype = [], ctypes.c_char_p
     smo = lib.svdd_smo_run
     smo.restype = ctypes.c_int64
-    smo.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
+    smo.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] + [ctypes.c_double] * 3 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     rows = lib.svdd_csv_rows
     rows.restype = ctypes.c_int64
@@ -127,14 +127,14 @@ def _load():
     sq.restype = None
     sq.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
 
-    def run(K, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
+    def run(K, alpha, grad, up_pen, low_pen, filled, pair, C, kkt_tol, curvature_floor,
             max_iterations, iterations):
         missing = ctypes.c_int64()
         iterations = smo(K.ctypes.data, alpha.ctypes.data, grad.ctypes.data,
                          up_pen.ctypes.data, low_pen.ctypes.data, filled.ctypes.data,
-                         K.shape[0], C, kkt_tol, curvature_floor, max_iterations, iterations,
-                         ctypes.byref(missing))
-        return iterations, missing.value
+                         pair.ctypes.data, K.shape[0], C, kkt_tol, curvature_floor,
+                         max_iterations, iterations, ctypes.byref(missing))
+        return iterations, bool(missing.value)
 
     def blocks(cells, table, n_rows, block_rows):
         n = len(cells)

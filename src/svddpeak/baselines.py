@@ -23,14 +23,8 @@ from .kernel import (_gaussian, as_data_matrix, neighbor_extremes, require_sprea
                      upper_triangle_distances)
 from .tuning import BandwidthGrid
 
-CV = "cv"
-MD = "md"
-DFN = "dfn"
-
-
 @dataclass
 class BaselineResult:
-    method: str
     s: float
     curve: np.ndarray | None = None  # (k, 2) array of (s, criterion) rows
 
@@ -62,7 +56,7 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
         _gaussian(sq, s, out=k)
         scores[i] = np.var(k) / (np.mean(k) + epsilon)
     best = _argmax_smallest(scores)
-    return BaselineResult(method=CV, s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
+    return BaselineResult(s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
 
 
 def select_md(X, f: float = 0.001) -> BaselineResult:
@@ -77,7 +71,7 @@ def select_md(X, f: float = 0.001) -> BaselineResult:
     require_spread(X)
     d_max = float(np.sqrt(neighbor_extremes(X)[1].max()))
     delta = 1.0 / (n * (1.0 - f) + 1.0)
-    return BaselineResult(method=MD, s=d_max / float(np.sqrt(-np.log(delta))))
+    return BaselineResult(s=d_max / float(np.sqrt(-np.log(delta))))
 
 
 def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
@@ -103,4 +97,4 @@ def select_dfn(X, grid: BandwidthGrid) -> BaselineResult:
         row_min = _gaussian(farthest, s)
         scores[i] = (2.0 / n) * float(row_max.sum() - row_min.sum())
     best = _argmax_smallest(scores)
-    return BaselineResult(method=DFN, s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
+    return BaselineResult(s=float(s_values[best]), curve=np.column_stack([s_values, scores]))

@@ -510,6 +510,13 @@ def positive_int(text) -> int:
     return value
 
 
+def nonnegative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def int_list(text) -> list:
     """Comma-separated integers, as ``--vertices`` takes them."""
     try:
@@ -580,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=600)
     p.add_argument("--full", action="store_true",
                    help="paper-scale run: vertices 5..30, 20 polygons each")
-    p.add_argument("--seed", type=int, default=20240501)
+    p.add_argument("--seed", type=nonnegative_int, default=20240501)
     _add_sweep_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -589,14 +596,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=list(_datagen.SHAPE_KINDS), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shapes)
 
     p = sub.add_parser("shuttle", help="ingest the UCI Statlog shuttle file")
     p.add_argument("--path", default=None)
     p.add_argument("--sample-class1", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_shuttle)
 

@@ -71,7 +71,6 @@ class PolygonConfig:
 @dataclass
 class Polygon:
     vertices: np.ndarray  # (k, 2), anticlockwise
-    attempts: int = 1
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -155,8 +154,7 @@ def generate_polygon(config: PolygonConfig) -> Polygon:
 
     The first vertex sits on the positive x-axis (its angle is fixed at
     zero). A zero-area draw (measure zero, but possible in floating
-    point) is regenerated from seed + 1, and the retry count is recorded
-    on the returned polygon.
+    point) is regenerated from seed + 1.
     """
     for attempt in range(_MAX_POLYGON_ATTEMPTS):
         rng = np.random.default_rng(config.seed + attempt)
@@ -164,7 +162,7 @@ def generate_polygon(config: PolygonConfig) -> Polygon:
         radii = rng.uniform(config.r_min, config.r_max, config.k)
         vertices = np.column_stack([radii * np.cos(thetas), radii * np.sin(thetas)])
         if shoelace_area(vertices) > 1e-12 * config.r_max**2:
-            return Polygon(vertices=vertices, attempts=attempt + 1)
+            return Polygon(vertices=vertices)
     raise DegenerateInputError(
         f"could not draw a non-degenerate polygon from seed {config.seed}"
     )

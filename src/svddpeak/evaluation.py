@@ -213,7 +213,10 @@ class SimulationReport:
 
 
 def _polygon_seed(master_seed, vertex_count, index) -> int:
-    # legible, collision-free derivation; recorded per row for replay
+    # legible, recorded per row for replay. polygon_study's bounds (3 to 499
+    # vertices, indices 0 to 99) keep polygon seeds in M * 10^5 + [300,
+    # 49,999] and their sample seeds (+50,000) in M * 10^5 + [50,300,
+    # 99,999], so no two collide, across master seeds M too
     return master_seed * 100_000 + vertex_count * 100 + index
 
 
@@ -269,7 +272,8 @@ def polygon_study(
 
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.
-    A vertex count below 3 or given twice, a grid too short for
+    A vertex count below 3, above 499 or given twice, more than 100
+    polygons per count (their seeds would collide), a grid too short for
     ``find_peak`` and a ``min_run`` below 1 raise InputError before any
     solve.
     """
@@ -279,6 +283,10 @@ def polygon_study(
         raise InputError(f"vertex counts must be distinct, {repeated} repeat")
     if min(vertex_counts, default=3) < 3:
         raise InputError(f"polygons need at least 3 vertices, got {min(vertex_counts)}")
+    if max(vertex_counts, default=3) > 499:
+        raise InputError(f"polygons have at most 499 vertices, got {max(vertex_counts)}")
+    if polygons_per_count > 100:
+        raise InputError(f"at most 100 polygons per vertex count, got {polygons_per_count}")
     grid = grid or BandwidthGrid.low_dimensional()
     require_peak_grid(grid.values(), min_run)
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f,

@@ -278,26 +278,21 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
     The pairwise steps run in an inner loop with two implementations of one
     contract: the compiled ``_native.c`` (built on first use, see
     ``_native``) and ``_run_python``, which runs when the library cannot be
-    built. Both give the same bits. The loop returns early, naming row i of
-    its next pair when that row is not filled (see ``_KernelRows``); the
-    row is filled and the loop resumes from the same state, gradient and
-    all.
+    built. Both give the same bits. The loop steps from the pair in a
+    two-slot int64 array and writes back the next; it returns early when
+    that pair's row i is not filled (see ``_KernelRows``), and resumes,
+    pair and gradient and all, once the row is filled.
     """
     K = rows.K
     alpha = np.asarray(alpha0, dtype=float).copy()
-    _, grad = _gradient(K, alpha)
     up_pen = np.where(alpha < C, 0.0, np.inf)
     low_pen = np.where(alpha > 0.0, 0.0, -np.inf)
     run = _native.smo_loop() or _run_python
     iterations = 0
     while True:
-        iterations, missing = run(K, alpha, grad, up_pen, low_pen, rows.filled, C, kkt_tol,
-                                  _CURVATURE_FLOOR, max_iterations, iterations)
-        if missing >= 0:
-            rows.fill(np.array([missing]))
-            continue
         K_alpha, grad = _gradient(K, alpha)
-        _, _, violation = _pair(grad, up_pen, low_pen)
+        pair = np.array(_pair(grad, up_pen, low_pen), dtype=np.int64)
+        violation = _violation(grad, up_pen, low_pen, *pair)
         if iterations >= max_iterations:
             raise ConvergenceError(
                 f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} "
@@ -308,6 +303,11 @@ def _solve_smo(rows, C, kkt_tol, max_iterations, alpha0):
             )
         if violation <= kkt_tol:
             return alpha, max(violation, 0.0), iterations, K_alpha
+        missing = True
+        while missing:  # the loop's first step, or its resume, reads row i
+            rows.fill(pair[:1])
+            iterations, missing = run(K, alpha, grad, up_pen, low_pen, rows.filled, pair, C,
+                                      kkt_tol, _CURVATURE_FLOOR, max_iterations, iterations)
 
 
 def _gradient(K, alpha):
@@ -321,33 +321,36 @@ def _gradient(K, alpha):
 
 
 def _pair(grad, up_pen, low_pen):
-    """The maximal-violating pair ``(i, j, grad[j] - grad[i])``: i =
-    argmin(grad + up_pen) and j = argmax(grad + low_pen), each the first
-    index on ties."""
-    i = int((grad + up_pen).argmin())
-    j = int((grad + low_pen).argmax())
-    return i, j, grad.item(j) - grad.item(i)
+    """The maximal-violating pair ``(i, j)``: i = argmin(grad + up_pen) and
+    j = argmax(grad + low_pen), each the first index on ties."""
+    return int((grad + up_pen).argmin()), int((grad + low_pen).argmax())
 
 
-def _run_python(K, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_floor,
+def _violation(grad, up_pen, low_pen, i, j) -> float:
+    """The violation of the pair (i, j); -inf when no multiplier can rise."""
+    return (grad.item(j) + low_pen.item(j)) - (grad.item(i) + up_pen.item(i))
+
+
+def _run_python(K, alpha, grad, up_pen, low_pen, filled, pair, C, kkt_tol, curvature_floor,
                 max_iterations, iterations):
-    """Take SMO steps in place until the maximal violation is at most
-    ``kkt_tol``, ``iterations`` reaches ``max_iterations`` or row i of the
-    next pair is not filled; returns ``(iterations, i)`` in that last case,
-    else ``(iterations, -1)``. The numpy twin of ``svdd_smo_run`` in
-    ``_native.c``, with every rounding of it.
+    """Take SMO steps in place from the pair (i, j) in ``pair``, writing
+    each next pair back, until its violation is at most ``kkt_tol``,
+    ``iterations`` reaches ``max_iterations`` or row i is not filled;
+    returns ``(iterations, whether row i was missing)``. The numpy twin of
+    ``svdd_smo_run`` in ``_native.c``, with every rounding of it.
 
     ``up_pen`` is +inf where alpha = C and ``low_pen`` -inf where alpha = 0,
     else 0; a step moves alpha, and so the penalties, only at i and j. The
     kernel matrix is exactly symmetric, so a step reads the rows ``K[i]``
     and ``K[j]`` for their columns.
     """
+    i, j = pair.tolist()
     while iterations < max_iterations:
-        i, j, violation = _pair(grad, up_pen, low_pen)
+        violation = _violation(grad, up_pen, low_pen, i, j)
         if violation <= kkt_tol:
             break
         if not filled[i]:
-            return iterations, i
+            return iterations, True
         curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
         step = violation / (2.0 * curvature) if curvature > curvature_floor else np.inf
         a_i, a_j = alpha[i], alpha[j]
@@ -362,8 +365,9 @@ def _run_python(K, alpha, grad, up_pen, low_pen, filled, C, kkt_tol, curvature_f
         low_pen[i] = 0.0 if new_i > 0.0 else -np.inf
         low_pen[j] = 0.0 if new_j > 0.0 else -np.inf
         grad += (K[i] - K[j]) * (2.0 * clipped)
+        i, j = pair[:] = _pair(grad, up_pen, low_pen)
         iterations += 1
-    return iterations, -1
+    return iterations, False
 
 
 def _threshold(dist_sq, alphas, boundary, C, kkt_tol) -> float:
@@ -461,16 +465,13 @@ def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
             alpha0 = np.clip(alpha0 / total, 0.0, C)
     rows.fill(np.flatnonzero(alpha0 > 0.0))
     K = rows.K
-    if config.f == 1.0:
-        solved, residual, iterations, K_alphas = alpha0, 0.0, 0, None
-    else:
-        solved, residual, iterations, K_alphas = _solve_smo(rows, C, config.kkt_tol,
-                                                            config.max_iterations, alpha0)
+    solved, residual, iterations, K_alphas = _solve_smo(rows, C, config.kkt_tol,
+                                                        config.max_iterations, alpha0)
     alphas = solved / solved.sum()
     np.clip(alphas, 0.0, C, out=alphas)
     # the solver's K @ alpha serves when normalising left every bit as it
     # was; bits, not values, so that -0.0 is never taken for +0.0
-    if K_alphas is None or alphas.tobytes() != solved.tobytes():
+    if alphas.tobytes() != solved.tobytes():
         K_alphas = K @ alphas
 
     alpha_quad = float(alphas @ K_alphas)

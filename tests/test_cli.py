@@ -866,6 +866,45 @@ class TestSimulate:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--vertices", "5", "--per-count", "101"],
+         "at most 100 polygons per vertex count, got 101"),
+        (["--vertices", "5,500", "--per-count", "1"],
+         "polygons have at most 499 vertices, got 500"),
+    ])
+    def test_counts_whose_seeds_collide_are_usage_errors_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(solver, "train_path", _never)
+        out_dir = tmp_path / "study"
+        assert main(["simulate", *flags, "--samples", "100", "--out-dir", str(out_dir)]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+
+class TestNegativeSeed:
+    """numpy refuses a negative seed with a traceback; argparse refuses it
+    first, before anything is read or written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["shapes", "--kind", "banana", "--seed", "-1", "--out", "b.csv"],
+        ["simulate", "--vertices", "5", "--per-count", "1", "--samples", "50", "--seed", "-1",
+         "--out-dir", "d"],
+        ["shuttle", "--path", "shuttle.trn", "--sample-class1", "1", "--seed", "-1",
+         "--out", "s.csv"],
+    ], ids=["shapes", "simulate", "shuttle"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "shuttle.trn").write_text("1 2 3 4 5 6 7 8 9 1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith("error: argument --seed: must be at least 0, got -1\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["shuttle.trn"]
+
+
 class TestShapes:
     def test_banana_roundtrip(self, tmp_path):
         out = tmp_path / "banana.csv"

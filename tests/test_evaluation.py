@@ -312,6 +312,30 @@ class TestPolygonStudy:
         with pytest.raises(InputError, match="at least"):
             polygon_study(**dict(SMALL_STUDY, **study))
 
+    @pytest.mark.parametrize("study, message", [
+        (dict(polygons_per_count=101), "at most 100 polygons per vertex count, got 101"),
+        (dict(vertex_counts=[5, 500]), "polygons have at most 499 vertices, got 500"),
+    ])
+    def test_counts_whose_seeds_collide_raise_before_any_solve(self, monkeypatch, study,
+                                                               message):
+        # per count 101 gives (5, 100) the seed of (6, 0); vertex count 505
+        # gives (505, i) the sample seed of (5, i)
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the error")
+
+        monkeypatch.setattr(solver, "train_path", never)
+        with pytest.raises(InputError) as err:
+            polygon_study(**dict(SMALL_STUDY, **study))
+        assert str(err.value) == message
+
+    def test_seeds_of_the_accepted_range_are_distinct(self):
+        for master in (0, 1, 20240501):
+            seeds = [evaluation._polygon_seed(master, vc, idx) + extra
+                     for vc in range(3, 500) for idx in range(100)
+                     for extra in (0, 50_000)]
+            assert len(set(seeds)) == len(seeds)
+            assert min(seeds) >= master * 100_000 and max(seeds) < (master + 1) * 100_000
+
     def test_failure_row_carries_tunes_message(self):
         # a capped solve that drops the polygon fails tune's sweep of its sample
         config = SolverConfig(f=0.001, max_iterations=200)

@@ -53,6 +53,10 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert "exit 2  tune-step-1e-9" in lines
     assert "exit 2  grid-res-huge" in lines and "exit 2  grid-padding-nan" in lines
     assert "exit 2  tune-identical" in lines and "exit 2  tune-underflow" in lines
+    # f = 1 trains through the solver; a negative seed is refused unwritten
+    assert sorted(outputs("train-f1")) == ["model.json", "stdout"]
+    assert "exit 2  shapes-seed-negative" in lines
+    assert sorted(outputs("shapes-seed-negative")) == ["stderr", "stdout"]
     # the same rows from a pipe give the same bytes
     assert sorted(outputs("score-20k-stdin")) == ["scored.csv", "stdout"]
     assert outputs("score-20k-stdin") == outputs("score-20k")

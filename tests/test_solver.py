@@ -700,6 +700,56 @@ def _requested_rows(name, K, C, alpha0, max_iterations):
     return requested
 
 
+class TestLoopPair:
+    """The loop steps from the pair it is handed, stops on the violation of
+    the bound sets' extremes, and writes back the pair it stopped at."""
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_every_alpha_at_the_box_bound_stops_at_once(self, name):
+        # C = 1/n: the uniform start is the only feasible point and no
+        # multiplier can rise, so the violation is -inf; the raw gap
+        # grad[j] - grad[i] of the same start never reaches kkt_tol
+        n = 12
+        K = kernel_matrix(np.random.default_rng(0).normal(size=(n, 2)), KernelSpec(GAUSSIAN, 1.0))
+        alpha0 = np.full(n, 1.0 / n)
+        with pinned(name):
+            alpha, residual, iterations, _ = solver._solve_smo(whole_rows(K), 1.0 / n, 1e-6,
+                                                               1000, alpha0)
+        assert iterations == 0
+        assert residual == 0.0
+        assert alpha.tobytes() == alpha0.tobytes()
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_a_resumed_call_starts_from_the_pair_written_back(self, name):
+        # a warm start on 20 of 60 rows fills only those, so the loop
+        # returns at rows outside them and is called again
+        X = generate_shape("banana", n=60, seed=11)
+        K = kernel_matrix(X, KernelSpec(GAUSSIAN, 0.5))
+        alpha0 = np.zeros(60)
+        alpha0[:20] = 1.0 / 20
+        rows = solver._KernelRows(np.eye(60), lambda index: K[index])
+        rows.fill(np.flatnonzero(alpha0))
+        calls = []
+        with pinned(name), pytest.MonkeyPatch.context() as patch:
+            loop = _native.smo_loop() or solver._run_python
+
+            def recording(K, alpha, grad, up_pen, low_pen, filled, pair, *rest):
+                entry = pair.tolist(), bool(filled[pair[0]])
+                iterations, missing = loop(K, alpha, grad, up_pen, low_pen, filled, pair, *rest)
+                calls.append((*entry, pair.tolist(), missing, bool(filled[pair[0]])))
+                return iterations, missing
+
+            patch.setattr(_native, "smo_loop", lambda: recording)
+            solver._solve_smo(rows, SolverConfig(f=0.2).box_bound(60), 1e-6, 100_000, alpha0)
+        resumes = [k for k in range(len(calls) - 1) if calls[k][3]]
+        assert resumes
+        for k in resumes:
+            _, _, written, _, filled_at_return = calls[k]
+            entry, filled_at_entry, *_ = calls[k + 1]
+            assert not filled_at_return
+            assert entry == written and filled_at_entry
+
+
 class TestThreshold:
     def test_single_point_zero(self):
         model = train([[0.0]], KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=0.5))
