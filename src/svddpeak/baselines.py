@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernel import (_gaussian, as_data_matrix, neighbor_extremes, require_spread,
+from .kernel import (_gaussian, allocate, as_data_matrix, neighbor_extremes, require_spread,
                      upper_triangle_distances)
 from .tuning import BandwidthGrid
+
+CV_EPSILON = 1e-6  # the eps of the CV criterion Var/(Mean + eps)
+
 
 @dataclass
 class BaselineResult:
@@ -37,7 +40,7 @@ def _argmax_smallest(scores) -> int:
     return int(np.argmax(scores >= best - tol))
 
 
-def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
+def select_cv(X, grid: BandwidthGrid) -> BaselineResult:
     """Bandwidth maximizing the kernel-matrix coefficient of variation.
 
     Statistics are taken over the n(n-1)/2 distinct off-diagonal entries
@@ -49,12 +52,12 @@ def select_cv(X, grid: BandwidthGrid, epsilon: float = 1e-6) -> BaselineResult:
         raise InputError("CV selection needs at least 3 observations")
     require_spread(X)
     sq = upper_triangle_distances(X)
-    k = np.empty_like(sq)
+    k = allocate(lambda: np.empty_like(sq), X.shape[0], sq.size, "the kernel triangle")
     s_values = grid.values()
     scores = np.empty(s_values.size)
     for i, s in enumerate(s_values):
         _gaussian(sq, s, out=k)
-        scores[i] = np.var(k) / (np.mean(k) + epsilon)
+        scores[i] = np.var(k) / (np.mean(k) + CV_EPSILON)
     best = _argmax_smallest(scores)
     return BaselineResult(s=float(s_values[best]), curve=np.column_stack([s_values, scores]))
 

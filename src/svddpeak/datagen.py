@@ -253,14 +253,11 @@ def labeled_grid_over(points, resolution=(200, 200), padding=0.0, poly: Polygon 
     return LabeledGrid(xs, ys, points_in_polygon(_lattice_points(xs, ys), poly))
 
 
-def make_star_polygon(n_points=5, outer_radius=4.0, inner_radius=1.6) -> Polygon:
-    """Regular star polygon with alternating outer and inner vertices."""
-    angles = np.pi / 2.0 + np.arange(2 * n_points) * np.pi / n_points
-    radii = np.where(np.arange(2 * n_points) % 2 == 0, outer_radius, inner_radius)
-    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    if shoelace_area(vertices) < 0:
-        vertices = vertices[::-1]
-    return Polygon(vertices=vertices)
+def make_star_polygon() -> Polygon:
+    """The five-pointed star of the star shape, anticlockwise from the top."""
+    angles = np.pi / 2.0 + np.arange(10) * np.pi / 5
+    radii = np.where(np.arange(10) % 2 == 0, 4.0, 1.6)
+    return Polygon(vertices=np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
 
 
 def generate_shape(kind: str, n: int | None = None, noise: float | None = None, seed: int = 0) -> np.ndarray:

@@ -129,7 +129,8 @@ def upper_triangle_distances(X) -> np.ndarray:
     ``np.triu_indices(n, 1)``, from blocks of rows as ``neighbor_extremes``
     takes them, with no n x n matrix: the bits of the whole one."""
     n = X.shape[0]
-    out = np.empty(n * (n - 1) // 2)
+    size = n * (n - 1) // 2
+    out = allocate(lambda: np.empty(size), n, size, "the distance triangle")
     at = 0
     for start in range(0, n, _NEAREST_BLOCK_ROWS):
         # row r against the rows after the block's first: its part of the
@@ -140,6 +141,18 @@ def upper_triangle_distances(X) -> np.ndarray:
             at += row.size - k
         del block
     return out
+
+
+def allocate(make, n, entries, what) -> np.ndarray:
+    """``make()``, which allocates ``what``: ``entries`` doubles, a number
+    that grows with the square of the row count ``n``. When the host
+    refuses the memory, InputError names n and the GiB, in place of
+    numpy's MemoryError."""
+    try:
+        return make()
+    except MemoryError:
+        raise InputError(f"{what} of {n} rows needs {entries * 8 / 2**30:.1f} GiB, "
+                         "more memory than the host could allocate") from None
 
 
 def require_spread(X) -> None:

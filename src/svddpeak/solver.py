@@ -180,7 +180,9 @@ def model_from_dict(payload: dict) -> SvddModel:
     ):
         if not valid:
             raise InputError(f"model field {name!r} must be {rule}")
-    K = _kernel._gaussian(_kernel.squared_distances(sv, sv), spec.s)
+    K = _kernel.allocate(lambda: _kernel.squared_distances(sv, sv), sv.shape[0],
+                         sv.shape[0] ** 2, "the support-vector kernel matrix")
+    _kernel._gaussian(K, spec.s, out=K)
     return SvddModel(
         alphas=alphas,
         sv_indices=np.arange(sv.shape[0]),
@@ -405,8 +407,13 @@ def train(X, spec: KernelSpec, config: SolverConfig, initial_alphas=None) -> Svd
     feasible set first); the default is the uniform feasible point.
     """
     X = as_data_matrix(X)
-    rows = _KernelRows(np.eye(X.shape[0]), partial(_gaussian_rows, X, spec.s))
+    rows = _KernelRows(_row_buffer(X.shape[0]), partial(_gaussian_rows, X, spec.s))
     return _fit(X, rows, spec, config, initial_alphas)
+
+
+def _row_buffer(n) -> np.ndarray:
+    """The n x n identity that a solve fills with kernel rows."""
+    return _kernel.allocate(lambda: np.eye(n), n, n * n, "the kernel row buffer")
 
 
 def train_path(X, s_values, config: SolverConfig):
@@ -426,7 +433,7 @@ def train_path(X, s_values, config: SolverConfig):
     X = as_data_matrix(X)
     # unit diagonal: every solve reads the whole diagonal, and the Gaussian
     # kernel's is 1; the rest of each row is written before it is read
-    buffer = np.eye(X.shape[0])
+    buffer = _row_buffer(X.shape[0])
     alpha0 = None
     for index, s in enumerate(s_values):
         s = float(s)
@@ -572,16 +579,16 @@ class PositionReport:
         }
 
 
-def position_report(model: SvddModel, tolerance: float | None = None) -> PositionReport:
+def position_report(model: SvddModel) -> PositionReport:
     """Classify every training point from its alpha and cross-check distances.
 
     inside: alpha ~ 0, boundary: 0 < alpha < C, outside: alpha ~ C. The
     distance consistency (inside => dist^2 <= R^2 + tol, boundary =>
-    |dist^2 - R^2| <= tol, outside => dist^2 >= R^2 - tol) is verified and
-    a violation raises NumericalError, since it can only come from an
-    unconverged solve.
+    |dist^2 - R^2| <= tol, outside => dist^2 >= R^2 - tol, with tol = 10
+    ``kkt_tol``) is verified and a violation raises NumericalError, since
+    it can only come from an unconverged solve.
     """
-    tol = 10.0 * model.config.kkt_tol if tolerance is None else tolerance
+    tol = 10.0 * model.config.kkt_tol
     C = model.C
     a = model.alphas
     positions = np.full(model.n, BOUNDARY, dtype=object)

@@ -28,3 +28,23 @@ def rng():
 def two_point_data():
     """The symmetric pair with known closed-form solution at s = 2."""
     return np.array([[0.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.fixture
+def refuse(monkeypatch):
+    """``refuse(module, name, when)`` makes ``module.name`` raise numpy's
+    MemoryError for the calls whose arguments satisfy ``when`` (every call
+    by default), as a host that cannot give the memory would, and
+    delegates the others: no test allocates anything large."""
+
+    def patch(module, name, when=lambda *args: True):
+        real = getattr(module, name)
+
+        def allocate(*args, **kwargs):
+            if when(*args):
+                raise MemoryError("Unable to allocate 11.9 GiB for an array")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, allocate)
+
+    return patch

@@ -199,26 +199,32 @@ def md_bandwidth(X, f):
     return d_max / float(np.sqrt(-np.log(delta)))
 
 
+def _reference_pair(grad, alpha, C):
+    """(i, j, violation): i = argmin of grad where alpha < C, j = argmax of
+    grad where alpha > 0, and the violation grad[j] - grad[i] of the pair,
+    -inf when no multiplier can rise (every alpha at C)."""
+    up = np.where(alpha < C, grad, np.inf)
+    low = np.where(alpha > 0.0, grad, -np.inf)
+    i = int(np.argmin(up))
+    j = int(np.argmax(low))
+    return i, j, low[j] - up[i]
+
+
 def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, stats=None):
     """Maximal-violating-pair SMO, written plainly; same contract as
     ``solver._solve_smo``: (alpha, kkt_residual, iterations) or
     ConvergenceError carrying the last iterate. A ``stats`` dict, when
     given, receives the number of steps taken at the curvature floor."""
-    n = K.shape[0]
     diag = np.ascontiguousarray(np.diag(K))
     alpha = np.asarray(alpha0, dtype=float).copy()
     grad = 2.0 * (K @ alpha) - diag
     iterations = 0
     floor_steps = 0
     while iterations < max_iterations:
-        i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-        j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-        violation = grad[j] - grad[i]
+        i, j, violation = _reference_pair(grad, alpha, C)
         if violation <= kkt_tol:
             grad = 2.0 * (K @ alpha) - diag
-            i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-            j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-            violation = grad[j] - grad[i]
+            i, j, violation = _reference_pair(grad, alpha, C)
             if violation <= kkt_tol:
                 if stats is not None:
                     stats["floor_steps"] = floor_steps
@@ -244,9 +250,7 @@ def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, 
         grad += (2.0 * clipped) * (K[:, i] - K[:, j])
         iterations += 1
     grad = 2.0 * (K @ alpha) - diag
-    i = int(np.argmin(np.where(alpha < C, grad, np.inf)))
-    j = int(np.argmax(np.where(alpha > 0.0, grad, -np.inf)))
-    residual = float(grad[j] - grad[i])
+    residual = float(_reference_pair(grad, alpha, C)[2])
     raise ConvergenceError(
         f"SMO did not reach kkt_tol={kkt_tol:g} within {max_iterations} iterations "
         f"(residual {residual:.3e})",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svddpeak import kernel, solver
-from svddpeak.baselines import select_cv, select_dfn, select_md
+from svddpeak.baselines import CV_EPSILON, select_cv, select_dfn, select_md
 from svddpeak.datagen import PolygonConfig, generate_polygon, generate_shape, sample_interior
 from svddpeak.errors import DegenerateInputError, InputError
 from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak
@@ -121,10 +121,19 @@ class TestSelectCv:
         with pytest.raises(InputError):
             select_cv(two_point_data, BandwidthGrid(0.1, 2.0, 0.1))
 
-    def test_epsilon_default(self):
-        import inspect
+    def test_refused_triangle(self, rng, refuse):
+        # np.empty of a length: the triangle, not the blocks of rows
+        refuse(np, "empty", lambda shape, *rest: np.ndim(shape) == 0)
+        with pytest.raises(InputError, match="^the distance triangle of 12 rows needs"):
+            select_cv(rng.normal(size=(12, 2)), BandwidthGrid(0.2, 4.0, 0.05))
 
-        assert inspect.signature(select_cv).parameters["epsilon"].default == 1e-6
+    def test_refused_kernel_copy(self, rng, refuse):
+        refuse(np, "empty_like", lambda like, *rest: np.ndim(like) == 1)
+        with pytest.raises(InputError, match="^the kernel triangle of 12 rows needs"):
+            select_cv(rng.normal(size=(12, 2)), BandwidthGrid(0.2, 4.0, 0.05))
+
+    def test_epsilon_default(self):
+        assert CV_EPSILON == 1e-6
 
     @pytest.mark.parametrize("kind", ["banana", "star", "three_cluster", "polygon"])
     def test_curve_equals_the_dense_formula(self, kind, monkeypatch):

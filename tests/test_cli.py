@@ -97,6 +97,17 @@ class TestTrain:
         assert payload["kernel_kind"] == "gaussian"
         assert payload["s"] == 0.7
 
+    def test_refused_row_buffer_is_one_error_line(self, two_point_csv, tmp_path, capsys,
+                                                  refuse):
+        refuse(np, "eye")
+        out = tmp_path / "model.json"
+        assert main(["train", "--data", str(two_point_csv), "--s", "2", "--f", "0.1",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the kernel row buffer of 2 rows needs 0.0 GiB")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_bandwidth_is_usage_error(self, two_point_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
         with pytest.raises(SystemExit) as exit_info:

@@ -76,6 +76,12 @@ class TestPointInPolygon:
         assert points_in_polygon([(1.0, 0.5)], UNIT_SQUARE)[0]
         assert points_in_polygon([(0.0, 0.0)], UNIT_SQUARE)[0]
 
+    def test_star_vertices(self):
+        # anticlockwise from the top, 36 degrees apart, radius 4 (points) and 1.6
+        angles = np.radians(90.0 + 36.0 * np.arange(10))
+        expected = np.tile([[4.0], [1.6]], (5, 1)) * np.c_[np.cos(angles), np.sin(angles)]
+        np.testing.assert_allclose(make_star_polygon().vertices, expected, rtol=0, atol=1e-14)
+
     def test_nonconvex_star(self):
         star = make_star_polygon()
         assert points_in_polygon([(0.0, 0.0)], star)[0]

@@ -336,6 +336,13 @@ class TestPolygonStudy:
             assert len(set(seeds)) == len(seeds)
             assert min(seeds) >= master * 100_000 and max(seeds) < (master + 1) * 100_000
 
+    def test_refused_row_buffer_is_a_failure_row(self, refuse):
+        refuse(np, "eye")
+        report = polygon_study(**dict(SMALL_STUDY, vertex_counts=[5], polygons_per_count=1))
+        assert report.rows == []
+        (failure,) = report.failures
+        assert failure.error.startswith("the kernel row buffer of 120 rows needs")
+
     def test_failure_row_carries_tunes_message(self):
         # a capped solve that drops the polygon fails tune's sweep of its sample
         config = SolverConfig(f=0.001, max_iterations=200)

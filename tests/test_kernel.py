@@ -307,6 +307,18 @@ class TestUpperTriangleDistances:
             assert got.tobytes() == want.tobytes(), path
 
 
+class TestAllocate:
+    def test_refusal_names_the_rows_and_the_gib(self):
+        def refused():
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+        # 40,000^2 doubles are 11.9 GiB
+        with pytest.raises(InputError, match="^the kernel row buffer of 40000 rows needs "
+                                             r"11\.9 GiB, more memory than the host could "
+                                             "allocate$"):
+            kernel.allocate(refused, 40_000, 40_000**2, "the kernel row buffer")
+
+
 class TestRequireSpread:
     # 2^-537 squares to the least subnormal, 2^-538 to 0
     @pytest.mark.parametrize("rows", [

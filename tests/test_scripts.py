@@ -1,6 +1,7 @@
 """Smoke runs of the scripts."""
 
 import csv
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -60,3 +61,19 @@ def test_output_digests_are_the_same_for_any_jobs():
     # the same rows from a pipe give the same bytes
     assert sorted(outputs("score-20k-stdin")) == ["scored.csv", "stdout"]
     assert outputs("score-20k-stdin") == outputs("score-20k")
+
+
+def test_bench_pairs_summary_arithmetic():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    # one tie, three pairs lower on the change, one higher
+    pairs = [(1.0, 0.9), (2.0, 2.0), (3.0, 3.5), (4.0, 3.0), (5.0, 4.0)]
+    summary = bench_pairs.summarize(pairs, "lower")
+    assert summary["parent"] == (2.0, 3.0, 4.0)
+    assert summary["change"] == (2.0, 3.0, 3.5)
+    assert (summary["wins"], summary["pairs"]) == (3, 5)
+    assert bench_pairs.summarize(pairs, "higher")["wins"] == 1
+    assert bench_pairs.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)

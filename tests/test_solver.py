@@ -542,6 +542,17 @@ class TestSmoMatchesReference:
         alphas = _assert_same_solve(kernel_matrix_from_sq(banana_sq, 0.5), C, np.full(n, 1.0 / n))
         assert np.any(alphas == C)
 
+    def test_every_alpha_at_the_box_bound(self):
+        # f = 1: C = 1/n, so the uniform start is the only feasible point;
+        # no multiplier can rise and every pass stops at its first check
+        X = np.random.default_rng(0).normal(size=(12, 2))
+        C = SolverConfig(f=1.0).box_bound(12)
+        alpha0 = np.full(12, 1.0 / 12)
+        K = kernel_matrix(X, KernelSpec(GAUSSIAN, 1.0))
+        assert reference_smo(K, C, 1e-6, 1000, alpha0)[1:] == (0.0, 0)
+        alphas = _assert_same_solve(K, C, alpha0, max_iterations=1000)
+        assert alphas.tobytes() == alpha0.tobytes()
+
     def test_near_duplicate_rows_at_curvature_floor(self):
         # exact binary coordinates keep the linear Gram matrix exact: each
         # row pair (k, k + 8) has curvature 2**-40, below the floor
@@ -897,6 +908,28 @@ class TestClassify:
         assert classify(two_point_model, [[100.0, 0.0]])[0] == OUTLIER
 
 
+class TestRefusedAllocations:
+    # each allocation that grows with the square of n is an InputError
+    # naming n when the host refuses it, not numpy's MemoryError
+
+    def test_train_row_buffer(self, two_point_data, refuse):
+        refuse(np, "eye")
+        with pytest.raises(InputError, match="^the kernel row buffer of 2 rows needs"):
+            train(two_point_data, KernelSpec(GAUSSIAN, 2.0), SolverConfig(f=0.5))
+
+    def test_train_path_row_buffer(self, two_point_data, refuse):
+        refuse(np, "eye")
+        with pytest.raises(InputError, match="^the kernel row buffer of 2 rows needs"):
+            next(train_path(two_point_data, [1.0, 2.0], SolverConfig(f=0.5)))
+
+    def test_loaded_model_kernel_matrix(self, two_point_model, refuse):
+        payload = two_point_model.to_dict()
+        refuse(kernel, "squared_distances")
+        with pytest.raises(InputError,
+                           match="^the support-vector kernel matrix of 2 rows needs"):
+            model_from_dict(payload)
+
+
 class TestPositionReport:
     def test_two_point_both_boundary(self, two_point_model):
         report = position_report(two_point_model)
@@ -926,6 +959,7 @@ class TestPositionReport:
             )
             report = position_report(model)
             tol = report.tolerance
+            assert tol == 10.0 * model.config.kkt_tol
             r2 = report.r_squared
             for pos, d in zip(report.positions, report.distances):
                 if pos == INSIDE:
