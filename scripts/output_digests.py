@@ -37,6 +37,8 @@ IDENTICAL = "../identical.csv"
 UNDERFLOW = "../underflow.csv"
 # 20,000 rows: the compiled reader takes them in several blocks
 BIG = "../shapes-20k/banana.csv"
+# a bandwidth grid past the Gaussian kernel's range
+TINY_GRID = ("--s-min", "1e-300", "--s-max", "1e-299", "--s-step", "1e-301")
 
 # (directory, svddpeak arguments, whether the run fails on purpose[, the
 # file piped to its stdin])
@@ -100,6 +102,11 @@ COMMANDS = (
      True),
     ("shapes-seed-negative", ("shapes", "--kind", "banana", "--seed", "-1", "--out",
                               "banana.csv"), True),
+    # 2 s^2 underflows to 0 at every grid point: refused before any solve
+    ("tune-grid-range", ("tune", "--method", "peak", "--data", BANANA, *TINY_GRID, "--out",
+                         "tune.json"), True),
+    ("simulate-grid-range", ("simulate", "--vertices", "5", "--per-count", "1", "--samples",
+                             "200", *TINY_GRID, "--out-dir", "."), True),
 )
 
 

@@ -340,8 +340,8 @@ def _select_bandwidth(args, X, method):
                                            [[_fmt(s), _fmt(v)] for s, v in result.curve])
     peak = _tuning.select_bandwidth_peak(X, args.f, grid, config=_solver_config(args),
                                          min_run=_min_run(args), jobs=args.jobs)
-    fields = {"f": args.f, "s": peak.recommended, "s_low": peak.s_low, "s_high": peak.s_high}
-    return peak.recommended, fields, (CURVE_HEADER, _curve_rows(peak))
+    fields = {"f": args.f, "s": peak.pick, "s_low": peak.s_low, "s_high": peak.s_high}
+    return peak.pick, fields, (CURVE_HEADER, _curve_rows(peak))
 
 
 def cmd_train(args) -> int:

@@ -125,17 +125,12 @@ class F1SweepResult(Sweep):
 
     def peak_ratio(self, min_run: int = DEFAULT_MIN_RUN):
         """(peak, s_recommended, f_peak, ratio): the plateau of this sweep's own
-        V*(s) (else SweepError or NoPeakFoundError), its middle grid point (the
-        lower one of an even plateau, as ``f1_sweep`` ties toward the smaller
-        ``s``), its F1, and that over the best F1 (at most 1; 0 when the best
-        is 0). The middle is taken by grid index, so the grid's last bits
-        cannot move it."""
+        V*(s) (else SweepError or NoPeakFoundError), its pick (``find_peak``'s
+        middle grid point), the pick's F1, and that over the best F1 (at most
+        1; 0 when the best is 0)."""
         peak = find_peak(self.objective_curve(), min_run=min_run)
-        low, high = np.searchsorted(self.s_values, (peak.s_low, peak.s_high))
-        mid = int(low + high) // 2
-        snapped = float(self.s_values[mid])
-        f_peak = self.metrics[mid].f1
-        return peak, snapped, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
+        f_peak = self.metrics[peak.pick_index].f1
+        return peak, peak.pick, f_peak, f_peak / self.f_best if self.f_best > 0 else 0.0
 
 
 def f1_sweep(
@@ -230,7 +225,7 @@ def _polygon_task(key, *, sample_size, grid, f, resolution, min_run, solver_conf
     try:
         # one solve per bandwidth gives both V*(s) and the lattice F1
         sweep = f1_sweep(X, labeled, grid, f, config=solver_config)
-        peak, snapped, f_peak, ratio = sweep.peak_ratio(min_run=min_run)
+        peak, pick, f_peak, ratio = sweep.peak_ratio(min_run=min_run)
     except SvddError as exc:
         return StudyFailure(vertex_count=vc, polygon_index=idx, seed=seed, error=str(exc))
     return StudyRow(
@@ -239,12 +234,31 @@ def _polygon_task(key, *, sample_size, grid, f, resolution, min_run, solver_conf
         seed=seed,
         s_peak_low=peak.s_low,
         s_peak_high=peak.s_high,
-        s_recommended=snapped,
+        s_recommended=pick,
         f_peak=f_peak,
         s_best=sweep.s_best,
         f_best=sweep.f_best,
         ratio=ratio,
     )
+
+
+def _quartiles(values) -> list:
+    """``np.percentile(values, [25, 50, 75])`` of a non-empty vector, bit
+    for bit, without the ``numpy.ma`` import its first call costs: numpy's
+    linear method, on the values partitioned where numpy partitions them,
+    so that even the sign of a zero among tied zeros is numpy's."""
+    n = values.size
+    indexes = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    # past the last index numpy takes the last value, at weight index + 1
+    lows = [int(index) if index < n - 1 else -1 for index in indexes]
+    ordered = np.partition(values, sorted({0, n - 1, *(low % n for low in lows),
+                                           *(low + 1 for low in lows)}))
+    quartiles = []
+    for index, low in zip(indexes, lows):
+        t = index - low
+        a, b = float(ordered[low]), float(ordered[low + 1])
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return quartiles
 
 
 def polygon_study(
@@ -264,7 +278,7 @@ def polygon_study(
     For each polygon: sample its interior, pick a bandwidth from the
     objective-curve plateau, evaluate its F1 on the labeled bounding-box
     lattice, and divide by the best F1 over the full labeled sweep. The
-    bandwidth is the plateau's middle grid point (``peak_ratio``), so
+    bandwidth is the plateau's middle grid point (``find_peak``'s pick), so
     every ratio is at most 1 by construction. Each bandwidth is solved once: the same
     sweep gives V*(s) for the plateau and F1 for the ratio.
     Polygons where a solve fails or no plateau exists are recorded as
@@ -301,7 +315,7 @@ def polygon_study(
         vals = np.array([r.ratio for r in rows if r.vertex_count == vc])
         if vals.size == 0:
             continue
-        q1, med, q3 = np.percentile(vals, [25, 50, 75])
+        q1, med, q3 = _quartiles(vals)
         summaries.append(
             StudySummary(
                 vertex_count=vc,

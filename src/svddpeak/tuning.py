@@ -5,7 +5,10 @@ objective V*(s) of each solve, estimate its first and second derivatives
 by central differences, smooth the second derivative with a penalized
 B-spline, and pick the first interval where the smoothed curve's
 confidence band contains zero: the first critical region of the first
-derivative. The recommended bandwidth is the interval midpoint.
+derivative. The recommended bandwidth is the interval's middle grid
+point, the lower of the two middles on an even interval: V*(s) is known
+only at grid points, and the paper's abstract does not say which point
+of the interval it takes.
 
 V*(s) is non-increasing in s for the Gaussian kernel (every kernel entry
 grows with s while the weights stay on the simplex), and is bounded by
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import InputError, NoPeakFoundError, SweepError
-from .kernel import as_data_matrix, require_spread
+from .kernel import KernelSpec, as_data_matrix, require_spread
 from .smoothing import SplineConfig, SplineFit, ci_contains_zero, fit_pspline
 from .solver import SolverConfig
 
@@ -133,11 +136,16 @@ class Sweep:
 
 @dataclass
 class PeakResult:
-    """The first zero plateau of ``curve``'s smoothed second derivative."""
+    """The first zero plateau of ``curve``'s smoothed second derivative,
+    [``s_low``, ``s_high``]: ``pick``, the bandwidth every command takes,
+    is its middle grid point ``curve.s_values[pick_index]``, and
+    ``recommended`` its float midpoint, which no command reads."""
 
     s_low: float
     s_high: float
     recommended: float
+    pick: float
+    pick_index: int
     fit: SplineFit
     zero_mask: np.ndarray
     curve: ObjectiveCurve
@@ -229,14 +237,18 @@ def curve_from_samples(s_values, v_star) -> ObjectiveCurve:
 
 def require_peak_grid(s_values, min_run: int = DEFAULT_MIN_RUN) -> None:
     """InputError unless the grid ``s_values`` has enough interior points
-    for ``find_peak`` and ``min_run`` is at least 1; the peak path checks
-    this before its first solve."""
+    for ``find_peak``, ``min_run`` is at least 1 and every grid value is a
+    bandwidth ``KernelSpec`` takes; the peak path checks this before its
+    first solve."""
     interior = max(len(s_values) - 2, 0)
     if interior < MIN_INTERIOR_POINTS:
         raise InputError(f"grid too coarse: the peak criterion needs at least "
                          f"{MIN_INTERIOR_POINTS} interior grid points, got {interior}")
     if min_run < 1:
         raise InputError("min_run must be at least 1")
+    # 2 s^2 grows with s, so the two ends bound every point
+    KernelSpec(s=float(s_values[0]))
+    KernelSpec(s=float(s_values[-1]))
 
 
 def _zero_runs(mask):
@@ -255,8 +267,9 @@ def find_peak(
 
     Fits the penalized B-spline to (s, d2) on the interior grid, masks
     the points whose confidence band contains zero, and returns the first
-    contiguous run of at least ``min_run`` masked points as an interval.
-    The result, or the NoPeakFoundError, carries ``curve``.
+    contiguous run of at least ``min_run`` masked points as an interval,
+    with its middle grid point, taken by index, as the pick. The result,
+    or the NoPeakFoundError, carries ``curve``.
     """
     require_peak_grid(curve.s_values, min_run)
     interior = curve.interior_s
@@ -282,10 +295,14 @@ def find_peak(
     start, stop = run
     s_low = float(interior[start])
     s_high = float(interior[stop - 1])
+    # interior[k] is s_values[k + 1]
+    pick_index = (start + stop - 1) // 2 + 1
     return PeakResult(
         s_low=s_low,
         s_high=s_high,
         recommended=0.5 * (s_low + s_high),
+        pick=float(curve.s_values[pick_index]),
+        pick_index=pick_index,
         fit=fit,
         zero_mask=mask,
         curve=curve,
@@ -301,7 +318,8 @@ def select_bandwidth_peak(
     jobs: int = 1,
 ) -> PeakResult:
     """Sweep the grid, then find the first zero plateau. A grid too short
-    for ``find_peak``, or a ``min_run`` below 1, raises InputError, and
+    for ``find_peak`` or with an end out of the Gaussian range, or a
+    ``min_run`` below 1, raises InputError, and
     rows that all coincide raise DegenerateInputError, before any
     solve."""
     grid = grid or BandwidthGrid.low_dimensional()

@@ -1653,3 +1653,79 @@ class TestBlockWriter:
     def test_a_code_outside_its_values_is_an_input_error(self, tmp_path, codes):
         with pytest.raises(InputError, match="codes must index 2 values"):
             write_csv_blocks(tmp_path / "out.csv", ["c"], [Coded(np.array(codes), ("a", "b"))])
+
+
+# the seed-11 banana at these flags has the plateau [2.4, 3.55]: 24 grid
+# points, whose float midpoint 2.9749999999999996 no solve visits
+EVEN_PLATEAU_FLAGS = ["--min-run", "5", "--kkt-tol", "1e-7"]
+
+
+class TestOnePick:
+    def test_tune_reports_the_plateau_middle_grid_point(self, banana_csv, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        assert main(["tune", "--method", "peak", "--data", str(banana_csv),
+                     *EVEN_PLATEAU_FLAGS, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert (report["s_low"], report["s_high"], report["s"]) == (2.4, 3.55, 2.95)
+        assert capsys.readouterr().out == f"method=peak selected s=2.95 -> {out}\n"
+
+    def test_train_tune_trains_at_the_pick(self, banana_csv, tmp_path):
+        from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak
+
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--tune", "peak", "--data", str(banana_csv),
+                     *EVEN_PLATEAU_FLAGS, "--out", str(model_path)]) == EXIT_OK
+        peak = select_bandwidth_peak(read_csv_dataset(banana_csv)[1], 0.001,
+                                     BandwidthGrid.low_dimensional(),
+                                     config=solver.SolverConfig(f=0.001, kkt_tol=1e-7),
+                                     min_run=5)
+        tuned = json.loads((tmp_path / "model.json.manifest.json").read_text())["tuned"]
+        assert json.loads(model_path.read_text())["s"] == tuned["s"] == peak.pick == 2.95
+
+
+# 2 s^2 underflows to 0 at every point of the first grid, and overflows at
+# the last point of the second
+TINY_GRID = ["--s-min", "1e-300", "--s-max", "1e-299", "--s-step", "1e-301"]
+HUGE_GRID = ["--s-min", "1", "--s-max", "1e200", "--s-step", "1e198"]
+
+
+class TestGridOutOfGaussianRange:
+    def _refused(self, tmp_path, capsys, monkeypatch, argv, s):
+        monkeypatch.setattr(solver, "train_path", _never)
+        monkeypatch.setattr(solver, "train", _never)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: gaussian bandwidth {s} is out of range: "
+                                           "2 s^2 must be a positive finite number\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_tune(self, banana_csv, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["tune", "--method", "peak", "--data", str(banana_csv), *TINY_GRID,
+                       "--out", str(tmp_path / "tune.json")], "1e-300")
+
+    def test_train_tune(self, banana_csv, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["train", "--tune", "peak", "--data", str(banana_csv), *TINY_GRID,
+                       "--out", str(tmp_path / "model.json")], "1e-300")
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                       *TINY_GRID, "--out-dir", str(tmp_path / "study")], "1e-300")
+
+    def test_tune_past_the_top(self, banana_csv, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["tune", "--method", "peak", "--data", str(banana_csv), *HUGE_GRID,
+                       "--out", str(tmp_path / "tune.json")], "1e+200")
+
+
+def test_simulate_imports_no_masked_arrays(tmp_path):
+    # the summary's quartiles come without np.percentile's numpy.ma import
+    probe = ("import sys; from svddpeak.cli import main; "
+             "code = main(['simulate', '--vertices', '5', '--per-count', '2', '--samples', "
+             "'100', '--jobs', '1', '--out-dir', 'd']); print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=_src_dir())).stdout
+    assert out.splitlines()[-1].split() == ["0", "False"]
+    assert len(read_rows(tmp_path / "d" / "polygon_study_summary.csv")) == 2

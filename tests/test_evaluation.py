@@ -25,7 +25,7 @@ from svddpeak.evaluation import (
 )
 from svddpeak.kernel import GAUSSIAN, KernelSpec
 from svddpeak.solver import SolverConfig, train
-from svddpeak.tuning import BandwidthGrid, sweep_objective
+from svddpeak.tuning import BandwidthGrid, select_bandwidth_peak, sweep_objective
 
 UNIT_SQUARE = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 counts_st = st.integers(0, 500)
@@ -363,3 +363,28 @@ class TestPolygonStudy:
         assert report.rows == []
         assert [(x.vertex_count, x.polygon_index) for x in report.failures] == [(5, 0), (8, 0)]
         assert all("failed" in x.error for x in report.failures)
+
+
+def test_simulate_picks_the_bandwidth_tune_picks():
+    # polygon (5, 0) of the default master seed at 200 samples: its plateau
+    # [1.25, 1.4] has four grid points, whose float midpoint is no grid point
+    seed = evaluation._polygon_seed(20240501, 5, 0)
+    polygon = generate_polygon(PolygonConfig(k=5, seed=seed))
+    X = sample_interior(polygon, 200, seed + 50_000)
+    grid = BandwidthGrid.low_dimensional()
+    sweep = f1_sweep(X, make_labeled_grid(polygon, (20, 20)), grid, f=0.001)
+    peak, s_recommended, f_peak, _ = sweep.peak_ratio()
+    tuned = select_bandwidth_peak(X, 0.001, grid)
+    assert tuned.pick == s_recommended == peak.pick == sweep.s_values[peak.pick_index]
+    assert tuned.recommended != tuned.pick
+    assert f_peak == sweep.metrics[peak.pick_index].f1
+
+
+def test_quartiles_are_numpys_percentiles_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for trial in range(4000):
+        n = int(rng.integers(1, 60))
+        values = (rng.random(n), rng.choice(rng.random(3), n),
+                  rng.choice([-0.0, 0.0, 0.5, -1.0], n), rng.choice([-0.0, 0.0], n))[trial % 4]
+        expected = np.percentile(values, [25, 50, 75])
+        assert np.array(evaluation._quartiles(values)).tobytes() == expected.tobytes(), values

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -433,3 +435,41 @@ def test_envelope_theorem_on_warm_sweep(banana):
         exact.append(-(a @ ((kernel_matrix_from_sq(sq, s) * sq) @ a)) / s**3)
     gap = np.abs(curve_from_samples(s_values, v_star).d1 - np.array(exact[1:-1]))
     assert np.median(gap) < 1e-5
+
+
+class TestPeakPick:
+    def test_even_plateau_picks_the_lower_middle_grid_point(self):
+        curve = constructed_curve(banana_narrative_d2())
+        result = find_peak(curve, NARRATIVE_SPLINE)
+        # [0.5, 0.85] has eight grid points; the middle two are 0.65 and 0.7
+        assert result.pick == curve.s_values[result.pick_index]
+        assert result.pick == pytest.approx(0.65, abs=1e-12)
+        assert result.recommended == pytest.approx(0.675, abs=1e-12)
+
+    @pytest.mark.parametrize("start, stop, middle", [
+        (10, 15, 12), (10, 14, 11), (10, 11, 10), (0, 158, 78), (150, 158, 153),
+    ], ids=["odd", "even", "one-point", "whole-grid", "grid-end"])
+    def test_pick_is_the_middle_by_index(self, monkeypatch, start, stop, middle):
+        interior = LOW_GRID.values()[1:-1]
+        mask = np.zeros(interior.size, dtype=bool)
+        mask[start:stop] = True
+        monkeypatch.setattr(tuning, "ci_contains_zero", lambda fit: mask)
+        curve = constructed_curve(alternating(interior.size, 0.05))
+        result = find_peak(curve, NARRATIVE_SPLINE, min_run=1)
+        assert result.pick_index == middle + 1
+        assert result.pick == curve.s_values[result.pick_index] == interior[middle]
+        assert result.recommended == 0.5 * (interior[start] + interior[stop - 1])
+
+
+@pytest.mark.parametrize("grid, s", [
+    (BandwidthGrid(1e-300, 1e-299, 1e-301), "1e-300"),
+    (BandwidthGrid(1.0, 1e200, 1e198), "1e+200"),
+], ids=["underflow", "overflow"])
+def test_grid_end_out_of_the_gaussian_range_raises_before_any_solve(
+        banana, monkeypatch, grid, s):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the error")
+
+    monkeypatch.setattr(solver, "train_path", never)
+    with pytest.raises(InputError, match=re.escape(f"gaussian bandwidth {s} is out of range")):
+        select_bandwidth_peak(banana, 0.001, grid)
