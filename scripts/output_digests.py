@@ -105,8 +105,15 @@ COMMANDS = (
     # 2 s^2 underflows to 0 at every grid point: refused before any solve
     ("tune-grid-range", ("tune", "--method", "peak", "--data", BANANA, *TINY_GRID, "--out",
                          "tune.json"), True),
+    ("tune-cv-grid-range", ("tune", "--method", "cv", "--data", BANANA, *TINY_GRID, "--out",
+                            "tune.json"), True),
+    ("tune-dfn-grid-range", ("tune", "--method", "dfn", "--data", BANANA, *TINY_GRID, "--out",
+                             "tune.json"), True),
     ("simulate-grid-range", ("simulate", "--vertices", "5", "--per-count", "1", "--samples",
                              "200", *TINY_GRID, "--out-dir", "."), True),
+    # one row has no distance: refused before any polygon is drawn
+    ("simulate-samples1", ("simulate", "--vertices", "5", "--per-count", "1", "--samples", "1",
+                           "--out-dir", "."), True),
 )
 
 

@@ -287,9 +287,10 @@ def polygon_study(
     Polygons are independent work units; with jobs > 1 they run in a
     process pool, and the report does not depend on the worker count.
     A vertex count below 3, above 499 or given twice, more than 100
-    polygons per count (their seeds would collide), a grid too short for
-    ``find_peak`` and a ``min_run`` below 1 raise InputError before any
-    solve.
+    polygons per count (their seeds would collide), a sample of fewer
+    than 2 rows, a grid too short for ``find_peak`` and a ``min_run``
+    below 1 raise InputError before any polygon is drawn; a grid past
+    the Gaussian range is refused when it is built.
     """
     vertex_counts = list(vertex_counts)
     repeated = sorted({vc for vc in vertex_counts if vertex_counts.count(vc) > 1})
@@ -301,6 +302,8 @@ def polygon_study(
         raise InputError(f"polygons have at most 499 vertices, got {max(vertex_counts)}")
     if polygons_per_count > 100:
         raise InputError(f"at most 100 polygons per vertex count, got {polygons_per_count}")
+    if sample_size < 2:
+        raise InputError(f"a polygon's sample needs at least 2 rows, got {sample_size}")
     grid = grid or BandwidthGrid.low_dimensional()
     require_peak_grid(grid.values(), min_run)
     task = partial(_polygon_task, sample_size=sample_size, grid=grid, f=f,

@@ -64,6 +64,9 @@ class BandwidthGrid:
         if not points <= MAX_GRID_POINTS:
             raise InputError(f"the grid would have {points:g} points; "
                              f"at most {MAX_GRID_POINTS} are allowed")
+        # 2 s^2 grows with s, so the two ends bound every point
+        KernelSpec(s=float(self.s_min))
+        KernelSpec(s=float(self.s_min + self.step * (points - 1)))
 
     def _point_count(self) -> float:
         return np.floor((self.s_max - self.s_min) / self.step + 1e-9) + 1
@@ -237,18 +240,15 @@ def curve_from_samples(s_values, v_star) -> ObjectiveCurve:
 
 def require_peak_grid(s_values, min_run: int = DEFAULT_MIN_RUN) -> None:
     """InputError unless the grid ``s_values`` has enough interior points
-    for ``find_peak``, ``min_run`` is at least 1 and every grid value is a
-    bandwidth ``KernelSpec`` takes; the peak path checks this before its
-    first solve."""
+    for ``find_peak`` and ``min_run`` is at least 1; the peak path checks
+    this before its first solve. A ``BandwidthGrid`` checks its Gaussian
+    range itself, when it is built."""
     interior = max(len(s_values) - 2, 0)
     if interior < MIN_INTERIOR_POINTS:
         raise InputError(f"grid too coarse: the peak criterion needs at least "
                          f"{MIN_INTERIOR_POINTS} interior grid points, got {interior}")
     if min_run < 1:
         raise InputError("min_run must be at least 1")
-    # 2 s^2 grows with s, so the two ends bound every point
-    KernelSpec(s=float(s_values[0]))
-    KernelSpec(s=float(s_values[-1]))
 
 
 def _zero_runs(mask):
@@ -318,10 +318,9 @@ def select_bandwidth_peak(
     jobs: int = 1,
 ) -> PeakResult:
     """Sweep the grid, then find the first zero plateau. A grid too short
-    for ``find_peak`` or with an end out of the Gaussian range, or a
-    ``min_run`` below 1, raises InputError, and
-    rows that all coincide raise DegenerateInputError, before any
-    solve."""
+    for ``find_peak`` or a ``min_run`` below 1 raises InputError, and
+    rows that all coincide raise DegenerateInputError, before any solve
+    (a grid past the Gaussian range is refused when it is built)."""
     grid = grid or BandwidthGrid.low_dimensional()
     require_peak_grid(grid.values(), min_run)
     X = as_data_matrix(X)

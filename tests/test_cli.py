@@ -387,6 +387,16 @@ class TestGridRule:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_simulate_on_one_row_samples_is_usage_error_before_any_polygon(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluation, "generate_polygon", _never)
+        out_dir = tmp_path / "study"
+        assert main(["simulate", "--vertices", "5", "--per-count", "1", "--samples", "1",
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: a polygon's sample needs at least 2 rows, "
+                                           "got 1\n")
+        assert not out_dir.exists()
+
     def test_simulate_on_a_short_grid_is_usage_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "train_path", _never)
@@ -1694,8 +1704,12 @@ class TestGridOutOfGaussianRange:
         monkeypatch.setattr(solver, "train_path", _never)
         monkeypatch.setattr(solver, "train", _never)
         before = sorted(tmp_path.iterdir())
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == (f"error: gaussian bandwidth {s} is out of range: "
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_USAGE
+        # no numpy warning: no kernel entry was computed either
+        assert caught == []
+        assert capsys.readouterr() == ("", f"error: gaussian bandwidth {s} is out of range: "
                                            "2 s^2 must be a positive finite number\n")
         assert sorted(tmp_path.iterdir()) == before
 
@@ -1718,6 +1732,28 @@ class TestGridOutOfGaussianRange:
         self._refused(tmp_path, capsys, monkeypatch,
                       ["tune", "--method", "peak", "--data", str(banana_csv), *HUGE_GRID,
                        "--out", str(tmp_path / "tune.json")], "1e+200")
+
+    def test_train_tune_past_the_top(self, banana_csv, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["train", "--tune", "peak", "--data", str(banana_csv), *HUGE_GRID,
+                       "--out", str(tmp_path / "model.json")], "1e+200")
+
+    def test_simulate_past_the_top(self, tmp_path, capsys, monkeypatch):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      ["simulate", "--vertices", "5", "--per-count", "1", "--samples", "100",
+                       *HUGE_GRID, "--out-dir", str(tmp_path / "study")], "1e+200")
+
+    # the grid baselines sweep the same BandwidthGrid, so they refuse it too
+    @pytest.mark.parametrize("grid, s", [(TINY_GRID, "1e-300"), (HUGE_GRID, "1e+200")],
+                             ids=["tiny", "huge"])
+    @pytest.mark.parametrize("method", ["cv", "dfn"])
+    @pytest.mark.parametrize("command, flag", [("tune", "--method"), ("train", "--tune")],
+                             ids=["tune", "train"])
+    def test_grid_baselines(self, banana_csv, tmp_path, capsys, monkeypatch, command, flag,
+                            method, grid, s):
+        self._refused(tmp_path, capsys, monkeypatch,
+                      [command, flag, method, "--data", str(banana_csv), *grid,
+                       "--out", str(tmp_path / "out.json")], s)
 
 
 def test_simulate_imports_no_masked_arrays(tmp_path):

@@ -328,6 +328,19 @@ class TestPolygonStudy:
             polygon_study(**dict(SMALL_STUDY, **study))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("sample_size", [1, 0])
+    def test_a_sample_of_fewer_than_2_rows_raises_before_any_polygon(self, monkeypatch,
+                                                                     sample_size):
+        # one row has no distance: its plateau covered the whole grid, and
+        # its ratio of 0 entered the summary
+        def never(*args, **kwargs):
+            raise AssertionError("drew a polygon before the error")
+
+        monkeypatch.setattr(evaluation, "generate_polygon", never)
+        with pytest.raises(InputError) as err:
+            polygon_study(**dict(SMALL_STUDY, sample_size=sample_size))
+        assert str(err.value) == f"a polygon's sample needs at least 2 rows, got {sample_size}"
+
     def test_seeds_of_the_accepted_range_are_distinct(self):
         for master in (0, 1, 20240501):
             seeds = [evaluation._polygon_seed(master, vc, idx) + extra
