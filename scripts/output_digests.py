@@ -37,6 +37,8 @@ IDENTICAL = "../identical.csv"
 UNDERFLOW = "../underflow.csv"
 # 20,000 rows: the compiled reader takes them in several blocks
 BIG = "../shapes-20k/banana.csv"
+# one class-1 row of the shuttle file's form, written there too
+SHUTTLE = "../shuttle.trn"
 # a bandwidth grid past the Gaussian kernel's range
 TINY_GRID = ("--s-min", "1e-300", "--s-max", "1e-299", "--s-step", "1e-301")
 
@@ -59,6 +61,9 @@ COMMANDS = (
     # every alpha at C = 1/n: the solve stops at its first check
     ("train-f1", ("train", "--s", "1", "--f", "1", "--data", BANANA, "--out", "model.json"),
      False),
+    # a model saved with the kkt_tol it was solved to
+    ("train-kkt1e-4", ("train", "--s", "0.9", "--f", "0.05", "--kkt-tol", "1e-4", "--data",
+                       BANANA, "--out", "model.json"), False),
     ("score", ("score", "--model", MODEL, "--data", BANANA, "--out", "scored.csv"), False),
     # written by shapes, so every line ends in "\r\n"
     ("shapes-20k", ("shapes", "--kind", "banana", "--n", "20000", "--seed", "12", "--out",
@@ -83,6 +88,9 @@ COMMANDS = (
                            "500", "--jobs", "2", "--out", "tune.json"), True),
     ("train-no-bandwidth", ("train", "--data", BANANA, "--out", "model.json"), True),
     ("shuttle-no-out", ("shuttle", "--path", "missing.txt", "--sample-class1", "5"), True),
+    # flags shuttle would not honour: refused before the file is read
+    ("shuttle-out-only", ("shuttle", "--path", SHUTTLE, "--out", "x.csv"), True),
+    ("shuttle-no-path", ("shuttle", "--sample-class1", "2", "--out", "s.csv"), True),
     ("tune-kkt-nan", ("tune", "--method", "peak", "--data", BANANA, "--kkt-tol", "nan",
                       "--out", "tune.json"), True),
     ("tune-step-nan", ("tune", "--method", "peak", "--data", BANANA, "--s-step", "nan",
@@ -132,6 +140,7 @@ def digests(tree: Path) -> list:
     with tempfile.TemporaryDirectory() as top:
         Path(top, "identical.csv").write_text("x1,x2\n" + "1.5,-2\n" * 4)
         Path(top, "underflow.csv").write_text("x\n0\n1e-170\n0\n2e-170\n")
+        Path(top, "shuttle.trn").write_text("1 2 3 4 5 6 7 8 9 1\n")
         for name, argv, fails, *stdin in runs:
             cwd = Path(top, name)
             cwd.mkdir()

@@ -484,13 +484,17 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_shuttle(args) -> int:
+    if args.sample_class1 and not args.out:
+        raise InputError("--out is required with --sample-class1")
+    if args.out and not args.sample_class1:
+        raise InputError("--out is used only with --sample-class1")
+    if args.sample_class1 and not args.path:
+        raise InputError("--sample-class1 needs --path: the shuttle data is not bundled")
     if not args.path:
         print("The Statlog shuttle data is not bundled; download it from:")
         print(f"  {SHUTTLE_URL}")
         print("then re-run with --path pointing at the extracted shuttle file.")
         return EXIT_OK
-    if args.sample_class1 and not args.out:
-        raise InputError("--out is required with --sample-class1")
     inputs = _input_digests(args.path) if args.sample_class1 else None
     X, labels = ingest_shuttle(args.path)
     counts = {int(c): int(np.sum(labels == c)) for c in np.unique(labels)}

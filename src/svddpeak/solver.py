@@ -92,7 +92,6 @@ class SvddModel:
 
     alphas: np.ndarray
     sv_indices: np.ndarray
-    boundary_sv_indices: np.ndarray
     r_squared: float
     spec: KernelSpec
     config: SolverConfig
@@ -125,6 +124,7 @@ class SvddModel:
             "s": self.spec.s,
             "f": self.config.f,
             "C": self.C,
+            "kkt_tol": self.config.kkt_tol,
             "r_squared": self.r_squared,
             "dual_objective": self.dual_objective,
             "support_vectors": self.support_vectors.tolist(),
@@ -142,10 +142,10 @@ def model_from_dict(payload: dict) -> SvddModel:
 
     Only support vectors are serialized, so the rebuilt model's training
     view is the support-vector set itself (alphas are zero elsewhere and
-    contribute nothing to scoring). The box bound is read back as saved.
-    A missing or mistyped field, a number that is not finite or out of its
-    range (C > 0, r_squared >= 0, alphas >= 0), or a kernel other than the
-    Gaussian, raises InputError.
+    contribute nothing to scoring). C and ``kkt_tol`` (1e-6 if absent) are
+    read back as saved. A missing or mistyped field, a number that is not
+    finite or out of range (C, kkt_tol > 0; r_squared, alphas >= 0), or a
+    kernel other than the Gaussian, raises InputError.
     """
     if not isinstance(payload, dict):
         raise InputError("a model must be a JSON object")
@@ -160,7 +160,7 @@ def model_from_dict(payload: dict) -> SvddModel:
         spec = KernelSpec(GAUSSIAN, payload["s"])
         sv = np.asarray(payload["support_vectors"], dtype=float)
         alphas = np.asarray(payload["alphas"], dtype=float)
-        config = SolverConfig(f=payload["f"])
+        config = SolverConfig(payload["f"], float(payload.get("kkt_tol", SolverConfig.kkt_tol)))
         C = float(payload["C"])
         r_squared = float(payload["r_squared"])
         dual_objective = float(payload["dual_objective"])
@@ -186,7 +186,6 @@ def model_from_dict(payload: dict) -> SvddModel:
     return SvddModel(
         alphas=alphas,
         sv_indices=np.arange(sv.shape[0]),
-        boundary_sv_indices=_boundary_indices(alphas, C, config.kkt_tol),
         r_squared=r_squared,
         spec=spec,
         config=config,
@@ -207,8 +206,16 @@ def load_model(path) -> SvddModel:
     return model_from_dict(payload)
 
 
-def _boundary_indices(alphas, C, tol) -> np.ndarray:
-    return np.flatnonzero((alphas > tol) & (alphas < C - tol))
+# the free multipliers' distances agree with R^2 to within this many kkt_tol
+DISTANCE_BAND = 10.0
+
+
+def _positions(alphas, C, tol):
+    """The disjoint masks ``(at_zero, free, at_C)``: alpha <= tol, else
+    between, alpha >= C - tol (which wins where both hold, C <= 2 tol)."""
+    at_C = alphas >= C - tol
+    at_zero = (alphas <= tol) & ~at_C
+    return at_zero, ~(at_zero | at_C), at_C
 
 
 class _KernelRows:
@@ -372,31 +379,29 @@ def _run_python(K, alpha, grad, up_pen, low_pen, filled, pair, C, kkt_tol, curva
     return iterations, False
 
 
-def _threshold(dist_sq, alphas, boundary, C, kkt_tol) -> float:
+def _threshold(dist_sq, alphas, C, kkt_tol) -> float:
     """R^2 from ``dist_sq``, the squared center distance of every training row.
 
-    With boundary support vectors (the indices ``boundary``), their mean
-    distance; they must agree to within 10 ``kkt_tol`` (the Gaussian
-    diagonal is 1, so distances lie in [0, 2]), else NumericalError.
-    Without any, every alpha sits at a box bound and the KKT conditions only
-    bracket R^2: it is at least the largest distance among alpha = 0 rows
-    and at most the smallest among alpha = C rows. Take the midpoint of that
-    interval (or its upper end when no alpha is 0).
+    With free multipliers (``_positions``), their mean distance; they must
+    agree to within ``DISTANCE_BAND`` ``kkt_tol`` (distances lie in [0, 2]),
+    else NumericalError. Without any, every alpha sits at a box bound and
+    the KKT conditions only bracket R^2: at least the largest distance at
+    0, at most the smallest at C. Take the midpoint of that interval (or
+    its upper end when no alpha is at 0).
     """
-    if boundary.size:
-        per_sv = dist_sq[boundary]
+    at_zero, free, at_C = _positions(alphas, C, kkt_tol)
+    if free.any():
+        per_sv = dist_sq[free]
         spread = float(per_sv.max() - per_sv.min())
-        if spread > 10.0 * kkt_tol:
+        if spread > DISTANCE_BAND * kkt_tol:
             raise NumericalError(
                 f"boundary support vectors disagree on the threshold by {spread:.3e}"
             )
         return float(max(per_sv.mean(), 0.0))
-    inside = alphas <= kkt_tol
-    outside = alphas >= C - kkt_tol
-    hi = float(dist_sq[outside].min()) if np.any(outside) else 0.0
-    if not np.any(inside):
+    hi = float(dist_sq[at_C].min()) if at_C.any() else 0.0
+    if not at_zero.any():
         return max(hi, 0.0)
-    lo = float(dist_sq[inside].max())
+    lo = float(dist_sq[at_zero].max())
     return max(0.5 * (lo + hi), 0.0)
 
 
@@ -485,13 +490,11 @@ def _fit(X, rows, spec, config, initial_alphas) -> SvddModel:
     diag = np.diag(K)
     dual_objective = float(diag @ alphas - alpha_quad)
     sv_indices = np.flatnonzero(alphas > 0.0)
-    boundary = _boundary_indices(alphas, C, config.kkt_tol)
     dist_sq = diag - 2.0 * K_alphas + alpha_quad
-    r_squared = _threshold(dist_sq, alphas, boundary, C, config.kkt_tol)
+    r_squared = _threshold(dist_sq, alphas, C, config.kkt_tol)
     return SvddModel(
         alphas=alphas,
         sv_indices=sv_indices,
-        boundary_sv_indices=boundary,
         r_squared=r_squared,
         spec=spec,
         config=config,
@@ -582,24 +585,20 @@ class PositionReport:
 def position_report(model: SvddModel) -> PositionReport:
     """Classify every training point from its alpha and cross-check distances.
 
-    inside: alpha ~ 0, boundary: 0 < alpha < C, outside: alpha ~ C. The
-    distance consistency (inside => dist^2 <= R^2 + tol, boundary =>
-    |dist^2 - R^2| <= tol, outside => dist^2 >= R^2 - tol, with tol = 10
-    ``kkt_tol``) is verified and a violation raises NumericalError, since
-    it can only come from an unconverged solve.
+    inside, boundary and outside are ``_positions``' at 0, free and at C,
+    at the model's ``kkt_tol``. The distance consistency (inside => dist^2
+    <= R^2 + tol, boundary => |dist^2 - R^2| <= tol, outside => dist^2 >=
+    R^2 - tol, with tol = ``DISTANCE_BAND`` ``kkt_tol``) is verified and a
+    violation raises NumericalError: only an unconverged solve makes one.
     """
-    tol = 10.0 * model.config.kkt_tol
-    C = model.C
+    tol = DISTANCE_BAND * model.config.kkt_tol
     a = model.alphas
-    positions = np.full(model.n, BOUNDARY, dtype=object)
-    positions[a <= model.config.kkt_tol] = INSIDE
-    positions[a >= C - model.config.kkt_tol] = OUTSIDE
+    at_zero, free, at_C = _positions(a, model.C, model.config.kkt_tol)
+    positions = np.select([at_zero, at_C], [INSIDE, OUTSIDE], BOUNDARY)
     dist_sq = score_distances(model, model.X)
     r2 = model.r_squared
-    bad_inside = (positions == INSIDE) & (dist_sq > r2 + tol)
-    bad_boundary = (positions == BOUNDARY) & (np.abs(dist_sq - r2) > tol)
-    bad_outside = (positions == OUTSIDE) & (dist_sq < r2 - tol)
-    bad = bad_inside | bad_boundary | bad_outside
+    bad = ((at_zero & (dist_sq > r2 + tol)) | (free & (np.abs(dist_sq - r2) > tol))
+           | (at_C & (dist_sq < r2 - tol)))
     if np.any(bad):
         worst = int(np.argmax(np.abs(dist_sq - r2) * bad))
         raise NumericalError(
@@ -607,7 +606,7 @@ def position_report(model: SvddModel) -> PositionReport:
             f"distance (alpha={a[worst]:.3e}, dist^2={dist_sq[worst]:.6e}, R^2={r2:.6e})"
         )
     return PositionReport(
-        positions=np.asarray(positions, dtype=str),
+        positions=positions,
         distances=dist_sq,
         r_squared=r2,
         tolerance=tol,

@@ -17,12 +17,14 @@ is identical to scanning the coordinate and keeps the search tractable.
 production solver must reproduce it bit for bit. The SMO contract does
 not depend on the kernel, so ``linear_gram`` gives it inner-product
 matrices too, and ``whole_rows`` hands a whole matrix to the solver.
+``reference_threshold`` is a frozen copy of the threshold rule as it read
+each position off the multipliers by itself.
 """
 
 import numpy as np
 
 from svddpeak import solver
-from svddpeak.errors import ConvergenceError
+from svddpeak.errors import ConvergenceError, NumericalError
 from svddpeak.kernel import kernel_matrix_from_sq, squared_distance_matrix
 
 
@@ -258,3 +260,28 @@ def reference_smo(K, C, kkt_tol, max_iterations, alpha0, curvature_floor=1e-12, 
         kkt_residual=residual,
         iterations=iterations,
     )
+
+
+def reference_threshold(dist_sq, alphas, C, kkt_tol) -> float:
+    """R^2 as the solver took it with its position masks written out: the
+    mean distance of the boundary indices tol < alpha < C - tol, which must
+    agree within 10 tol, else the midpoint of the bracket between the
+    largest distance at alpha <= tol and the smallest at alpha >= C - tol
+    (its upper end when no alpha is at 0). Where C <= 2 tol one alpha can
+    fall in both bracket sets; the solver gives it to alpha = C alone."""
+    boundary = np.flatnonzero((alphas > kkt_tol) & (alphas < C - kkt_tol))
+    if boundary.size:
+        per_sv = dist_sq[boundary]
+        spread = float(per_sv.max() - per_sv.min())
+        if spread > 10.0 * kkt_tol:
+            raise NumericalError(
+                f"boundary support vectors disagree on the threshold by {spread:.3e}"
+            )
+        return float(max(per_sv.mean(), 0.0))
+    inside = alphas <= kkt_tol
+    outside = alphas >= C - kkt_tol
+    hi = float(dist_sq[outside].min()) if np.any(outside) else 0.0
+    if not np.any(inside):
+        return max(hi, 0.0)
+    lo = float(dist_sq[inside].max())
+    return max(0.5 * (lo + hi), 0.0)

@@ -690,6 +690,18 @@ class TestScoreAndGrid:
         assert capsys.readouterr().err == f"error: model field {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [-1, 0, math.nan, "x", None])
+    def test_score_model_with_a_bad_kkt_tol_is_usage_error(
+            self, model_path, two_point_csv, tmp_path, capsys, value):
+        payload = {**json.loads(model_path.read_text()), "kkt_tol": value}
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "scored.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(two_point_csv),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_resolution_and_labels(self, model_path, two_point_csv, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(["grid", "--model", str(model_path), "--data", str(two_point_csv),
@@ -993,6 +1005,28 @@ class TestShuttle:
         captured = capsys.readouterr()
         assert captured.err == "error: --out is required with --sample-class1\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--path", "shuttle.trn", "--out", "x.csv"], "--out is used only with --sample-class1"),
+        (["--sample-class1", "2", "--out", "s.csv"],
+         "--sample-class1 needs --path: the shuttle data is not bundled"),
+        (["--out", "s.csv"], "--out is used only with --sample-class1"),
+    ], ids=["out-without-sample", "sample-without-path", "out-only"])
+    def test_flag_that_would_be_ignored_is_usage_error_before_ingesting(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # each exited 0 having written nothing, the first after reading the file
+        monkeypatch.chdir(tmp_path)
+        self.make_shuttle_file(tmp_path, [[1] * 9 + [1]] * 5)
+
+        def no_ingest(path):
+            raise AssertionError("the file was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "ingest_shuttle", no_ingest)
+        assert main(["shuttle", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["shuttle.trn"]
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_sample_size_below_one_is_usage_error(self, tmp_path, capsys, count):

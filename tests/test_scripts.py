@@ -57,6 +57,7 @@ def test_output_digests_are_the_same_for_any_jobs():
     assert "exit 2  tune-grid-range" in lines and "exit 2  simulate-grid-range" in lines
     assert "exit 2  tune-cv-grid-range" in lines and "exit 2  tune-dfn-grid-range" in lines
     assert "exit 2  simulate-samples1" in lines
+    assert "exit 2  shuttle-out-only" in lines and "exit 2  shuttle-no-path" in lines
     # f = 1 trains through the solver; a negative seed is refused unwritten
     assert sorted(outputs("train-f1")) == ["model.json", "stdout"]
     assert "exit 2  shapes-seed-negative" in lines

@@ -49,11 +49,24 @@ from svddpeak.solver import (
 )
 from svddpeak.tuning import MONOTONICITY_SLACK, BandwidthGrid
 
-from oracles import linear_gram, reference_smo, simplex_grid_max, whole_rows
+from oracles import (
+    linear_gram,
+    reference_smo,
+    reference_threshold,
+    simplex_grid_max,
+    whole_rows,
+)
 from native_paths import PASSES, pinned, supported_passes
 
 K12 = math.exp(-0.5)
 TWO_POINT_R2 = 0.5 - 0.5 * K12  # analytic optimum of the symmetric pair at s=2
+
+
+def _free_indices(model):
+    """The boundary support vectors: the free multipliers of the solver's
+    position rule, at the model's own tolerance."""
+    _, free, _ = solver._positions(model.alphas, model.C, model.config.kkt_tol)
+    return np.flatnonzero(free)
 
 
 @pytest.fixture
@@ -100,7 +113,7 @@ class TestTrain:
             C = model.C
             assert np.all(model.alphas >= -1e-12)
             assert np.all(model.alphas <= C + 1e-12)
-            assert model.boundary_sv_indices.size > 0
+            assert _free_indices(model).size > 0
             assert model.r_squared >= 0.0
 
     def test_kkt_stationarity(self, rng):
@@ -340,7 +353,7 @@ class TestRowBuffer:
                        np.random.default_rng(0).uniform(-0.3, 0.3, size=(8, 2))])
         s_values, config = (0.8, 1.0, 1.2, 1.5), SolverConfig(f=0.2)
         models = self._assert_path_equals_dense_train(X, s_values, config)
-        assert [model.boundary_sv_indices.size == 0 for model in models] == [False] + [True] * 3
+        assert [_free_indices(model).size == 0 for model in models] == [False] + [True] * 3
         assert models[-1].iterations == 0
         filled_rows.clear()
         list(train_path(X, s_values, config))
@@ -410,7 +423,7 @@ class TestRowBuffer:
         finally:
             tracemalloc.stop()
         n = X.shape[0]
-        assert model.boundary_sv_indices.size > 0.9 * n
+        assert _free_indices(model).size > 0.9 * n
         assert peak < 1.3 * n * n * 8
 
 
@@ -781,7 +794,7 @@ class TestThreshold:
         # end of the KKT bracket: both points' distance 1/2 - exp(-1/2)/2
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         model = train(X, KernelSpec(GAUSSIAN, 1.0), SolverConfig(f=1.0))
-        assert model.boundary_sv_indices.size == 0
+        assert _free_indices(model).size == 0
         assert model.r_squared == pytest.approx(0.5 - 0.5 * math.exp(-0.5), abs=1e-12)
 
     def test_vertex_optimum_two_far_pairs(self):
@@ -803,20 +816,76 @@ class TestThreshold:
         K = kernel_matrix(X, spec)
         K_alphas = K @ model.alphas
         dist_sq = 1.0 - 2.0 * K_alphas + float(model.alphas @ K_alphas)
-        boundary = model.boundary_sv_indices
+        boundary = _free_indices(model)
         assert boundary.size > 0
         assert model.r_squared == max(float(dist_sq[boundary].mean()), 0.0)
 
     def test_boundary_distances_that_disagree_are_a_numerical_error(self):
         kkt_tol = 1e-6
+        # the boundary support vectors are rows 0 and 1
         alphas = np.array([0.25, 0.25, 0.5, 0.0])
-        boundary = np.array([0, 1])
         dist_sq = np.array([0.5, 0.5 + 9 * kkt_tol, 0.7, 0.3])
-        assert solver._threshold(dist_sq, alphas, boundary, 0.5, kkt_tol) == pytest.approx(
+        assert solver._threshold(dist_sq, alphas, 0.5, kkt_tol) == pytest.approx(
             0.5 + 4.5 * kkt_tol, abs=1e-15)
         dist_sq[1] = 0.5 + 11 * kkt_tol
         with pytest.raises(NumericalError, match="disagree on the threshold by 1.100e-05"):
-            solver._threshold(dist_sq, alphas, boundary, 0.5, kkt_tol)
+            solver._threshold(dist_sq, alphas, 0.5, kkt_tol)
+
+    @staticmethod
+    def _assert_rule_as_written(dist_sq, alphas, C, kkt_tol):
+        """The positions partition the indices by the written-out bounds,
+        and R^2 (or its error) is the written-out rule's, bit for bit."""
+        at_zero, free, at_C = solver._positions(alphas, C, kkt_tol)
+        assert (at_zero.astype(int) + free + at_C == 1).all()
+        np.testing.assert_array_equal(at_zero, alphas <= kkt_tol)
+        np.testing.assert_array_equal(at_C, alphas >= C - kkt_tol)
+
+        def outcome(threshold):
+            try:
+                return np.float64(threshold(dist_sq, alphas, C, kkt_tol)).tobytes()
+            except NumericalError as exc:
+                return str(exc)
+
+        assert outcome(solver._threshold) == outcome(reference_threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           kkt_tol=st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2]), headroom=st.floats(3.0, 1e4),
+           spread=st.sampled_from([0.0, 1.0, 20.0]))
+    def test_random_multipliers_keep_the_written_out_rule(self, seed, n, kkt_tol, headroom,
+                                                          spread):
+        # C >= 3 kkt_tol, so no multiplier lies in both bound bands; half the
+        # multipliers sit on a band's edge or a float beside it
+        rng = np.random.default_rng(seed)
+        C = headroom * kkt_tol
+        edges = np.array([0.0, kkt_tol, np.nextafter(kkt_tol, np.inf), C - kkt_tol,
+                          np.nextafter(C - kkt_tol, 0.0), C])
+        alphas = np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.uniform(0.0, C, n))
+        dist_sq = 0.5 + spread * kkt_tol * rng.uniform(-1.0, 1.0, n)
+        at_bound = (alphas <= kkt_tol) | (alphas >= C - kkt_tol)
+        dist_sq[at_bound] = rng.uniform(0.0, 2.0, int(at_bound.sum()))
+        self._assert_rule_as_written(dist_sq, alphas, C, kkt_tol)
+
+    @pytest.mark.parametrize("alphas, C", [
+        ([0.0, 0.5, 0.0, 0.5], 0.5),        # no free multiplier: the bracket's midpoint
+        ([0.0, 0.0, 0.0], 0.5),             # none at C: the bracket's top is 0
+        ([0.25, 0.25, 0.25, 0.25], 0.25),   # every multiplier at C
+        ([0.0, 1e-6, 0.5, 0.5 - 1e-6], 0.5),  # every multiplier on a band's edge
+    ])
+    def test_bound_only_multipliers_keep_the_written_out_rule(self, alphas, C):
+        dist_sq = np.array([0.3, 0.9, 0.7, 0.45][:len(alphas)])
+        self._assert_rule_as_written(dist_sq, np.array(alphas), C, 1e-6)
+
+    def test_bound_bands_that_meet_put_a_multiplier_at_C(self):
+        # f = 1 puts every alpha at C = 1/267; at kkt_tol = 0.01 each is also
+        # within kkt_tol of 0, and counts at C alone: R^2 is the smallest
+        # distance, as at the default kkt_tol, and every row reports outside
+        X = generate_shape("banana", seed=11)
+        spec = KernelSpec(GAUSSIAN, 0.9)
+        model = train(X, spec, SolverConfig(f=1.0, kkt_tol=0.01))
+        assert model.C < 2 * 0.01
+        assert model.r_squared == train(X, spec, SolverConfig(f=1.0)).r_squared
+        assert position_report(model).counts() == {"inside": 0, "boundary": 0, "outside": 267}
 
 
 class TestScoring:
@@ -994,6 +1063,7 @@ class TestSerialization:
             "s",
             "f",
             "C",
+            "kkt_tol",
             "r_squared",
             "dual_objective",
             "support_vectors",
@@ -1021,6 +1091,24 @@ class TestSerialization:
         loaded_counts = position_report(loaded).counts()
         assert loaded_counts["outside"] == trained_counts["outside"] > 0
         assert loaded_counts["boundary"] == trained_counts["boundary"]
+
+    @pytest.mark.parametrize("kkt_tol", [1e-4, 1e-3])
+    def test_loaded_model_reports_positions_at_its_kkt_tol(self, kkt_tol):
+        # at the default 1e-6 the loaded model's multipliers were judged on a
+        # finer band than they were solved to
+        model = train(generate_shape("banana", seed=11), KernelSpec(GAUSSIAN, 0.9),
+                      SolverConfig(f=0.05, kkt_tol=kkt_tol))
+        loaded = model_from_dict(model.to_dict())
+        assert loaded.config.kkt_tol == kkt_tol
+        trained_counts = position_report(model).counts()
+        assert position_report(loaded).counts()["boundary"] == trained_counts["boundary"]
+
+    def test_model_without_kkt_tol_loads_at_the_default(self):
+        model = train(generate_shape("banana", seed=11), KernelSpec(GAUSSIAN, 0.9),
+                      SolverConfig(f=0.05, kkt_tol=1e-4))
+        payload = model.to_dict()
+        del payload["kkt_tol"]
+        assert model_from_dict(payload).config.kkt_tol == 1e-6
 
     @pytest.mark.parametrize("field, value", [("C", None), ("f", "much")])
     def test_mistyped_field_rejected(self, two_point_model, field, value):
